@@ -43,15 +43,6 @@ class _SubApi:
     def always_awake(self):
         self._api.always_awake()
 
-    def awake_span(self, a, b, **kw):
-        self._api.awake_span(a, b, **kw)
-
-    def awake_periodic(self, *a):
-        return self._api.awake_periodic(*a)
-
-    def stop_awake(self, *a):
-        self._api.stop_awake(*a)
-
     def finish(self, output=None):
         self.host.finished[self.inst] = output
 

@@ -35,7 +35,7 @@ ALGOS = ("bfs-energy", "cssp-congest", "cssp-energy", "apsp", "decomp", "cover")
 
 CONFIG_KEYS = {
     "algo", "graph", "gen", "n", "m", "weights", "maxw", "seed", "sources",
-    "threshold", "k", "d", "delta", "base", "mode", "round-limit", "out",
+    "threshold", "k", "d", "delta", "base", "round-limit", "out",
     "cover-cache", "save-cover",
 }
 
@@ -77,7 +77,7 @@ _CONFIG_DEFAULTS = {
     "algo": None, "graph": None, "family": None, "n": None, "m": None,
     "weights": "unit", "maxw": 1, "seed": 0, "sources": "0",
     "threshold": None, "k": None, "d": None, "delta": None, "base": None,
-    "mode": "scaled", "round_limit": None, "out": None, "cover_cache": None,
+    "round_limit": None, "out": None, "cover_cache": None,
     "save_cover": None,
 }
 
@@ -109,7 +109,6 @@ def build_parser():
     run.add_argument("--d", type=int, help="cover scale")
     run.add_argument("--delta", type=int, help="apsp delay range")
     run.add_argument("--base", type=int, help="layered cover base override")
-    run.add_argument("--mode", choices=("scaled", "worst"), default="scaled")
     run.add_argument("--round-limit", type=int)
     run.add_argument("--verify", action="store_true")
     run.add_argument("--out", help="output directory")
@@ -125,7 +124,6 @@ def build_parser():
     sweep.add_argument("--axis", choices=("n", "D", "density"), required=True)
     sweep.add_argument("--values", required=True, help="comma list of points")
     sweep.add_argument("--sources", default="0")
-    sweep.add_argument("--mode", choices=("scaled", "worst"), default="scaled")
     sweep.add_argument("--out", help="CSV output path (default stdout)")
 
     ver = sub.add_parser("verify", help="run the acceptance suite")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .engine import Engine, Message, SimConfig
+from .engine import Engine, Message, PlannedProgram, SimConfig
 from .structures import ForestInfo
 
 INF = inf
@@ -129,12 +129,18 @@ class _Frame:
         self.complete = False
 
 
-class CsspProgram:
-    """Node program for the threshold-halving recursion (congest flavor)."""
+START_MARGIN = 4  # second-recursion start lead, in rounds per component node
+
+
+class CsspProgram(PlannedProgram):
+    """Node program for the threshold-halving recursion (congest flavor).
+
+    Planned actions take the frame path as their first argument and run only
+    while that frame exists."""
 
     def __init__(self, node, graph, sources, D_top, *,
-                 forest_only=False, active0=None, start_margin=4,
-                 trace=True):
+                 forest_only=False, active0=None, trace=True):
+        super().__init__()
         self.node = node
         self.nbrs = list(graph.neighbors(node))  # [(u, w)] sorted
         self.weight = dict(self.nbrs)
@@ -143,10 +149,8 @@ class CsspProgram:
         self.D_top = D_top
         self.forest_only = forest_only
         self.active_root = active0 is None or node in active0
-        self.start_margin = start_margin
         self.do_trace = trace
         self.frames: dict[int, _Frame] = {}
-        self._plan: dict[int, list] = {}
         self._queue: dict[int, list] = {}
         self._sent_now: set = set()
         self._answer = None
@@ -155,12 +159,10 @@ class CsspProgram:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _plan_at(self, api, r, path, action, *args):
-        if r == api.round:
-            self._do(api, path, action, args)
-            return
-        self._plan.setdefault(r, []).append((path, action, args))
-        api.wake_at(r)
+    def _act(self, api, action, args):
+        f = self.frames.get(args[0])
+        if f is not None:
+            getattr(self, action)(api, f, *args[1:])
 
     def _send_slot(self, api, dst, msg):
         if dst in self._sent_now:
@@ -189,17 +191,25 @@ class CsspProgram:
 
     def on_round(self, api):
         self._sent_now = set()
+        self._keep_awake(api)
         if not self._started:
             self._started = True
-            api.always_awake()
             self._create_root(api)
         for src, msg in api.inbox:
             self._dispatch(api, src, msg)
-        for path, action, args in self._plan.pop(api.round, []):
-            self._do(api, path, action, args)
+        self._run_due(api)
         self._flush(api)
-        if self._root_done and not any(self._queue.values()):
+        if self._root_done and self._may_finish():
             api.finish(self._answer)
+
+    def _keep_awake(self, api):
+        """Declare the node awake for this step; congest nodes never sleep."""
+        if not self._started:
+            api.always_awake()
+
+    def _may_finish(self):
+        """Whether a node whose root frame is done may stop now."""
+        return not any(self._queue.values())
 
     def _create_root(self, api):
         if not self.active_root:
@@ -208,12 +218,6 @@ class CsspProgram:
         f = _Frame(1, self.D_top, max(1, self.n), api.round, True,
                    self.is_source, [])
         self._enter(api, f)
-
-    def _do(self, api, path, action, args):
-        f = self.frames.get(path)
-        if f is None:
-            return
-        getattr(self, action)(api, f, *args)
 
     def _dispatch(self, api, src, msg):
         f = self.frames.get(msg.ctx)
@@ -265,7 +269,7 @@ class CsspProgram:
             if f.src:
                 for u, _ in self.nbrs:
                     self._send_slot(api, u, Message(T_BASE, (), f.path))
-            self._plan_at(api, f.t0 + 1, f.path, "_base_resolve")
+            self._plan_at(api, f.t0 + 1, "_base_resolve", f.path)
             return
         if f.N == 1:
             f.size = 1
@@ -311,7 +315,7 @@ class CsspProgram:
             return
         base = self._phase_base(f, p)
         if api.round != base:
-            self._plan_at(api, base, f.path, "_phase_start")
+            self._plan_at(api, base, "_phase_start", f.path)
             return
         if f.merging_done:
             f.phase += 1
@@ -325,11 +329,11 @@ class CsspProgram:
             self._send_slot(api, u, Message(T_COMP, (f.comp,), f.path))
         N = f.N
         if f.parent is not None:
-            self._plan_at(api, base + 1 + (N - f.depth), f.path, "_send_minedge")
+            self._plan_at(api, base + 1 + (N - f.depth), "_send_minedge", f.path)
         else:
-            self._plan_at(api, base + N + 1, f.path, "_root_decide")
-        self._plan_at(api, base + 2 * (N + 2) + 1, f.path, "_send_chosen")
-        self._plan_at(api, base + self._phase_len(f), f.path, "_phase_end")
+            self._plan_at(api, base + N + 1, "_root_decide", f.path)
+        self._plan_at(api, base + 2 * (N + 2) + 1, "_send_chosen", f.path)
+        self._plan_at(api, base + self._phase_len(f), "_phase_end", f.path)
 
     def _my_candidate(self, f):
         best = None
@@ -381,7 +385,7 @@ class CsspProgram:
     def _send_chosen(self, api, f):
         if f.decision and f.decision[1] == self.node:
             self._send_slot(api, f.decision[2], Message(T_CHOSEN, (), f.path))
-        self._plan_at(api, api.round + 1, f.path, "_merge_kickoff")
+        self._plan_at(api, api.round + 1, "_merge_kickoff", f.path)
 
     def _merge_kickoff(self, api, f):
         # core edge: my chosen target also chose me over the same edge
@@ -427,16 +431,16 @@ class CsspProgram:
     def _census_start(self, api, f):
         base = self._phase_base(f, self._phase_count(f))
         if api.round != base:
-            self._plan_at(api, base, f.path, "_census_start")
+            self._plan_at(api, base, "_census_start", f.path)
             return
         N = f.N
         f.pend_size = 0
         if f.parent is not None:
-            self._plan_at(api, base + 1 + (N - f.depth), f.path, "_census_send")
+            self._plan_at(api, base + 1 + (N - f.depth), "_census_send", f.path)
         else:
-            self._plan_at(api, base + N + 1, f.path, "_census_root")
+            self._plan_at(api, base + N + 1, "_census_root", f.path)
         f.t_cut = base + 2 * (N + 2) + 2
-        self._plan_at(api, f.t_cut, f.path, "_start_cutter")
+        self._plan_at(api, f.t_cut, "_start_cutter", f.path)
 
     def _census_send(self, api, f):
         self._send_slot(api, f.parent, Message(T_SIZE, (1 + f.pend_size,), f.path))
@@ -476,8 +480,8 @@ class CsspProgram:
                 cand = t
         f.cand = cand
         if cand is not None and cand <= k:
-            self._plan_at(api, f.t_cut + cand, f.path, "_cut_finalize")
-        self._plan_at(api, f.t_cut + k + 2, f.path, "_cutter_done")
+            self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path)
+        self._plan_at(api, f.t_cut + k + 2, "_cutter_done", f.path)
 
     def _on_cut(self, api, f, src, tick):
         if f.tick is not None or f.t_cut is None:
@@ -486,7 +490,7 @@ class CsspProgram:
         if f.cand is None or cand < f.cand:
             f.cand = cand
             if cand <= 6 * f.N:
-                self._plan_at(api, f.t_cut + cand, f.path, "_cut_finalize")
+                self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path)
 
     def _cut_finalize(self, api, f):
         if f.tick is not None or f.cand is None:
@@ -534,7 +538,7 @@ class CsspProgram:
         if f.parent is not None:
             self._send_queued(api, f.parent, Message(T_DONE1, (), f.path))
         else:
-            start2 = api.round + self.start_margin * f.size + 4
+            start2 = api.round + START_MARGIN * f.size + 4
             self._on_start2(api, f, start2)
 
     def _on_start2(self, api, f, start2):
@@ -547,8 +551,8 @@ class CsspProgram:
         f.start2 = start2
         for c in f.children:
             self._send_queued(api, c, Message(T_START2, (start2,), f.path))
-        self._plan_at(api, start2, f.path, "_announce_out")
-        self._plan_at(api, start2 + 1, f.path, "_start_child2")
+        self._plan_at(api, start2, "_announce_out", f.path)
+        self._plan_at(api, start2 + 1, "_start_child2", f.path)
 
     def _announce_out(self, api, f):
         f.v2 = f.v1 and f.out1 is not INF
@@ -618,9 +622,10 @@ def default_round_limit(n: int, D: int) -> int:
     return 256 + 24 * n * levels * (4 * logn + 20)
 
 
-def run_thresholded_cssp(graph, sources, D, *, config=None, trace=True):
-    """Run the distributed D-thresholded computation; returns
-    (outputs, report, engine)."""
+def run_thresholded_cssp(graph, sources, D, *, program=CsspProgram,
+                         config=None, trace=True):
+    """Run the distributed D-thresholded computation with node programs of
+    class `program` (congest or sleeping); returns (outputs, report, engine)."""
     if D & (D - 1):
         raise ValueError("threshold must be a power of two")
     if not sources:
@@ -632,21 +637,21 @@ def run_thresholded_cssp(graph, sources, D, *, config=None, trace=True):
     engine = Engine(graph, cfg)
     src = set(sources)
     programs = {
-        v: CsspProgram(v, graph, src, D, trace=trace) for v in range(graph.n)
+        v: program(v, graph, src, D, trace=trace) for v in range(graph.n)
     }
     outputs, report = engine.run(programs)
     return outputs, report, engine
 
 
-def boruvka_forest(graph, *, active=None, config=None) -> tuple:
+def boruvka_forest(graph, *, active=None, program=CsspProgram, config=None) -> tuple:
     """Maximal spanning forest of the (induced) graph; every node learns its
     component id, parent, depth, and component size."""
     nodes = sorted(active) if active is not None else list(range(graph.n))
     cfg = config or SimConfig(round_limit=default_round_limit(graph.n, 2))
     engine = Engine(graph, cfg)
     programs = {
-        v: CsspProgram(v, graph, set(), 2, forest_only=True,
-                       active0=set(nodes), trace=False)
+        v: program(v, graph, set(), 2, forest_only=True,
+                   active0=set(nodes), trace=False)
         for v in range(graph.n)
     }
     outputs, report = engine.run(programs)
@@ -657,15 +662,14 @@ def boruvka_forest(graph, *, active=None, config=None) -> tuple:
     return ForestInfo(comp, parent, depth, size), report, engine
 
 
-def cssp(graph, sources, *, config=None, trace=True):
-    """Exact dist(S, v) for every node; lifts zero weights if present."""
-    if not sources:
-        raise ValueError("need at least one source")
+def cssp(graph, sources, *, program=CsspProgram, config=None, trace=True):
+    """Exact dist(S, v) for every node; lifts zero weights if present and
+    projects the answers back."""
     has_zero = any(w == 0 for (_, _, w) in graph.edges)
     work = lift_zero_weights(graph) if has_zero else graph
     D = pow2_at_least(max(1, work.n * work.max_weight))
     outputs, report, engine = run_thresholded_cssp(
-        work, sources, D, config=config, trace=trace
+        work, sources, D, program=program, config=config, trace=trace
     )
     if has_zero:
         outputs = {v: project_distance(d, graph.n) for v, d in outputs.items()}

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from math import inf
 
-from .engine import Engine, Message, MegaroundConfig, SimConfig, merge_reports
+from .engine import (
+    Engine, Message, MegaroundConfig, PlannedProgram, SimConfig, merge_reports,
+)
 from .netdecomp import ConstructionError, bits_for, build_cover_sync
 from .structures import LayeredCover
 
@@ -96,10 +98,11 @@ class BfsParams:
         self.t_end = t_end
 
 
-class EnergyBfsProgram:
+class EnergyBfsProgram(PlannedProgram):
     """Sleeping-model node program for cover-driven thresholded BFS."""
 
     def __init__(self, node, graph, roles, is_source, params, trace=True):
+        super().__init__()
         self.node = node
         self.nbrs = [u for (u, _) in graph.neighbors(node)]
         self.roles = roles  # dict (level, cid) -> _RoleRt
@@ -108,20 +111,7 @@ class EnergyBfsProgram:
         self.do_trace = trace
         self.reached_hop = None
         self.sent_reach = False
-        self._plan = {}
         self._started = False
-
-    # -- schedule plumbing -----------------------------------------------------
-
-    def _plan_at(self, api, r, action, *args):
-        if r <= api.round:
-            getattr(self, action)(api, *args)
-            return
-        bucket = self._plan.setdefault(r, [])
-        item = (action, args)
-        if item not in bucket:
-            bucket.append(item)
-            api.wake_at(r)
 
     def on_round(self, api):
         if not self._started:
@@ -129,8 +119,7 @@ class EnergyBfsProgram:
             self._boot(api)
         for src, msg in api.inbox:
             self._dispatch(api, src, msg)
-        for action, args in self._plan.pop(api.round, []):
-            getattr(self, action)(api, *args)
+        self._run_due(api)
 
     def _boot(self, api):
         for key in sorted(self.roles):
@@ -412,10 +401,11 @@ def bootstrap_base_covers(graph, *, base=None, config=None, trace=True):
     return layered, [decomp0, decomp1], merge_reports(reports), [tl0, tl1]
 
 
-class DetectProgram:
+class DetectProgram(PlannedProgram):
     """All-awake detection of a cluster containing its whole component."""
 
     def __init__(self, node, graph, roles, window):
+        super().__init__()
         self.node = node
         self.nbrs = [u for (u, _) in graph.neighbors(node)]
         self.roles = roles
@@ -423,15 +413,7 @@ class DetectProgram:
         self.nbr_lists = {u: set() for u in self.nbrs}
         self.answer = {}
         self._acc = {}
-        self._plan = {}
         self._started = False
-
-    def _plan_at(self, api, r, action, *args):
-        if r <= api.round:
-            getattr(self, action)(api, *args)
-            return
-        self._plan.setdefault(r, []).append((action, args))
-        api.wake_at(r)
 
     def on_round(self, api):
         if not self._started:
@@ -443,8 +425,7 @@ class DetectProgram:
             self._plan_at(api, api.round + self.window, "_local_check")
         for src, msg in api.inbox:
             self._dispatch(api, src, msg)
-        for action, args in self._plan.pop(api.round, []):
-            getattr(self, action)(api, *args)
+        self._run_due(api)
 
     def _tell(self, api, cid):
         for u in self.nbrs:
@@ -496,120 +477,6 @@ class DetectProgram:
 
     def _done(self, api):
         api.finish({f"{k[0]}:{k[1]}": v for k, v in sorted(self.answer.items())})
-
-
-class PipelineProbe:
-    """Standalone convergecast/broadcast pipeline on one cluster tree.
-
-    Members wake two rounds per period for each direction; a raised predicate
-    bit climbs to the root (OR) and the root's announcement descends. Used to
-    exercise the pipeline primitive and its latency bounds on its own."""
-
-    def __init__(self, node, rt, flag_at, horizon, anchor=1):
-        self.node = node
-        self.rt = rt
-        self.flag_at = flag_at  # round at which this node raises its bit
-        self.horizon = horizon
-        self.anchor = anchor
-        self.flag = False
-        self.sent = 0
-        self.kid_bits = {}
-        self.root_knows = None
-        self.know = None
-        self._plan = {}
-        self._started = False
-
-    def _plan_at(self, api, r, action):
-        if r <= api.round:
-            getattr(self, action)(api)
-            return
-        bucket = self._plan.setdefault(r, [])
-        if action not in bucket:
-            bucket.append(action)
-            api.wake_at(r)
-
-    def on_round(self, api):
-        rt = self.rt
-        if not self._started:
-            self._started = True
-            if rt is not None:
-                api.awake_periodic(self.anchor, rt.period, rt.residues(),
-                                   0, self.horizon)
-                if self.flag_at is not None:
-                    self._plan_at(api, self.flag_at, "_raise")
-            self._plan_at(api, self.horizon, "_wrap")
-        for src, msg in api.inbox:
-            if msg.tag == 1:
-                self.kid_bits[src] = msg.payload[0]
-                self._nudge(api)
-            elif self.know is None:
-                self.know = api.round
-                self._plan_at(api, next_slot(
-                    self.anchor, rt.period, rt.bcast_send_residue(),
-                    api.round - 1), "_down")
-        for action in self._plan.pop(api.round, []):
-            getattr(self, action)(api)
-
-    def _raise(self, api):
-        self.flag = True
-        self._nudge(api)
-
-    def _nudge(self, api):
-        rt = self.rt
-        agg = int(self.flag or any(self.kid_bits.values()))
-        if agg <= self.sent:
-            return
-        if rt.parent is None:
-            if self.root_knows is None:
-                self.root_knows = api.round
-                self.know = api.round
-                self.sent = agg
-                self._plan_at(api, next_slot(
-                    self.anchor, rt.period, rt.bcast_send_residue(),
-                    api.round - 1), "_down")
-            return
-        self._plan_at(api, next_slot(
-            self.anchor, rt.period, rt.conv_send_residue(), api.round - 1),
-            "_up")
-
-    def _up(self, api):
-        rt = self.rt
-        agg = int(self.flag or any(self.kid_bits.values()))
-        if agg > self.sent:
-            self.sent = agg
-            api.send(rt.parent, Message(1, (agg,)), critical=True)
-
-    def _down(self, api):
-        for kid in self.rt.kids:
-            api.send(kid, Message(2, (1,)), critical=True)
-
-    def _wrap(self, api):
-        api.finish((self.root_knows, self.know))
-
-
-def tree_pipeline_run(graph, cluster, period, flag_rounds, c_pipe=3):
-    """Run one cluster's pipeline alone: nodes in `flag_rounds` raise a bit at
-    the given round; returns (root_detect_round, know_rounds, report)."""
-    kids = {v: [] for v in cluster.tree}
-    for v, (p, _, _) in cluster.tree.items():
-        if p is not None:
-            kids[p].append(v)
-    depth = cluster.depth()
-    horizon = max(flag_rounds.values(), default=1) + 3 * c_pipe * (depth + period) + 8
-    roles = {}
-    for v, (p, dep, term) in cluster.tree.items():
-        roles[v] = _RoleRt(0, cluster.id, p, sorted(kids[v]), dep, term,
-                           period, None)
-    programs = {
-        v: PipelineProbe(v, roles.get(v), flag_rounds.get(v), horizon)
-        for v in range(graph.n)
-    }
-    engine = Engine(graph, SimConfig(round_limit=horizon + 8))
-    outputs, report = engine.run(programs)
-    root = cluster.root
-    root_detect = outputs[root][0]
-    know = {v: outputs[v][1] for v in cluster.tree}
-    return root_detect, know, report
 
 
 def _roles_for(graph, layered, top_level):
@@ -718,38 +585,7 @@ def full_bfs(graph, sources, *, base=None, c_pipe=3, trace=True, layered=None):
     Builds the cover stack level by level until some cluster spans every
     component, then runs the pipelined BFS. A prebuilt layered cover may be
     passed to skip construction (the cover cache path)."""
-    reports = []
-    decomps = []
-    tlogs = []
-    if layered is None:
-        layered, decomps, reports, tlogs = _grow_until_global(
-            graph, base=base, trace=trace)
-    top = layered.top
-    hop_cap = 2 * max(layered.max_tree_depth(lvl) for lvl in range(top + 1)) + 2
-    outputs, rep, engine = run_thresholded_bfs_with_cover(
-        graph, layered, sources, hop_cap, top_level=top, c_pipe=c_pipe,
-        trace=trace)
-    reports.append(rep)
-    return outputs, merge_reports(reports), engine, layered, decomps, tlogs
-
-
-def _grow_until_global(graph, *, base, trace):
-    layered, decomps, rep_boot, tlogs = bootstrap_base_covers(
-        graph, base=base, trace=trace)
-    reports = [rep_boot]
-    level = 0
-    while True:
-        spans, rep_d = detect_global_cluster(graph, layered.levels[level])
-        reports.append(rep_d)
-        if spans:
-            break
-        if level + 1 > layered.top:
-            cover, decomp, rep, tl = build_cover_next(graph, layered, trace=trace)
-            reports.append(rep)
-            decomps.append(decomp)
-            tlogs.append(tl)
-        level += 1
-    return layered, decomps, reports, tlogs
+    return _cover_bfs(graph, sources, None, base, c_pipe, trace, layered)
 
 
 def thresholded_bfs(graph, sources, threshold, *, base=None, c_pipe=3,
@@ -757,24 +593,40 @@ def thresholded_bfs(graph, sources, threshold, *, base=None, c_pipe=3,
     """Thresholded hop distances built from scratch: cover construction stops
     at the level whose scale reaches 2*threshold (or earlier with a spanning
     cluster)."""
-    reports = []
-    decomps = []
-    tlogs = []
+    return _cover_bfs(graph, sources, threshold, base, c_pipe, trace, layered)
+
+
+def _cover_bfs(graph, sources, threshold, base, c_pipe, trace, layered):
+    reports, decomps, tlogs = [], [], []
     if layered is None:
-        layered, decomps, rep_boot, tlogs = bootstrap_base_covers(
-            graph, base=base, trace=trace)
-        reports.append(rep_boot)
-        while layered.base**layered.top < 2 * threshold:
-            spans, rep_d = detect_global_cluster(graph, layered.levels[layered.top])
-            reports.append(rep_d)
-            if spans:
-                break
+        layered, decomps, reports, tlogs = _grow_cover(graph, base, trace, threshold)
+    top = layered.top
+    if threshold is None:
+        threshold = 2 * max(layered.max_tree_depth(lvl) for lvl in range(top + 1)) + 2
+    outputs, rep, engine = run_thresholded_bfs_with_cover(
+        graph, layered, sources, threshold, top_level=top, c_pipe=c_pipe,
+        trace=trace)
+    reports.append(rep)
+    return outputs, merge_reports(reports), engine, layered, decomps, tlogs
+
+
+def _grow_cover(graph, base, trace, threshold):
+    """Bootstrap the cover stack, then detect and grow. Without a threshold,
+    detection runs from level 0 up until some cluster spans every component;
+    with one, it runs on the top level while base**top < 2*threshold."""
+    layered, decomps, rep_boot, tlogs = bootstrap_base_covers(
+        graph, base=base, trace=trace)
+    reports = [rep_boot]
+    level = 0 if threshold is None else layered.top
+    while threshold is None or layered.base**layered.top < 2 * threshold:
+        spans, rep_d = detect_global_cluster(graph, layered.levels[level])
+        reports.append(rep_d)
+        if spans:
+            break
+        if level == layered.top:
             cover, decomp, rep, tl = build_cover_next(graph, layered, trace=trace)
             reports.append(rep)
             decomps.append(decomp)
             tlogs.append(tl)
-    outputs, rep, engine = run_thresholded_bfs_with_cover(
-        graph, layered, sources, threshold, top_level=layered.top,
-        c_pipe=c_pipe, trace=trace)
-    reports.append(rep)
-    return outputs, merge_reports(reports), engine, layered, decomps, tlogs
+        level += 1
+    return layered, decomps, reports, tlogs

@@ -7,62 +7,26 @@ work they actually do and sleep otherwise. The pieces:
   - spanning forest: the Boruvka phases run in the same deterministic
     windows, but tree sweeps are depth-slotted (two awake rounds per sweep);
     only the merge/adoption sub-window keeps participants awake throughout.
-  - distance cutter: runs on the subdivided view of the frame - an edge of
-    rounded weight a*tau acts as a chain of a unit hops whose interior the
-    receiving endpoint advances arithmetically, so only the single physical
-    channel is charged - with active nodes awake for the tick window.
+  - distance cutter: an edge of rounded weight a*tau acts as a chain of a
+    unit hops that the receiving endpoint advances arithmetically
+    (`_tick_weight`), so only one channel per edge is charged; active nodes
+    stay awake for the tick window.
   - completion detection: instead of staying awake, waiting nodes join a
     convergecast/broadcast pipeline on the component tree with period equal
     to the component size, spending O(1) awake rounds per cycle while the
     recursion works elsewhere.
 
-Zero-weight lifting and the final projection are shared with the congest
-implementation.
+Everything else, the step loop and the entry points included, is shared with
+the congest implementation: pass `program=EnergyCsspProgram` to
+`congest_cssp.run_thresholded_cssp`, `boruvka_forest` or `cssp`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import inf
-
-from .congest_cssp import (
-    T_DONE1, T_DONE2, T_FDONE, T_START2,
-    CsspProgram, ceil_div, default_round_limit, lift_zero_weights,
-    pow2_at_least, project_distance,
-)
-from .engine import Engine, SimConfig
-from .structures import ForestInfo
-
-INF = inf
+from .congest_cssp import T_DONE1, T_DONE2, T_FDONE, T_START2, CsspProgram, cssp
 
 UP_TAGS = frozenset({T_DONE1, T_DONE2})
 DOWN_TAGS = frozenset({T_START2, T_FDONE})
-
-
-@dataclass(frozen=True)
-class SubdividedView:
-    """Unit-hop view of one weighted edge: a chain of `hops` unit edges whose
-    interior nodes are simulated by the owning endpoint (smaller id)."""
-
-    u: int
-    v: int
-    hops: int
-
-    @property
-    def owner(self) -> int:
-        return min(self.u, self.v)
-
-    @property
-    def relay_count(self) -> int:
-        return self.hops - 1
-
-
-def subdivided_view(graph, bound, threshold) -> list:
-    """Chains for every edge at the cutter's tick granularity tau = W/(2N)."""
-    out = []
-    for u, v, w in graph.edges:
-        out.append(SubdividedView(u, v, ceil_div(2 * bound * w, threshold)))
-    return out
 
 
 class EnergyCsspProgram(CsspProgram):
@@ -73,27 +37,22 @@ class EnergyCsspProgram(CsspProgram):
         self._pipes = {}  # frame path -> (anchor, period, handle)
         self._pending_pipe = 0  # planned slot sends not yet on the wire
 
+    # The step is CsspProgram's; naming it in this class as well lets a
+    # profile or the benchmark's traced run tell sleeping steps apart.
+    on_round = CsspProgram.on_round
+
     # -- awake bookkeeping (the only semantic difference from congest) --------
 
-    def on_round(self, api):
-        self._sent_now = set()
+    def _keep_awake(self, api):
         api.awake_span(api.round, api.round)  # a stepped node is awake now
-        if not self._started:
-            self._started = True
-            self._create_root(api)
-        for src, msg in api.inbox:
-            self._dispatch(api, src, msg)
-        for path, action, args in self._plan.pop(api.round, []):
-            self._do(api, path, action, args)
-        self._flush(api)
-        if (self._root_done and not any(self._queue.values())
-                and self._pending_pipe == 0):
-            api.finish(self._answer)
 
-    def _plan_at(self, api, r, path, action, *args):
+    def _may_finish(self):
+        return super()._may_finish() and self._pending_pipe == 0
+
+    def _plan_at(self, api, r, action, *args):
         if r > api.round:
             api.awake_span(max(1, r - 1), r)
-        super()._plan_at(api, r, path, action, *args)
+        super()._plan_at(api, r, action, *args)
 
     def _phase_start(self, api, f):
         p = f.phase
@@ -151,7 +110,7 @@ class EnergyCsspProgram(CsspProgram):
         base = api.round if earliest is None else earliest
         slot = base + ((residue - (base - anchor)) % period)
         self._pending_pipe += 1
-        self._plan_at(api, slot, msg.ctx, "_pipe_send", dst, msg)
+        self._plan_at(api, slot, "_pipe_send", msg.ctx, dst, msg)
 
     def _pipe_send(self, api, f, dst, msg):
         self._pending_pipe -= 1
@@ -177,55 +136,7 @@ class EnergyCsspProgram(CsspProgram):
         super()._enter(api, f)
 
 
-def spanning_forest_energy(graph, *, active=None, config=None):
-    """Maximal spanning forest with sleeping semantics; every node learns its
-    component id, parent, depth, and component size."""
-    nodes = sorted(active) if active is not None else list(range(graph.n))
-    cfg = config or SimConfig(round_limit=default_round_limit(graph.n, 2))
-    engine = Engine(graph, cfg)
-    programs = {
-        v: EnergyCsspProgram(v, graph, set(), 2, forest_only=True,
-                             active0=set(nodes), trace=False)
-        for v in range(graph.n)
-    }
-    outputs, report = engine.run(programs)
-    comp, parent, depth, size = {}, {}, {}, {}
-    for v in nodes:
-        c, p, d, s = outputs[v]
-        comp[v], parent[v], depth[v], size[v] = c, p, d, s
-    return ForestInfo(comp, parent, depth, size), report, engine
-
-
-def run_thresholded_cssp_energy(graph, sources, D, *, config=None, trace=True):
-    """Sleeping-model D-thresholded run; returns (outputs, report, engine)."""
-    if D & (D - 1):
-        raise ValueError("threshold must be a power of two")
-    if not sources:
-        raise ValueError("need at least one source")
-    if any(w < 1 for (_, _, w) in graph.edges):
-        raise ValueError("thresholded run requires weights >= 1 (lift zeros first)")
-    cfg = config or SimConfig(round_limit=default_round_limit(graph.n, D))
-    cfg.collect_trace = trace
-    engine = Engine(graph, cfg)
-    src = set(sources)
-    programs = {
-        v: EnergyCsspProgram(v, graph, src, D, trace=trace)
-        for v in range(graph.n)
-    }
-    outputs, report = engine.run(programs)
-    return outputs, report, engine
-
-
 def cssp_energy(graph, sources, *, config=None, trace=True):
-    """Exact dist(S, v) for every node in the sleeping model; lifts zero
-    weights if present and projects the answers back."""
-    if not sources:
-        raise ValueError("need at least one source")
-    has_zero = any(w == 0 for (_, _, w) in graph.edges)
-    work = lift_zero_weights(graph) if has_zero else graph
-    D = pow2_at_least(max(1, work.n * work.max_weight))
-    outputs, report, engine = run_thresholded_cssp_energy(
-        work, sources, D, config=config, trace=trace)
-    if has_zero:
-        outputs = {v: project_distance(d, graph.n) for v, d in outputs.items()}
-    return outputs, report, engine
+    """Exact dist(S, v) for every node in the sleeping model."""
+    return cssp(graph, sources, program=EnergyCsspProgram, config=config,
+                trace=trace)

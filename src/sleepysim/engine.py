@@ -79,7 +79,6 @@ class SimConfig:
     c_msg: int = 8
     extra_ctx_bits: int = 0  # instance-id allowance for concurrent scheduling
     allow_oversubscription: bool = False
-    raise_on_critical_loss: bool = True
     collect_trace: bool = True
     watch_tags: frozenset = frozenset()  # lost messages with these tags are logged
 
@@ -109,12 +108,6 @@ class RunReport:
 
     def energy_percentile(self, q: float) -> int:
         vals = sorted(self.energy.values())
-        if not vals:
-            return 0
-        return vals[min(len(vals) - 1, int(q * len(vals)))]
-
-    def congestion_percentile(self, q: float) -> int:
-        vals = sorted(max(c) for c in self.congestion.values())
         if not vals:
             return 0
         return vals[min(len(vals) - 1, int(q * len(vals)))]
@@ -226,10 +219,8 @@ class NodeApi:
         self.engine._add_span(self.node, r, r)
         self.engine._push_step(r, self.node)
 
-    def awake_span(self, a: int, b: int, step_at_start: bool = False):
+    def awake_span(self, a: int, b: int):
         self.engine._add_span(self.node, a, b)
-        if step_at_start and a > self.round:
-            self.engine._push_step(a, self.node)
 
     def awake_periodic(self, anchor: int, period: int, residues, a: int, b: int):
         """Declare a periodic listening schedule; returns a handle that can be
@@ -251,6 +242,36 @@ class NodeApi:
 
     def trace(self, kind: str, **data):
         self.engine.trace(kind, node=self.node, round=self.round, **data)
+
+
+class PlannedProgram:
+    """Base for node programs that plan their own actions for exact rounds.
+
+    An action is a method name plus arguments. Planned for the current round
+    it runs at once; planned for a later round it is kept (once per round and
+    arguments) and the node wakes then; a past round is a protocol error.
+    """
+
+    def __init__(self):
+        self._plan: dict[int, list] = {}
+
+    def _plan_at(self, api, r, action, *args):
+        if r == api.round:
+            self._act(api, action, args)
+            return
+        bucket = self._plan.setdefault(r, [])
+        item = (action, args)
+        if item not in bucket:
+            bucket.append(item)
+            api.wake_at(r)
+
+    def _act(self, api, action, args):
+        getattr(self, action)(api, *args)
+
+    def _run_due(self, api):
+        """Run every action planned for this round, in planning order."""
+        for action, args in self._plan.pop(api.round, ()):
+            self._act(api, action, args)
 
 
 class Engine:
@@ -346,9 +367,6 @@ class Engine:
                 self._deliver(r, all_sends, width)
             if len(self._done) == self.n:
                 break
-        else:
-            if len(self._done) < self.n:
-                status = "timeout"
         if len(self._done) < self.n and status == "done":
             status = "timeout"
 
@@ -403,11 +421,10 @@ class Engine:
                             (r, src, dst, msg.tag, msg.payload))
                     if critical:
                         self._report.critical_losses.append((r, src, dst, msg.tag))
-                        if cfg.raise_on_critical_loss:
-                            raise ProtocolViolation(
-                                f"critical message tag {msg.tag} from {src} lost at "
-                                f"sleeping node {dst} in round {r}"
-                            )
+                        raise ProtocolViolation(
+                            f"critical message tag {msg.tag} from {src} lost at "
+                            f"sleeping node {dst} in round {r}"
+                        )
 
     def _finalize(self, status, width) -> RunReport:
         rep = self._report

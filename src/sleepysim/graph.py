@@ -58,12 +58,6 @@ class Graph:
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         return self.adjacency()[v]
 
-    def edge_weight(self, u: int, v: int) -> int:
-        for x, w in self.adjacency()[u]:
-            if x == v:
-                return w
-        raise KeyError((u, v))
-
     def reweighted(self, fn) -> "Graph":
         return Graph.build(self.n, [(u, v, fn(w)) for (u, v, w) in self.edges])
 

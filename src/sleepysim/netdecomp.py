@@ -23,7 +23,10 @@ d-neighborhood and recording the expanded trees.
 from __future__ import annotations
 
 from .congest_cssp import boruvka_forest
-from .engine import Engine, Message, MegaroundConfig, SimConfig, SimError, merge_reports
+from .engine import (
+    Engine, Message, MegaroundConfig, PlannedProgram, SimConfig, SimError,
+    merge_reports,
+)
 from .structures import ClusterData, Cover, Decomposition
 
 PD_PROP = 20
@@ -65,13 +68,13 @@ class _Role:
         self.kids = []
 
 
-class DecompProgram:
+class DecompProgram(PlannedProgram):
     """All-awake node program building one decomposition (plus cover)."""
 
     def __init__(self, node, graph, forest, k, *, expand_to=None, trace=True):
+        super().__init__()
         self.node = node
         self.nbrs = [u for (u, _) in graph.neighbors(node)]
-        self.n = graph.n
         self.k = k
         self.d = expand_to
         self.b = bits_for(graph.n)
@@ -107,22 +110,12 @@ class DecompProgram:
         self.bar_active = False
         self.bar_dead = False
         self._acc: dict[int, int] = {}
-        self._plan: dict[int, list] = {}
         self._started = False
 
     # -- window arithmetic ----------------------------------------------------
 
     def _rho(self):
         return self.k * (self.steps_done + 1)
-
-    # -- plumbing ---------------------------------------------------------------
-
-    def _plan_at(self, api, r, action, *args):
-        if r == api.round:
-            getattr(self, action)(api, *args)
-            return
-        self._plan.setdefault(r, []).append((action, args))
-        api.wake_at(r)
 
     def _pop_acc(self, label):
         return self._acc.pop(label, 0)
@@ -144,8 +137,7 @@ class DecompProgram:
             props.sort()  # ties go to the smallest cluster id
             _, src, payload = props[0]
             self._on_prop(api, src, payload)
-        for action, args in self._plan.pop(api.round, []):
-            getattr(self, action)(api, *args)
+        self._run_due(api)
 
     def _dispatch(self, api, src, msg):
         tag = msg.tag
@@ -225,7 +217,7 @@ class DecompProgram:
         self.join_acc = {}
         self.bar_active = False
         self.bar_dead = False
-        k, rho, S = self.k, self._rho(), self.comp_size
+        k, rho = self.k, self._rho()
         t_join = base + k + 2
         t_cnt = t_join + k + 2
         t_dec = t_cnt + rho + 2

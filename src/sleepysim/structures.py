@@ -53,13 +53,6 @@ class Cover:
         worst = max(cl.depth() for cl in self.clusters)
         return max(1, -(-worst // max(1, self.scale)))  # ceil
 
-    def memberships(self, n: int) -> dict:
-        out = {v: [] for v in range(n)}
-        for cl in self.clusters:
-            for v in cl.members:
-                out[v].append(cl.id)
-        return out
-
 
 @dataclass
 class Decomposition:
@@ -68,10 +61,6 @@ class Decomposition:
     separation: int
     colors: list  # list of list[ClusterData]
     node_color: dict = field(default_factory=dict)
-
-    def all_clusters(self):
-        for clusters in self.colors:
-            yield from clusters
 
 
 @dataclass

@@ -137,41 +137,25 @@ def check_kill_budget(trace, b):
 def check_cut_composition(graph, trace):
     """For every far-side recursion frame, the distance its parent composes
     must equal half-threshold plus the oracle distance from the simulated cut
-    sources inside the frame's own subgraph."""
+    sources inside the frame's own subgraph.
+
+    Frames are grouped by path alone: the components that share a path are
+    disconnected in the subgraph induced by their union, so one Dijkstra run
+    keeps them apart."""
     frames = {}
     for kind, data in trace:
         if kind == "frame":
-            frames.setdefault((data["path"], data["N"]), []).append(data)
+            frames.setdefault(data["path"], []).append(data)
     checked = 0
-    for (path, N), rows in sorted(frames.items()):
-        if path <= 1 or path % 2 == 0:
-            continue  # only far-side (cut-source) frames
-        parent_rows = {
-            d["node"]: d for d in
-            frames.get((path // 2, N), []) + frames.get((path // 2, 0), [])
-        }
-        active = {d["node"] for d in rows}
-        init = {}
-        for d in rows:
-            if d["offsets"]:
-                init[d["node"]] = min(d["offsets"])
-        sub = graph.induced(active)
-        dist_cut = dijkstra(sub, init) if init else {v: INF for v in active}
-        # the parent frame's half threshold
-        parent = next(iter(parent_rows.values()), None)
-        if parent is None:
-            continue
-        half = parent["D"] // 2
-        pa = {d["node"] for d in frames.get((path // 2, parent["N"]), [])}
-        init_p = {}
-        for d in frames.get((path // 2, parent["N"]), []):
-            if d["src"]:
-                init_p[d["node"]] = 0
-            elif d["offsets"]:
-                init_p[d["node"]] = min(d["offsets"])
-        dist_parent = dijkstra(graph.induced(pa), init_p) if init_p else {}
-        for v in sorted(active):
-            dc = dist_cut.get(v, INF)
+    for path, rows in sorted(frames.items()):
+        parent_rows = frames.get(path // 2)
+        if path <= 1 or path % 2 == 0 or not parent_rows:
+            continue  # only far-side (cut-source) frames under a traced parent
+        half = parent_rows[0]["D"] // 2
+        dist_cut = _frame_distances(graph, rows)
+        dist_parent = _frame_distances(graph, parent_rows)
+        for v in sorted(dist_cut):
+            dc = dist_cut[v]
             dp = dist_parent.get(v, INF)
             if dc is not INF and dc <= half:
                 if dp != half + dc:
@@ -181,6 +165,21 @@ def check_cut_composition(graph, trace):
                     )
                 checked += 1
     return True, f"{checked} cut compositions verified"
+
+
+def _frame_distances(graph, rows):
+    """Oracle distances inside the frames' induced subgraph from their real
+    sources (offset 0) and simulated cut sources (smallest offset)."""
+    init = {}
+    for d in rows:
+        if d["src"]:
+            init[d["node"]] = 0
+        elif d["offsets"]:
+            init[d["node"]] = min(d["offsets"])
+    active = {d["node"] for d in rows}
+    if not init:
+        return {v: INF for v in active}
+    return dijkstra(graph.induced(active), init)
 
 
 def check_sleep_safety(outputs, report):

@@ -145,3 +145,37 @@ def test_determinism():
     _, r1, _ = cssp(g, {0, 5})
     _, r2, _ = cssp(g, {0, 5})
     assert r1.to_json() == r2.to_json()
+
+
+@pytest.fixture(scope="module")
+def gnm48_trace():
+    g = gen_graph(GraphSpec("random-gnm", 48, seed=0, m=144,
+                            weight_mode="uniform", max_w=60))
+    outputs, _, engine = cssp(g, {0})
+    assert outputs == dijkstra(g, {0})
+    return g, engine.trace_log
+
+
+def test_cut_composition_groups_components_by_path(gnm48_trace):
+    """Far-side frames of several components share a path but not a size N;
+    an exact run must verify, not be flagged for a missing parent frame."""
+    g, trace = gnm48_trace
+    ok, detail = check_cut_composition(g, trace)
+    assert ok, detail
+    assert int(detail.split()[0]) > 0
+
+
+def test_cut_composition_flags_planted_offset(gnm48_trace):
+    g, trace = gnm48_trace
+    frames = [d for kind, d in trace if kind == "frame"]
+    half = {d["path"]: d["D"] // 2 for d in frames}
+    # the smallest offset of a far frame is that node's own cut distance, so
+    # raising it by one shifts a composition the parent did not make
+    far = min((d for d in frames if d["path"] % 2 == 1 and d["path"] > 1
+               and d["offsets"] and min(d["offsets"]) < half[d["path"] // 2]),
+              key=lambda d: (min(d["offsets"]), d["path"], d["node"]))
+    planted = [(kind, dict(d, offsets=tuple(o + 1 for o in d["offsets"]))
+                if d is far else d) for kind, d in trace]
+    ok, detail = check_cut_composition(g, planted)
+    assert not ok
+    assert f"node {far['node']}" in detail

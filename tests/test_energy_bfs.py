@@ -3,9 +3,7 @@ import pytest
 from sleepysim.energy_bfs import (
     bootstrap_base_covers, build_cover_next, detect_global_cluster, full_bfs,
     next_slot, run_thresholded_bfs_with_cover, thresholded_bfs,
-    tree_pipeline_run,
 )
-from sleepysim.structures import ClusterData
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import INF, check_layered, hop_distances
 from sleepysim.trace_checks import check_relevance, check_sleep_safety
@@ -134,27 +132,6 @@ def test_irrelevant_component_sleeps():
     hot = max(report.energy[v] for v in range(20))
     cold = max(report.energy[v] for v in range(20, 40))
     assert cold < hot / 4  # init listening only on the sourceless side
-
-
-def test_pipeline_singleton_period4():
-    g = Graph.build(1, [])
-    cl = ClusterData(id=0, members={0}, tree={0: (None, 0, True)})
-    root_detect, know, _ = tree_pipeline_run(g, cl, 4, {0: 1})
-    assert root_detect <= 1 + 4  # within one period
-
-
-def test_pipeline_depth2_latency():
-    g = Graph.build(3, [(0, 1, 1), (1, 2, 1)])
-    cl = ClusterData(id=0, members={0, 1, 2},
-                     tree={0: (None, 0, True), 1: (0, 1, True), 2: (1, 2, True)})
-    root_detect, know, report = tree_pipeline_run(g, cl, 4, {2: 1})
-    c_pipe = 3
-    assert root_detect <= 1 + c_pipe * (2 + 4)
-    # broadcast back reaches every depth-d node within c_pipe*(d+p) more rounds
-    assert all(k <= root_detect + c_pipe * (2 + 4) for k in know.values())
-    # wake fraction: two awake rounds per period and direction
-    horizon = report.rounds
-    assert report.max_energy() <= 4 * (horizon // 4 + 2)
 
 
 def test_pipeline_wake_fraction_in_bfs():

@@ -2,13 +2,10 @@ import random
 
 import pytest
 
-from sleepysim.congest_cssp import boruvka_forest
-from sleepysim.energy_cssp import (
-    INF, cssp_energy, run_thresholded_cssp_energy, spanning_forest_energy,
-    subdivided_view,
-)
+from sleepysim.congest_cssp import boruvka_forest, run_thresholded_cssp
+from sleepysim.energy_cssp import EnergyCsspProgram, cssp_energy
 from sleepysim.graph import Graph, GraphSpec, gen_graph
-from sleepysim.oracle import dijkstra
+from sleepysim.oracle import INF, dijkstra
 from sleepysim.trace_checks import (
     check_cutter_contract, check_recursion_accounting,
 )
@@ -18,18 +15,9 @@ def log2c(n):
     return max(1, (max(2, n) - 1).bit_length())
 
 
-def test_subdivided_view_invariants():
-    g = Graph.build(3, [(0, 1, 7), (1, 2, 3)])
-    chains = subdivided_view(g, bound=3, threshold=8)
-    assert all(ch.hops >= 1 for ch in chains)
-    assert all(ch.owner == min(ch.u, ch.v) for ch in chains)
-    ch = chains[0]
-    assert ch.hops == -(-2 * 3 * 7 // 8) and ch.relay_count == ch.hops - 1
-
-
 def test_forest_energy_triangle():
     g = Graph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    forest, report, _ = spanning_forest_energy(g)
+    forest, report, _ = boruvka_forest(g, program=EnergyCsspProgram)
     assert len(forest.components()) == 1
     assert all(s == 3 for s in forest.size.values())
     c = 8
@@ -38,14 +26,14 @@ def test_forest_energy_triangle():
 
 def test_forest_energy_singleton():
     g = Graph.build(3, [])
-    forest, report, _ = spanning_forest_energy(g)
+    forest, report, _ = boruvka_forest(g, program=EnergyCsspProgram)
     assert all(s == 1 for s in forest.size.values())
     assert report.max_energy() <= 8 * log2c(g.n) ** 2 + 64
 
 
 def test_forest_energy_path_matches_congest():
     g = Graph.build(4, [(0, 1, 2), (1, 2, 5), (2, 3, 1)])
-    fe, report, _ = spanning_forest_energy(g)
+    fe, report, _ = boruvka_forest(g, program=EnergyCsspProgram)
     fc, _, _ = boruvka_forest(g)
     assert fe.component == fc.component
     assert fe.size == fc.size
@@ -54,14 +42,14 @@ def test_forest_energy_path_matches_congest():
 
 def test_thresholded_p3():
     g = Graph.build(3, [(0, 1, 2), (1, 2, 3)])
-    outputs, report, _ = run_thresholded_cssp_energy(g, {0}, 4)
+    outputs, report, _ = run_thresholded_cssp(g, {0}, 4, program=EnergyCsspProgram)
     assert outputs == {0: 0, 1: 2, 2: INF}
     assert report.critical_losses == []
 
 
 def test_base_case_star():
     g = Graph.build(5, [(0, i, 1) for i in range(1, 5)])
-    outputs, _, _ = run_thresholded_cssp_energy(g, {0}, 1)
+    outputs, _, _ = run_thresholded_cssp(g, {0}, 1, program=EnergyCsspProgram)
     assert outputs == {0: 0, 1: 1, 2: 1, 3: 1, 4: 1}
 
 

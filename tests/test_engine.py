@@ -1,8 +1,8 @@
 import pytest
 
 from sleepysim.engine import (
-    Message, MegaroundConfig, SimConfig, ProtocolViolation, SimError,
-    audit_message, bit_budget, int_bits, run_simulation,
+    Message, MegaroundConfig, PlannedProgram, SimConfig, ProtocolViolation,
+    SimError, audit_message, bit_budget, int_bits, run_simulation,
 )
 from sleepysim.graph import Graph
 
@@ -203,3 +203,49 @@ def test_sent_equals_delivered_plus_lost():
     _, report, _ = cssp(g, {0}, trace=False)
     assert report.total_sent() == report.delivered + report.lost
     assert report.energy_percentile(0.5) <= report.max_energy()
+
+
+class Planner(PlannedProgram):
+    """Plans actions from round 0 and logs (round, action) as they run."""
+
+    def __init__(self, plans):
+        super().__init__()
+        self.plans = plans  # (round to plan for, action, args) made at round 0
+        self.log = []
+
+    def on_round(self, api):
+        if api.round == 0:
+            api.always_awake()
+            for r, action, args in self.plans:
+                self._plan_at(api, r, action, *args)
+        self._run_due(api)
+
+    def _mark(self, api, tag):
+        self.log.append((api.round, tag))
+
+    def _end(self, api):
+        api.finish(self.log)
+
+
+def test_plan_same_action_twice_runs_once():
+    prog = Planner([(3, "_mark", ("a",)), (3, "_mark", ("a",)),
+                    (3, "_mark", ("b",)), (5, "_end", ())])
+    outputs, report, _ = run_simulation(Graph.build(1, []), lambda v: prog)
+    assert outputs[0] == [(3, "a"), (3, "b")]
+    assert report.rounds == 5
+
+
+def test_plan_for_current_round_runs_at_once():
+    prog = Planner([(0, "_mark", ("now",)), (2, "_end", ())])
+    outputs, _, _ = run_simulation(Graph.build(1, []), lambda v: prog)
+    assert outputs[0] == [(0, "now")]
+
+
+def test_plan_into_past_round_raises():
+    class Late(Planner):
+        def _mark(self, api, tag):
+            self._plan_at(api, api.round - 1, "_end")
+
+    prog = Late([(4, "_mark", ("late",))])
+    with pytest.raises(SimError, match="not in the future"):
+        run_simulation(Graph.build(1, []), lambda v: prog)
