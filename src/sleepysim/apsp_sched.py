@@ -18,7 +18,7 @@ import random
 from math import inf
 
 from .congest_cssp import CsspProgram, default_round_limit, pow2_at_least
-from .engine import Engine, MegaroundConfig, SimConfig
+from .engine import SimConfig, run_simulation
 
 INF = inf
 
@@ -53,13 +53,13 @@ class _SubApi:
 class ApspProgram:
     """Hosts one recursion instance per source on a single node."""
 
-    def __init__(self, node, graph, delays, D_top, trace=False):
+    def __init__(self, node, graph, delays, D_top):
         self.node = node
         self.n = graph.n
         self.delays = delays
         self.path_bits = D_top.bit_length() + 2
         self.subs = {
-            s: CsspProgram(node, graph, {s}, D_top, trace=trace)
+            s: CsspProgram(node, graph, {s}, D_top)
             for s in range(graph.n)
         }
         self.finished = {}
@@ -93,10 +93,11 @@ def draw_delays(n: int, delta: int, seed: int) -> dict:
     return {s: rng.randrange(max(1, delta)) for s in range(n)}
 
 
-def apsp_random_delay(graph, delta=None, seed=0, *, width=None, config=None,
+def apsp_random_delay(graph, delta=None, seed=0, *, round_limit=None,
                       trace=False):
     """Distances for every ordered pair, one recursion per source under
-    random-delay scheduling. Returns (matrix, report, engine, delays)."""
+    random-delay scheduling. Returns (matrix, report, engine, delays). An
+    unset or zero `round_limit` means 4 * (single-source limit + delta)."""
     n = graph.n
     if delta is None:
         delta = n
@@ -104,20 +105,15 @@ def apsp_random_delay(graph, delta=None, seed=0, *, width=None, config=None,
         raise ValueError("all-pairs scheduling expects positive weights")
     D_top = pow2_at_least(max(1, n * graph.max_weight))
     delays = draw_delays(n, delta, seed)
-    if width is None:
-        width = max(8, 4 * max(1, (n - 1).bit_length()))
-    cfg = config or SimConfig(
-        round_limit=default_round_limit(n, D_top) * 4 + 4 * delta,
-        megaround=MegaroundConfig(width=width),
+    cfg = SimConfig(
+        round_limit=round_limit or default_round_limit(n, D_top) * 4 + 4 * delta,
+        width=max(8, 4 * max(1, (n - 1).bit_length())),
         extra_ctx_bits=8 * max(1, (n - 1).bit_length()),
         allow_oversubscription=True,
+        collect_trace=trace,
     )
-    cfg.collect_trace = trace
-    engine = Engine(graph, cfg)
-    programs = {
-        v: ApspProgram(v, graph, delays, D_top, trace=trace) for v in range(n)
-    }
-    outputs, report = engine.run(programs)
+    outputs, report, engine = run_simulation(
+        graph, lambda v: ApspProgram(v, graph, delays, D_top), cfg)
     matrix = {}
     for v in range(n):
         row = outputs[v] or {}

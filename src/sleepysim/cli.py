@@ -1,8 +1,8 @@
 """Command-line front door: generation, runs, sweeps, and verification.
 
-Configuration comes from an optional key-value file plus flags (flags win).
-Exit codes: 0 success, 2 bad config or missing input, 3 verification
-failure, 4 round-limit timeout.
+A `run` config file holds `run` flags, one `key value` (or bare `key`) per
+line; explicit flags win. Exit codes: 0 success, 2 bad config or missing
+input, 3 verification failure, 4 round-limit timeout.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .apsp_sched import apsp_random_delay
 from .congest_cssp import cssp
 from .energy_bfs import full_bfs, thresholded_bfs
 from .energy_cssp import cssp_energy
-from .engine import SimConfig, SimError
+from .engine import SimError
 from .graph import GraphError, GraphSpec, gen_graph, load_graph, save_graph
 from .netdecomp import bits_for, build_cover_sync, build_decomposition
 from .oracle import (
@@ -33,13 +33,6 @@ EXIT_TIMEOUT = 4
 
 ALGOS = ("bfs-energy", "cssp-congest", "cssp-energy", "apsp", "decomp", "cover")
 
-CONFIG_KEYS = {
-    "algo", "graph", "gen", "n", "m", "weights", "maxw", "seed", "sources",
-    "threshold", "k", "d", "delta", "base", "round-limit", "out",
-    "cover-cache", "save-cover",
-}
-
-
 class CliError(Exception):
     def __init__(self, message, code=EXIT_CONFIG):
         super().__init__(message)
@@ -51,44 +44,17 @@ def log(*parts):
         print("[sleepysim]", *parts, file=sys.stderr)
 
 
-def read_config_file(path) -> dict:
-    out = {}
-    try:
-        text = open(path).read()
-    except OSError as e:
-        raise CliError(f"cannot read config {path}: {e}")
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def config_flags(text) -> list:
+    """The `run` flags a config file holds: `key value` -> `--key=value`,
+    a bare `key` -> `--key`; blank lines and `#` comments are skipped."""
+    flags = []
+    for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise CliError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-_CONFIG_ATTR = {"gen": "family", "round-limit": "round_limit",
-                "cover-cache": "cover_cache", "save-cover": "save_cover"}
-_CONFIG_INT = {"n", "m", "maxw", "seed", "threshold", "k", "d", "delta",
-               "base", "round-limit"}
-_CONFIG_DEFAULTS = {
-    "algo": None, "graph": None, "family": None, "n": None, "m": None,
-    "weights": "unit", "maxw": 1, "seed": 0, "sources": "0",
-    "threshold": None, "k": None, "d": None, "delta": None, "base": None,
-    "round_limit": None, "out": None, "cover_cache": None,
-    "save_cover": None,
-}
-
-
-def apply_config(args, merged):
-    """Config fills every option still at its default; explicit flags win."""
-    for key, value in merged.items():
-        attr = _CONFIG_ATTR.get(key, key)
-        if getattr(args, attr, None) != _CONFIG_DEFAULTS.get(attr):
-            continue
-        setattr(args, attr, int(value) if key in _CONFIG_INT else value)
+        if line and not line.startswith("#"):
+            key, _, value = line.partition(" ")
+            value = value.strip()
+            flags.append(f"--{key}={value}" if value else f"--{key}")
+    return flags
 
 
 def build_parser():
@@ -96,11 +62,13 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a graph file")
+    gen.add_argument("--graph", help="edge-list file")
     _graph_flags(gen)
     gen.add_argument("--out", default="-")
 
     run = sub.add_parser("run", help="run one algorithm")
-    run.add_argument("--config", help="key-value config file; flags override")
+    run.add_argument("--config", help="file of run flags; explicit flags win")
+    run.add_argument("--graph", help="edge-list file")
     _graph_flags(run)
     run.add_argument("--algo", choices=ALGOS)
     run.add_argument("--sources", default="0", help="comma list of node ids")
@@ -109,16 +77,15 @@ def build_parser():
     run.add_argument("--d", type=int, help="cover scale")
     run.add_argument("--delta", type=int, help="apsp delay range")
     run.add_argument("--base", type=int, help="layered cover base override")
-    run.add_argument("--round-limit", type=int)
+    run.add_argument("--round-limit", type=int,
+                     help="logical round cap (cssp-congest, cssp-energy, apsp)")
     run.add_argument("--verify", action="store_true")
     run.add_argument("--out", help="output directory")
     run.add_argument("--json", action="store_true", help="print report JSON")
-    run.add_argument("--csv", action="store_true", help="print distances CSV")
     run.add_argument("--cover-cache", help="layered cover file to reuse")
     run.add_argument("--save-cover", help="write the built layered cover here")
 
     sweep = sub.add_parser("sweep", help="run a template across an axis")
-    sweep.add_argument("--config")
     _graph_flags(sweep)
     sweep.add_argument("--algo", choices=ALGOS)
     sweep.add_argument("--axis", choices=("n", "D", "density"), required=True)
@@ -133,7 +100,6 @@ def build_parser():
 
 
 def _graph_flags(p):
-    p.add_argument("--graph", help="edge-list file")
     p.add_argument("--gen", dest="family", help="graph family to generate")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
@@ -143,22 +109,40 @@ def _graph_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+def parse_args(argv):
+    """Parse the command line. `run --config FILE` is parsed again with the
+    file's flags in front of the explicit ones, so explicit flags win."""
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "run" and args.config:
+        try:
+            text = open(args.config).read()
+        except OSError as e:
+            ap.error(f"cannot read config {args.config}: {e}")
+        args = ap.parse_args(argv[:1] + config_flags(text) + argv[1:])
+    return args
+
+
 def resolve_graph(args):
-    if getattr(args, "graph", None):
+    if args.graph:
         try:
             return load_graph(open(args.graph).read())
         except (OSError, GraphError) as e:
             raise CliError(f"graph file: {e}")
-    if getattr(args, "family", None):
+    if args.family:
         if not args.n:
             raise CliError("--gen needs --n")
-        try:
-            return gen_graph(GraphSpec(args.family, args.n, seed=args.seed,
-                                       m=args.m, weight_mode=args.weights,
-                                       max_w=args.maxw))
-        except GraphError as e:
-            raise CliError(str(e))
+        return generate(GraphSpec(args.family, args.n, seed=args.seed,
+                                  m=args.m, weight_mode=args.weights,
+                                  max_w=args.maxw))
     raise CliError("need --graph FILE or --gen FAMILY")
+
+
+def generate(spec):
+    try:
+        return gen_graph(spec)
+    except GraphError as e:
+        raise CliError(str(e))
 
 
 def parse_sources(text, n):
@@ -190,25 +174,25 @@ def _dist_doc(outputs):
 
 
 def cmd_run(args) -> int:
-    if args.config:
-        apply_config(args, read_config_file(args.config))
     if not args.algo:
         raise CliError("need --algo")
+    if args.round_limit is not None and args.algo not in (
+            "cssp-congest", "cssp-energy", "apsp"):
+        raise CliError(f"--round-limit does not apply to --algo {args.algo}")
     g = resolve_graph(args)
     sources = parse_sources(args.sources, g.n)
-    cfg = None
-    if args.round_limit:
-        cfg = SimConfig(round_limit=args.round_limit)
+    limit = args.round_limit
     log("running", args.algo, f"n={g.n} m={g.m}")
 
     verify_fail = ""
     if args.algo == "cssp-congest":
-        outputs, report, _ = cssp(g, sources, config=cfg)
+        outputs, report, _ = cssp(g, sources, round_limit=limit, trace=False)
         if args.verify and outputs != dijkstra(g, sources):
             verify_fail = "distance mismatch vs oracle"
         dist_text = _dist_doc(outputs)
     elif args.algo == "cssp-energy":
-        outputs, report, _ = cssp_energy(g, sources, config=cfg)
+        outputs, report, _ = cssp_energy(g, sources, round_limit=limit,
+                                         trace=False)
         if args.verify and outputs != dijkstra(g, sources):
             verify_fail = "distance mismatch vs oracle"
         dist_text = _dist_doc(outputs)
@@ -221,12 +205,13 @@ def cmd_run(args) -> int:
                 raise CliError(f"cover cache: {e}")
         if args.threshold is not None:
             outputs, report, _, layered, _, _ = thresholded_bfs(
-                g, sources, args.threshold, base=args.base, layered=layered)
+                g, sources, args.threshold, base=args.base, layered=layered,
+                trace=False)
             ref = {v: (d if d <= args.threshold else inf)
                    for v, d in hop_distances(g, sources).items()}
         else:
             outputs, report, _, layered, _, _ = full_bfs(
-                g, sources, base=args.base, layered=layered)
+                g, sources, base=args.base, layered=layered, trace=False)
             ref = hop_distances(g, sources)
         if args.save_cover:
             with open(args.save_cover, "w") as f:
@@ -236,7 +221,7 @@ def cmd_run(args) -> int:
         dist_text = _dist_doc(outputs)
     elif args.algo == "apsp":
         matrix, report, _, _ = apsp_random_delay(
-            g, delta=args.delta, seed=args.seed, config=cfg)
+            g, delta=args.delta, seed=args.seed, round_limit=limit, trace=False)
         if args.verify:
             for s in range(g.n):
                 ref = dijkstra(g, [s])
@@ -251,7 +236,7 @@ def cmd_run(args) -> int:
         dist_text = "\n".join(rows) + "\n"
     elif args.algo == "decomp":
         k = args.k or 2
-        decomp, _, report, _ = build_decomposition(g, k)
+        decomp, _, report, _ = build_decomposition(g, k, trace=False)
         b = max(1, bits_for(g.n))
         if args.verify:
             bad = check_decomposition(g, decomp, k, 6 * k * b**3, 2 * b)
@@ -266,7 +251,7 @@ def cmd_run(args) -> int:
         }, sort_keys=True)
     else:  # cover
         d = args.d or 1
-        cover, decomp, report, _ = build_cover_sync(g, d)
+        cover, decomp, report, _ = build_cover_sync(g, d, trace=False)
         b = max(1, bits_for(g.n))
         if args.verify:
             bad = check_cover(g, cover, d, 6 * b**3, 2 * b, 6 * b**4)
@@ -319,7 +304,7 @@ def cmd_sweep(args) -> int:
             spec = GraphSpec("random-gnm", args.n, seed=args.seed,
                              m=point * args.n, weight_mode=args.weights,
                              max_w=args.maxw)
-        g = gen_graph(spec)
+        g = generate(spec)
         sources = parse_sources(args.sources, g.n)
         if args.algo == "cssp-congest":
             _, report, _ = cssp(g, sources, trace=False)
@@ -328,7 +313,7 @@ def cmd_sweep(args) -> int:
         elif args.algo == "bfs-energy":
             _, report, _, _, _, _ = full_bfs(g, sources, trace=False)
         elif args.algo == "apsp":
-            _, report, _, _ = apsp_random_delay(g, seed=args.seed)
+            _, report, _, _ = apsp_random_delay(g, seed=args.seed, trace=False)
         else:
             raise CliError(f"sweep does not support --algo {args.algo}")
         rows.append(f"{point},{report.rounds},{report.max_energy()},"
@@ -373,9 +358,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:

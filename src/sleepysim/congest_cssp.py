@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .engine import Engine, Message, PlannedProgram, SimConfig
+from .engine import Message, PlannedProgram, SimConfig, run_simulation
 from .structures import ForestInfo
 
 INF = inf
@@ -138,8 +138,7 @@ class CsspProgram(PlannedProgram):
     Planned actions take the frame path as their first argument and run only
     while that frame exists."""
 
-    def __init__(self, node, graph, sources, D_top, *,
-                 forest_only=False, active0=None, trace=True):
+    def __init__(self, node, graph, sources, D_top, *, forest_only=False):
         super().__init__()
         self.node = node
         self.nbrs = list(graph.neighbors(node))  # [(u, w)] sorted
@@ -148,8 +147,6 @@ class CsspProgram(PlannedProgram):
         self.is_source = node in sources
         self.D_top = D_top
         self.forest_only = forest_only
-        self.active_root = active0 is None or node in active0
-        self.do_trace = trace
         self.frames: dict[int, _Frame] = {}
         self._queue: dict[int, list] = {}
         self._sent_now: set = set()
@@ -191,9 +188,9 @@ class CsspProgram(PlannedProgram):
 
     def on_round(self, api):
         self._sent_now = set()
-        self._keep_awake(api)
         if not self._started:
             self._started = True
+            self._awake_from_start(api)
             self._create_root(api)
         for src, msg in api.inbox:
             self._dispatch(api, src, msg)
@@ -202,19 +199,16 @@ class CsspProgram(PlannedProgram):
         if self._root_done and self._may_finish():
             api.finish(self._answer)
 
-    def _keep_awake(self, api):
-        """Declare the node awake for this step; congest nodes never sleep."""
-        if not self._started:
-            api.always_awake()
+    def _awake_from_start(self, api):
+        """Declare the node's awake time at its first step; congest nodes
+        never sleep."""
+        api.always_awake()
 
     def _may_finish(self):
         """Whether a node whose root frame is done may stop now."""
         return not any(self._queue.values())
 
     def _create_root(self, api):
-        if not self.active_root:
-            self._root_done = True
-            return
         f = _Frame(1, self.D_top, max(1, self.n), api.round, True,
                    self.is_source, [])
         self._enter(api, f)
@@ -261,9 +255,8 @@ class CsspProgram(PlannedProgram):
 
     def _enter(self, api, f):
         self.frames[f.path] = f
-        if self.do_trace:
-            api.trace("frame", path=f.path, D=f.D, N=f.N,
-                      src=f.src, offsets=tuple(f.offsets))
+        api.trace("frame", path=f.path, D=f.D, N=f.N,
+                  src=f.src, offsets=tuple(f.offsets))
         f.comp = self.node
         if f.D == 1:
             if f.src:
@@ -503,8 +496,7 @@ class CsspProgram(PlannedProgram):
 
     def _cutter_done(self, api, f):
         f.v1 = f.tick is not None and f.tick < 3 * f.N
-        if self.do_trace:
-            api.trace("cutter", path=f.path, tick=f.tick, v1=f.v1)
+        api.trace("cutter", path=f.path, tick=f.tick, v1=f.v1)
         f.t_child1 = api.round
         if f.v1:
             child = _Frame(f.path * 2, f.D // 2, f.size, f.t_child1,
@@ -623,53 +615,44 @@ def default_round_limit(n: int, D: int) -> int:
 
 
 def run_thresholded_cssp(graph, sources, D, *, program=CsspProgram,
-                         config=None, trace=True):
+                         round_limit=None, trace=True):
     """Run the distributed D-thresholded computation with node programs of
-    class `program` (congest or sleeping); returns (outputs, report, engine)."""
+    class `program` (congest or sleeping); returns (outputs, report, engine).
+    An unset or zero `round_limit` means `default_round_limit`."""
     if D & (D - 1):
         raise ValueError("threshold must be a power of two")
     if not sources:
         raise ValueError("need at least one source")
     if any(w < 1 for (_, _, w) in graph.edges):
         raise ValueError("thresholded run requires weights >= 1 (lift zeros first)")
-    cfg = config or SimConfig(round_limit=default_round_limit(graph.n, D))
-    cfg.collect_trace = trace
-    engine = Engine(graph, cfg)
+    cfg = SimConfig(round_limit=round_limit or default_round_limit(graph.n, D),
+                    collect_trace=trace)
     src = set(sources)
-    programs = {
-        v: program(v, graph, src, D, trace=trace) for v in range(graph.n)
-    }
-    outputs, report = engine.run(programs)
-    return outputs, report, engine
+    return run_simulation(graph, lambda v: program(v, graph, src, D), cfg)
 
 
-def boruvka_forest(graph, *, active=None, program=CsspProgram, config=None) -> tuple:
-    """Maximal spanning forest of the (induced) graph; every node learns its
-    component id, parent, depth, and component size."""
-    nodes = sorted(active) if active is not None else list(range(graph.n))
-    cfg = config or SimConfig(round_limit=default_round_limit(graph.n, 2))
-    engine = Engine(graph, cfg)
-    programs = {
-        v: program(v, graph, set(), 2, forest_only=True,
-                   active0=set(nodes), trace=False)
-        for v in range(graph.n)
-    }
-    outputs, report = engine.run(programs)
+def boruvka_forest(graph) -> tuple:
+    """Maximal spanning forest of the graph; every node learns its component
+    id, parent, depth, and component size."""
+    cfg = SimConfig(round_limit=default_round_limit(graph.n, 2),
+                    collect_trace=False)
+    outputs, report, engine = run_simulation(
+        graph, lambda v: CsspProgram(v, graph, set(), 2, forest_only=True), cfg)
     comp, parent, depth, size = {}, {}, {}, {}
-    for v in nodes:
+    for v in range(graph.n):
         c, p, d, s = outputs[v]
         comp[v], parent[v], depth[v], size[v] = c, p, d, s
     return ForestInfo(comp, parent, depth, size), report, engine
 
 
-def cssp(graph, sources, *, program=CsspProgram, config=None, trace=True):
+def cssp(graph, sources, *, program=CsspProgram, round_limit=None, trace=True):
     """Exact dist(S, v) for every node; lifts zero weights if present and
     projects the answers back."""
     has_zero = any(w == 0 for (_, _, w) in graph.edges)
     work = lift_zero_weights(graph) if has_zero else graph
     D = pow2_at_least(max(1, work.n * work.max_weight))
     outputs, report, engine = run_thresholded_cssp(
-        work, sources, D, program=program, config=config, trace=trace
+        work, sources, D, program=program, round_limit=round_limit, trace=trace
     )
     if has_zero:
         outputs = {v: project_distance(d, graph.n) for v, d in outputs.items()}

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .engine import (
-    Engine, Message, MegaroundConfig, PlannedProgram, SimConfig, merge_reports,
-)
+from .engine import Message, PlannedProgram, SimConfig, merge_reports, run_simulation
 from .netdecomp import ConstructionError, bits_for, build_cover_sync
 from .structures import LayeredCover
 
@@ -35,6 +33,8 @@ EB_REACH = 42  # (hop,)
 DG_LIST = 43
 DG_CONV = 44
 DG_BCAST = 45
+
+C_PIPE = 3  # pipeline sweeps a cluster gets per frontier hop
 
 
 def next_slot(anchor: int, period: int, residue: int, after: int) -> int:
@@ -101,14 +101,13 @@ class BfsParams:
 class EnergyBfsProgram(PlannedProgram):
     """Sleeping-model node program for cover-driven thresholded BFS."""
 
-    def __init__(self, node, graph, roles, is_source, params, trace=True):
+    def __init__(self, node, graph, roles, is_source, params):
         super().__init__()
         self.node = node
         self.nbrs = [u for (u, _) in graph.neighbors(node)]
         self.roles = roles  # dict (level, cid) -> _RoleRt
         self.is_source = is_source
         self.p = params
-        self.do_trace = trace
         self.reached_hop = None
         self.sent_reach = False
         self._started = False
@@ -270,8 +269,7 @@ class EnergyBfsProgram(PlannedProgram):
         if rt.init_sched is not None and rt.init_done and rt.parent_init_done:
             api.stop_awake(rt.init_sched, api.round)
             rt.init_sched = None
-        if self.do_trace:
-            api.trace("ebfs_active", level=rt.level, cid=rt.cid)
+        api.trace("ebfs_active", level=rt.level, cid=rt.cid)
 
     def _conv_refresh(self, api):
         for key in sorted(self.roles):
@@ -282,8 +280,7 @@ class EnergyBfsProgram(PlannedProgram):
     def _bfs_start(self, api):
         if self.is_source:
             self.reached_hop = 0
-            if self.do_trace:
-                api.trace("ebfs_reached", hop=0)
+            api.trace("ebfs_reached", hop=0)
             self._conv_refresh(api)
             self._schedule_reach(api)
 
@@ -308,8 +305,7 @@ class EnergyBfsProgram(PlannedProgram):
         if self.reached_hop is not None:
             return
         self.reached_hop = hop
-        if self.do_trace:
-            api.trace("ebfs_reached", hop=hop)
+        api.trace("ebfs_reached", hop=hop)
         self._conv_refresh(api)
         self._schedule_reach(api)
 
@@ -363,13 +359,13 @@ def choose_base(stretch: int, requested=None) -> int:
     return b
 
 
-def build_cover_next(graph, layered, *, config=None, trace=True):
+def build_cover_next(graph, layered, *, trace=True):
     """Construct the next-scale cover and link the previous level into it."""
     level = layered.top
     B = layered.base
     scale = B ** (level + 1)
     cover, decomp, rep, tl = build_cover_sync(
-        graph, scale, config=config, trace=trace, level=level + 1)
+        graph, scale, trace=trace, level=level + 1)
     stretch = cover.measured_stretch()
     if 2 * stretch > B and len(cover.clusters) > 1:
         raise ConstructionError(
@@ -380,20 +376,18 @@ def build_cover_next(graph, layered, *, config=None, trace=True):
     return cover, decomp, rep, tl
 
 
-def bootstrap_base_covers(graph, *, base=None, config=None, trace=True):
+def bootstrap_base_covers(graph, *, base=None, trace=True):
     """All-awake construction of the scale-1 and scale-B covers plus links."""
-    cover0, decomp0, rep0, tl0 = build_cover_sync(graph, 1, config=config,
-                                                  trace=trace, level=0)
+    cover0, decomp0, rep0, tl0 = build_cover_sync(graph, 1, trace=trace, level=0)
     B = choose_base(cover0.measured_stretch(), base)
-    cover1, decomp1, rep1, tl1 = build_cover_sync(graph, B, config=config,
-                                                  trace=trace, level=1)
+    cover1, decomp1, rep1, tl1 = build_cover_sync(graph, B, trace=trace, level=1)
     stretch1 = cover1.measured_stretch()
     reports = [rep0, rep1]
     if base is None:
         B2 = choose_base(max(cover0.measured_stretch(), stretch1))
         if B2 != B:
             cover1, decomp1, rep1b, tl1 = build_cover_sync(
-                graph, B2, config=config, trace=trace, level=1)
+                graph, B2, trace=trace, level=1)
             reports.append(rep1b)
             B = B2
     layered = LayeredCover(base=B, levels=[cover0, cover1])
@@ -508,16 +502,9 @@ def detect_global_cluster(graph, cover):
     roles_by_node = _roles_for(graph, probe, 0)
     memberships = max((len(r) for r in roles_by_node.values()), default=1)
     window = max(bits_for(graph.n), memberships) + 2
-    cfg = SimConfig(
-        round_limit=10_000_000,
-        megaround=MegaroundConfig(width=max(4, memberships + 2)),
-    )
-    engine = Engine(graph, cfg)
-    programs = {
-        v: DetectProgram(v, graph, roles_by_node[v], window)
-        for v in range(graph.n)
-    }
-    outputs, report = engine.run(programs)
+    outputs, report, _ = run_simulation(
+        graph, lambda v: DetectProgram(v, graph, roles_by_node[v], window),
+        SimConfig(width=max(4, memberships + 2)))
     spanning = set()
     for v, ans in sorted(outputs.items()):
         for key, flag in ans.items():
@@ -532,19 +519,19 @@ def detect_global_cluster(graph, cover):
     return True, report
 
 
-def bfs_schedule(graph, layered, top_level, hop_cap, c_pipe=3):
+def bfs_schedule(layered, hop_cap):
     """Derive anchor, start round, cadence, and end round from measured trees."""
     B = layered.base
     max_depth = 0
     max_period = 1
     sigma = 4
-    for lvl in range(top_level + 1):
+    for lvl in range(layered.top + 1):
         d = layered.max_tree_depth(lvl)
         p = max(1, B**lvl)
         max_depth = max(max_depth, d)
         max_period = max(max_period, p)
         if lvl >= 1:
-            need = (c_pipe * (d + p) // max(1, p // 2)) + 1
+            need = (C_PIPE * (d + p) // max(1, p // 2)) + 1
             sigma = max(sigma, need)
     init_len = 4 * (max_depth + max_period) + 32
     anchor = 1
@@ -555,48 +542,41 @@ def bfs_schedule(graph, layered, top_level, hop_cap, c_pipe=3):
 
 
 def run_thresholded_bfs_with_cover(graph, layered, sources, threshold, *,
-                                   top_level=None, c_pipe=3, trace=True,
-                                   config=None):
+                                   trace=True):
     """The sleeping-model BFS phase given a layered cover; returns
     (hop outputs, report, engine)."""
-    if top_level is None:
-        top_level = layered.top
-    params = bfs_schedule(graph, layered, top_level, threshold, c_pipe)
-    roles = _roles_for(graph, layered, top_level)
-    width = layered.max_edge_multiplicity() + 2
-    cfg = config or SimConfig(
+    params = bfs_schedule(layered, threshold)
+    roles = _roles_for(graph, layered, layered.top)
+    cfg = SimConfig(
         round_limit=params.t_end + 8,
-        megaround=MegaroundConfig(width=width),
+        width=layered.max_edge_multiplicity() + 2,
         watch_tags=frozenset({EB_REACH}),
+        collect_trace=trace,
     )
-    engine = Engine(graph, cfg)
     src = set(sources)
-    programs = {
-        v: EnergyBfsProgram(v, graph, roles[v], v in src, params, trace=trace)
-        for v in range(graph.n)
-    }
-    outputs, report = engine.run(programs)
-    return outputs, report, engine
+    return run_simulation(
+        graph, lambda v: EnergyBfsProgram(v, graph, roles[v], v in src, params),
+        cfg)
 
 
-def full_bfs(graph, sources, *, base=None, c_pipe=3, trace=True, layered=None):
+def full_bfs(graph, sources, *, base=None, trace=True, layered=None):
     """Exact hop distances from the source set with time/energy metering.
 
     Builds the cover stack level by level until some cluster spans every
     component, then runs the pipelined BFS. A prebuilt layered cover may be
     passed to skip construction (the cover cache path)."""
-    return _cover_bfs(graph, sources, None, base, c_pipe, trace, layered)
+    return _cover_bfs(graph, sources, None, base, trace, layered)
 
 
-def thresholded_bfs(graph, sources, threshold, *, base=None, c_pipe=3,
-                    trace=True, layered=None):
+def thresholded_bfs(graph, sources, threshold, *, base=None, trace=True,
+                    layered=None):
     """Thresholded hop distances built from scratch: cover construction stops
     at the level whose scale reaches 2*threshold (or earlier with a spanning
     cluster)."""
-    return _cover_bfs(graph, sources, threshold, base, c_pipe, trace, layered)
+    return _cover_bfs(graph, sources, threshold, base, trace, layered)
 
 
-def _cover_bfs(graph, sources, threshold, base, c_pipe, trace, layered):
+def _cover_bfs(graph, sources, threshold, base, trace, layered):
     reports, decomps, tlogs = [], [], []
     if layered is None:
         layered, decomps, reports, tlogs = _grow_cover(graph, base, trace, threshold)
@@ -604,8 +584,7 @@ def _cover_bfs(graph, sources, threshold, base, c_pipe, trace, layered):
     if threshold is None:
         threshold = 2 * max(layered.max_tree_depth(lvl) for lvl in range(top + 1)) + 2
     outputs, rep, engine = run_thresholded_bfs_with_cover(
-        graph, layered, sources, threshold, top_level=top, c_pipe=c_pipe,
-        trace=trace)
+        graph, layered, sources, threshold, trace=trace)
     reports.append(rep)
     return outputs, merge_reports(reports), engine, layered, decomps, tlogs
 

@@ -18,7 +18,9 @@ work they actually do and sleep otherwise. The pieces:
 
 Everything else, the step loop and the entry points included, is shared with
 the congest implementation: pass `program=EnergyCsspProgram` to
-`congest_cssp.run_thresholded_cssp`, `boruvka_forest` or `cssp`.
+`congest_cssp.run_thresholded_cssp` or `cssp`. `boruvka_forest` always runs
+congest nodes; a sleeping forest alone is `EnergyCsspProgram(...,
+forest_only=True)` nodes run through `engine.run_simulation`.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ class EnergyCsspProgram(CsspProgram):
 
     # -- awake bookkeeping (the only semantic difference from congest) --------
 
-    def _keep_awake(self, api):
-        api.awake_span(api.round, api.round)  # a stepped node is awake now
+    def _awake_from_start(self, api):
+        # later steps fall on rounds already awake: a planned wake-up or the
+        # schedule's next awake round after a delivery
+        api.awake_span(api.round, api.round)
 
     def _may_finish(self):
         return super()._may_finish() and self._pending_pipe == 0
@@ -136,7 +140,7 @@ class EnergyCsspProgram(CsspProgram):
         super()._enter(api, f)
 
 
-def cssp_energy(graph, sources, *, config=None, trace=True):
+def cssp_energy(graph, sources, *, round_limit=None, trace=True):
     """Exact dist(S, v) for every node in the sleeping model."""
-    return cssp(graph, sources, program=EnergyCsspProgram, config=config,
-                trace=trace)
+    return cssp(graph, sources, program=EnergyCsspProgram,
+                round_limit=round_limit, trace=trace)

@@ -68,15 +68,9 @@ def audit_message(msg: Message, n: int, max_w: int) -> int:
 
 
 @dataclass
-class MegaroundConfig:
-    width: int = 1
-
-
-@dataclass
 class SimConfig:
     round_limit: int = 10_000_000  # logical rounds
-    megaround: MegaroundConfig = field(default_factory=MegaroundConfig)
-    c_msg: int = 8
+    width: int = 1  # physical rounds per logical round (megaround width)
     extra_ctx_bits: int = 0  # instance-id allowance for concurrent scheduling
     allow_oversubscription: bool = False
     collect_trace: bool = True
@@ -282,8 +276,7 @@ class Engine:
         self.config = config or SimConfig()
         self.n = graph.n
         self.max_w = max(1, graph.max_weight)
-        self.budget = bit_budget(self.n, self.max_w, self.config.c_msg)
-        self.budget += self.config.extra_ctx_bits
+        self.budget = bit_budget(self.n, self.max_w) + self.config.extra_ctx_bits
         self._adj = graph.adjacency()
         self._nbr = {v: {u for (u, _) in nb} for v, nb in self._adj.items()}
         self._schedules = {}
@@ -335,7 +328,7 @@ class Engine:
         stepped at round 0 for initialization.
         """
         cfg = self.config
-        width = cfg.megaround.width
+        width = cfg.width
         for v in sorted(programs):
             self._push_step(0, v)
 

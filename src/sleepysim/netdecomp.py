@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from .congest_cssp import boruvka_forest
 from .engine import (
-    Engine, Message, MegaroundConfig, PlannedProgram, SimConfig, SimError,
-    merge_reports,
+    Message, PlannedProgram, SimConfig, SimError, merge_reports, run_simulation,
 )
 from .structures import ClusterData, Cover, Decomposition
 
@@ -71,7 +70,7 @@ class _Role:
 class DecompProgram(PlannedProgram):
     """All-awake node program building one decomposition (plus cover)."""
 
-    def __init__(self, node, graph, forest, k, *, expand_to=None, trace=True):
+    def __init__(self, node, graph, forest, k, *, expand_to=None):
         super().__init__()
         self.node = node
         self.nbrs = [u for (u, _) in graph.neighbors(node)]
@@ -80,7 +79,6 @@ class DecompProgram(PlannedProgram):
         self.b = bits_for(graph.n)
         self.color_cap = max(1, 2 * bits_for(graph.n))
         self.step_cap = max(8, 10 * self.b * max(1, bits_for(graph.n)))
-        self.do_trace = trace
         self.comp_size = forest.size[node]
         self.fparent = forest.parent[node]
         self.fdepth = forest.depth[node]
@@ -180,7 +178,7 @@ class DecompProgram(PlannedProgram):
     def _prelude(self, api):
         """Phase start: recount terminals toward each tree root."""
         base = api.round
-        if self.do_trace and self.living:
+        if self.living:
             api.trace("phase_node", color=self.color, phase=self.phase,
                       label=self.label)
         self.stopped = False
@@ -356,9 +354,8 @@ class DecompProgram(PlannedProgram):
             old = self.roles.get(self.label)
             if old is not None:
                 old.terminal = False
-            if self.do_trace:
-                api.trace("killed", color=self.color, phase=self.phase,
-                          label=self.label)
+            api.trace("killed", color=self.color, phase=self.phase,
+                      label=self.label)
 
     # -- barrier -------------------------------------------------------------------------
 
@@ -492,27 +489,17 @@ def _assemble(outputs, id_base, key, level=0):
     return {cid: cl for cid, cl in clusters.items() if cl.members}, node_color
 
 
-def decomp_config(n):
-    return SimConfig(
-        round_limit=200_000_000,
-        megaround=MegaroundConfig(width=max(4, 2 * bits_for(n) + 2)),
-    )
-
-
-def build_decomposition(graph, k, *, config=None, trace=True, expand_to=None,
-                        level=0):
+def build_decomposition(graph, k, *, trace=True, expand_to=None, level=0):
     """k-separated weak-diameter decomposition (optionally expanded into a
     sparse cover when expand_to=d is given). Returns
     (Decomposition, Cover | None, report, trace_log)."""
     unit = graph.reweighted(lambda w: 1)
     forest, rep0, _ = boruvka_forest(unit)
-    cfg = config or decomp_config(graph.n)
-    engine = Engine(unit, cfg)
-    programs = {
-        v: DecompProgram(v, unit, forest, k, expand_to=expand_to, trace=trace)
-        for v in range(graph.n)
-    }
-    outputs, rep1 = engine.run(programs)
+    cfg = SimConfig(round_limit=200_000_000,
+                    width=max(4, 2 * bits_for(graph.n) + 2), collect_trace=trace)
+    outputs, rep1, engine = run_simulation(
+        unit, lambda v: DecompProgram(v, unit, forest, k, expand_to=expand_to),
+        cfg)
     if rep1.status != "done":
         raise ConstructionError(f"decomposition run ended with {rep1.status}")
     id_base = graph.n
@@ -531,8 +518,8 @@ def build_decomposition(graph, k, *, config=None, trace=True, expand_to=None,
     return decomp, cover, report, engine.trace_log
 
 
-def build_cover_sync(graph, d, *, config=None, trace=True, level=0):
+def build_cover_sync(graph, d, *, trace=True, level=0):
     """Sparse d-cover via a (2d+1)-separated decomposition plus expansion."""
     decomp, cover, report, tlog = build_decomposition(
-        graph, 2 * d + 1, config=config, trace=trace, expand_to=d, level=level)
+        graph, 2 * d + 1, trace=trace, expand_to=d, level=level)
     return cover, decomp, report, tlog

@@ -51,14 +51,52 @@ def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text("# experiment template\nalgo cssp-congest\ngen path\nn 5\n")
     out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg), "--verify", "--out", str(out)])
+    code = main(["run", "--config", str(cfg), "--n", "7", "--verify",
+                 "--out", str(out)])
     assert code == EXIT_OK
+    assert len(json.loads((out / "distances.json").read_text())) == 7
+
+
+def test_config_bad_choice_exits_2_without_output(tmp_path):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("algo bogus\ngen path\nn 5\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_config_bad_int_exits_2(tmp_path):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("algo cssp-congest\ngen path\nn six\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_config_bare_key_sets_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("algo cssp-congest\ngen path\nn 5\nverify\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+    assert "verification passed" in capsys.readouterr().out
 
 
 def test_round_limit_timeout(tmp_path):
     code = main(["run", "--gen", "path", "--n", "12", "--algo", "cssp-congest",
                  "--round-limit", "5", "--out", str(tmp_path / "o")])
     assert code == EXIT_TIMEOUT
+
+
+def test_round_limit_rejected_for_bfs_energy(tmp_path):
+    code = main(["run", "--gen", "path", "--n", "9", "--algo", "bfs-energy",
+                 "--round-limit", "5", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+
+
+def test_apsp_round_limit_keeps_schedule(tmp_path):
+    code = main(["run", "--gen", "cycle", "--n", "6", "--algo", "apsp",
+                 "--verify", "--round-limit", "10000000",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
 
 
 def test_missing_graph_exits_2():
@@ -87,6 +125,13 @@ def test_sweep_rows(tmp_path, capsys):
 def test_sweep_empty_axis():
     code = main(["sweep", "--algo", "cssp-congest", "--axis", "n",
                  "--values", ""])
+    assert code == EXIT_CONFIG
+
+
+def test_sweep_bad_graph_exits_2():
+    # random-gnm with n=6 has at most 15 edges, and the sweep asks for 3n
+    code = main(["sweep", "--algo", "cssp-congest", "--axis", "n",
+                 "--values", "6", "--gen", "random-gnm"])
     assert code == EXIT_CONFIG
 
 

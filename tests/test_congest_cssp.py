@@ -60,13 +60,6 @@ def test_boruvka_path_is_own_forest():
     assert tree_edges == {(0, 1), (1, 2), (2, 3)}
 
 
-def test_boruvka_active_subset():
-    g = Graph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    forest, _, _ = boruvka_forest(g, active={0, 1, 3})
-    comps = forest.components()
-    assert sorted(map(sorted, comps.values())) == [[0, 1], [3]]
-
-
 def test_cutter_contract_two_nodes():
     # weight-7 edge, threshold 8: rounded tick weight 4, tick size 2
     g = Graph.build(2, [(0, 1, 7)])

@@ -4,8 +4,10 @@ import pytest
 
 from sleepysim.congest_cssp import boruvka_forest, run_thresholded_cssp
 from sleepysim.energy_cssp import EnergyCsspProgram, cssp_energy
+from sleepysim.engine import run_simulation
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import INF, dijkstra
+from sleepysim.structures import ForestInfo
 from sleepysim.trace_checks import (
     check_cutter_contract, check_recursion_accounting,
 )
@@ -15,9 +17,18 @@ def log2c(n):
     return max(1, (max(2, n) - 1).bit_length())
 
 
+def sleeping_forest(g):
+    """Forest-only sleeping nodes run through the engine: (forest, report)."""
+    outputs, report, _ = run_simulation(
+        g, lambda v: EnergyCsspProgram(v, g, set(), 2, forest_only=True))
+    forest = ForestInfo(*({v: out[i] for v, out in outputs.items()}
+                          for i in range(4)))
+    return forest, report
+
+
 def test_forest_energy_triangle():
     g = Graph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    forest, report, _ = boruvka_forest(g, program=EnergyCsspProgram)
+    forest, report = sleeping_forest(g)
     assert len(forest.components()) == 1
     assert all(s == 3 for s in forest.size.values())
     c = 8
@@ -26,14 +37,14 @@ def test_forest_energy_triangle():
 
 def test_forest_energy_singleton():
     g = Graph.build(3, [])
-    forest, report, _ = boruvka_forest(g, program=EnergyCsspProgram)
+    forest, report = sleeping_forest(g)
     assert all(s == 1 for s in forest.size.values())
     assert report.max_energy() <= 8 * log2c(g.n) ** 2 + 64
 
 
 def test_forest_energy_path_matches_congest():
     g = Graph.build(4, [(0, 1, 2), (1, 2, 5), (2, 3, 1)])
-    fe, report, _ = boruvka_forest(g, program=EnergyCsspProgram)
+    fe, report = sleeping_forest(g)
     fc, _, _ = boruvka_forest(g)
     assert fe.component == fc.component
     assert fe.size == fc.size

@@ -1,7 +1,7 @@
 import pytest
 
 from sleepysim.engine import (
-    Message, MegaroundConfig, PlannedProgram, SimConfig, ProtocolViolation,
+    Message, PlannedProgram, SimConfig, ProtocolViolation,
     SimError, audit_message, bit_budget, int_bits, run_simulation,
 )
 from sleepysim.graph import Graph
@@ -127,7 +127,7 @@ def test_oversubscription():
 
     with pytest.raises(SimError, match="oversubscription"):
         run_simulation(g, lambda v: Spam() if v == 0 else Quit(v))
-    cfg = SimConfig(megaround=MegaroundConfig(width=2))
+    cfg = SimConfig(width=2)
     _, report, _ = run_simulation(
         g, lambda v: Spam() if v == 0 else Quit(v), cfg
     )
@@ -144,7 +144,7 @@ def test_megaround_charging():
                 api.finish(None)
 
     g = Graph.build(1, [])
-    cfg = SimConfig(megaround=MegaroundConfig(width=4))
+    cfg = SimConfig(width=4)
     _, report, _ = run_simulation(g, lambda v: Waker(), cfg)
     assert report.rounds == 12  # 3 logical rounds * width 4
     assert report.energy[0] == 12  # awake logical rounds 1..3, each charged 4
