@@ -7,6 +7,13 @@ pure function of the seed. Instance ids ride in the message context, packed
 above the recursion path bits, and the channel budget gets the instance-id
 allowance on top of the base per-message budget.
 
+A node hosts every instance but steps one only when it is due: in its first
+round, in a round it asked to wake for (a planned action or a pending send
+queue) and in a round it has mail. An instance has nothing to do in any other
+round, so skipping it there changes no output, report or trace. Due instances
+are stepped in ascending instance order; mail for an instance that has not
+started or has finished is dropped.
+
 Per-round per-edge demand is metered; if it exceeds the configured megaround
 width the run continues in relaxed-audit mode and reports the overflow
 instead of failing.
@@ -24,7 +31,8 @@ INF = inf
 
 
 class _SubApi:
-    """Message facade for one hosted instance: rewrites ctx on the way out."""
+    """Message facade for one hosted instance: rewrites ctx on the way out
+    and books the instance's wake rounds with its host."""
 
     def __init__(self, host, inst, api, inbox):
         self.host = host
@@ -39,6 +47,7 @@ class _SubApi:
 
     def wake_at(self, r):
         self._api.wake_at(r)
+        self.host._book(r, self.inst)
 
     def always_awake(self):
         self._api.always_awake()
@@ -55,7 +64,6 @@ class ApspProgram:
 
     def __init__(self, node, graph, delays, D_top):
         self.node = node
-        self.n = graph.n
         self.delays = delays
         self.path_bits = D_top.bit_length() + 2
         self.subs = {
@@ -63,26 +71,31 @@ class ApspProgram:
             for s in range(graph.n)
         }
         self.finished = {}
+        self._due = {}  # round -> instances that asked to be stepped then
         self._done_sent = False
 
+    def _book(self, r, inst):
+        self._due.setdefault(r, set()).add(inst)
+
     def on_round(self, api):
-        if api.round == 0:
+        r = api.round
+        if r == 0:
             api.always_awake()
             for s, delay in sorted(self.delays.items()):
                 api.wake_at(delay + 1)
+                self._book(delay + 1, s)
         mask = (1 << self.path_bits) - 1
-        boxes = {s: [] for s in self.subs}
+        boxes = {}
         for src, msg in api.inbox:
             inst = msg.ctx >> self.path_bits
             msg.ctx &= mask
-            boxes[inst].append((src, msg))
-        for s in sorted(self.subs):
-            sub = self.subs[s]
-            started = api.round > self.delays[s]
-            if s in self.finished or not started:
+            boxes.setdefault(inst, []).append((src, msg))
+        due = self._due.pop(r, set())
+        due.update(boxes)
+        for s in sorted(due):
+            if s in self.finished or r <= self.delays[s]:
                 continue
-            sub_api = _SubApi(self, s, api, boxes[s])
-            sub.on_round(sub_api)
+            self.subs[s].on_round(_SubApi(self, s, api, boxes.get(s, [])))
         if len(self.finished) == len(self.subs) and not self._done_sent:
             self._done_sent = True
             api.finish(dict(sorted(self.finished.items())))
@@ -97,7 +110,10 @@ def apsp_random_delay(graph, delta=None, seed=0, *, round_limit=None,
                       trace=False):
     """Distances for every ordered pair, one recursion per source under
     random-delay scheduling. Returns (matrix, report, engine, delays). An
-    unset or zero `round_limit` means 4 * (single-source limit + delta)."""
+    unset or zero `round_limit` means 4 * (single-source limit + delta); a
+    negative one raises ValueError."""
+    if round_limit is not None and round_limit < 0:
+        raise ValueError("round_limit must be >= 0")
     n = graph.n
     if delta is None:
         delta = n
@@ -116,7 +132,7 @@ def apsp_random_delay(graph, delta=None, seed=0, *, round_limit=None,
         graph, lambda v: ApspProgram(v, graph, delays, D_top), cfg)
     matrix = {}
     for v in range(n):
-        row = outputs[v] or {}
+        row = outputs.get(v) or {}
         for s in range(n):
             matrix[(s, v)] = row.get(s, INF)
     return matrix, report, engine, delays

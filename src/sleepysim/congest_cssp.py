@@ -618,7 +618,10 @@ def run_thresholded_cssp(graph, sources, D, *, program=CsspProgram,
                          round_limit=None, trace=True):
     """Run the distributed D-thresholded computation with node programs of
     class `program` (congest or sleeping); returns (outputs, report, engine).
-    An unset or zero `round_limit` means `default_round_limit`."""
+    An unset or zero `round_limit` means `default_round_limit`; a negative
+    one raises ValueError."""
+    if round_limit is not None and round_limit < 0:
+        raise ValueError("round_limit must be >= 0")
     if D & (D - 1):
         raise ValueError("threshold must be a power of two")
     if not sources:

@@ -218,6 +218,7 @@ def load_graph(text: str, maxw_exp: int = DEFAULT_MAXW_EXP) -> Graph:
     if len(rows) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
+    seen = set()
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 3:
@@ -232,7 +233,9 @@ def load_graph(text: str, maxw_exp: int = DEFAULT_MAXW_EXP) -> Graph:
             raise GraphError(f"line {lineno}: node id out of range")
         if w < 0 or w > n**maxw_exp:
             raise GraphError(f"line {lineno}: weight {w} out of range")
-        if (min(u, v), max(u, v)) in {(min(a, b), max(a, b)) for (a, b, _) in edges}:
+        key = (min(u, v), max(u, v))
+        if key in seen:
             raise GraphError(f"line {lineno}: duplicate edge ({u},{v})")
+        seen.add(key)
         edges.append((u, v, w))
     return Graph.build(n, edges)

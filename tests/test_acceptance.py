@@ -1,15 +1,14 @@
 """Top-level acceptance gate: one test per criterion, full-size profile.
 
 The suite runs once per session; every criterion prints its own pass/fail
-line. Criterion 6's energy-flatness clause is structurally out of reach at
-desk scale (the cover hierarchy collapses to two levels on graphs this
-small, so far clusters activate at initialization); the test states the
-criterion verbatim and is marked expected-fail with the measured ratios.
+line. A criterion that `EXPECTED_FAILURES` declares (criterion 6: its
+energy-flatness clause is out of reach at desk scale) is marked expected-fail
+with its declared reason and the measured detail when it fails.
 """
 
 import pytest
 
-from sleepysim.acceptance import run_acceptance
+from sleepysim.acceptance import EXPECTED_FAILURES, run_acceptance
 
 _LINES = []
 
@@ -24,6 +23,8 @@ def suite():
 
 def _check(suite, number):
     r = suite[number]
+    if not r.passed and r.expected_failure:
+        pytest.xfail(f"{EXPECTED_FAILURES[number]}; measured: {r.detail}")
     assert r.passed, r.line()
 
 
@@ -48,14 +49,7 @@ def test_criterion_05_congestion_trend(suite):
 
 
 def test_criterion_06_energy_trend(suite):
-    r = suite[6]
-    if not r.passed:
-        pytest.xfail(
-            "desk-scale cover hierarchy is two levels deep, so distant "
-            "clusters activate at initialization and per-node awake time "
-            "scales with the distance span; measured: " + r.detail
-        )
-    assert r.passed, r.line()
+    _check(suite, 6)
 
 
 def test_criterion_07_cover_invariants(suite):

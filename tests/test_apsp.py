@@ -1,5 +1,11 @@
+import hashlib
+from collections import Counter
+
+import pytest
+
+from sleepysim import apsp_sched
 from sleepysim.apsp_sched import apsp_random_delay, draw_delays
-from sleepysim.congest_cssp import cssp
+from sleepysim.congest_cssp import CsspProgram, cssp
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import dijkstra
 
@@ -39,6 +45,70 @@ def test_random_graph_matches_oracle():
     matrix, report, _, _ = apsp_random_delay(g, seed=11)
     assert matrix == all_pairs_reference(g)
     assert report.status == "done"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GOLDEN = [
+    (GraphSpec("random-gnm", 12, seed=7, m=26, weight_mode="uniform", max_w=9),
+     11,
+     "99c62ea54bb7ea0bbcc10384d74f26a5c38471ad0bedb70f9c8d47917de5b46a",
+     "0a22e18d703f92413b88292cead9360a68b9687474f308ef5ec0e8a9065b7ace"),
+    (GraphSpec("random-gnm", 16, seed=3, m=40, weight_mode="uniform", max_w=9),
+     5,
+     "df5038fd85b7800461337e1fa51ac44a206215f20c43a4170c04e64de3131b34",
+     "7cb30f611a31551de9a6068de3fd0c41af9cc7728fcc7cd67191e3ebb9ffd694"),
+]
+
+
+@pytest.mark.parametrize("spec, seed, matrix_sha, report_sha", GOLDEN,
+                         ids=["gnm12", "gnm16"])
+def test_golden_matrix_and_report(spec, seed, matrix_sha, report_sha):
+    """Pinned hashes of the matrix and the report: a change to the
+    scheduling that moves any round, energy or congestion figure shows here,
+    where a rerun of the same code cannot."""
+    matrix, report, _, _ = apsp_random_delay(gen_graph(spec), seed=seed)
+    assert _sha256(repr(sorted(matrix.items()))) == matrix_sha
+    assert _sha256(report.to_json()) == report_sha
+
+
+def test_idle_instances_are_not_stepped(monkeypatch):
+    """A hosted instance is stepped only in its first round, in a round it
+    asked to wake for, or with mail."""
+    steps, wakes = [], set()
+    woken = Counter()
+    on_round, wake_at = CsspProgram.on_round, apsp_sched._SubApi.wake_at
+
+    def counted_on_round(self, api):
+        if isinstance(api, apsp_sched._SubApi):
+            steps.append((api.host.node, api.inst, api.round, bool(api.inbox)))
+        return on_round(self, api)
+
+    def counted_wake_at(self, r):
+        wakes.add((self.host.node, self.inst, r))
+        woken[self.host.node] += 1
+        return wake_at(self, r)
+
+    monkeypatch.setattr(CsspProgram, "on_round", counted_on_round)
+    monkeypatch.setattr(apsp_sched._SubApi, "wake_at", counted_wake_at)
+    spec, seed = GOLDEN[0][:2]
+    g = gen_graph(spec)
+    matrix, _, _, delays = apsp_random_delay(g, seed=seed)
+    assert matrix == all_pairs_reference(g)
+    for node, inst, r, mail in steps:
+        assert mail or r == delays[inst] + 1 or (node, inst, r) in wakes
+    with_mail = Counter(node for node, _, _, mail in steps if mail)
+    per_node = Counter(node for node, _, _, _ in steps)
+    for v in range(g.n):
+        assert per_node[v] <= with_mail[v] + woken[v] + g.n
+
+
+def test_negative_round_limit_raises():
+    g = Graph.build(2, [(0, 1, 5)])
+    with pytest.raises(ValueError, match="round_limit"):
+        apsp_random_delay(g, round_limit=-1)
 
 
 def test_instance_isolation():

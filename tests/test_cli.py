@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+from sleepysim import cli
+from sleepysim.acceptance import CriterionResult
 from sleepysim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, EXIT_VERIFY, main
 from sleepysim.energy_bfs import bootstrap_base_covers
 from sleepysim.graph import GraphSpec, gen_graph, save_graph
@@ -86,6 +90,15 @@ def test_round_limit_timeout(tmp_path):
     assert code == EXIT_TIMEOUT
 
 
+def test_negative_round_limit_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["run", "--gen", "path", "--n", "5", "--algo", "cssp-congest",
+                 "--round-limit", "-1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "--round-limit: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_round_limit_rejected_for_bfs_energy(tmp_path):
     code = main(["run", "--gen", "path", "--n", "9", "--algo", "bfs-energy",
                  "--round-limit", "5", "--out", str(tmp_path / "o")])
@@ -97,6 +110,12 @@ def test_apsp_round_limit_keeps_schedule(tmp_path):
                  "--verify", "--round-limit", "10000000",
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_OK
+
+
+def test_apsp_round_limit_timeout(tmp_path):
+    code = main(["run", "--gen", "cycle", "--n", "6", "--algo", "apsp",
+                 "--round-limit", "5", "--out", str(tmp_path / "o")])
+    assert code == EXIT_TIMEOUT
 
 
 def test_missing_graph_exits_2():
@@ -155,6 +174,28 @@ def test_verify_corrupted_cover_cache(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "fixture check [FAIL]" in text
     assert code == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("passed, failing, code, mark", [
+    ({1: True, 6: False}, (), EXIT_OK, "[XFAIL]"),
+    ({1: True, 6: True}, (), EXIT_OK, "[XPASS]"),
+    ({1: False, 6: False}, (1,), EXIT_VERIFY, "[XFAIL]"),
+])
+def test_verify_declared_failure_is_not_counted(monkeypatch, capsys, passed,
+                                                failing, code, mark):
+    def fake_acceptance(profile="full", emit=print):
+        results = [CriterionResult(n, f"c{n}", ok, f"detail {n}")
+                   for n, ok in passed.items()]
+        for r in results:
+            emit(r.line())
+        return results
+
+    monkeypatch.setattr(cli, "run_acceptance", fake_acceptance)
+    assert main(["verify", "--quick"]) == code
+    text = capsys.readouterr().out
+    assert f"criterion  6 {mark} c6: detail 6" in text
+    for n in failing:
+        assert f"criterion {n:2d} [FAIL]" in text
 
 
 def test_decomp_and_cover_algos(tmp_path):

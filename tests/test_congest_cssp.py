@@ -96,6 +96,12 @@ def test_degenerate_all_sources():
     assert all(outputs[v] == 0 for v in range(6))
 
 
+def test_negative_round_limit_raises():
+    g = Graph.build(2, [(0, 1, 5)])
+    with pytest.raises(ValueError, match="round_limit"):
+        cssp(g, {0}, round_limit=-1)
+
+
 def test_disconnected_no_source_component():
     g = Graph.build(4, [(0, 1, 2), (2, 3, 4)])
     outputs, _, _ = cssp(g, {0})

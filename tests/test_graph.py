@@ -59,6 +59,16 @@ def test_load_duplicate_edge():
         load_graph("3 2\n0 1 5\n1 0 3\n")
 
 
+def test_load_duplicate_edge_on_last_of_many_lines():
+    n = 3001
+    lines = [f"{n} {n}", "# a path, then its last edge again"]
+    lines += [f"{i} {i + 1} 1" for i in range(n - 1)]
+    lines.append(f"{n - 1} {n - 2} 4")
+    with pytest.raises(GraphError) as err:
+        load_graph("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {len(lines)}: duplicate edge ({n - 1},{n - 2})"
+
+
 def test_validate_violations():
     assert validate(Graph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])) == []
     bad = Graph(3, ((2, 2, 1),))
