@@ -72,10 +72,11 @@ def build_parser():
     _graph_flags(run)
     run.add_argument("--algo", choices=ALGOS)
     run.add_argument("--sources", default="0", help="comma list of node ids")
-    run.add_argument("--threshold", type=int, help="distance threshold")
+    run.add_argument("--threshold", type=non_negative_int,
+                     help="distance threshold")
     run.add_argument("--k", type=int, help="decomposition separation")
-    run.add_argument("--d", type=int, help="cover scale")
-    run.add_argument("--delta", type=int, help="apsp delay range")
+    run.add_argument("--d", type=non_negative_int, help="cover scale")
+    run.add_argument("--delta", type=non_negative_int, help="apsp delay range")
     run.add_argument("--base", type=int, help="layered cover base override")
     run.add_argument("--round-limit", type=non_negative_int,
                      help="logical round cap, 0 for the default "
@@ -162,7 +163,9 @@ def parse_sources(text, n):
         out = {int(x) for x in text.split(",") if x.strip() != ""}
     except ValueError:
         raise CliError(f"bad sources {text!r}")
-    if not out or any(not 0 <= v < n for v in out):
+    if not out:
+        raise CliError(f"bad sources {text!r}: no node id")
+    if any(not 0 <= v < n for v in out):
         raise CliError(f"sources out of range for n={n}")
     return out
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 
@@ -124,27 +125,52 @@ class RunReport:
 
 # -- awake schedules -------------------------------------------------------
 
-ALWAYS = "always"
-SPAN = "span"
-PERIODIC = "periodic"
-
 
 class Schedule:
-    """Union of awake components for one node."""
+    """Union of awake components for one node.
 
-    __slots__ = ("always", "spans", "periodics")
+    Spans are kept merged in two parallel lists: `starts[i]..ends[i]` are
+    inclusive intervals, sorted, disjoint and not adjacent (`ends[i] + 1 <
+    starts[i + 1]`), so one bisect answers a span query. A new span absorbs
+    every interval it overlaps or touches; an empty one (a > b) adds nothing.
+
+    `periodics` holds (anchor, period, residues, a, b) tuples: awake in every
+    round r of [a, b] with (r - anchor) % period in residues, where `period`
+    >= 1 and `residues` is a sorted tuple of distinct values in [0, period),
+    so the next such round is found by one bisect over the residues. A
+    component's index in the list is its `stop_awake` handle.
+
+    `always` overrides both and is never unset.
+    """
+
+    __slots__ = ("always", "starts", "ends", "periodics")
 
     def __init__(self):
         self.always = False
-        self.spans = []  # (a, b) inclusive
-        self.periodics = []  # (anchor, period, residues, a, b)
+        self.starts = []
+        self.ends = []
+        self.periodics = []
+
+    def _add_span(self, a: int, b: int):
+        if a > b:
+            return
+        starts, ends = self.starts, self.ends
+        i = bisect_left(ends, a - 1)  # first interval ending at or after a - 1
+        j = bisect_right(starts, b + 1, i)  # past the last starting by b + 1
+        if i == j:
+            starts.insert(i, a)
+            ends.insert(i, b)
+        else:
+            starts[i:j] = (min(a, starts[i]),)
+            ends[i:j] = (max(b, ends[j - 1]),)
 
     def awake_at(self, r: int) -> bool:
         if self.always:
             return True
-        for a, b in self.spans:
-            if a <= r <= b:
-                return True
+        ends = self.ends
+        i = bisect_left(ends, r)
+        if i < len(ends) and self.starts[i] <= r:
+            return True
         for anchor, period, residues, a, b in self.periodics:
             if a <= r <= b and (r - anchor) % period in residues:
                 return True
@@ -154,26 +180,22 @@ class Schedule:
         """Smallest awake round strictly greater than r, or None."""
         if self.always:
             return r + 1
-        best = None
-        for a, b in self.spans:
-            if b <= r:
-                continue
-            cand = max(a, r + 1)
-            if best is None or cand < best:
-                best = cand
+        ends = self.ends
+        i = bisect_right(ends, r)
+        best = max(self.starts[i], r + 1) if i < len(ends) else None
+        if best == r + 1:  # no round comes earlier
+            return best
         for anchor, period, residues, a, b in self.periodics:
-            if b <= r:
+            if b <= r or not residues:
                 continue
-            start = max(a, r + 1)
-            cand = None
-            for off in range(period):
-                rr = start + off
-                if rr > b:
-                    break
-                if (rr - anchor) % period in residues:
-                    cand = rr
-                    break
-            if cand is not None and (best is None or cand < best):
+            start = a if a > r else r + 1
+            off = (start - anchor) % period
+            k = bisect_left(residues, off)
+            if k < len(residues):
+                cand = start + residues[k] - off
+            else:
+                cand = start + period - off + residues[0]
+            if cand <= b and (best is None or cand < best):
                 best = cand
         return best
 
@@ -182,7 +204,7 @@ class Schedule:
         if self.always:
             return set(range(1, horizon + 1))
         rounds = set()
-        for a, b in self.spans:
+        for a, b in zip(self.starts, self.ends):
             rounds.update(range(max(1, a), min(b, horizon) + 1))
         for anchor, period, residues, a, b in self.periodics:
             lo, hi = max(1, a), min(b, horizon)
@@ -218,9 +240,14 @@ class NodeApi:
 
     def awake_periodic(self, anchor: int, period: int, residues, a: int, b: int):
         """Declare a periodic listening schedule; returns a handle that can be
-        retired early with stop_awake (effective from the next round)."""
+        retired early with stop_awake (effective from the next round).
+        Every residue must lie in [0, period) and period must be >= 1."""
+        residues = tuple(sorted(set(residues)))
+        if period < 1 or any(not 0 <= x < period for x in residues):
+            raise SimError(f"awake_periodic: residues {list(residues)} "
+                           f"not in [0, period) for period {period}")
         sched = self.engine._sched(self.node)
-        sched.periodics.append((anchor, period, frozenset(residues), a, b))
+        sched.periodics.append((anchor, period, residues, a, b))
         return len(sched.periodics) - 1
 
     def stop_awake(self, handle: int, at_round: int):
@@ -299,7 +326,9 @@ class Engine:
         return s
 
     def _add_span(self, node, a, b):
-        self._sched(node).spans.append((a, b))
+        sched = self._sched(node)
+        if not sched.always:  # always is never unset: a span cannot matter
+            sched._add_span(a, b)
 
     def _push_step(self, r, node):
         key = (r, node)

@@ -99,6 +99,30 @@ def test_negative_round_limit_exits_2_without_output(tmp_path, capsys):
     assert "--round-limit: must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo, flag, value", [
+    ("cover", "--d", "-1"),
+    ("apsp", "--delta", "-3"),
+    ("bfs-energy", "--threshold", "-2"),
+], ids=["d", "delta", "threshold"])
+def test_negative_value_exits_2_without_output(tmp_path, capsys, algo, flag,
+                                               value):
+    out = tmp_path / "o"
+    code = main(["run", "--gen", "path", "--n", "5", "--algo", algo,
+                 flag, value, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert f"{flag}: must be >= 0, got {value}" in capsys.readouterr().err
+
+
+def test_empty_sources_is_bad_sources(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["run", "--gen", "path", "--n", "5", "--algo", "cssp-congest",
+                 "--sources", "", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "bad sources '': no node id" in capsys.readouterr().err
+
+
 def test_round_limit_rejected_for_bfs_energy(tmp_path):
     code = main(["run", "--gen", "path", "--n", "9", "--algo", "bfs-energy",
                  "--round-limit", "5", "--out", str(tmp_path / "o")])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from sleepysim.energy_bfs import (
@@ -157,3 +159,13 @@ def test_build_cover_next_levels():
         except Exception:
             pytest.skip("stretch exceeds forced base at this scale")
     assert layered.base == 4
+
+
+def test_golden_path65_outputs_and_report():
+    """Pinned hashes of a full run whose BFS phase listens on periodic
+    cluster pipelines: a change to periodic schedules shows here."""
+    outputs, report, *_ = full_bfs(unit_path(65), {0})
+    assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
+            == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
+    assert (hashlib.sha256(report.to_json().encode()).hexdigest()
+            == "1e1bb2fda58b064ec5de6ba5d9853406d7d0e0e65a3bd05a8464a9d4b3b8cf76")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -130,3 +131,26 @@ def test_determinism():
     _, r1, _ = cssp_energy(g, {0, 3})
     _, r2, _ = cssp_energy(g, {0, 3})
     assert r1.to_json() == r2.to_json()
+
+
+GOLDEN = [
+    (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
+     {0},
+     "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
+     "f56fba2fd1a42785e6f0e04ab0ab27c7bf646c6d511db972d4b4f5e005fd3e03"),
+    (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
+     {0, 7},
+     "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
+     "6d0289a4a88fb47391972e375d48dd43fb62699fc001f3eea4e3690efc1d2076"),
+]
+
+
+@pytest.mark.parametrize("spec, sources, outputs_sha, report_sha", GOLDEN,
+                         ids=["gnm24", "gnm20-zeroheavy"])
+def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
+    """Pinned hashes of the outputs and the report: a change to the awake
+    schedules that moves any round, energy or congestion figure shows here,
+    where a rerun of the same code cannot."""
+    outputs, report, _ = cssp_energy(gen_graph(spec), sources)
+    assert hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest() == outputs_sha
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_sha

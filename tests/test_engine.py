@@ -1,7 +1,7 @@
 import pytest
 
 from sleepysim.engine import (
-    Message, PlannedProgram, SimConfig, ProtocolViolation,
+    Engine, Message, NodeApi, PlannedProgram, SimConfig, ProtocolViolation,
     SimError, audit_message, bit_budget, int_bits, run_simulation,
 )
 from sleepysim.graph import Graph
@@ -249,3 +249,33 @@ def test_plan_into_past_round_raises():
     prog = Late([(4, "_mark", ("late",))])
     with pytest.raises(SimError, match="not in the future"):
         run_simulation(Graph.build(1, []), lambda v: prog)
+
+
+@pytest.mark.parametrize("period, residues", [
+    (0, {0}), (0, set()), (-3, {1}), (4, {4}), (4, {0, 5}), (4, {-1}),
+])
+def test_periodic_rejects_bad_period_or_residue(period, residues):
+    engine = Engine(Graph.build(1, []))
+    with pytest.raises(SimError, match="awake_periodic"):
+        NodeApi(engine, 0, 0, []).awake_periodic(0, period, residues, 1, 50)
+    assert not engine._sched(0).periodics
+
+
+def test_periodic_residues_kept_sorted():
+    engine = Engine(Graph.build(1, []))
+    api = NodeApi(engine, 0, 0, [])
+    handle = api.awake_periodic(2, 5, [3, 0, 3], 1, 50)
+    assert engine._sched(0).periodics[handle] == (2, 5, (0, 3), 1, 50)
+    assert engine._sched(0).next_awake_after(5) == 7
+
+
+def test_spans_of_always_awake_node_not_stored():
+    engine = Engine(Graph.build(1, []))
+    api = NodeApi(engine, 0, 0, [])
+    api.awake_span(3, 4)
+    api.always_awake()
+    api.awake_span(10, 12)
+    api.wake_at(20)
+    sched = engine._sched(0)
+    assert (sched.starts, sched.ends) == ([3], [4])
+    assert sched.awake_rounds(6) == set(range(1, 7))

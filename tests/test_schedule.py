@@ -1,0 +1,111 @@
+"""Differential test of `engine.Schedule` against a brute-force reference.
+
+Components are declared through `NodeApi`, as node programs do, so the test
+also covers the `always` shortcut of `Engine._add_span`. The reference keeps
+every component as declared and answers each query by checking each round.
+"""
+
+import pytest
+
+from sleepysim.engine import Engine, NodeApi
+from sleepysim.graph import Graph
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, example = hypothesis.given, hypothesis.example
+
+H = 60  # queries cover rounds 0..H
+FAR = 1 << 62  # an open-ended periodic component, as energy_cssp declares
+
+
+@st.composite
+def schedules(draw):
+    """(ops, always_at): components to declare, and where `always_awake`
+    goes in that order (None: never)."""
+    ops, handles = [], 0
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(("span", "span", "periodic", "stop")))
+        if kind == "span":
+            a = draw(st.integers(0, H))
+            ops.append(("span", a, a + draw(st.integers(-1, 10))))
+        elif kind == "periodic":
+            period = draw(st.integers(1, 9))
+            residues = draw(st.sets(st.integers(0, period - 1), max_size=period))
+            a = draw(st.integers(0, H))
+            b = draw(st.one_of(st.integers(a - 2, H + 10), st.just(FAR)))
+            ops.append(("periodic", draw(st.integers(-10, H)), period,
+                        residues, a, b))
+            handles += 1
+        elif handles:
+            ops.append(("stop", draw(st.integers(0, handles - 1)),
+                        draw(st.integers(0, H + 5))))
+    always_at = draw(st.one_of(st.none(), st.integers(0, len(ops))))
+    return ops, always_at
+
+
+def declare(ops, always_at):
+    """The engine's schedule for node 0 after the declarations."""
+    engine = Engine(Graph.build(1, []))
+    api = NodeApi(engine, 0, 0, [])
+    for i, op in enumerate(ops):
+        if i == always_at:
+            api.always_awake()
+        if op[0] == "span":
+            api.awake_span(op[1], op[2])
+        elif op[0] == "periodic":
+            api.awake_periodic(*op[1:])
+        else:
+            api.stop_awake(op[1], op[2])
+    if always_at == len(ops):
+        api.always_awake()
+    return engine._sched(0)
+
+
+def reference(ops, always_at):
+    """A predicate for "awake in round r", from the components as declared."""
+    spans, periodics = [], []
+    for op in ops:
+        if op[0] == "span":
+            spans.append(op[1:])
+        elif op[0] == "periodic":
+            periodics.append(list(op[1:]))
+        else:
+            periodics[op[1]][4] = min(periodics[op[1]][4], op[2])
+
+    def awake(r):
+        return (always_at is not None
+                or any(a <= r <= b for a, b in spans)
+                or any(a <= r <= b and (r - anchor) % period in residues
+                       for anchor, period, residues, a, b in periodics))
+
+    # past this round nothing but an open-ended periodic is awake, and that
+    # one within one period
+    last = H + 20 + max((p[1] for p in periodics), default=0)
+    return awake, last
+
+
+@given(schedules())
+@example(([("span", 5, 9), ("span", 10, 12), ("span", 3, 4), ("span", 14, 14),
+           ("span", 6, 7), ("span", 13, 13)], None))  # adjacent and nested
+@example(([("periodic", 3, 4, {0, 2}, 1, FAR), ("stop", 0, 20),
+           ("span", 30, 31)], None))
+@example(([("span", 2, 40), ("periodic", 0, 1, {0}, 0, 9)], 1))
+def test_schedule_matches_brute_force(case):
+    ops, always_at = case
+    sched = declare(ops, always_at)
+    awake, last = reference(ops, always_at)
+
+    starts, ends = sched.starts, sched.ends
+    assert len(starts) == len(ends)
+    assert all(a <= b for a, b in zip(starts, ends))
+    assert all(b + 1 < a for b, a in zip(ends, starts[1:]))
+    for _, period, residues, _, _ in sched.periodics:
+        assert list(residues) == sorted(set(residues))
+        assert all(0 <= x < period for x in residues)
+
+    truth = [awake(r) for r in range(last + 1)]
+    for r in range(H + 1):
+        assert sched.awake_at(r) == truth[r], r
+        nxt = next((rr for rr in range(r + 1, last + 1) if truth[rr]), None)
+        assert sched.next_awake_after(r) == nxt, r
+        assert sched.awake_rounds(r) == {rr for rr in range(1, r + 1) if truth[rr]}
