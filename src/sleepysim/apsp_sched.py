@@ -1,104 +1,116 @@
-"""All-pairs shortest paths by concurrent single-source instances.
+"""All-pairs shortest paths: one single-source instance per source, started
+at a random delay.
 
-One engine run hosts n logically independent copies of the closest-source
-recursion, one per source, each started at a uniformly drawn delay in
-[0, delta). The delays are the only randomness in the repository and are a
-pure function of the seed. Instance ids ride in the message context, packed
-above the recursion path bits, and the channel budget gets the instance-id
-allowance on top of the base per-message budget.
+Instance s runs the closest-source recursion from s and starts in round
+delay_s + 1, with delay_s drawn uniformly from [0, delta) as a pure function
+of the seed; the delays are the only randomness in the repository. The
+instances never interact: every node is awake throughout, channels may be
+oversubscribed, each instance keeps its own send queues, and its messages
+carry its id in the context, packed above the recursion path bits (the
+channel budget gets the instance-id allowance on top of the base
+per-message budget). So each instance runs alone, in an engine of its own
+over the whole graph, at the absolute rounds it has in the joint schedule,
+and the joint run's figures are composed from the solo runs:
 
-A node hosts every instance but steps one only when it is due: in its first
-round, in a round it asked to wake for (a planned action or a pending send
-queue) and in a round it has mail. An instance has nothing to do in any other
-round, so skipping it there changes no output, report or trace. Due instances
-are stepped in ascending instance order; mail for an instance that has not
-started or has finished is dropped.
+- a node's row of distances is known once every instance finished there;
+- rounds are the last event round of any instance times the megaround width,
+  and every node, awake throughout, spends that many in energy;
+- congestion, delivered and lost messages add up; `max_bits` is the maximum;
+- channel demand counts the instances that send on one directed channel in
+  one round. Sends past the width are listed as oversubscribed, in the order
+  the joint run delivers them: by round, sender, instance, then send order;
+- the trace merges the solo logs by (round, node); ties keep instance order.
 
-Per-round per-edge demand is metered; if it exceeds the configured megaround
-width the run continues in relaxed-audit mode and reports the overflow
-instead of failing.
+One case would differ: a message that reaches a node after its instance
+finished there is lost in the solo run, where a joint host, awake for the
+other instances, would take it in and drop it. No run checked against a
+joint run had such a message: `lost` was 0 in every one.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from array import array
+from collections import Counter
 from math import inf
 
 from .congest_cssp import CsspProgram, default_round_limit, pow2_at_least
-from .engine import SimConfig, run_simulation
+from .engine import Engine, SimConfig, merge_reports, run_simulation
 
 INF = inf
 
+# A send is logged on its directed channel as one integer that orders it
+# as the joint run delivers it: ((round * n + instance) * n + pos) << _TAG_BITS
+# | tag, where pos counts the instance's sends in that step on that node
+# (below n: a recursion instance sends at most once per neighbor per round)
+# and the tag is below 2**_TAG_BITS.
+_TAG_BITS = 8
 
-class _SubApi:
-    """Message facade for one hosted instance: rewrites ctx on the way out
-    and books the instance's wake rounds with its host."""
 
-    def __init__(self, host, inst, api, inbox):
-        self.host = host
-        self.inst = inst
-        self.inbox = inbox
-        self.round = api.round
-        self._api = api
+class _InstanceApi:
+    """The node api as one instance sees it. Its messages carry the instance
+    id above the path bits of their context: packed on send, where the send
+    is also logged on its channel, and stripped on receipt. Trace events get
+    an `inst` field."""
+
+    __slots__ = ("round", "inbox", "_api", "_inst", "_ctx", "_mask", "_nn",
+                 "_first", "_stamp", "_pos", "_out")
+
+    def __init__(self, inst, path_bits, n, out):
+        self._inst = inst
+        self._ctx = inst << path_bits
+        self._mask = (1 << path_bits) - 1
+        self._nn = n * n
+        self._first = inst * n
+        self._out = out  # neighbor -> the channel's send log
+
+    def bind(self, api):
+        """This view of `api`, the node's api in the current step."""
+        mask = self._mask
+        for _, msg in api.inbox:
+            msg.ctx &= mask
+        self._api, self.round, self.inbox, self._pos = api, api.round, api.inbox, 0
+        self._stamp = api.round * self._nn + self._first
+        return self
 
     def send(self, dst, msg, critical=False):
-        msg.ctx = (self.inst << self.host.path_bits) | msg.ctx
+        msg.ctx |= self._ctx
+        self._out[dst].append(((self._stamp + self._pos) << _TAG_BITS) | msg.tag)
+        self._pos += 1
         self._api.send(dst, msg, critical)
 
     def wake_at(self, r):
         self._api.wake_at(r)
-        self.host._book(r, self.inst)
 
     def always_awake(self):
         self._api.always_awake()
 
     def finish(self, output=None):
-        self.host.finished[self.inst] = output
+        self._api.finish(output)
 
     def trace(self, kind, **data):
-        self._api.trace(kind, inst=self.inst, **data)
+        self._api.trace(kind, inst=self._inst, **data)
 
 
 class ApspProgram:
-    """Hosts one recursion instance per source on a single node."""
+    """One node's program in the solo run of the instance from `source`:
+    awake from round 0, it steps the instance from round delay + 1 on."""
 
-    def __init__(self, node, graph, delays, D_top):
-        self.node = node
-        self.delays = delays
-        self.path_bits = D_top.bit_length() + 2
-        self.subs = {
-            s: CsspProgram(node, graph, {s}, D_top)
-            for s in range(graph.n)
-        }
-        self.finished = {}
-        self._due = {}  # round -> instances that asked to be stepped then
-        self._done_sent = False
-
-    def _book(self, r, inst):
-        self._due.setdefault(r, set()).add(inst)
+    def __init__(self, node, graph, source, delay, D_top, channels):
+        self.source = source
+        self.delay = delay
+        self.program = CsspProgram(node, graph, {source}, D_top)
+        self.view = _InstanceApi(
+            source, D_top.bit_length() + 2, graph.n,
+            {u: channels[(node, u)] for u, _ in graph.neighbors(node)})
 
     def on_round(self, api):
-        r = api.round
-        if r == 0:
+        if api.round == 0:
             api.always_awake()
-            for s, delay in sorted(self.delays.items()):
-                api.wake_at(delay + 1)
-                self._book(delay + 1, s)
-        mask = (1 << self.path_bits) - 1
-        boxes = {}
-        for src, msg in api.inbox:
-            inst = msg.ctx >> self.path_bits
-            msg.ctx &= mask
-            boxes.setdefault(inst, []).append((src, msg))
-        due = self._due.pop(r, set())
-        due.update(boxes)
-        for s in sorted(due):
-            if s in self.finished or r <= self.delays[s]:
-                continue
-            self.subs[s].on_round(_SubApi(self, s, api, boxes.get(s, [])))
-        if len(self.finished) == len(self.subs) and not self._done_sent:
-            self._done_sent = True
-            api.finish(dict(sorted(self.finished.items())))
+            api.wake_at(self.delay + 1)
+        else:
+            self.program.on_round(self.view.bind(api))
 
 
 def draw_delays(n: int, delta: int, seed: int) -> dict:
@@ -109,9 +121,10 @@ def draw_delays(n: int, delta: int, seed: int) -> dict:
 def apsp_random_delay(graph, delta=None, seed=0, *, round_limit=None,
                       trace=False):
     """Distances for every ordered pair, one recursion per source under
-    random-delay scheduling. Returns (matrix, report, engine, delays). An
-    unset or zero `round_limit` means 4 * (single-source limit + delta); a
-    negative one raises ValueError."""
+    random-delay scheduling. Returns (matrix, report, engine, delays); the
+    engine ran nothing itself and holds the merged trace log. An unset or
+    zero `round_limit` means 4 * (single-source limit + delta); a negative
+    one raises ValueError."""
     if round_limit is not None and round_limit < 0:
         raise ValueError("round_limit must be >= 0")
     n = graph.n
@@ -128,11 +141,49 @@ def apsp_random_delay(graph, delta=None, seed=0, *, round_limit=None,
         allow_oversubscription=True,
         collect_trace=trace,
     )
-    outputs, report, engine = run_simulation(
-        graph, lambda v: ApspProgram(v, graph, delays, D_top), cfg)
-    matrix = {}
-    for v in range(n):
-        row = outputs.get(v) or {}
-        for s in range(n):
-            matrix[(s, v)] = row.get(s, INF)
+    channels = {}
+    for u, v, _ in graph.edges:
+        channels[(u, v)], channels[(v, u)] = array("q"), array("q")
+    outputs, reports, logs = [], [], []
+    for s in range(n):
+        out, rep, solo = run_simulation(
+            graph,
+            lambda v: ApspProgram(v, graph, s, delays[s], D_top, channels),
+            cfg)
+        outputs.append(out)
+        reports.append(rep)
+        logs.append(solo.trace_log)
+    report = merge_reports(reports)
+    report.rounds = max((rep.rounds for rep in reports), default=0)
+    report.energy = {v: report.rounds for v in range(n)}
+    report.max_channel_demand, report.oversubscribed = _channel_demand(
+        channels, n, cfg.width)
+    engine = Engine(graph, cfg)
+    engine._trace = list(heapq.merge(
+        *logs, key=lambda e: (e[1]["round"], e[1]["node"])))
+    done = set(range(n)).intersection(*outputs)
+    matrix = {(s, v): outputs[s][v] if v in done else INF
+              for v in range(n) for s in range(n)}
     return matrix, report, engine, delays
+
+
+def _channel_demand(channels, n, width):
+    """The largest number of sends on one directed channel in one round, and
+    every send past `width` there as (round, src, dst, tag), in the joint
+    run's delivery order."""
+    per_round = (n * n) << _TAG_BITS
+    demand, over = 0, []
+    for (src, dst), log in channels.items():
+        counts = Counter(map(per_round.__rfloordiv__, log))
+        demand = max(demand, max(counts.values(), default=0))
+        full = {r for r, c in counts.items() if c > width}
+        if not full:
+            continue
+        keys = sorted(k for k in log if k // per_round in full)
+        for i, k in enumerate(keys):
+            r, rest = divmod(k, per_round)
+            if i >= width and keys[i - width] // per_round == r:
+                over.append((r, src, rest, dst))
+    over.sort()
+    tag_mask = (1 << _TAG_BITS) - 1
+    return demand, [(r, src, dst, rest & tag_mask) for r, src, rest, dst in over]

@@ -74,10 +74,12 @@ def build_parser():
     run.add_argument("--sources", default="0", help="comma list of node ids")
     run.add_argument("--threshold", type=non_negative_int,
                      help="distance threshold")
-    run.add_argument("--k", type=int, help="decomposition separation")
+    run.add_argument("--k", type=non_negative_int,
+                     help="decomposition separation, 0 for the default")
     run.add_argument("--d", type=non_negative_int, help="cover scale")
     run.add_argument("--delta", type=non_negative_int, help="apsp delay range")
-    run.add_argument("--base", type=int, help="layered cover base override")
+    run.add_argument("--base", type=positive_int,
+                     help="layered cover base override")
     run.add_argument("--round-limit", type=non_negative_int,
                      help="logical round cap, 0 for the default "
                           "(cssp-congest, cssp-energy, apsp)")
@@ -101,15 +103,21 @@ def build_parser():
     return ap
 
 
-def non_negative_int(text) -> int:
-    """An argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an integer >= `low`."""
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+non_negative_int = _int_at_least(0)
+positive_int = _int_at_least(1)
 
 
 def _graph_flags(p):

@@ -1,5 +1,5 @@
 import hashlib
-from collections import Counter
+import sys
 
 import pytest
 
@@ -74,35 +74,63 @@ def test_golden_matrix_and_report(spec, seed, matrix_sha, report_sha):
     assert _sha256(report.to_json()) == report_sha
 
 
-def test_idle_instances_are_not_stepped(monkeypatch):
-    """A hosted instance is stepped only in its first round, in a round it
-    asked to wake for, or with mail."""
-    steps, wakes = [], set()
-    woken = Counter()
-    on_round, wake_at = CsspProgram.on_round, apsp_sched._SubApi.wake_at
+GOLDEN_TRAFFIC = [
+    # (spec, seed, delta, delivered, lost, max_channel_demand,
+    #  oversubscribed entries and sha256, trace events and sha256)
+    (GOLDEN[0][0], 11, None, 39186, 0, 7,
+     0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+     2792, "723b4107e5274bbc501dafabf871f294fba59c137b7554b33a5a07ca9df4a4b1"),
+    (GOLDEN[1][0], 5, None, 91361, 0, 5,
+     0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+     5558, "adb0ec11882b5a82e28f9e04024fb7bba73184229ff374a55d06a898f9b0121b"),
+    (GraphSpec("random-gnm", 22, seed=402, m=66, weight_mode="uniform",
+               max_w=9), 7, 1, 201873, 0, 22,
+     7822, "bf27c19d62f01960191e9a9bbef5ba179e014f0dff3a237378d31450227e5d22",
+     10834, "9ac1423f4cddea846618b10dc57fb01c7ccc2e550a4fcd889796b2d297e9f74e"),
+]
 
-    def counted_on_round(self, api):
-        if isinstance(api, apsp_sched._SubApi):
-            steps.append((api.host.node, api.inst, api.round, bool(api.inbox)))
+
+@pytest.mark.parametrize(
+    "spec, seed, delta, delivered, lost, demand, n_over, over_sha, "
+    "n_events, trace_sha", GOLDEN_TRAFFIC, ids=["gnm12", "gnm16", "gnm22-delta1"])
+def test_golden_traffic_and_trace(spec, seed, delta, delivered, lost, demand,
+                                  n_over, over_sha, n_events, trace_sha):
+    """Pinned message counts, channel demand, the oversubscription list in
+    order and the trace log: the figures `to_json()` leaves out. At delta=1
+    every instance starts in round 1, so channels are oversubscribed."""
+    _, report, engine, _ = apsp_random_delay(gen_graph(spec), delta=delta,
+                                             seed=seed, trace=True)
+    assert (report.delivered, report.lost) == (delivered, lost)
+    assert report.max_channel_demand == demand
+    assert len(report.oversubscribed) == n_over
+    assert _sha256(repr(report.oversubscribed)) == over_sha
+    assert len(engine.trace_log) == n_events
+    assert _sha256(repr(engine.trace_log)) == trace_sha
+
+
+def test_instances_are_stepped_by_their_host_from_their_delay(monkeypatch):
+    """Every step of a recursion instance comes from the node program
+    `ApspProgram.on_round`, and an instance first steps on every node in
+    round delay + 1."""
+    first = {}
+    host_code = apsp_sched.ApspProgram.on_round.__code__
+    on_round = CsspProgram.on_round
+
+    def watched_on_round(self, api):
+        caller = sys._getframe(1)
+        assert caller.f_code is host_code
+        host = caller.f_locals["self"]
+        assert host.program is self
+        first.setdefault((self.node, host.source), api.round)
         return on_round(self, api)
 
-    def counted_wake_at(self, r):
-        wakes.add((self.host.node, self.inst, r))
-        woken[self.host.node] += 1
-        return wake_at(self, r)
-
-    monkeypatch.setattr(CsspProgram, "on_round", counted_on_round)
-    monkeypatch.setattr(apsp_sched._SubApi, "wake_at", counted_wake_at)
+    monkeypatch.setattr(CsspProgram, "on_round", watched_on_round)
     spec, seed = GOLDEN[0][:2]
     g = gen_graph(spec)
     matrix, _, _, delays = apsp_random_delay(g, seed=seed)
     assert matrix == all_pairs_reference(g)
-    for node, inst, r, mail in steps:
-        assert mail or r == delays[inst] + 1 or (node, inst, r) in wakes
-    with_mail = Counter(node for node, _, _, mail in steps if mail)
-    per_node = Counter(node for node, _, _, _ in steps)
-    for v in range(g.n):
-        assert per_node[v] <= with_mail[v] + woken[v] + g.n
+    assert first == {(v, s): delays[s] + 1
+                     for v in range(g.n) for s in range(g.n)}
 
 
 def test_negative_round_limit_raises():

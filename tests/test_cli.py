@@ -103,7 +103,8 @@ def test_negative_round_limit_exits_2_without_output(tmp_path, capsys):
     ("cover", "--d", "-1"),
     ("apsp", "--delta", "-3"),
     ("bfs-energy", "--threshold", "-2"),
-], ids=["d", "delta", "threshold"])
+    ("decomp", "--k", "-1"),
+], ids=["d", "delta", "threshold", "k"])
 def test_negative_value_exits_2_without_output(tmp_path, capsys, algo, flag,
                                                value):
     out = tmp_path / "o"
@@ -112,6 +113,16 @@ def test_negative_value_exits_2_without_output(tmp_path, capsys, algo, flag,
     assert code == EXIT_CONFIG
     assert not out.exists()
     assert f"{flag}: must be >= 0, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_base_below_1_exits_2_without_output(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    code = main(["run", "--gen", "path", "--n", "9", "--algo", "bfs-energy",
+                 "--base", value, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert f"--base: must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_empty_sources_is_bad_sources(tmp_path, capsys):
