@@ -25,8 +25,8 @@ from .oracle import (
     check_cover, check_decomposition, check_layered, dijkstra, hop_distances,
 )
 from .trace_checks import (
-    check_cutter_contract, check_halving, check_kill_budget,
-    check_recursion_accounting, check_sleep_safety,
+    check_cut_composition, check_cutter_contract, check_halving,
+    check_kill_budget, check_recursion_accounting, check_sleep_safety,
 )
 
 
@@ -312,13 +312,20 @@ def criterion_7(ctx) -> CriterionResult:
 def criterion_8(ctx) -> CriterionResult:
     t0 = time.time()
     worst = ""
+    composed = 0
     for graph, trace, _ in ctx.congest_runs + ctx.energy_runs:
         ok, detail = check_recursion_accounting(trace, graph.n)
         if not ok:
             return CriterionResult(8, "recursion accounting", False, detail,
                                    time.time() - t0)
         worst = detail
-    return CriterionResult(8, "recursion accounting", True, worst,
+        ok, detail = check_cut_composition(graph, trace)
+        if not ok:
+            return CriterionResult(8, "recursion accounting", False, detail,
+                                   time.time() - t0)
+        composed += int(detail.split()[0])
+    return CriterionResult(8, "recursion accounting", True,
+                           f"{worst}; {composed} cut compositions verified",
                            time.time() - t0)
 
 

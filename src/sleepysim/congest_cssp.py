@@ -173,15 +173,20 @@ class CsspProgram(PlannedProgram):
         self._queue.setdefault(dst, []).append(msg)
 
     def _flush(self, api):
-        pending = False
-        for dst in sorted(self._queue):
-            q = self._queue[dst]
-            if q and dst not in self._sent_now:
+        """Send the head of each queue whose channel is free this round; a
+        queue is dropped once empty, so `_queue` holds only pending sends."""
+        queue = self._queue
+        if not queue:
+            return
+        sent_now = self._sent_now
+        for dst in sorted(queue):
+            if dst not in sent_now:
+                q = queue[dst]
                 api.send(dst, q.pop(0))
-                self._sent_now.add(dst)
-            if q:
-                pending = True
-        if pending:
+                sent_now.add(dst)
+                if not q:
+                    del queue[dst]
+        if queue:
             api.wake_at(api.round + 1)
 
     # -- engine entry -------------------------------------------------------
@@ -206,7 +211,7 @@ class CsspProgram(PlannedProgram):
 
     def _may_finish(self):
         """Whether a node whose root frame is done may stop now."""
-        return not any(self._queue.values())
+        return not self._queue
 
     def _create_root(self, api):
         f = _Frame(1, self.D_top, max(1, self.n), api.round, True,

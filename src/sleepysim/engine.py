@@ -11,6 +11,13 @@ not with the round counter. Awake time is declared through schedule
 components (spans and periodic patterns), which lets listening-only rounds
 be charged for energy without executing any code.
 
+Steps are kept in a calendar of due rounds: a dict from round to the set of
+nodes due then, and a heap of the distinct rounds in it. Each round is popped
+once; its nodes, less the finished ones, step in ascending id order. A
+delivery wakes the receiver at its next awake round. For a receiver whose
+schedule is `always` awake that is round r + 1, taken without querying the
+schedule, so the always-awake algorithms make no schedule query at all.
+
 Megarounds: with width k, every logical round of the loop stands for k
 physical rounds. A node awake in a logical round is charged k physical
 rounds, and may send up to k messages per neighbor in it.
@@ -30,13 +37,6 @@ class SimError(RuntimeError):
 
 class ProtocolViolation(SimError):
     """A message marked protocol-critical was sent to a sleeping node."""
-
-
-def int_bits(v: int) -> int:
-    """Charged bits for a nonnegative integer: ceil(log2(v+2))."""
-    if v < 0:
-        raise SimError(f"negative wire integer {v}")
-    return (v + 1).bit_length()
 
 
 def bit_budget(n: int, max_w: int, c_msg: int = 8) -> int:
@@ -59,12 +59,20 @@ class Message:
 
 
 def audit_message(msg: Message, n: int, max_w: int) -> int:
-    """Exact charged size in bits of one message."""
-    bits = int_bits(msg.tag)
-    if msg.ctx is not None:
-        bits += int_bits(msg.ctx)
+    """Exact charged size in bits of one message: each wire integer v (tag,
+    ctx when set, payload) costs ceil(log2(v+2)) bits and must be >= 0."""
+    tag, ctx = msg.tag, msg.ctx
+    if tag < 0:
+        raise SimError(f"negative wire integer {tag}")
+    bits = (tag + 1).bit_length()
+    if ctx is not None:
+        if ctx < 0:
+            raise SimError(f"negative wire integer {ctx}")
+        bits += (ctx + 1).bit_length()
     for v in msg.payload:
-        bits += int_bits(v)
+        if v < 0:
+            raise SimError(f"negative wire integer {v}")
+        bits += (v + 1).bit_length()
     return bits
 
 
@@ -132,7 +140,8 @@ class Schedule:
     Spans are kept merged in two parallel lists: `starts[i]..ends[i]` are
     inclusive intervals, sorted, disjoint and not adjacent (`ends[i] + 1 <
     starts[i + 1]`), so one bisect answers a span query. A new span absorbs
-    every interval it overlaps or touches; an empty one (a > b) adds nothing.
+    every interval it overlaps or touches; an empty one (a > b) adds nothing,
+    and neither does any span once `always` is set.
 
     `periodics` holds (anchor, period, residues, a, b) tuples: awake in every
     round r of [a, b] with (r - anchor) % period in residues, where `period`
@@ -152,7 +161,7 @@ class Schedule:
         self.periodics = []
 
     def _add_span(self, a: int, b: int):
-        if a > b:
+        if a > b or self.always:  # always is never unset: a span cannot matter
             return
         starts, ends = self.starts, self.ends
         i = bisect_left(ends, a - 1)  # first interval ending at or after a - 1
@@ -199,19 +208,29 @@ class Schedule:
                 best = cand
         return best
 
-    def awake_rounds(self, horizon: int):
-        """All awake rounds in [1, horizon] (round 0 is free initialization)."""
+    def awake_rounds(self, horizon: int) -> int:
+        """Number of awake rounds in [1, horizon] (round 0 is free
+        initialization): the span lengths, clipped, plus the periodic rounds
+        that no span covers, each counted once however many periodics share
+        it. Periodic rounds are marked in a bytearray by strided slices."""
         if self.always:
-            return set(range(1, horizon + 1))
-        rounds = set()
+            return max(0, horizon)
+        spans = []
         for a, b in zip(self.starts, self.ends):
-            rounds.update(range(max(1, a), min(b, horizon) + 1))
+            lo, hi = max(1, a), min(b, horizon)
+            if lo <= hi:
+                spans.append((lo, hi + 1))
+        count = sum(b - a for a, b in spans)
+        if not self.periodics:
+            return count
+        marks = bytearray(horizon + 1)
         for anchor, period, residues, a, b in self.periodics:
             lo, hi = max(1, a), min(b, horizon)
             for res in residues:
                 first = lo + ((anchor + res - lo) % period)
-                rounds.update(range(first, hi + 1, period))
-        return rounds
+                if first <= hi:
+                    marks[first:hi + 1:period] = b"\1" * ((hi - first) // period + 1)
+        return count + marks.count(1) - sum(marks.count(1, a, b) for a, b in spans)
 
 
 class NodeApi:
@@ -232,11 +251,12 @@ class NodeApi:
     def wake_at(self, r: int):
         if r <= self.round:
             raise SimError(f"wake_at({r}) not in the future of round {self.round}")
-        self.engine._add_span(self.node, r, r)
-        self.engine._push_step(r, self.node)
+        engine = self.engine
+        engine._schedules[self.node]._add_span(r, r)
+        engine._push_step(r, self.node)
 
     def awake_span(self, a: int, b: int):
-        self.engine._add_span(self.node, a, b)
+        self.engine._schedules[self.node]._add_span(a, b)
 
     def awake_periodic(self, anchor: int, period: int, residues, a: int, b: int):
         """Declare a periodic listening schedule; returns a handle that can be
@@ -246,17 +266,17 @@ class NodeApi:
         if period < 1 or any(not 0 <= x < period for x in residues):
             raise SimError(f"awake_periodic: residues {list(residues)} "
                            f"not in [0, period) for period {period}")
-        sched = self.engine._sched(self.node)
+        sched = self.engine._schedules[self.node]
         sched.periodics.append((anchor, period, residues, a, b))
         return len(sched.periodics) - 1
 
     def stop_awake(self, handle: int, at_round: int):
-        sched = self.engine._sched(self.node)
+        sched = self.engine._schedules[self.node]
         anchor, period, residues, a, b = sched.periodics[handle]
         sched.periodics[handle] = (anchor, period, residues, a, min(b, at_round))
 
     def always_awake(self):
-        self.engine._sched(self.node).always = True
+        self.engine._schedules[self.node].always = True
 
     def finish(self, output=None):
         self.engine._finish(self.node, output)
@@ -306,12 +326,12 @@ class Engine:
         self.budget = bit_budget(self.n, self.max_w) + self.config.extra_ctx_bits
         self._adj = graph.adjacency()
         self._nbr = {v: {u for (u, _) in nb} for v, nb in self._adj.items()}
-        self._schedules = {}
+        self._schedules = {v: Schedule() for v in range(self.n)}
         self._inboxes = {v: [] for v in range(self.n)}
         self._outputs = {}
         self._done = set()
-        self._heap = []
-        self._queued = set()
+        self._due = {}  # round -> set of nodes to step in it
+        self._rounds = []  # heap of the distinct rounds in _due
         self._report = RunReport(bit_limit=self.budget)
         self._congestion = {}
         self._trace = []
@@ -319,22 +339,13 @@ class Engine:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _sched(self, node) -> Schedule:
-        s = self._schedules.get(node)
-        if s is None:
-            s = self._schedules[node] = Schedule()
-        return s
-
-    def _add_span(self, node, a, b):
-        sched = self._sched(node)
-        if not sched.always:  # always is never unset: a span cannot matter
-            sched._add_span(a, b)
-
     def _push_step(self, r, node):
-        key = (r, node)
-        if key not in self._queued:
-            self._queued.add(key)
-            heapq.heappush(self._heap, key)
+        nodes = self._due.get(r)
+        if nodes is None:
+            self._due[r] = {node}
+            heapq.heappush(self._rounds, r)
+        else:
+            nodes.add(node)
 
     def _finish(self, node, output):
         self._outputs[node] = output
@@ -357,112 +368,117 @@ class Engine:
         stepped at round 0 for initialization.
         """
         cfg = self.config
-        width = cfg.width
+        width, limit = cfg.width, cfg.round_limit
         for v in sorted(programs):
             self._push_step(0, v)
 
         status = "done"
-        while self._heap:
-            r = self._heap[0][0]
-            if r > cfg.round_limit:
+        due_at, rounds, done, inboxes = self._due, self._rounds, self._done, self._inboxes
+        while rounds:
+            r = rounds[0]
+            if r > limit:
                 status = "timeout"
                 break
-            due = []
-            while self._heap and self._heap[0][0] == r:
-                key = heapq.heappop(self._heap)
-                self._queued.discard(key)
-                if key[1] not in self._done:
-                    due.append(key[1])
+            heapq.heappop(rounds)
+            due = due_at.pop(r) - done
             if not due:
                 continue
             self._last_event_round = max(self._last_event_round, r)
-            due.sort()
             all_sends = []
-            for v in due:
-                inbox = self._inboxes[v]
-                self._inboxes[v] = []
+            for v in sorted(due):
+                inbox = inboxes[v]
+                inboxes[v] = []
                 api = NodeApi(self, v, r, inbox)
                 programs[v].on_round(api)
                 if api._sends:
                     all_sends.append((v, api._sends))
             if all_sends:
                 self._deliver(r, all_sends, width)
-            if len(self._done) == self.n:
+            if len(done) == self.n:
                 break
-        if len(self._done) < self.n and status == "done":
+        if len(done) < self.n and status == "done":
             status = "timeout"
 
         return self._outputs, self._finalize(status, width)
 
     def _deliver(self, r, all_sends, width):
-        per_channel = {}
         cfg = self.config
-        for src, sends in all_sends:
-            adj = self._nbr[src]
-            for dst, msg, critical in sends:
-                if dst not in adj:
-                    raise SimError(f"node {src} sent to non-neighbor {dst}")
-                bits = audit_message(msg, self.n, self.max_w)
-                if bits > self._report.max_bits:
-                    self._report.max_bits = bits
-                if bits > self.budget:
-                    raise SimError(
-                        f"bit budget violation: tag {msg.tag} uses {bits} bits "
-                        f"(budget {self.budget}) at round {r}"
-                    )
-                chan = (src, dst)
-                cnt = per_channel.get(chan, 0) + 1
-                per_channel[chan] = cnt
-                if cnt > self._report.max_channel_demand:
-                    self._report.max_channel_demand = cnt
-                if cnt > width:
-                    if cfg.allow_oversubscription:
-                        self._report.oversubscribed.append((r, src, dst, msg.tag))
-                    else:
+        rep = self._report
+        nbr, schedules, done = self._nbr, self._schedules, self._done
+        inboxes, congestion = self._inboxes, self._congestion
+        n, max_w, budget = self.n, self.max_w, self.budget
+        audit, push = audit_message, self._push_step
+        following = None  # the due set of round r + 1, once looked up
+        per_channel = {}
+        max_bits, demand = rep.max_bits, rep.max_channel_demand
+        delivered, lost = rep.delivered, rep.lost
+        try:
+            for src, sends in all_sends:
+                adj = nbr[src]
+                for dst, msg, critical in sends:
+                    if dst not in adj:
+                        raise SimError(f"node {src} sent to non-neighbor {dst}")
+                    bits = audit(msg, n, max_w)
+                    if bits > max_bits:
+                        max_bits = bits
+                    if bits > budget:
                         raise SimError(
-                            f"channel oversubscription {src}->{dst} round {r} "
-                            f"(width {width}, tag {msg.tag})"
+                            f"bit budget violation: tag {msg.tag} uses {bits} bits "
+                            f"(budget {budget}) at round {r}"
                         )
-                ek = (src, dst) if src < dst else (dst, src)
-                slot = self._congestion.get(ek)
-                if slot is None:
-                    slot = self._congestion[ek] = [0, 0]
-                slot[0 if src < dst else 1] += 1
-                sched = self._schedules.get(dst)
-                awake = sched.awake_at(r) if sched else False
-                if awake and dst not in self._done:
-                    self._inboxes[dst].append((src, msg))
-                    self._report.delivered += 1
-                    nxt = sched.next_awake_after(r)
-                    if nxt is not None:
-                        self._push_step(nxt, dst)
-                else:
-                    self._report.lost += 1
+                    chan = (src, dst)
+                    cnt = per_channel.get(chan, 0) + 1
+                    per_channel[chan] = cnt
+                    if cnt > demand:
+                        demand = cnt
+                    if cnt > width:
+                        if cfg.allow_oversubscription:
+                            rep.oversubscribed.append((r, src, dst, msg.tag))
+                        else:
+                            raise SimError(
+                                f"channel oversubscription {src}->{dst} round {r} "
+                                f"(width {width}, tag {msg.tag})"
+                            )
+                    ek = chan if src < dst else (dst, src)
+                    slot = congestion.get(ek)
+                    if slot is None:
+                        slot = congestion[ek] = [0, 0]
+                    slot[0 if src < dst else 1] += 1
+                    sched = schedules[dst]
+                    if dst not in done and (sched.always or sched.awake_at(r)):
+                        inboxes[dst].append((src, msg))
+                        delivered += 1
+                        if sched.always:
+                            if following is None:
+                                push(r + 1, dst)
+                                following = self._due[r + 1]
+                            else:
+                                following.add(dst)
+                        else:
+                            nxt = sched.next_awake_after(r)
+                            if nxt is not None:
+                                push(nxt, dst)
+                        continue
+                    lost += 1
                     if msg.tag in cfg.watch_tags:
-                        self._report.watched_losses.append(
-                            (r, src, dst, msg.tag, msg.payload))
+                        rep.watched_losses.append((r, src, dst, msg.tag, msg.payload))
                     if critical:
-                        self._report.critical_losses.append((r, src, dst, msg.tag))
+                        rep.critical_losses.append((r, src, dst, msg.tag))
                         raise ProtocolViolation(
                             f"critical message tag {msg.tag} from {src} lost at "
                             f"sleeping node {dst} in round {r}"
                         )
+        finally:
+            rep.max_bits, rep.max_channel_demand = max_bits, demand
+            rep.delivered, rep.lost = delivered, lost
 
     def _finalize(self, status, width) -> RunReport:
         rep = self._report
         rep.status = status
         horizon = self._last_event_round
         rep.rounds = horizon * width
-        energy = {}
-        for v in range(self.n):
-            sched = self._schedules.get(v)
-            if sched is None:
-                energy[v] = 0
-            elif sched.always:
-                energy[v] = horizon * width
-            else:
-                energy[v] = len(sched.awake_rounds(horizon)) * width
-        rep.energy = energy
+        rep.energy = {v: sched.awake_rounds(horizon) * width
+                      for v, sched in self._schedules.items()}
         rep.congestion = dict(sorted(self._congestion.items()))
         return rep
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -178,3 +179,42 @@ def test_cut_composition_flags_planted_offset(gnm48_trace):
     ok, detail = check_cut_composition(g, planted)
     assert not ok
     assert f"node {far['node']}" in detail
+
+
+GOLDEN = [
+    # (spec, sources, sha256 of the sorted outputs, of to_json(),
+    #  (delivered, lost, max_channel_demand, max_bits), trace events and sha256)
+    (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
+     {0},
+     "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
+     "5808a1e406775e08f2e7e2adc7e24212a1f4099bae146c48f83af8bb7a3f6b2b",
+     (12818, 0, 1, 29),
+     800, "e737d8487ebea68b52e8506595fbd292b4176ccb442042ba0034fdc3e9573f3a"),
+    (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
+     {0, 7},
+     "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
+     "0ae6942819fc434f1d6c2c6f1732a5ddf3cd17bf2caf506cae75ab55dd526f68",
+     (14124, 0, 1, 37),
+     752, "87f681f61675da97887169a1539654ca293567c4107080cc4e8cfc634604d09f"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec, sources, outputs_sha, report_sha, traffic, "
+                         "n_events, trace_sha", GOLDEN,
+                         ids=["gnm24", "gnm20-zeroheavy"])
+def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha,
+                                   traffic, n_events, trace_sha):
+    """Pinned outputs, report, message counts and trace log: a change to the
+    engine that moves any delivery, round or congestion figure shows here,
+    where a rerun of the same code cannot."""
+    outputs, report, engine = cssp(gen_graph(spec), sources, trace=True)
+    assert _sha256(repr(sorted(outputs.items()))) == outputs_sha
+    assert _sha256(report.to_json()) == report_sha
+    assert (report.delivered, report.lost, report.max_channel_demand,
+            report.max_bits) == traffic
+    assert len(engine.trace_log) == n_events
+    assert _sha256(repr(engine.trace_log)) == trace_sha

@@ -2,7 +2,7 @@ import pytest
 
 from sleepysim.engine import (
     Engine, Message, NodeApi, PlannedProgram, SimConfig, ProtocolViolation,
-    SimError, audit_message, bit_budget, int_bits, run_simulation,
+    SimError, audit_message, bit_budget, run_simulation,
 )
 from sleepysim.graph import Graph
 
@@ -94,9 +94,10 @@ def test_critical_loss_raises():
 
 
 def test_audit_examples():
-    assert int_bits(0) == 1  # ceil(log2(2))
-    assert audit_message(Message(3, ()), 8, 1) == int_bits(3)
-    assert audit_message(Message(3, (0,)), 8, 1) == int_bits(3) + 1
+    assert audit_message(Message(0, ()), 8, 1) == 1  # ceil(log2(2))
+    assert audit_message(Message(3, ()), 8, 1) == 3  # ceil(log2(5))
+    assert audit_message(Message(3, (0,)), 8, 1) == 3 + 1
+    assert audit_message(Message(3, (0,), 6), 8, 1) == 3 + 1 + 3
     n, max_w = 64, 64**3
     big = Message(1, (n * max_w,))
     assert audit_message(big, n, max_w) <= bit_budget(n, max_w, c_msg=8)
@@ -258,15 +259,15 @@ def test_periodic_rejects_bad_period_or_residue(period, residues):
     engine = Engine(Graph.build(1, []))
     with pytest.raises(SimError, match="awake_periodic"):
         NodeApi(engine, 0, 0, []).awake_periodic(0, period, residues, 1, 50)
-    assert not engine._sched(0).periodics
+    assert not engine._schedules[0].periodics
 
 
 def test_periodic_residues_kept_sorted():
     engine = Engine(Graph.build(1, []))
     api = NodeApi(engine, 0, 0, [])
     handle = api.awake_periodic(2, 5, [3, 0, 3], 1, 50)
-    assert engine._sched(0).periodics[handle] == (2, 5, (0, 3), 1, 50)
-    assert engine._sched(0).next_awake_after(5) == 7
+    assert engine._schedules[0].periodics[handle] == (2, 5, (0, 3), 1, 50)
+    assert engine._schedules[0].next_awake_after(5) == 7
 
 
 def test_spans_of_always_awake_node_not_stored():
@@ -276,6 +277,109 @@ def test_spans_of_always_awake_node_not_stored():
     api.always_awake()
     api.awake_span(10, 12)
     api.wake_at(20)
-    sched = engine._sched(0)
+    sched = engine._schedules[0]
     assert (sched.starts, sched.ends) == ([3], [4])
-    assert sched.awake_rounds(6) == set(range(1, 7))
+    assert sched.awake_rounds(6) == 6
+
+
+class Steps:
+    """Logs every (round, node) step into `log`; `plan` maps a round to the
+    calls the node makes in it: ("wake", r), ("send", dst) or ("finish",)."""
+
+    def __init__(self, node, log, plan):
+        self.node = node
+        self.log = log
+        self.plan = plan
+
+    def on_round(self, api):
+        self.log.append((api.round, self.node))
+        if api.round == 0:
+            api.always_awake()
+        for call in self.plan.get(api.round, ()):
+            if call[0] == "wake":
+                api.wake_at(call[1])
+            elif call[0] == "send":
+                api.send(call[1], Message(1, ()))
+            else:
+                api.finish(api.round)
+
+
+def run_steps(g, plans, config=None):
+    log = []
+    outputs, report, _ = run_simulation(
+        g, lambda v: Steps(v, log, plans.get(v, {})), config)
+    return log, outputs, report
+
+
+def test_wake_and_delivery_in_one_round_step_once():
+    log, _, report = run_steps(line(2), {
+        0: {0: [("wake", 1)], 1: [("send", 1), ("finish",)]},
+        1: {0: [("wake", 2)], 2: [("finish",)]},
+    })
+    assert report.delivered == 1
+    assert [r for r, v in log if v == 1] == [0, 2]
+
+
+def test_finished_node_with_mail_or_planned_wake_not_stepped():
+    log, outputs, report = run_steps(line(2), {
+        0: {0: [("wake", 1)], 1: [("send", 1), ("wake", 2)],
+            2: [("send", 1), ("wake", 6)], 6: [("finish",)]},
+        1: {0: [("wake", 1), ("wake", 5)], 1: [("finish",)]},
+    })
+    assert [r for r, v in log if v == 1] == [0, 1]
+    assert outputs == {0: 6, 1: 1}
+    assert (report.delivered, report.lost, report.rounds) == (0, 2, 6)
+
+
+def test_due_nodes_step_in_ascending_id_order():
+    # node v asks for round 4 in round 3 - v, so the pushes come 3, 2, 1, 0;
+    # node 0's message to node 1 in round 3 pushes node 1 once more
+    plans = {v: {0: [("wake", 3 - v)] if v < 3 else [("wake", 4)],
+                 3 - v: [("wake", 4)], 4: [("finish",)]} for v in range(4)}
+    plans[0][3] = [("send", 1), ("wake", 4)]
+    log, _, report = run_steps(line(4), plans)
+    assert [v for r, v in log if r == 4] == [0, 1, 2, 3]
+    assert report.delivered == 1
+
+
+@pytest.mark.parametrize("limit, status, rounds", [(9, "done", 9), (8, "timeout", 2)])
+def test_wake_at_round_limit_runs_one_past_times_out(limit, status, rounds):
+    _, outputs, report = run_steps(
+        Graph.build(1, []), {0: {0: [("wake", 2)], 2: [("wake", 9)],
+                                 9: [("finish",)]}},
+        SimConfig(round_limit=limit))
+    assert report.status == status
+    assert report.rounds == rounds
+    assert outputs == ({0: 9} if status == "done" else {})
+
+
+@pytest.mark.parametrize("msg", [Message(-1, ()), Message(1, (), -3),
+                                 Message(1, (4, -2))], ids=["tag", "ctx", "payload"])
+def test_negative_wire_integer_raises(msg):
+    class Neg:
+        def on_round(self, api):
+            api.always_awake()
+            api.send(1, msg)
+            api.finish(None)
+
+    with pytest.raises(SimError, match="negative wire integer"):
+        audit_message(msg, 2, 1)
+    with pytest.raises(SimError, match="negative wire integer"):
+        run_simulation(line(2), lambda v: Neg() if v == 0 else Quit(v))
+
+
+def test_report_counters_kept_when_delivery_raises():
+    class Two:
+        def on_round(self, api):
+            api.always_awake()
+            if api.node == 0:
+                api.send(1, Message(1, (5,)))
+                api.send(1, Message(7, (1 << 200,)))
+
+    engine = Engine(line(2))
+    with pytest.raises(SimError, match="tag 7"):
+        engine.run({0: Two(), 1: Two()})
+    rep = engine._report
+    assert rep.delivered == 1
+    assert rep.max_bits == audit_message(Message(7, (1 << 200,)), 2, 1)
+    assert rep.max_channel_demand == 1

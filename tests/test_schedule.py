@@ -1,7 +1,7 @@
 """Differential test of `engine.Schedule` against a brute-force reference.
 
 Components are declared through `NodeApi`, as node programs do, so the test
-also covers the `always` shortcut of `Engine._add_span`. The reference keeps
+also covers the `always` shortcut of `Schedule._add_span`. The reference keeps
 every component as declared and answers each query by checking each round.
 """
 
@@ -58,7 +58,7 @@ def declare(ops, always_at):
             api.stop_awake(op[1], op[2])
     if always_at == len(ops):
         api.always_awake()
-    return engine._sched(0)
+    return engine._schedules[0]
 
 
 def reference(ops, always_at):
@@ -108,4 +108,4 @@ def test_schedule_matches_brute_force(case):
         assert sched.awake_at(r) == truth[r], r
         nxt = next((rr for rr in range(r + 1, last + 1) if truth[rr]), None)
         assert sched.next_awake_after(r) == nxt, r
-        assert sched.awake_rounds(r) == {rr for rr in range(1, r + 1) if truth[rr]}
+        assert sched.awake_rounds(r) == sum(truth[1:r + 1])
