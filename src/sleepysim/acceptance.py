@@ -26,7 +26,8 @@ from .oracle import (
 )
 from .trace_checks import (
     check_cut_composition, check_cutter_contract, check_halving,
-    check_kill_budget, check_recursion_accounting, check_sleep_safety,
+    check_kill_budget, check_recursion_accounting, check_relevance,
+    check_sleep_safety,
 )
 
 
@@ -90,8 +91,7 @@ def _random_spec(rng, n_cap, trial):
                      weight_mode=mode, max_w=max(1, cap))
 
 
-def criterion_1(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_1(ctx):
     count = ctx.counts(200, 8)
     rng = random.Random(1001)
     mismatches = 0
@@ -108,13 +108,10 @@ def criterion_1(ctx) -> CriterionResult:
         if trial % 10 == 0:
             ctx.rerun_seeds[("c1", trial)] = (spec, tuple(sorted(sources)),
                                               report.to_json())
-    detail = f"{count} graphs, {mismatches} mismatches"
-    return CriterionResult(1, "exactness congest cssp", mismatches == 0,
-                           detail, time.time() - t0)
+    return mismatches == 0, f"{count} graphs, {mismatches} mismatches"
 
 
-def criterion_2(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_2(ctx):
     count = ctx.counts(50, 4)
     rng = random.Random(2002)
     mismatches = 0
@@ -128,13 +125,10 @@ def criterion_2(ctx) -> CriterionResult:
             mismatches += 1
         ctx.energy_runs.append((engine.graph, engine.trace_log, report))
         ctx.reports.append(report)
-    detail = f"{count} graphs, {mismatches} mismatches"
-    return CriterionResult(2, "exactness energy cssp", mismatches == 0,
-                           detail, time.time() - t0)
+    return mismatches == 0, f"{count} graphs, {mismatches} mismatches"
 
 
-def criterion_3(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_3(ctx):
     if ctx.profile == "full":
         cases = [
             GraphSpec("path", 64), GraphSpec("path", 256),
@@ -148,44 +142,49 @@ def criterion_3(ctx) -> CriterionResult:
         cases = [GraphSpec("path", 17), GraphSpec("grid", 16, seed=1)]
     rng = random.Random(3003)
     mismatches = 0
+    relevant = 0
     for i, spec in enumerate(cases):
         g = gen_graph(spec)
         src = {rng.randrange(g.n)} if i % 2 else {0}
         outputs, report, engine, layered, decomps, tlogs = full_bfs(g, src)
         if outputs != hop_distances(g, src):
             mismatches += 1
+        farthest = max((h for h in outputs.values() if h is not inf), default=0)
+        ok, detail = check_relevance(layered, src, outputs, farthest)
+        if not ok:
+            return False, detail
+        relevant += int(detail.split()[0])
         ctx.bfs_runs.append((outputs, report))
         ctx.reports.append(report)
-        ctx.layereds.append((g, layered))
-        for lvl, cov in enumerate(layered.levels):
-            ctx.covers.append((g, cov, cov.scale))
-        for dec, tl in zip(decomps, tlogs):
-            ctx.decomp_traces.append((g, tl))
-            ctx.decomps.append((g, dec, dec.separation))
+        _keep_cover_stack(ctx, g, layered, decomps, tlogs)
         if i < 2:
             ctx.rerun_seeds[("c3", i)] = (spec, tuple(sorted(src)),
                                           report.to_json())
-    detail = f"{len(cases)} graphs, {mismatches} mismatches"
-    return CriterionResult(3, "exactness energy bfs", mismatches == 0,
-                           detail, time.time() - t0)
+    return mismatches == 0, (f"{len(cases)} graphs, {mismatches} mismatches, "
+                             f"{relevant} reached clusters relevant")
 
 
-def criterion_4(ctx) -> CriterionResult:
-    t0 = time.time()
+def _keep_cover_stack(ctx, g, layered, decomps, tlogs):
+    """Hand a run's cover stack and decompositions to criterion 7."""
+    ctx.layereds.append((g, layered))
+    for cov in layered.levels:
+        ctx.covers.append((g, cov, cov.scale))
+    for dec, tl in zip(decomps, tlogs):
+        ctx.decomp_traces.append((g, tl))
+        ctx.decomps.append((g, dec, dec.separation))
+
+
+def criterion_4(ctx):
     checked = 0
     for graph, trace, _ in ctx.congest_runs + ctx.energy_runs:
         ok, detail = check_cutter_contract(graph, trace)
         if not ok:
-            return CriterionResult(4, "cutter contract", False, detail,
-                                   time.time() - t0)
+            return False, detail
         checked += int(detail.split()[0])
-    return CriterionResult(4, "cutter contract", True,
-                           f"{checked} outputs within bounds, 0 violations",
-                           time.time() - t0)
+    return True, f"{checked} outputs within bounds, 0 violations"
 
 
-def criterion_5(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_5(ctx):
     ns = [64, 128, 256, 512] if ctx.profile == "full" else [32, 64]
     ratios = {}
     for n in ns:
@@ -193,8 +192,7 @@ def criterion_5(ctx) -> CriterionResult:
         outputs, report, engine = cssp(g, {0}, trace=False)
         ref = dijkstra(g, [0])
         if outputs != ref:
-            return CriterionResult(5, "congestion trend", False,
-                                   f"mismatch at n={n}", time.time() - t0)
+            return False, f"mismatch at n={n}"
         ctx.reports.append(report)
         logn = max(1, math.ceil(math.log2(n)))
         ratios[n] = report.max_congestion() / logn**2
@@ -203,8 +201,7 @@ def criterion_5(ctx) -> CriterionResult:
     detail = (f"cong/log2(n)^2 = "
               + ", ".join(f"{n}:{r:.2f}" for n, r in ratios.items())
               + f"; band {band:.2f}x (C_cong={hi:.2f})")
-    return CriterionResult(5, "congestion trend", band <= 2.0, detail,
-                           time.time() - t0)
+    return band <= 2.0, detail
 
 
 class _AwakeBfs:
@@ -233,8 +230,7 @@ class _AwakeBfs:
             api.finish(self.hop)
 
 
-def criterion_6(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_6(ctx):
     ds = [64, 128, 256, 512] if ctx.profile == "full" else [16, 32]
     rounds = {}
     energy = {}
@@ -242,17 +238,11 @@ def criterion_6(ctx) -> CriterionResult:
     for d in ds:
         g = gen_graph(GraphSpec("path", d + 1))
         layered, decomps, rep_boot, tlogs = bootstrap_base_covers(g)
-        ctx.layereds.append((g, layered))
-        for cov in layered.levels:
-            ctx.covers.append((g, cov, cov.scale))
-        for dec, tl in zip(decomps, tlogs):
-            ctx.decomp_traces.append((g, tl))
-            ctx.decomps.append((g, dec, dec.separation))
+        _keep_cover_stack(ctx, g, layered, decomps, tlogs)
         outputs, report, engine = run_thresholded_bfs_with_cover(
             g, layered, {0}, d)
         if outputs != hop_distances(g, [0]):
-            return CriterionResult(6, "energy trend", False,
-                                   f"mismatch at D={d}", time.time() - t0)
+            return False, f"mismatch at D={d}"
         ctx.bfs_runs.append((outputs, report))
         ctx.reports.append(report)
         rounds[d] = report.rounds
@@ -267,90 +257,70 @@ def criterion_6(ctx) -> CriterionResult:
     detail = (f"rounds x{r_ratio:.2f}/doubling, max energy x{e_ratio:.2f} "
               f"(need <=1.5), baseline x{b_ratio:.2f}; "
               f"energy={sorted(energy.items())}")
-    return CriterionResult(6, "energy trend", ok, detail, time.time() - t0)
+    return ok, detail
 
 
-def criterion_7(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_7(ctx):
     checked = 0
     for g, cover, scale in ctx.covers:
         b = max(1, bits_for(g.n))
         out = check_cover(g, cover, scale, 6 * b**3, 2 * b, 6 * b**4)
         if out:
-            return CriterionResult(7, "cover/decomp invariants", False,
-                                   f"cover scale {scale}: {out[0]}",
-                                   time.time() - t0)
+            return False, f"cover scale {scale}: {out[0]}"
         checked += 1
     for g, layered in ctx.layereds:
         out = check_layered(g, layered, layered.base**layered.top, layered.base)
         if out:
-            return CriterionResult(7, "cover/decomp invariants", False,
-                                   f"layered: {out[0]}", time.time() - t0)
+            return False, f"layered: {out[0]}"
         checked += 1
     for g, trace in ctx.decomp_traces:
         ok, detail = check_halving(trace)
         if not ok:
-            return CriterionResult(7, "cover/decomp invariants", False,
-                                   detail, time.time() - t0)
+            return False, detail
         ok, detail = check_kill_budget(trace, bits_for(g.n))
         if not ok:
-            return CriterionResult(7, "cover/decomp invariants", False,
-                                   detail, time.time() - t0)
+            return False, detail
         checked += 1
     for g, decomp, k in ctx.decomps:
         b = max(1, bits_for(g.n))
         out = check_decomposition(g, decomp, k, 6 * k * b**3, 2 * b)
         if out:
-            return CriterionResult(7, "cover/decomp invariants", False,
-                                   f"decomp k={k}: {out[0]}", time.time() - t0)
+            return False, f"decomp k={k}: {out[0]}"
         checked += 1
-    return CriterionResult(7, "cover/decomp invariants", True,
-                           f"{checked} structures clean (halving and kill "
-                           "budgets included)", time.time() - t0)
+    return True, f"{checked} structures clean (halving and kill budgets included)"
 
 
-def criterion_8(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_8(ctx):
     worst = ""
     composed = 0
     for graph, trace, _ in ctx.congest_runs + ctx.energy_runs:
         ok, detail = check_recursion_accounting(trace, graph.n)
         if not ok:
-            return CriterionResult(8, "recursion accounting", False, detail,
-                                   time.time() - t0)
+            return False, detail
         worst = detail
         ok, detail = check_cut_composition(graph, trace)
         if not ok:
-            return CriterionResult(8, "recursion accounting", False, detail,
-                                   time.time() - t0)
+            return False, detail
         composed += int(detail.split()[0])
-    return CriterionResult(8, "recursion accounting", True,
-                           f"{worst}; {composed} cut compositions verified",
-                           time.time() - t0)
+    return True, f"{worst}; {composed} cut compositions verified"
 
 
-def criterion_9(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_9(ctx):
     criticals = 0
     losses = 0
     for outputs, report in ctx.bfs_runs:
         criticals += len(report.critical_losses)
         ok, detail = check_sleep_safety(outputs, report)
         if not ok:
-            return CriterionResult(9, "sleep safety", False, detail,
-                                   time.time() - t0)
+            return False, detail
         losses += len(report.watched_losses)
     for _, _, report in ctx.energy_runs:
         criticals += len(report.critical_losses)
-    ok = criticals == 0
-    return CriterionResult(
-        9, "sleep safety", ok,
-        f"0 frontier arrivals at sleeping nodes ({losses} duplicate losses "
-        "audited)", time.time() - t0)
+    return criticals == 0, (f"0 frontier arrivals at sleeping nodes ({losses} "
+                            "duplicate losses audited)")
 
 
-def criterion_10(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_10(ctx):
     count = ctx.counts(20, 3)
     rng = random.Random(1010)
     mismatches = 0
@@ -379,30 +349,20 @@ def criterion_10(ctx) -> CriterionResult:
         if trial < 5:
             ctx.rerun_seeds[("c10", trial)] = (spec, trial, report.to_json())
     ok = mismatches == 0 and worst_c <= 8.0
-    detail = f"{count} graphs, {mismatches} mismatches, fitted c={worst_c:.2f}"
-    return CriterionResult(10, "apsp random delay", ok, detail,
-                           time.time() - t0)
+    return ok, f"{count} graphs, {mismatches} mismatches, fitted c={worst_c:.2f}"
 
 
-def criterion_11(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_11(ctx):
     worst = 0
-    limit = None
     for report in ctx.reports:
         worst = max(worst, report.max_bits)
         if report.max_bits > report.bit_limit:
-            return CriterionResult(11, "congest compliance", False,
-                                   f"{report.max_bits} > {report.bit_limit}",
-                                   time.time() - t0)
-        limit = report.bit_limit if limit is None else min(limit, report.bit_limit)
-    return CriterionResult(
-        11, "congest compliance", True,
-        f"0 budget violations across {len(ctx.reports)} runs "
-        f"(worst message {worst} bits)", time.time() - t0)
+            return False, f"{report.max_bits} > {report.bit_limit}"
+    return True, (f"0 budget violations across {len(ctx.reports)} runs "
+                  f"(worst message {worst} bits)")
 
 
-def criterion_12(ctx) -> CriterionResult:
-    t0 = time.time()
+def criterion_12(ctx):
     for key in sorted(ctx.rerun_seeds):
         kind = key[0]
         if kind == "c1":
@@ -418,26 +378,35 @@ def criterion_12(ctx) -> CriterionResult:
             g = gen_graph(spec)
             _, report, _, _ = apsp_random_delay(g, seed=seed)
         if report.to_json() != want:
-            return CriterionResult(12, "determinism", False,
-                                   f"report drift on {key}", time.time() - t0)
-    return CriterionResult(12, "determinism", True,
-                           f"{len(ctx.rerun_seeds)} reruns byte-identical",
-                           time.time() - t0)
+            return False, f"report drift on {key}"
+    return True, f"{len(ctx.rerun_seeds)} reruns byte-identical"
 
 
 CRITERIA = [
-    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-    criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-    criterion_11, criterion_12,
+    (1, "exactness congest cssp", criterion_1),
+    (2, "exactness energy cssp", criterion_2),
+    (3, "exactness energy bfs", criterion_3),
+    (4, "cutter contract", criterion_4),
+    (5, "congestion trend", criterion_5),
+    (6, "energy trend", criterion_6),
+    (7, "cover/decomp invariants", criterion_7),
+    (8, "recursion accounting", criterion_8),
+    (9, "sleep safety", criterion_9),
+    (10, "apsp random delay", criterion_10),
+    (11, "congest compliance", criterion_11),
+    (12, "determinism", criterion_12),
 ]
 
 
 def run_acceptance(profile="full", emit=print):
-    """Run every criterion in order; returns the list of CriterionResult."""
+    """Run every criterion in order, timing each; returns the list of
+    CriterionResult."""
     ctx = SuiteContext(profile=profile)
     results = []
-    for fn in CRITERIA:
-        result = fn(ctx)
+    for number, name, fn in CRITERIA:
+        t0 = time.time()
+        passed, detail = fn(ctx)
+        result = CriterionResult(number, name, passed, detail, time.time() - t0)
         results.append(result)
         emit(result.line())
     return results

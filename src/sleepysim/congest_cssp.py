@@ -139,10 +139,8 @@ class CsspProgram(PlannedProgram):
     while that frame exists."""
 
     def __init__(self, node, graph, sources, D_top, *, forest_only=False):
-        super().__init__()
-        self.node = node
-        self.nbrs = list(graph.neighbors(node))  # [(u, w)] sorted
-        self.weight = dict(self.nbrs)
+        super().__init__(node, graph)
+        self.weight = dict(graph.neighbors(node))
         self.n = graph.n
         self.is_source = node in sources
         self.D_top = D_top
@@ -152,7 +150,6 @@ class CsspProgram(PlannedProgram):
         self._sent_now: set = set()
         self._answer = None
         self._root_done = False
-        self._started = False
 
     # -- plumbing ----------------------------------------------------------
 
@@ -265,7 +262,7 @@ class CsspProgram(PlannedProgram):
         f.comp = self.node
         if f.D == 1:
             if f.src:
-                for u, _ in self.nbrs:
+                for u in self.nbrs:
                     self._send_slot(api, u, Message(T_BASE, (), f.path))
             self._plan_at(api, f.t0 + 1, "_base_resolve", f.path)
             return
@@ -323,7 +320,7 @@ class CsspProgram(PlannedProgram):
         f.agg = None
         f.decision = None
         f.in_chosen = []
-        for u, _ in self.nbrs:
+        for u in self.nbrs:
             self._send_slot(api, u, Message(T_COMP, (f.comp,), f.path))
         N = f.N
         if f.parent is not None:
@@ -496,7 +493,7 @@ class CsspProgram(PlannedProgram):
         if api.round != f.t_cut + f.cand:
             return  # superseded by a better candidate
         f.tick = f.cand
-        for u, _ in self.nbrs:
+        for u in self.nbrs:
             self._send_slot(api, u, Message(T_CUT, (f.tick,), f.path))
 
     def _cutter_done(self, api, f):
@@ -554,7 +551,7 @@ class CsspProgram(PlannedProgram):
     def _announce_out(self, api, f):
         f.v2 = f.v1 and f.out1 is not INF
         if f.v2:
-            for u, _ in self.nbrs:
+            for u in self.nbrs:
                 self._send_slot(api, u, Message(T_OUTANN, (f.out1,), f.path))
 
     def _on_outann(self, api, f, src, dist):

@@ -1,16 +1,17 @@
 """Energy-efficient breadth-first search over a layered sparse cover.
 
 Every cluster runs a convergecast/broadcast pipeline on its Steiner tree
-with period equal to its cover scale: a member at depth dep wakes at rounds
-congruent to {p-dep-1, p-dep} (upward slots) and {dep, dep+1} (downward
-slots) modulo p, so one full sweep climbs or descends the tree within one
-period plus its depth. The BFS frontier advances one hop every sigma rounds;
-clusters activate their children when told they have been reached, and
-deactivate once every member knows it (level-0 clusters additionally wait
-until all their members are reached). Inactive nodes are asleep; the
-frontier must only ever arrive at awake nodes, and lost frontier messages
-are logged so the sleep-safety check can separate harmless duplicates from
-real violations.
+with period equal to its cover scale, using the slot rule of
+`engine.PlannedProgram` (`_join_pipe`, `_pipe_slot`): a member at depth dep
+wakes at rounds congruent to {p-dep-1, p-dep} (upward slots) and {dep,
+dep+1} (downward slots) modulo p, so one full sweep climbs or descends the
+tree within one period plus its depth. The BFS frontier advances one hop
+every sigma rounds; clusters activate their children when told they have
+been reached, and deactivate once every member knows it (level-0 clusters
+additionally wait until all their members are reached). Inactive nodes are
+asleep; the frontier must only ever arrive at awake nodes, and lost frontier
+messages are logged so the sleep-safety check can separate harmless
+duplicates from real violations.
 
 Construction of the cover stack itself reuses the synchronous builder (all
 participants awake and charged accordingly); this module adds the layering,
@@ -35,12 +36,6 @@ DG_CONV = 44
 DG_BCAST = 45
 
 C_PIPE = 3  # pipeline sweeps a cluster gets per frontier hop
-
-
-def next_slot(anchor: int, period: int, residue: int, after: int) -> int:
-    """Smallest round > after congruent to residue mod period."""
-    base = after + 1
-    return base + ((residue - (base - anchor)) % period)
 
 
 class _RoleRt:
@@ -74,16 +69,6 @@ class _RoleRt:
         self.init_sched = None
         self.done = False
 
-    def residues(self):
-        p, dep = self.period, self.depth % self.period
-        return {(p - dep - 1) % p, (p - dep) % p, dep, (dep + 1) % p}
-
-    def conv_send_residue(self):
-        return (self.period - (self.depth % self.period)) % self.period
-
-    def bcast_send_residue(self):
-        return (self.depth + 1) % self.period
-
 
 class BfsParams:
     """Run-wide schedule constants derived from the measured cover stack."""
@@ -102,29 +87,21 @@ class EnergyBfsProgram(PlannedProgram):
     """Sleeping-model node program for cover-driven thresholded BFS."""
 
     def __init__(self, node, graph, roles, is_source, params):
-        super().__init__()
-        self.node = node
-        self.nbrs = [u for (u, _) in graph.neighbors(node)]
+        super().__init__(node, graph)
         self.roles = roles  # dict (level, cid) -> _RoleRt
         self.is_source = is_source
         self.p = params
         self.reached_hop = None
         self.sent_reach = False
-        self._started = False
 
-    def on_round(self, api):
-        if not self._started:
-            self._started = True
-            self._boot(api)
-        for src, msg in api.inbox:
-            self._dispatch(api, src, msg)
-        self._run_due(api)
+    # Bound by name so that a profile books these steps to this class.
+    on_round = PlannedProgram.on_round
 
-    def _boot(self, api):
+    def _start(self, api):
         for key in sorted(self.roles):
             rt = self.roles[key]
-            rt.init_sched = api.awake_periodic(
-                self.p.anchor, rt.period, rt.residues(), api.round, self.p.t_end)
+            rt.init_sched = self._join_pipe(
+                api, self.p.anchor, rt.period, rt.depth, api.round, self.p.t_end)
             self._maybe_conv(api, rt)
         self._plan_at(api, self.p.t0, "_bfs_start")
         self._plan_at(api, self.p.t_end, "_wrap_up")
@@ -166,8 +143,7 @@ class EnergyBfsProgram(PlannedProgram):
             return
         if agg == rt.sent:
             return
-        slot = next_slot(self.p.anchor, rt.period, rt.conv_send_residue(),
-                         api.round - 1)
+        slot = self._pipe_slot(self.p.anchor, rt.period, rt.depth, True, api.round)
         self._plan_at(api, slot, "_conv_send", rt.level, rt.cid)
 
     def _conv_send(self, api, level, cid):
@@ -190,8 +166,8 @@ class EnergyBfsProgram(PlannedProgram):
             rt.init_done = True
         if val != old or first:
             self._apply_bcast(api, rt, val)
-            slot = next_slot(self.p.anchor, rt.period, rt.bcast_send_residue(),
-                             api.round - 1)
+            slot = self._pipe_slot(self.p.anchor, rt.period, rt.depth, False,
+                                   api.round)
             self._plan_at(api, slot, "_bcast_send", rt.level, rt.cid)
 
     def _bcast_send(self, api, level, cid):
@@ -217,8 +193,8 @@ class EnergyBfsProgram(PlannedProgram):
             if rt is None or rt.done:
                 return
             self._apply_bcast(api, rt, (cs, ra, de))
-            slot = next_slot(self.p.anchor, rt.period, rt.bcast_send_residue(),
-                             api.round - 1)
+            slot = self._pipe_slot(self.p.anchor, rt.period, rt.depth, False,
+                                   api.round)
             self._plan_at(api, slot, "_bcast_send", level, cid)
         elif msg.tag == EB_REACH:
             self._on_reach(api, msg.payload[0])
@@ -264,8 +240,8 @@ class EnergyBfsProgram(PlannedProgram):
         if rt.active:
             return
         rt.active = True
-        rt.sched = api.awake_periodic(
-            self.p.anchor, rt.period, rt.residues(), api.round, self.p.t_end)
+        rt.sched = self._join_pipe(
+            api, self.p.anchor, rt.period, rt.depth, api.round, self.p.t_end)
         if rt.init_sched is not None and rt.init_done and rt.parent_init_done:
             api.stop_awake(rt.init_sched, api.round)
             rt.init_sched = None
@@ -399,27 +375,21 @@ class DetectProgram(PlannedProgram):
     """All-awake detection of a cluster containing its whole component."""
 
     def __init__(self, node, graph, roles, window):
-        super().__init__()
-        self.node = node
-        self.nbrs = [u for (u, _) in graph.neighbors(node)]
+        super().__init__(node, graph)
         self.roles = roles
         self.window = window
         self.nbr_lists = {u: set() for u in self.nbrs}
         self.answer = {}
         self._acc = {}
-        self._started = False
 
-    def on_round(self, api):
-        if not self._started:
-            self._started = True
-            api.always_awake()
-            mine = sorted(cid for (_, cid), rt in self.roles.items() if rt.terminal)
-            for i, cid in enumerate(mine):
-                self._plan_at(api, api.round + i + 1, "_tell", cid)
-            self._plan_at(api, api.round + self.window, "_local_check")
-        for src, msg in api.inbox:
-            self._dispatch(api, src, msg)
-        self._run_due(api)
+    on_round = PlannedProgram.on_round
+
+    def _start(self, api):
+        api.always_awake()
+        mine = sorted(cid for (_, cid), rt in self.roles.items() if rt.terminal)
+        for i, cid in enumerate(mine):
+            self._plan_at(api, api.round + i + 1, "_tell", cid)
+        self._plan_at(api, api.round + self.window, "_local_check")
 
     def _tell(self, api, cid):
         for u in self.nbrs:

@@ -14,7 +14,8 @@ work they actually do and sleep otherwise. The pieces:
   - completion detection: instead of staying awake, waiting nodes join a
     convergecast/broadcast pipeline on the component tree with period equal
     to the component size, spending O(1) awake rounds per cycle while the
-    recursion works elsewhere.
+    recursion works elsewhere. The slot rule is `engine.PlannedProgram`'s
+    (`_join_pipe`, `_pipe_slot`).
 
 Everything else, the step loop and the entry points included, is shared with
 the congest implementation: pass `program=EnergyCsspProgram` to
@@ -91,12 +92,8 @@ class EnergyCsspProgram(CsspProgram):
         if f.size <= 1 or f.path in self._pipes:
             return
         anchor = f.t_child1
-        period = f.size
-        dep = f.depth % period
-        residues = {(period - dep - 1) % period, (period - dep) % period,
-                    dep, (dep + 1) % period}
-        handle = api.awake_periodic(anchor, period, residues, anchor, 1 << 62)
-        self._pipes[f.path] = (anchor, period, handle)
+        handle = self._join_pipe(api, anchor, f.size, f.depth, anchor, 1 << 62)
+        self._pipes[f.path] = (anchor, f.size, handle)
 
     def _send_queued(self, api, dst, msg, earliest=None):
         tag = msg.tag
@@ -104,15 +101,10 @@ class EnergyCsspProgram(CsspProgram):
         if pipe is None or tag not in (UP_TAGS | DOWN_TAGS):
             super()._send_queued(api, dst, msg)
             return
-        f = self.frames[msg.ctx]
         anchor, period, _ = pipe
-        dep = f.depth % period
-        if tag in UP_TAGS:
-            residue = (period - dep) % period
-        else:
-            residue = (dep + 1) % period
-        base = api.round if earliest is None else earliest
-        slot = base + ((residue - (base - anchor)) % period)
+        slot = self._pipe_slot(anchor, period, self.frames[msg.ctx].depth,
+                               tag in UP_TAGS,
+                               api.round if earliest is None else earliest)
         self._pending_pipe += 1
         self._plan_at(api, slot, "_pipe_send", msg.ctx, dst, msg)
 

@@ -109,12 +109,6 @@ class RunReport:
     def max_congestion(self) -> int:
         return max((max(c) for c in self.congestion.values()), default=0)
 
-    def energy_percentile(self, q: float) -> int:
-        vals = sorted(self.energy.values())
-        if not vals:
-            return 0
-        return vals[min(len(vals) - 1, int(q * len(vals)))]
-
     def total_sent(self) -> int:
         return sum(f + r for (f, r) in self.congestion.values())
 
@@ -288,13 +282,51 @@ class NodeApi:
 class PlannedProgram:
     """Base for node programs that plan their own actions for exact rounds.
 
+    The shared step `on_round` calls `_start(api)` at the node's first step,
+    then `_dispatch(api, src, msg)` for each inbox message, then runs the due
+    actions. A subclass binds it by name (`on_round = PlannedProgram.on_round`)
+    or writes a longer step of its own.
+
     An action is a method name plus arguments. Planned for the current round
     it runs at once; planned for a later round it is kept (once per round and
     arguments) and the node wakes then; a past round is a protocol error.
+
+    Tree pipelines: a node at depth d of a tree that pipelines with period p
+    listens on the residues {p-d-1, p-d, d, d+1} mod p (d taken mod p). It
+    sends up on p-d, where its parent listens as p-(d-1)-1, and down on d+1,
+    where its children listen as their own depth.
     """
 
-    def __init__(self):
+    def __init__(self, node, graph):
+        self.node = node
+        self.nbrs = [u for (u, _) in graph.neighbors(node)]
         self._plan: dict[int, list] = {}
+        self._started = False
+
+    def on_round(self, api):
+        if not self._started:
+            self._started = True
+            self._start(api)
+        for src, msg in api.inbox:
+            self._dispatch(api, src, msg)
+        self._run_due(api)
+
+    @staticmethod
+    def _join_pipe(api, anchor, period, depth, a, b):
+        """Listen on the pipeline residues of depth in rounds [a, b]; returns
+        the `stop_awake` handle."""
+        dep = depth % period
+        residues = {(period - dep - 1) % period, (period - dep) % period,
+                    dep, (dep + 1) % period}
+        return api.awake_periodic(anchor, period, residues, a, b)
+
+    @staticmethod
+    def _pipe_slot(anchor, period, depth, up, earliest):
+        """First round >= earliest in which a node at depth sends up (to its
+        parent) or down (to its children)."""
+        dep = depth % period
+        residue = (period - dep) % period if up else (dep + 1) % period
+        return earliest + (residue - (earliest - anchor)) % period
 
     def _plan_at(self, api, r, action, *args):
         if r == api.round:

@@ -71,9 +71,7 @@ class DecompProgram(PlannedProgram):
     """All-awake node program building one decomposition (plus cover)."""
 
     def __init__(self, node, graph, forest, k, *, expand_to=None):
-        super().__init__()
-        self.node = node
-        self.nbrs = [u for (u, _) in graph.neighbors(node)]
+        super().__init__(node, graph)
         self.k = k
         self.d = expand_to
         self.b = bits_for(graph.n)
@@ -108,7 +106,6 @@ class DecompProgram(PlannedProgram):
         self.bar_active = False
         self.bar_dead = False
         self._acc: dict[int, int] = {}
-        self._started = False
 
     # -- window arithmetic ----------------------------------------------------
 

@@ -197,20 +197,21 @@ def check_sleep_safety(outputs, report):
     return True, f"{len(report.watched_losses)} frontier losses, all duplicates"
 
 
-def check_relevance(layered, decomps_sources, outputs, threshold):
+def check_relevance(layered, sources, outputs, threshold):
     """Every cluster containing a node within the threshold must be relevant:
     its ancestor chain ends at a top cluster containing a source."""
     # relevance computed structurally from the cover stack
     top = layered.top
     relevant = set()
     for cl in layered.levels[top].clusters:
-        if cl.members & decomps_sources:
+        if cl.members & sources:
             relevant.add((top, cl.id))
     for lvl in range(top - 1, -1, -1):
         for cl in layered.levels[lvl].clusters:
             pid = layered.parent_of.get((lvl, cl.id))
             if (lvl + 1, pid) in relevant:
                 relevant.add((lvl, cl.id))
+    reached = 0
     for lvl in range(top + 1):
         for cl in layered.levels[lvl].clusters:
             hot = any(
@@ -219,7 +220,8 @@ def check_relevance(layered, decomps_sources, outputs, threshold):
             )
             if hot and (lvl, cl.id) not in relevant:
                 return False, f"cluster {cl.id} level {lvl} reached but irrelevant"
-    return True, "relevance closed over all reached clusters"
+            reached += hot
+    return True, f"{reached} reached clusters relevant"
 
 
 def check_recursion_accounting(trace, n, per_level=3):

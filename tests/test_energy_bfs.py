@@ -4,7 +4,7 @@ import pytest
 
 from sleepysim.energy_bfs import (
     bootstrap_base_covers, build_cover_next, detect_global_cluster, full_bfs,
-    next_slot, run_thresholded_bfs_with_cover, thresholded_bfs,
+    run_thresholded_bfs_with_cover, thresholded_bfs,
 )
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import INF, check_layered, hop_distances
@@ -13,12 +13,6 @@ from sleepysim.trace_checks import check_relevance, check_sleep_safety
 
 def unit_path(n):
     return gen_graph(GraphSpec("path", n))
-
-
-def test_next_slot():
-    assert next_slot(0, 4, 2, 5) == 6
-    assert next_slot(0, 4, 2, 6) == 10
-    assert next_slot(1, 3, 0, 0) == 1
 
 
 def test_bootstrap_single_node():

@@ -203,23 +203,20 @@ def test_sent_equals_delivered_plus_lost():
                             weight_mode="uniform", max_w=7))
     _, report, _ = cssp(g, {0}, trace=False)
     assert report.total_sent() == report.delivered + report.lost
-    assert report.energy_percentile(0.5) <= report.max_energy()
 
 
 class Planner(PlannedProgram):
     """Plans actions from round 0 and logs (round, action) as they run."""
 
-    def __init__(self, plans):
-        super().__init__()
+    def __init__(self, node, graph, plans):
+        super().__init__(node, graph)
         self.plans = plans  # (round to plan for, action, args) made at round 0
         self.log = []
 
-    def on_round(self, api):
-        if api.round == 0:
-            api.always_awake()
-            for r, action, args in self.plans:
-                self._plan_at(api, r, action, *args)
-        self._run_due(api)
+    def _start(self, api):
+        api.always_awake()
+        for r, action, args in self.plans:
+            self._plan_at(api, r, action, *args)
 
     def _mark(self, api, tag):
         self.log.append((api.round, tag))
@@ -228,17 +225,20 @@ class Planner(PlannedProgram):
         api.finish(self.log)
 
 
+def run_planner(plans, cls=Planner):
+    g = Graph.build(1, [])
+    return run_simulation(g, lambda v: cls(v, g, plans))
+
+
 def test_plan_same_action_twice_runs_once():
-    prog = Planner([(3, "_mark", ("a",)), (3, "_mark", ("a",)),
-                    (3, "_mark", ("b",)), (5, "_end", ())])
-    outputs, report, _ = run_simulation(Graph.build(1, []), lambda v: prog)
+    outputs, report, _ = run_planner([(3, "_mark", ("a",)), (3, "_mark", ("a",)),
+                                      (3, "_mark", ("b",)), (5, "_end", ())])
     assert outputs[0] == [(3, "a"), (3, "b")]
     assert report.rounds == 5
 
 
 def test_plan_for_current_round_runs_at_once():
-    prog = Planner([(0, "_mark", ("now",)), (2, "_end", ())])
-    outputs, _, _ = run_simulation(Graph.build(1, []), lambda v: prog)
+    outputs, _, _ = run_planner([(0, "_mark", ("now",)), (2, "_end", ())])
     assert outputs[0] == [(0, "now")]
 
 
@@ -247,9 +247,63 @@ def test_plan_into_past_round_raises():
         def _mark(self, api, tag):
             self._plan_at(api, api.round - 1, "_end")
 
-    prog = Late([(4, "_mark", ("late",))])
     with pytest.raises(SimError, match="not in the future"):
-        run_simulation(Graph.build(1, []), lambda v: prog)
+        run_planner([(4, "_mark", ("late",))], Late)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_planned_programs_own_their_step():
+    """perfbench books a step to the module of the class whose vars() hold
+    `on_round`, so every node program binds the step under its own name."""
+    import sleepysim.energy_bfs, sleepysim.energy_cssp  # noqa: F401 (registers)
+
+    ours = [c for c in _subclasses(PlannedProgram)
+            if c.__module__.startswith("sleepysim.")]
+    assert {c.__name__ for c in ours} == {
+        "CsspProgram", "EnergyCsspProgram", "DecompProgram",
+        "EnergyBfsProgram", "DetectProgram"}
+    for cls in ours:
+        assert "on_round" in vars(cls), cls.__name__
+
+
+def test_pipe_slot():
+    slot = PlannedProgram._pipe_slot
+    assert slot(0, 4, 2, True, 6) == 6  # up residue 4 - 2
+    assert slot(0, 4, 2, True, 7) == 10
+    assert slot(1, 3, 2, False, 1) == 1  # down residue (2 + 1) % 3
+
+
+def test_pipe_handshake():
+    """A child's up-slot is a round its parent listens in, the parent's
+    down-slot one its children listen in, and each slot is the first round
+    >= earliest with its residue."""
+    engine = Engine(Graph.build(1, []))
+    api = NodeApi(engine, 0, 0, [])
+    slot = PlannedProgram._pipe_slot
+
+    def listens(anchor, period, depth):
+        handle = PlannedProgram._join_pipe(api, anchor, period, depth, 1, 50)
+        return engine._schedules[0].periodics[handle][2]
+
+    for period in range(1, 17):
+        for depth in range(2 * period + 1):
+            for anchor in (0, 5):
+                up = slot(anchor, period, depth + 1, True, 0)
+                assert (up - anchor) % period in listens(anchor, period, depth)
+                down = slot(anchor, period, depth, False, 0)
+                assert (down - anchor) % period in listens(anchor, period, depth + 1)
+                for is_up, want in ((True, -depth % period),
+                                    (False, (depth + 1) % period)):
+                    for earliest in range(anchor + 2 * period + 1):
+                        first = earliest
+                        while (first - anchor) % period != want:
+                            first += 1
+                        assert slot(anchor, period, depth, is_up, earliest) == first
 
 
 @pytest.mark.parametrize("period, residues", [
