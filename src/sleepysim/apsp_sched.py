@@ -3,14 +3,16 @@ at a random delay.
 
 Instance s runs the closest-source recursion from s and starts in round
 delay_s + 1, with delay_s drawn uniformly from [0, delta) as a pure function
-of the seed; the delays are the only randomness in the repository. The
-instances never interact: every node is awake throughout, channels may be
-oversubscribed, each instance keeps its own send queues, and its messages
-carry its id in the context, packed above the recursion path bits (the
-channel budget gets the instance-id allowance on top of the base
-per-message budget). So each instance runs alone, in an engine of its own
-over the whole graph, at the absolute rounds it has in the joint schedule,
-and the joint run's figures are composed from the solo runs:
+of the seed; the delays are the only randomness in the repository. An
+instance is the congest node program plus its id: `ApspProgram` subclasses
+`CsspProgram`, and its send packs the id into the message context above the
+recursion path bits (the channel budget gets the instance-id allowance on
+top of the base per-message budget). The instances never interact: every
+node is awake throughout, channels may be oversubscribed in the joint
+schedule, and each instance keeps its own send queues. So each instance runs
+alone, in an engine of its own over the whole graph, at the absolute rounds
+it has in the joint schedule; there it sends at most once per channel and
+round. The joint run's figures are composed from the solo runs:
 
 - a node's row of distances is known once every instance finished there;
 - rounds are the last event round of any instance times the megaround width,
@@ -48,69 +50,45 @@ INF = inf
 _TAG_BITS = 8
 
 
-class _InstanceApi:
-    """The node api as one instance sees it. Its messages carry the instance
-    id above the path bits of their context: packed on send, where the send
-    is also logged on its channel, and stripped on receipt. Trace events get
-    an `inst` field."""
-
-    __slots__ = ("round", "inbox", "_api", "_inst", "_ctx", "_mask", "_nn",
-                 "_first", "_stamp", "_pos", "_out")
-
-    def __init__(self, inst, path_bits, n, out):
-        self._inst = inst
-        self._ctx = inst << path_bits
-        self._mask = (1 << path_bits) - 1
-        self._nn = n * n
-        self._first = inst * n
-        self._out = out  # neighbor -> the channel's send log
-
-    def bind(self, api):
-        """This view of `api`, the node's api in the current step."""
-        mask = self._mask
-        for _, msg in api.inbox:
-            msg.ctx &= mask
-        self._api, self.round, self.inbox, self._pos = api, api.round, api.inbox, 0
-        self._stamp = api.round * self._nn + self._first
-        return self
-
-    def send(self, dst, msg, critical=False):
-        msg.ctx |= self._ctx
-        self._out[dst].append(((self._stamp + self._pos) << _TAG_BITS) | msg.tag)
-        self._pos += 1
-        self._api.send(dst, msg, critical)
-
-    def wake_at(self, r):
-        self._api.wake_at(r)
-
-    def always_awake(self):
-        self._api.always_awake()
-
-    def finish(self, output=None):
-        self._api.finish(output)
-
-    def trace(self, kind, **data):
-        self._api.trace(kind, inst=self._inst, **data)
-
-
-class ApspProgram:
+class ApspProgram(CsspProgram):
     """One node's program in the solo run of the instance from `source`:
-    awake from round 0, it steps the instance from round delay + 1 on."""
+    awake from round 0, it steps as a `CsspProgram` from round delay + 1 on.
+    Its messages carry the instance id above the path bits of their context:
+    packed on send, where the send is also logged on its channel, and
+    stripped on receipt. Its trace events get an `inst` field."""
 
     def __init__(self, node, graph, source, delay, D_top, channels):
+        super().__init__(node, graph, {source}, D_top)
         self.source = source
         self.delay = delay
-        self.program = CsspProgram(node, graph, {source}, D_top)
-        self.view = _InstanceApi(
-            source, D_top.bit_length() + 2, graph.n,
-            {u: channels[(node, u)] for u, _ in graph.neighbors(node)})
+        path_bits = D_top.bit_length() + 2
+        self._ctx = source << path_bits
+        self._mask = (1 << path_bits) - 1
+        self._nn = graph.n * graph.n
+        self._first = source * graph.n
+        self._out = {u: channels[(node, u)] for u in self.nbrs}
+        self._stamp = self._pos = 0
 
     def on_round(self, api):
         if api.round == 0:
             api.always_awake()
             api.wake_at(self.delay + 1)
-        else:
-            self.program.on_round(self.view.bind(api))
+            return
+        mask = self._mask
+        for _, msg in api.inbox:
+            msg.ctx &= mask
+        self._stamp = api.round * self._nn + self._first
+        self._pos = 0
+        CsspProgram.on_round(self, api)
+
+    def _send(self, api, dst, msg, critical=False):
+        msg.ctx |= self._ctx
+        self._out[dst].append(((self._stamp + self._pos) << _TAG_BITS) | msg.tag)
+        self._pos += 1
+        super()._send(api, dst, msg, critical)
+
+    def _trace(self, api, kind, **data):
+        api.trace(kind, inst=self.source, **data)
 
 
 def draw_delays(n: int, delta: int, seed: int) -> dict:
@@ -138,7 +116,6 @@ def apsp_random_delay(graph, delta=None, seed=0, *, round_limit=None,
         round_limit=round_limit or default_round_limit(n, D_top) * 4 + 4 * delta,
         width=max(8, 4 * max(1, (n - 1).bit_length())),
         extra_ctx_bits=8 * max(1, (n - 1).bit_length()),
-        allow_oversubscription=True,
         collect_trace=trace,
     )
     channels = {}

@@ -79,22 +79,19 @@ class _Frame:
     """Per-node state of one recursion frame."""
 
     __slots__ = (
-        "path", "D", "N", "t0", "active", "src", "offsets",
+        "path", "D", "N", "t0", "src", "offsets",
         "comp", "parent", "children", "depth", "size", "phase",
         "nbr_comp", "agg", "decision", "merging_done", "in_chosen",
         "pend_size",
-        "t_cut", "cand", "tick", "v1",
-        "t_child1", "done1_self", "done1_kids", "sent_done1", "start2",
-        "out1", "v2", "offsets2", "done2_self", "done2_kids", "sent_done2",
-        "out2", "final", "complete",
+        "t_cut", "cand", "tick", "v1", "t_child1", "start2", "v2", "offsets2",
+        "done_self", "done_kids", "sent_done", "out", "final", "complete",
     )
 
-    def __init__(self, path, D, N, t0, active, src, offsets):
+    def __init__(self, path, D, N, t0, src, offsets):
         self.path = path
         self.D = D
         self.N = N
         self.t0 = t0
-        self.active = active
         self.src = src
         self.offsets = offsets  # imaginary-source edge lengths ending here
         self.comp = None
@@ -114,17 +111,15 @@ class _Frame:
         self.tick = None
         self.v1 = False
         self.t_child1 = None
-        self.done1_self = False
-        self.done1_kids = set()
-        self.sent_done1 = False
         self.start2 = None
-        self.out1 = INF
         self.v2 = False
         self.offsets2 = []
-        self.done2_self = False
-        self.done2_kids = set()
-        self.sent_done2 = False
-        self.out2 = INF
+        # per child, indexed by its path parity: 0 near (half threshold),
+        # 1 far (from the cut sources)
+        self.done_self = [False, False]
+        self.done_kids = [set(), set()]
+        self.sent_done = [False, False]
+        self.out = [INF, INF]
         self.final = None
         self.complete = False
 
@@ -158,13 +153,20 @@ class CsspProgram(PlannedProgram):
         if f is not None:
             getattr(self, action)(api, f, *args[1:])
 
+    def _send(self, api, dst, msg, critical=False):
+        """Mark the channel to dst used this round and put msg on the wire."""
+        self._sent_now.add(dst)
+        api.send(dst, msg, critical)
+
+    def _trace(self, api, kind, **data):
+        api.trace(kind, **data)
+
     def _send_slot(self, api, dst, msg):
         if dst in self._sent_now:
             raise AssertionError(
                 f"slotted send collision node {self.node} -> {dst} round {api.round}"
             )
-        self._sent_now.add(dst)
-        api.send(dst, msg)
+        self._send(api, dst, msg)
 
     def _send_queued(self, api, dst, msg):
         self._queue.setdefault(dst, []).append(msg)
@@ -179,8 +181,7 @@ class CsspProgram(PlannedProgram):
         for dst in sorted(queue):
             if dst not in sent_now:
                 q = queue[dst]
-                api.send(dst, q.pop(0))
-                sent_now.add(dst)
+                self._send(api, dst, q.pop(0))
                 if not q:
                     del queue[dst]
         if queue:
@@ -211,8 +212,7 @@ class CsspProgram(PlannedProgram):
         return not self._queue
 
     def _create_root(self, api):
-        f = _Frame(1, self.D_top, max(1, self.n), api.round, True,
-                   self.is_source, [])
+        f = _Frame(1, self.D_top, max(1, self.n), api.round, self.is_source, [])
         self._enter(api, f)
 
     def _dispatch(self, api, src, msg):
@@ -240,16 +240,14 @@ class CsspProgram(PlannedProgram):
             self._on_sizeb(api, f, msg.payload[0])
         elif tag == T_BASE:
             self._on_base_probe(api, f, src)
-        elif tag == T_DONE1:
-            f.done1_kids.add(src)
-            self._check_done1(api, f)
+        elif tag == T_DONE1 or tag == T_DONE2:
+            i = int(tag == T_DONE2)
+            f.done_kids[i].add(src)
+            self._check_done(api, f, i)
         elif tag == T_START2:
             self._on_start2(api, f, msg.payload[0])
         elif tag == T_OUTANN:
             self._on_outann(api, f, src, msg.payload[0])
-        elif tag == T_DONE2:
-            f.done2_kids.add(src)
-            self._check_done2(api, f)
         elif tag == T_FDONE:
             self._on_fdone(api, f)
 
@@ -257,8 +255,8 @@ class CsspProgram(PlannedProgram):
 
     def _enter(self, api, f):
         self.frames[f.path] = f
-        api.trace("frame", path=f.path, D=f.D, N=f.N,
-                  src=f.src, offsets=tuple(f.offsets))
+        self._trace(api, "frame", path=f.path, D=f.D, N=f.N,
+                    src=f.src, offsets=tuple(f.offsets))
         f.comp = self.node
         if f.D == 1:
             if f.src:
@@ -498,15 +496,15 @@ class CsspProgram(PlannedProgram):
 
     def _cutter_done(self, api, f):
         f.v1 = f.tick is not None and f.tick < 3 * f.N
-        api.trace("cutter", path=f.path, tick=f.tick, v1=f.v1)
+        self._trace(api, "cutter", path=f.path, tick=f.tick, v1=f.v1)
         f.t_child1 = api.round
         if f.v1:
             child = _Frame(f.path * 2, f.D // 2, f.size, f.t_child1,
-                           True, f.src, list(f.offsets))
+                           f.src, list(f.offsets))
             self._enter(api, child)
         else:
-            f.done1_self = True
-        self._check_done1(api, f)
+            f.done_self[0] = True
+        self._check_done(api, f, 0)
 
     # -- recursion bookkeeping ---------------------------------------------------
 
@@ -514,26 +512,29 @@ class CsspProgram(PlannedProgram):
         parent = self.frames.get(child.path // 2)
         if parent is None:
             return
-        if child.path % 2 == 0:
-            parent.out1 = child.final
-            parent.done1_self = True
-            self._check_done1(api, parent)
-        else:
-            parent.out2 = child.final
-            parent.done2_self = True
-            self._check_done2(api, parent)
+        i = child.path % 2
+        parent.out[i] = child.final
+        parent.done_self[i] = True
+        self._check_done(api, parent, i)
 
-    def _check_done1(self, api, f):
-        if f.sent_done1 or f.t_child1 is None or not f.done1_self:
+    def _check_done(self, api, f, i):
+        """Convergecast the completion of child i (0 near, 1 far) once it
+        started here, finished here and in every subtree. The root then
+        schedules the far child (i = 0) or closes the frame (i = 1)."""
+        started = f.start2 if i else f.t_child1
+        if f.sent_done[i] or started is None or not f.done_self[i]:
             return
-        if not all(c in f.done1_kids for c in f.children):
+        kids = f.done_kids[i]
+        if not all(c in kids for c in f.children):
             return
-        f.sent_done1 = True
+        f.sent_done[i] = True
         if f.parent is not None:
-            self._send_queued(api, f.parent, Message(T_DONE1, (), f.path))
+            tag = T_DONE2 if i else T_DONE1
+            self._send_queued(api, f.parent, Message(tag, (), f.path))
+        elif i:
+            self._on_fdone(api, f)
         else:
-            start2 = api.round + START_MARGIN * f.size + 4
-            self._on_start2(api, f, start2)
+            self._on_start2(api, f, api.round + START_MARGIN * f.size + 4)
 
     def _on_start2(self, api, f, start2):
         if f.start2 is not None:
@@ -549,13 +550,13 @@ class CsspProgram(PlannedProgram):
         self._plan_at(api, start2 + 1, "_start_child2", f.path)
 
     def _announce_out(self, api, f):
-        f.v2 = f.v1 and f.out1 is not INF
+        f.v2 = f.v1 and f.out[0] is not INF
         if f.v2:
             for u in self.nbrs:
-                self._send_slot(api, u, Message(T_OUTANN, (f.out1,), f.path))
+                self._send_slot(api, u, Message(T_OUTANN, (f.out[0],), f.path))
 
     def _on_outann(self, api, f, src, dist):
-        if f.v1 and not f.v2 and f.out1 is INF:
+        if f.v1 and not f.v2 and f.out[0] is INF:
             off = dist + self.weight[src] - f.D // 2
             assert off >= 1, "cut offset must be positive"
             f.offsets2.append(off)
@@ -568,32 +569,22 @@ class CsspProgram(PlannedProgram):
             inherited = [o - half for o in f.offsets]
             assert all(o >= 1 for o in inherited), "imaginary source behind cut"
             child = _Frame(f.path * 2 + 1, half, f.size, api.round,
-                           True, False, sorted(f.offsets2 + inherited))
+                           False, sorted(f.offsets2 + inherited))
             self._enter(api, child)
         else:
-            f.done2_self = True
-        self._check_done2(api, f)
-
-    def _check_done2(self, api, f):
-        if f.sent_done2 or f.start2 is None or not f.done2_self:
-            return
-        if not all(c in f.done2_kids for c in f.children):
-            return
-        f.sent_done2 = True
-        if f.parent is not None:
-            self._send_queued(api, f.parent, Message(T_DONE2, (), f.path))
-        else:
-            self._on_fdone(api, f)
+            f.done_self[1] = True
+        self._check_done(api, f, 1)
 
     def _on_fdone(self, api, f):
         if f.complete:
             return
         for c in f.children:
             self._send_queued(api, c, Message(T_FDONE, (), f.path))
+        near, far = f.out
         if f.v2:
-            f.final = f.out1
+            f.final = near
         elif f.v1:
-            f.final = (f.D // 2) + f.out2 if f.out2 is not INF else INF
+            f.final = (f.D // 2) + far if far is not INF else INF
         else:
             f.final = INF
         self._frame_complete(api, f)

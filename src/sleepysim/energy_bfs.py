@@ -242,9 +242,7 @@ class EnergyBfsProgram(PlannedProgram):
         rt.active = True
         rt.sched = self._join_pipe(
             api, self.p.anchor, rt.period, rt.depth, api.round, self.p.t_end)
-        if rt.init_sched is not None and rt.init_done and rt.parent_init_done:
-            api.stop_awake(rt.init_sched, api.round)
-            rt.init_sched = None
+        self._maybe_retire_init(api, rt)
         api.trace("ebfs_active", level=rt.level, cid=rt.cid)
 
     def _conv_refresh(self, api):

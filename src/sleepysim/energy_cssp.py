@@ -114,8 +114,7 @@ class EnergyCsspProgram(CsspProgram):
             # channel busy this round: take the next slot of the period
             self._send_queued(api, dst, msg, earliest=api.round + 1)
             return
-        self._sent_now.add(dst)
-        api.send(dst, msg, critical=True)
+        self._send(api, dst, msg, critical=True)
 
     def _frame_complete(self, api, f):
         super()._frame_complete(api, f)
@@ -126,7 +125,7 @@ class EnergyCsspProgram(CsspProgram):
 
     # base-case probes arrive in the frame's opening round
     def _enter(self, api, f):
-        if f.active and f.D == 1:
+        if f.D == 1:
             start = max(api.round, f.t0)
             api.awake_span(start, start + 1)
         super()._enter(api, f)

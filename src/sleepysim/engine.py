@@ -58,7 +58,7 @@ class Message:
         return f"Message(tag={self.tag}, payload={self.payload}, ctx={self.ctx})"
 
 
-def audit_message(msg: Message, n: int, max_w: int) -> int:
+def audit_message(msg: Message) -> int:
     """Exact charged size in bits of one message: each wire integer v (tag,
     ctx when set, payload) costs ceil(log2(v+2)) bits and must be >= 0."""
     tag, ctx = msg.tag, msg.ctx
@@ -81,7 +81,6 @@ class SimConfig:
     round_limit: int = 10_000_000  # logical rounds
     width: int = 1  # physical rounds per logical round (megaround width)
     extra_ctx_bits: int = 0  # instance-id allowance for concurrent scheduling
-    allow_oversubscription: bool = False
     collect_trace: bool = True
     watch_tags: frozenset = frozenset()  # lost messages with these tags are logged
 
@@ -354,8 +353,8 @@ class Engine:
         self.graph = graph
         self.config = config or SimConfig()
         self.n = graph.n
-        self.max_w = max(1, graph.max_weight)
-        self.budget = bit_budget(self.n, self.max_w) + self.config.extra_ctx_bits
+        self.budget = (bit_budget(self.n, max(1, graph.max_weight))
+                       + self.config.extra_ctx_bits)
         self._adj = graph.adjacency()
         self._nbr = {v: {u for (u, _) in nb} for v, nb in self._adj.items()}
         self._schedules = {v: Schedule() for v in range(self.n)}
@@ -438,7 +437,7 @@ class Engine:
         rep = self._report
         nbr, schedules, done = self._nbr, self._schedules, self._done
         inboxes, congestion = self._inboxes, self._congestion
-        n, max_w, budget = self.n, self.max_w, self.budget
+        budget = self.budget
         audit, push = audit_message, self._push_step
         following = None  # the due set of round r + 1, once looked up
         per_channel = {}
@@ -450,7 +449,7 @@ class Engine:
                 for dst, msg, critical in sends:
                     if dst not in adj:
                         raise SimError(f"node {src} sent to non-neighbor {dst}")
-                    bits = audit(msg, n, max_w)
+                    bits = audit(msg)
                     if bits > max_bits:
                         max_bits = bits
                     if bits > budget:
@@ -464,13 +463,10 @@ class Engine:
                     if cnt > demand:
                         demand = cnt
                     if cnt > width:
-                        if cfg.allow_oversubscription:
-                            rep.oversubscribed.append((r, src, dst, msg.tag))
-                        else:
-                            raise SimError(
-                                f"channel oversubscription {src}->{dst} round {r} "
-                                f"(width {width}, tag {msg.tag})"
-                            )
+                        raise SimError(
+                            f"channel oversubscription {src}->{dst} round {r} "
+                            f"(width {width}, tag {msg.tag})"
+                        )
                     ek = chan if src < dst else (dst, src)
                     slot = congestion.get(ek)
                     if slot is None:
@@ -530,7 +526,6 @@ def merge_reports(reports) -> RunReport:
         out.lost += rep.lost
         out.max_bits = max(out.max_bits, rep.max_bits)
         out.bit_limit = max(out.bit_limit, rep.bit_limit)
-        out.oversubscribed.extend(rep.oversubscribed)
         out.critical_losses.extend(rep.critical_losses)
         out.watched_losses.extend(rep.watched_losses)
         if rep.status != "done":

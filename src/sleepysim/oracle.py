@@ -132,10 +132,6 @@ def check_tree(cluster) -> list:
     return out
 
 
-def cluster_depth(cluster) -> int:
-    return max((d for (_, d, _) in cluster.tree.values()), default=0)
-
-
 def check_cover(graph, cover, d, stretch_bound, node_mult_bound, edge_mult_bound) -> list:
     """Sparse d-cover conditions: (a) tree depth <= d*stretch, (b) node
     membership count bound, (c) every d-ball inside some cluster, (d) per-edge
@@ -143,7 +139,7 @@ def check_cover(graph, cover, d, stretch_bound, node_mult_bound, edge_mult_bound
     out = []
     for cl in cover.clusters:
         out.extend(check_tree(cl))
-        depth = cluster_depth(cl)
+        depth = cl.depth()
         if depth > d * stretch_bound:
             out.append(
                 _violation("cover-depth", [cl.id], f"tree depth {depth} > {d}*{stretch_bound}")

@@ -105,14 +105,6 @@ class ForestInfo:
             out[v].sort()
         return out
 
-    def components(self) -> dict:
-        out = {}
-        for v, c in self.component.items():
-            out.setdefault(c, []).append(v)
-        for c in out:
-            out[c].sort()
-        return out
-
 
 COVER_MAGIC = "SLPYCOV1"
 

@@ -7,7 +7,6 @@ accounting against the sequential oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf
 
 from .oracle import dijkstra
@@ -15,60 +14,31 @@ from .oracle import dijkstra
 INF = inf
 
 
-@dataclass
-class CutterInvocation:
-    path: int
-    N: int
-    W: int
-    active: set = field(default_factory=set)
-    init: dict = field(default_factory=dict)  # node -> starting offset
-    ticks: dict = field(default_factory=dict)  # node -> tick or None
-
-
-def collect_cutter_invocations(trace) -> dict:
-    """Group frame/cutter trace events into per-invocation records, keyed by
-    (path, N). Components of different sizes that share a recursion path use
-    different tick granularity, so they are audited separately."""
-    frames = {}
-    for kind, data in trace:
-        if kind == "frame":
-            frames[(data["node"], data["path"])] = data
-    out = {}
-    for kind, data in trace:
-        if kind != "cutter":
-            continue
-        node, path = data["node"], data["path"]
-        fr = frames[(node, path)]
-        key = (path, fr["N"])
-        inv = out.get(key)
-        if inv is None:
-            inv = out[key] = CutterInvocation(path=path, N=fr["N"], W=fr["D"])
-        inv.active.add(node)
-        inv.ticks[node] = data["tick"]
-        start = 0 if fr["src"] else None
-        for o in fr["offsets"]:
-            start = o if start is None else min(start, o)
-        if start is not None:
-            inv.init[node] = start
-    return out
-
-
 def check_cutter_contract(graph, trace):
     """Every finite approximation satisfies dist <= tick*tau < dist + W/2 and
     every non-answer implies dist > 2W, against an oracle on the frame's
     induced subgraph. All comparisons are exact integer arithmetic with
-    tau = W / (2N)."""
+    tau = W / (2N). Frames are grouped by (path, N): components of different
+    sizes that share a recursion path use different tick granularity, so
+    they are audited separately."""
+    frames = {}
+    for kind, data in trace:
+        if kind == "frame":
+            frames[(data["node"], data["path"])] = data
+    groups = {}  # (path, N) -> (frame rows, node -> tick or None)
+    for kind, data in trace:
+        if kind == "cutter":
+            fr = frames[(data["node"], data["path"])]
+            rows, ticks = groups.setdefault((fr["path"], fr["N"]), ([], {}))
+            rows.append(fr)
+            ticks[fr["node"]] = data["tick"]
     checked = 0
-    for (path, N), inv in sorted(collect_cutter_invocations(trace).items()):
-        sub = graph.induced(inv.active)
-        if not inv.init:
-            dist = {v: INF for v in inv.active}
-        else:
-            dist = dijkstra(sub, inv.init)
-        W = inv.W
-        for v in sorted(inv.active):
+    for (path, N), (rows, ticks) in sorted(groups.items()):
+        dist = _frame_distances(graph, rows)
+        W = rows[0]["D"]
+        for v in sorted(ticks):
             d = dist[v]
-            t = inv.ticks[v]
+            t = ticks[v]
             checked += 1
             if t is not None:
                 if d is INF:

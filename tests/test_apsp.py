@@ -110,8 +110,8 @@ def test_golden_traffic_and_trace(spec, seed, delta, delivered, lost, demand,
 
 def test_instances_are_stepped_by_their_host_from_their_delay(monkeypatch):
     """Every step of a recursion instance comes from the node program
-    `ApspProgram.on_round`, and an instance first steps on every node in
-    round delay + 1."""
+    `ApspProgram.on_round`, which is the instance itself, and an instance
+    first steps on every node in round delay + 1."""
     first = {}
     host_code = apsp_sched.ApspProgram.on_round.__code__
     on_round = CsspProgram.on_round
@@ -119,9 +119,8 @@ def test_instances_are_stepped_by_their_host_from_their_delay(monkeypatch):
     def watched_on_round(self, api):
         caller = sys._getframe(1)
         assert caller.f_code is host_code
-        host = caller.f_locals["self"]
-        assert host.program is self
-        first.setdefault((self.node, host.source), api.round)
+        assert caller.f_locals["self"] is self
+        first.setdefault((self.node, self.source), api.round)
         return on_round(self, api)
 
     monkeypatch.setattr(CsspProgram, "on_round", watched_on_round)

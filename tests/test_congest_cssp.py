@@ -12,7 +12,6 @@ from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import dijkstra, reference_thresholded
 from sleepysim.trace_checks import (
     check_cut_composition, check_cutter_contract, check_recursion_accounting,
-    collect_cutter_invocations,
 )
 
 
@@ -34,8 +33,7 @@ def test_project_distance():
 def test_boruvka_triangle():
     g = Graph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     forest, report, _ = boruvka_forest(g)
-    comps = forest.components()
-    assert len(comps) == 1
+    assert len(set(forest.component.values())) == 1
     assert all(s == 3 for s in forest.size.values())
     roots = [v for v, p in forest.parent.items() if p is None]
     assert len(roots) == 1
@@ -49,14 +47,14 @@ def test_boruvka_triangle():
 def test_boruvka_edgeless():
     g = Graph.build(3, [])
     forest, _, _ = boruvka_forest(g)
-    assert len(forest.components()) == 3
+    assert len(set(forest.component.values())) == 3
     assert all(s == 1 for s in forest.size.values())
 
 
 def test_boruvka_path_is_own_forest():
     g = Graph.build(4, [(0, 1, 2), (1, 2, 5), (2, 3, 1)])
     forest, _, _ = boruvka_forest(g)
-    assert len(forest.components()) == 1
+    assert len(set(forest.component.values())) == 1
     tree_edges = {(min(v, p), max(v, p)) for v, p in forest.parent.items() if p is not None}
     assert tree_edges == {(0, 1), (1, 2), (2, 3)}
 
@@ -65,12 +63,13 @@ def test_cutter_contract_two_nodes():
     # weight-7 edge, threshold 8: rounded tick weight 4, tick size 2
     g = Graph.build(2, [(0, 1, 7)])
     outputs, report, engine = run_thresholded_cssp(g, {0}, 8)
-    invs = collect_cutter_invocations(engine.trace_log)
-    top = invs[(1, 2)]
-    assert top.ticks[0] == 0 and top.ticks[1] == 4
-    tau = Fraction(top.W, 2 * top.N)
-    approx = top.ticks[1] * tau
-    assert 7 <= approx < 7 + Fraction(top.W, 2)
+    top = [(kind, d) for kind, d in engine.trace_log if d["path"] == 1]
+    assert {(d["D"], d["N"]) for kind, d in top if kind == "frame"} == {(8, 2)}
+    ticks = {d["node"]: d["tick"] for kind, d in top if kind == "cutter"}
+    assert ticks == {0: 0, 1: 4}
+    W, N = 8, 2
+    approx = ticks[1] * Fraction(W, 2 * N)
+    assert 7 <= approx < 7 + Fraction(W, 2)
 
 
 def test_thresholded_p3():

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from sleepysim.congest_cssp import boruvka_forest, run_thresholded_cssp
+from sleepysim.congest_cssp import (
+    CsspProgram, boruvka_forest, cssp, run_thresholded_cssp,
+)
 from sleepysim.energy_cssp import EnergyCsspProgram, cssp_energy
 from sleepysim.engine import run_simulation
 from sleepysim.graph import Graph, GraphSpec, gen_graph
@@ -30,7 +32,7 @@ def sleeping_forest(g):
 def test_forest_energy_triangle():
     g = Graph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     forest, report = sleeping_forest(g)
-    assert len(forest.components()) == 1
+    assert len(set(forest.component.values())) == 1
     assert all(s == 3 for s in forest.size.values())
     c = 8
     assert report.max_energy() <= c * log2c(g.n) ** 2 + 64
@@ -123,6 +125,28 @@ def test_waiting_pipeline_shape():
             assert len(residues) <= 4
             assert period <= g.n
     assert periodic_seen > 0
+
+
+@pytest.mark.parametrize("weight_mode", ["uniform", "zero-heavy"])
+@pytest.mark.parametrize("base", [CsspProgram, EnergyCsspProgram],
+                         ids=["congest", "energy"])
+def test_every_message_goes_through_send(base, weight_mode):
+    """`_send` is the one path to the wire in both flavors: a subclass that
+    counts its calls sees every message the report counts. APSP logs each
+    channel's sends in its override."""
+    g = gen_graph(GraphSpec("random-gnm", 16, seed=3, m=40,
+                            weight_mode=weight_mode, max_w=9))
+    assert any(w == 0 for _, _, w in g.edges) == (weight_mode == "zero-heavy")
+    calls = []
+
+    class Counting(base):
+        def _send(self, api, dst, msg, critical=False):
+            calls.append(dst)
+            super()._send(api, dst, msg, critical)
+
+    outputs, report, _ = cssp(g, {0}, program=Counting, trace=False)
+    assert outputs == dijkstra(g, {0})
+    assert len(calls) == report.total_sent() > 0
 
 
 def test_determinism():

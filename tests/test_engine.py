@@ -94,13 +94,13 @@ def test_critical_loss_raises():
 
 
 def test_audit_examples():
-    assert audit_message(Message(0, ()), 8, 1) == 1  # ceil(log2(2))
-    assert audit_message(Message(3, ()), 8, 1) == 3  # ceil(log2(5))
-    assert audit_message(Message(3, (0,)), 8, 1) == 3 + 1
-    assert audit_message(Message(3, (0,), 6), 8, 1) == 3 + 1 + 3
+    assert audit_message(Message(0, ())) == 1  # ceil(log2(2))
+    assert audit_message(Message(3, ())) == 3  # ceil(log2(5))
+    assert audit_message(Message(3, (0,))) == 3 + 1
+    assert audit_message(Message(3, (0,), 6)) == 3 + 1 + 3
     n, max_w = 64, 64**3
     big = Message(1, (n * max_w,))
-    assert audit_message(big, n, max_w) <= bit_budget(n, max_w, c_msg=8)
+    assert audit_message(big) <= bit_budget(n, max_w, c_msg=8)
 
 
 def test_bit_budget_violation_names_tag():
@@ -260,12 +260,13 @@ def _subclasses(cls):
 def test_planned_programs_own_their_step():
     """perfbench books a step to the module of the class whose vars() hold
     `on_round`, so every node program binds the step under its own name."""
+    import sleepysim.apsp_sched  # noqa: F401 (registers)
     import sleepysim.energy_bfs, sleepysim.energy_cssp  # noqa: F401 (registers)
 
     ours = [c for c in _subclasses(PlannedProgram)
             if c.__module__.startswith("sleepysim.")]
     assert {c.__name__ for c in ours} == {
-        "CsspProgram", "EnergyCsspProgram", "DecompProgram",
+        "CsspProgram", "EnergyCsspProgram", "ApspProgram", "DecompProgram",
         "EnergyBfsProgram", "DetectProgram"}
     for cls in ours:
         assert "on_round" in vars(cls), cls.__name__
@@ -417,7 +418,7 @@ def test_negative_wire_integer_raises(msg):
             api.finish(None)
 
     with pytest.raises(SimError, match="negative wire integer"):
-        audit_message(msg, 2, 1)
+        audit_message(msg)
     with pytest.raises(SimError, match="negative wire integer"):
         run_simulation(line(2), lambda v: Neg() if v == 0 else Quit(v))
 
@@ -435,5 +436,5 @@ def test_report_counters_kept_when_delivery_raises():
         engine.run({0: Two(), 1: Two()})
     rep = engine._report
     assert rep.delivered == 1
-    assert rep.max_bits == audit_message(Message(7, (1 << 200,)), 2, 1)
+    assert rep.max_bits == audit_message(Message(7, (1 << 200,)))
     assert rep.max_channel_demand == 1
