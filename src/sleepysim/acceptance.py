@@ -20,7 +20,7 @@ from .energy_bfs import bootstrap_base_covers, full_bfs, run_thresholded_bfs_wit
 from .energy_cssp import cssp_energy
 from .engine import Message, run_simulation
 from .graph import GraphSpec, gen_graph
-from .netdecomp import bits_for
+from .netdecomp import bits_for, promised_bounds
 from .oracle import (
     check_cover, check_decomposition, check_layered, dijkstra, hop_distances,
 )
@@ -263,8 +263,7 @@ def criterion_6(ctx):
 def criterion_7(ctx):
     checked = 0
     for g, cover, scale in ctx.covers:
-        b = max(1, bits_for(g.n))
-        out = check_cover(g, cover, scale, 6 * b**3, 2 * b, 6 * b**4)
+        out = check_cover(g, cover, scale, *promised_bounds(g.n))
         if out:
             return False, f"cover scale {scale}: {out[0]}"
         checked += 1
@@ -282,8 +281,7 @@ def criterion_7(ctx):
             return False, detail
         checked += 1
     for g, decomp, k in ctx.decomps:
-        b = max(1, bits_for(g.n))
-        out = check_decomposition(g, decomp, k, 6 * k * b**3, 2 * b)
+        out = check_decomposition(g, decomp, k, *promised_bounds(g.n, k))
         if out:
             return False, f"decomp k={k}: {out[0]}"
         checked += 1

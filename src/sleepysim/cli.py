@@ -20,7 +20,7 @@ from .energy_bfs import full_bfs, thresholded_bfs
 from .energy_cssp import cssp_energy
 from .engine import SimError
 from .graph import GraphError, GraphSpec, gen_graph, load_graph, save_graph
-from .netdecomp import bits_for, build_cover_sync, build_decomposition
+from .netdecomp import build_cover_sync, build_decomposition, promised_bounds
 from .oracle import (
     check_cover, check_decomposition, check_layered, dijkstra, hop_distances,
 )
@@ -260,9 +260,8 @@ def cmd_run(args) -> int:
     elif args.algo == "decomp":
         k = args.k or 2
         decomp, _, report, _ = build_decomposition(g, k, trace=False)
-        b = max(1, bits_for(g.n))
         if args.verify:
-            bad = check_decomposition(g, decomp, k, 6 * k * b**3, 2 * b)
+            bad = check_decomposition(g, decomp, k, *promised_bounds(g.n, k))
             if bad:
                 verify_fail = f"decomposition violations: {bad[:2]}"
         dist_text = json.dumps({
@@ -275,9 +274,8 @@ def cmd_run(args) -> int:
     else:  # cover
         d = args.d or 1
         cover, decomp, report, _ = build_cover_sync(g, d, trace=False)
-        b = max(1, bits_for(g.n))
         if args.verify:
-            bad = check_cover(g, cover, d, 6 * b**3, 2 * b, 6 * b**4)
+            bad = check_cover(g, cover, d, *promised_bounds(g.n))
             if bad:
                 verify_fail = f"cover violations: {bad[:2]}"
         dist_text = json.dumps({
@@ -365,10 +363,9 @@ def cmd_verify(args) -> int:
         except (GraphError, ValueError) as e:
             print(f"fixture check [FAIL] cover cache: {e}")
             return EXIT_VERIFY
-        b = max(1, bits_for(g.n))
         bad = []
         for cov in layered.levels:
-            bad.extend(check_cover(g, cov, cov.scale, 6 * b**3, 2 * b, 6 * b**4))
+            bad.extend(check_cover(g, cov, cov.scale, *promised_bounds(g.n)))
         bad.extend(check_layered(g, layered, layered.base**layered.top,
                                  layered.base))
         status = "PASS" if not bad else "FAIL"

@@ -262,6 +262,8 @@ class CsspProgram(PlannedProgram):
             if f.src:
                 for u in self.nbrs:
                     self._send_slot(api, u, Message(T_BASE, (), f.path))
+            # base-case probes arrive in the frame's opening round
+            api.awake_span(f.t0, f.t0 + 1)
             self._plan_at(api, f.t0 + 1, "_base_resolve", f.path)
             return
         if f.N == 1:
@@ -289,17 +291,23 @@ class CsspProgram(PlannedProgram):
     # -- spanning forest (merge phases in fixed windows) ----------------------
 
     def _phase_count(self, f):
-        p, size = 0, 1
-        while size < f.N:
-            size <<= 1
-            p += 1
-        return p
+        return (f.N - 1).bit_length()
 
     def _phase_len(self, f):
         return 3 * (f.N + 2) + 4
 
     def _phase_base(self, f, p):
         return f.t0 + p * self._phase_len(f)
+
+    def _sweep(self, api, f, base, up, root):
+        """Fixed-window convergecast and broadcast over the frame's tree:
+        a node acts (`up`, sending to its parent, or `root` at the root) at
+        base + N + 1 - depth, and listens in rounds base + N + depth .. +2,
+        where the root's broadcast reaches its depth."""
+        N, d = f.N, f.depth
+        self._plan_at(api, base + N + 1 - d, root if f.parent is None else up,
+                      f.path)
+        api.awake_span(base + N + d, base + N + d + 2)
 
     def _phase_start(self, api, f):
         p = f.phase
@@ -320,23 +328,23 @@ class CsspProgram(PlannedProgram):
         f.in_chosen = []
         for u in self.nbrs:
             self._send_slot(api, u, Message(T_COMP, (f.comp,), f.path))
-        N = f.N
-        if f.parent is not None:
-            self._plan_at(api, base + 1 + (N - f.depth), "_send_minedge", f.path)
-        else:
-            self._plan_at(api, base + N + 1, "_root_decide", f.path)
-        self._plan_at(api, base + 2 * (N + 2) + 1, "_send_chosen", f.path)
+        self._sweep(api, f, base, "_send_minedge", "_root_decide")
+        W = f.N + 2
+        self._plan_at(api, base + 2 * W + 1, "_send_chosen", f.path)
+        # stay up through the adoption wave of this phase
+        api.awake_span(base + 2 * W + 1, base + 3 * W + 4)
         self._plan_at(api, base + self._phase_len(f), "_phase_end", f.path)
 
-    def _my_candidate(self, f):
-        best = None
+    def _best_edge(self, f):
+        """Fold this node's own outgoing candidate into the best one its
+        subtree reported; returns the merged (key, (w, a, b)) or None."""
         for u, comp in sorted(f.nbr_comp.items()):
             if comp != f.comp:
                 w = self.weight[u]
                 key = (w, min(self.node, u), max(self.node, u))
-                if best is None or key < best[0]:
-                    best = (key, (w, self.node, u))
-        return best
+                if f.agg is None or key < f.agg[0]:
+                    f.agg = (key, (w, self.node, u))
+        return f.agg
 
     def _on_minedge(self, api, f, payload):
         if payload == NO_EDGE:
@@ -347,26 +355,13 @@ class CsspProgram(PlannedProgram):
             f.agg = (key, (w, a, b))
 
     def _send_minedge(self, api, f):
-        mine = self._my_candidate(f)
-        if mine is not None and (f.agg is None or mine[0] < f.agg[0]):
-            f.agg = mine
-        if f.agg is None:
-            self._send_slot(api, f.parent, Message(T_MINEDGE, NO_EDGE, f.path))
-        else:
-            w, a, b = f.agg[1]
-            self._send_slot(api, f.parent, Message(T_MINEDGE, (0, w, a, b), f.path))
+        best = self._best_edge(f)
+        payload = NO_EDGE if best is None else (0, *best[1])
+        self._send_slot(api, f.parent, Message(T_MINEDGE, payload, f.path))
 
     def _root_decide(self, api, f):
-        mine = self._my_candidate(f)
-        if mine is not None and (f.agg is None or mine[0] < f.agg[0]):
-            f.agg = mine
-        if f.agg is None:
-            f.decision = ()
-            f.merging_done = True
-        else:
-            f.decision = f.agg[1]
-        for c in f.children:
-            self._send_slot(api, c, Message(T_DECIDE, f.decision, f.path))
+        best = self._best_edge(f)
+        self._on_decide(api, f, () if best is None else best[1])
 
     def _on_decide(self, api, f, payload):
         f.decision = payload
@@ -426,23 +421,16 @@ class CsspProgram(PlannedProgram):
         if api.round != base:
             self._plan_at(api, base, "_census_start", f.path)
             return
-        N = f.N
         f.pend_size = 0
-        if f.parent is not None:
-            self._plan_at(api, base + 1 + (N - f.depth), "_census_send", f.path)
-        else:
-            self._plan_at(api, base + N + 1, "_census_root", f.path)
-        f.t_cut = base + 2 * (N + 2) + 2
+        self._sweep(api, f, base, "_census_send", "_census_root")
+        f.t_cut = base + 2 * (f.N + 2) + 2
         self._plan_at(api, f.t_cut, "_start_cutter", f.path)
 
     def _census_send(self, api, f):
         self._send_slot(api, f.parent, Message(T_SIZE, (1 + f.pend_size,), f.path))
 
     def _census_root(self, api, f):
-        f.size = 1 + f.pend_size
-        for c in f.children:
-            self._send_slot(api, c, Message(T_SIZEB, (f.size,), f.path))
-        self._after_census(api, f)
+        self._on_sizeb(api, f, 1 + f.pend_size)
 
     def _on_sizeb(self, api, f, size):
         f.size = size
@@ -474,6 +462,8 @@ class CsspProgram(PlannedProgram):
         f.cand = cand
         if cand is not None and cand <= k:
             self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path)
+        # a node cannot know when the tick wave reaches it
+        api.awake_span(f.t_cut, f.t_cut + k + 2)
         self._plan_at(api, f.t_cut + k + 2, "_cutter_done", f.path)
 
     def _on_cut(self, api, f, src, tick):

@@ -1,16 +1,20 @@
 """Closest-source shortest paths in the sleeping model.
 
 Same threshold-halving recursion as the congestion-metered version, with the
-energy bookkeeping made real: nodes declare awake windows only for the frame
-work they actually do and sleep otherwise. The pieces:
+energy bookkeeping made real: nodes are awake only for the frame work they
+actually do and sleep otherwise. `CsspProgram` declares each listening window
+where it plans the work (`api.awake_span`, a no-op on a congest node's
+always-awake schedule); this flavor starts asleep, wakes the round before each
+planned action, and waits in pipelines instead of awake. The windows:
 
   - spanning forest: the Boruvka phases run in the same deterministic
-    windows, but tree sweeps are depth-slotted (two awake rounds per sweep);
-    only the merge/adoption sub-window keeps participants awake throughout.
+    windows, and tree sweeps are depth-slotted (`_sweep`: two awake rounds per
+    sweep); only the merge/adoption sub-window keeps participants awake
+    throughout.
   - distance cutter: an edge of rounded weight a*tau acts as a chain of a
     unit hops that the receiving endpoint advances arithmetically
     (`_tick_weight`), so only one channel per edge is charged; active nodes
-    stay awake for the tick window.
+    stay awake for the tick window (`_start_cutter`).
   - completion detection: instead of staying awake, waiting nodes join a
     convergecast/broadcast pipeline on the component tree with period equal
     to the component size, spending O(1) awake rounds per cycle while the
@@ -44,7 +48,7 @@ class EnergyCsspProgram(CsspProgram):
     # profile or the benchmark's traced run tell sleeping steps apart.
     on_round = CsspProgram.on_round
 
-    # -- awake bookkeeping (the only semantic difference from congest) --------
+    # -- awake bookkeeping ------------------------------------------------------
 
     def _awake_from_start(self, api):
         # later steps fall on rounds already awake: a planned wake-up or the
@@ -58,30 +62,6 @@ class EnergyCsspProgram(CsspProgram):
         if r > api.round:
             api.awake_span(max(1, r - 1), r)
         super()._plan_at(api, r, action, *args)
-
-    def _phase_start(self, api, f):
-        p = f.phase
-        if not f.merging_done and p < self._phase_count(f):
-            base = self._phase_base(f, p)
-            if api.round == base:
-                W = f.N + 2
-                # the decision wave reaches my depth N+depth rounds in
-                api.awake_span(base + f.N + f.depth, base + f.N + f.depth + 2)
-                # stay up through the adoption wave of this phase
-                api.awake_span(base + 2 * W + 1, base + 3 * W + 4)
-        super()._phase_start(api, f)
-
-    def _census_start(self, api, f):
-        base = self._phase_base(f, self._phase_count(f))
-        if api.round == base:
-            # the size broadcast reaches my depth N+depth rounds in
-            api.awake_span(base + f.N + f.depth, base + f.N + f.depth + 2)
-        super()._census_start(api, f)
-
-    def _start_cutter(self, api, f):
-        if not self.forest_only:
-            api.awake_span(api.round, api.round + 6 * f.N + 2)
-        super()._start_cutter(api, f)
 
     def _cutter_done(self, api, f):
         super()._cutter_done(api, f)
@@ -122,13 +102,6 @@ class EnergyCsspProgram(CsspProgram):
         if pipe is not None:
             _, period, handle = pipe
             api.stop_awake(handle, api.round + 2 * period + 4)
-
-    # base-case probes arrive in the frame's opening round
-    def _enter(self, api, f):
-        if f.D == 1:
-            start = max(api.round, f.t0)
-            api.awake_span(start, start + 1)
-        super()._enter(api, f)
 
 
 def cssp_energy(graph, sources, *, round_limit=None, trace=True):

@@ -39,9 +39,9 @@ class ProtocolViolation(SimError):
     """A message marked protocol-critical was sent to a sleeping node."""
 
 
-def bit_budget(n: int, max_w: int, c_msg: int = 8) -> int:
-    """Per-message budget: c_msg * ceil(log2(n*(maxW+2)))."""
-    return c_msg * max(1, (n * (max_w + 2) - 1).bit_length())
+def bit_budget(n: int, max_w: int) -> int:
+    """Per-message budget: 8 * ceil(log2(n*(maxW+2)))."""
+    return 8 * max(1, (n * (max_w + 2) - 1).bit_length())
 
 
 class Message:

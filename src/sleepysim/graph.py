@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-DEFAULT_MAXW_EXP = 3  # weights must stay within n**DEFAULT_MAXW_EXP unless overridden
+MAXW_EXP = 3  # weights must stay within n**MAXW_EXP
 
 FAMILIES = ("path", "cycle", "grid", "random-gnm", "random-tree", "barbell")
 
@@ -77,9 +77,8 @@ class GraphSpec:
     n: int
     seed: int = 0
     m: int | None = None  # random-gnm only
-    weight_mode: str = "unit"  # unit | uniform | zero-heavy
+    weight_mode: str = "unit"  # unit | uniform | zero-heavy (a quarter 0)
     max_w: int = 1
-    zero_fraction: float = 0.25  # zero-heavy only
 
 
 def _weight_fn(spec: GraphSpec, rng: random.Random):
@@ -93,7 +92,7 @@ def _weight_fn(spec: GraphSpec, rng: random.Random):
     if mode == "zero-heavy":
         if spec.max_w < 1:
             raise GraphError("zero-heavy weights need max_w >= 1")
-        return lambda: 0 if rng.random() < spec.zero_fraction else rng.randint(1, spec.max_w)
+        return lambda: 0 if rng.random() < 0.25 else rng.randint(1, spec.max_w)
     raise GraphError(f"unknown weight mode {mode!r}")
 
 
@@ -174,10 +173,10 @@ def gen_graph(spec: GraphSpec) -> Graph:
     return g
 
 
-def validate(g: Graph, maxw_exp: int = DEFAULT_MAXW_EXP) -> list[str]:
+def validate(g: Graph) -> list[str]:
     """Return a list of invariant violations (empty iff the graph is valid)."""
     out = []
-    bound = g.n**maxw_exp
+    bound = g.n**MAXW_EXP
     seen = set()
     for u, v, w in g.edges:
         if u == v:
@@ -198,7 +197,7 @@ def save_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph(text: str, maxw_exp: int = DEFAULT_MAXW_EXP) -> Graph:
+def load_graph(text: str) -> Graph:
     """Parse edge-list text ("n m" header, then "u v w" lines, '#' comments)."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -231,7 +230,7 @@ def load_graph(text: str, maxw_exp: int = DEFAULT_MAXW_EXP) -> Graph:
             raise GraphError(f"line {lineno}: self-loop at {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"line {lineno}: node id out of range")
-        if w < 0 or w > n**maxw_exp:
+        if w < 0 or w > n**MAXW_EXP:
             raise GraphError(f"line {lineno}: weight {w} out of range")
         key = (min(u, v), max(u, v))
         if key in seen:

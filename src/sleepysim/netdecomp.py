@@ -50,6 +50,18 @@ def bits_for(n: int) -> int:
     return max(0, (max(1, n) - 1).bit_length())
 
 
+def promised_bounds(n: int, k: int | None = None) -> tuple:
+    """The bounds this construction promises on n nodes, with b = bits_for(n)
+    (at least 1), in the argument order of `oracle.check_cover` (no k: tree
+    depth stretch 6b^3, node multiplicity 2b, edge multiplicity 6b^4) or of
+    `oracle.check_decomposition` (k-separated: weak diameter 6kb^3, 2b
+    colors)."""
+    b = max(1, bits_for(n))
+    if k is None:
+        return 6 * b**3, 2 * b, 6 * b**4
+    return 6 * k * b**3, 2 * b
+
+
 class ConstructionError(SimError):
     """The construction exceeded its color or step budget (indicates a bug)."""
 
@@ -180,14 +192,20 @@ class DecompProgram(PlannedProgram):
                       label=self.label)
         self.stopped = False
         self.root_stop = False
+        self._role_sweep(api, base, "_recount_up", "_recount_root")
+        self._plan_at(api, base + self._rho() + 3, "_step_begin")
+
+    def _role_sweep(self, api, base, up, root):
+        """Plan one convergecast over every role's tree: a root acts (`root`)
+        at base + rho + 2, a node at depth d sends up (`up`) at
+        base + 1 + rho - d."""
         rho = self._rho()
         for label in sorted(self.roles):
             role = self.roles[label]
             if role.parent is None:
-                self._plan_at(api, base + rho + 2, "_recount_root", label)
+                self._plan_at(api, base + rho + 2, root, label)
             else:
-                self._plan_at(api, base + 1 + (rho - role.depth), "_recount_up", label)
-        self._plan_at(api, base + rho + 3, "_step_begin")
+                self._plan_at(api, base + 1 + (rho - role.depth), up, label)
 
     def _recount_up(self, api, label):
         role = self.roles.get(label)
@@ -223,7 +241,7 @@ class DecompProgram(PlannedProgram):
             for u in self.nbrs:
                 api.send(u, Message(PD_PROP, (self.label, 1, mine.depth + 1)))
         self._plan_at(api, t_join, "_join_phase", t_join)
-        self._plan_at(api, t_cnt, "_count_phase", t_cnt)
+        self._plan_at(api, t_cnt, "_role_sweep", t_cnt, "_count_up", "_root_decide")
         self._plan_at(api, t_bar, "_barrier", t_bar)
 
     def _is_blue(self, label):
@@ -272,15 +290,6 @@ class DecompProgram(PlannedProgram):
         if label in self.roles:
             return self.join_acc.pop(label, 0)
         return 0
-
-    def _count_phase(self, api, t_cnt):
-        rho = self._rho()
-        for label in sorted(self.roles):
-            role = self.roles[label]
-            if role.parent is None:
-                self._plan_at(api, t_cnt + rho + 2, "_root_decide", label)
-            else:
-                self._plan_at(api, t_cnt + 1 + (rho - role.depth), "_count_up", label)
 
     def _count_up(self, api, label):
         role = self.roles.get(label)

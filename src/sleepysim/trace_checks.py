@@ -194,9 +194,9 @@ def check_relevance(layered, sources, outputs, threshold):
     return True, f"{reached} reached clusters relevant"
 
 
-def check_recursion_accounting(trace, n, per_level=3):
-    """Each node appears in at most `per_level` subproblems per threshold
-    level and at most per_level*(log2 D + 1) in total."""
+def check_recursion_accounting(trace, n):
+    """Each node appears in at most 3 subproblems per threshold level and at
+    most 3*(log2 D + 1) in total."""
     by_node_level = {}
     d_top = 1
     for kind, data in trace:
@@ -208,11 +208,11 @@ def check_recursion_accounting(trace, n, per_level=3):
     levels = d_top.bit_length()
     totals = {}
     for (node, d), count in sorted(by_node_level.items()):
-        if count > per_level:
+        if count > 3:
             return False, f"node {node} in {count} subproblems at level {d}"
         totals[node] = totals.get(node, 0) + count
-    cap = per_level * levels
+    cap = 3 * levels
     for node, total in sorted(totals.items()):
         if total > cap:
             return False, f"node {node} in {total} subproblems total (cap {cap})"
-    return True, f"{len(totals)} nodes within {per_level}/level and {cap} total"
+    return True, f"{len(totals)} nodes within 3/level and {cap} total"

@@ -217,3 +217,14 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha,
             report.max_bits) == traffic
     assert len(engine.trace_log) == n_events
     assert _sha256(repr(engine.trace_log)) == trace_sha
+
+
+def test_congest_windows_leave_schedules_always():
+    """The listening windows `CsspProgram` declares are no-ops on a congest
+    node: every schedule stays `always`, with no span or periodic kept."""
+    g = gen_graph(GraphSpec("random-gnm", 16, seed=3, m=40,
+                            weight_mode="uniform", max_w=9))
+    _, _, engine = cssp(g, {0, 7})
+    for sched in engine._schedules.values():
+        assert sched.always
+        assert sched.starts == [] and sched.periodics == []

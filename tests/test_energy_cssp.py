@@ -178,3 +178,10 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
     outputs, report, _ = cssp_energy(gen_graph(spec), sources)
     assert hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest() == outputs_sha
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_sha
+
+
+def test_windows_are_declared_once():
+    """The sleeping flavor restates no frame window: `CsspProgram` declares
+    each listening window where it plans the work."""
+    assert not {"_enter", "_phase_start", "_census_start",
+                "_start_cutter"} & set(vars(EnergyCsspProgram))

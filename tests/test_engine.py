@@ -100,7 +100,7 @@ def test_audit_examples():
     assert audit_message(Message(3, (0,), 6)) == 3 + 1 + 3
     n, max_w = 64, 64**3
     big = Message(1, (n * max_w,))
-    assert audit_message(big) <= bit_budget(n, max_w, c_msg=8)
+    assert audit_message(big) <= bit_budget(n, max_w)
 
 
 def test_bit_budget_violation_names_tag():
