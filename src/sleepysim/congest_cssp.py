@@ -4,22 +4,34 @@ The algorithm runs a threshold-halving recursion per node as a stack of
 *frames*. Each frame, identified by an integer path id that rides on every
 message, executes on its active node set:
 
-  1. base case (threshold 1): one probe round resolves outputs;
+  1. base case (threshold 1): one probe round, sent to the peers the frame
+     inherits, resolves outputs;
   2. a deterministic spanning-forest computation (Boruvka merge phases in
-     fixed round windows sized by the frame's node bound);
+     fixed round windows sized by the frame's node bound). In phase 0 every
+     member sends its component id to each neighbour that may be in the
+     frame (all neighbours at the root, else the parent frame's peers); the
+     senders are the frame's *peers*, its neighbours inside the frame. A
+     later phase sends the id only to peers not yet seen in its own
+     component: one component stays one (Gallager-Humblet-Spira's rule that
+     an internal edge is never tested again). Once a component has no
+     outgoing edge left it skips its remaining phases;
   3. an approximate distance cutter: weights rounded up to multiples of
      tau = W/(2*N), then a token BFS where an edge of rounded weight a*tau
-     delays a rounds, run for 6*N ticks;
+     delays a rounds, run for 6*N ticks. A node sends its tick to the peers
+     whose own tick has not reached it yet; the others ignore it;
   4. recursion on the near set with half the threshold; completion detected
      per component by an event-driven convergecast over the spanning tree,
      after which the root schedules the second recursion a safe margin ahead
      and broadcasts the start round;
-  5. finished nodes announce their distances so cut neighbors can simulate
-     the imaginary sources sitting on the crossing edges;
+  5. finished nodes announce their distances to their peers so cut
+     neighbors can simulate the imaginary sources sitting on the crossing
+     edges;
   6. recursion on the remaining set from those simulated sources; outputs
      compose as half-threshold + cut distance.
 
 All distance arithmetic is exact integer tick counting; nothing floats.
+A frame is forgotten once it completes, except the root frame, which holds
+the answer; the forest phases' scratch goes when the census starts.
 """
 
 from __future__ import annotations
@@ -79,36 +91,43 @@ class _Frame:
     """Per-node state of one recursion frame."""
 
     __slots__ = (
-        "path", "D", "N", "t0", "src", "offsets",
+        "path", "D", "N", "t0", "src", "offsets", "peers",
         "comp", "parent", "children", "depth", "size", "phase",
-        "nbr_comp", "agg", "decision", "merging_done", "in_chosen",
-        "pend_size",
-        "t_cut", "cand", "tick", "v1", "t_child1", "start2", "v2", "offsets2",
+        "nbr_comp", "inside", "agg", "decision", "merging_done", "in_chosen",
+        "pend_size", "t_cut", "cand", "tick", "ticked",
+        "v1", "t_child1", "start2", "v2", "offsets2",
         "done_self", "done_kids", "sent_done", "out", "final", "complete",
     )
 
-    def __init__(self, path, D, N, t0, src, offsets):
+    def __init__(self, path, D, N, t0, src, offsets, peers):
         self.path = path
         self.D = D
         self.N = N
         self.t0 = t0
         self.src = src
         self.offsets = offsets  # imaginary-source edge lengths ending here
+        # neighbours that may be in the frame, in neighbour order: inherited
+        # from the parent frame, narrowed to the frame's own after phase 0
+        self.peers = peers
         self.comp = None
         self.parent = None
         self.children = []
         self.depth = 0
         self.size = 1
         self.phase = 0
-        self.nbr_comp = {}
+        # forest-phase scratch, set by each phase: outside peers' component
+        # ids, peers known to share the component, chosen edges received
+        self.nbr_comp = None
+        self.inside = None
+        self.in_chosen = None
         self.agg = None
         self.decision = None
         self.merging_done = False
-        self.in_chosen = []
         self.pend_size = 0
         self.t_cut = None
         self.cand = None
         self.tick = None
+        self.ticked = None  # peers whose tick arrived, while the cutter runs
         self.v1 = False
         self.t_child1 = None
         self.start2 = None
@@ -212,7 +231,8 @@ class CsspProgram(PlannedProgram):
         return not self._queue
 
     def _create_root(self, api):
-        f = _Frame(1, self.D_top, max(1, self.n), api.round, self.is_source, [])
+        f = _Frame(1, self.D_top, max(1, self.n), api.round, self.is_source,
+                   [], self.nbrs)
         self._enter(api, f)
 
     def _dispatch(self, api, src, msg):
@@ -221,7 +241,11 @@ class CsspProgram(PlannedProgram):
             return
         tag = msg.tag
         if tag == T_COMP:
-            f.nbr_comp[src] = msg.payload[0]
+            comp = msg.payload[0]
+            if comp == f.comp:
+                f.inside.add(src)
+            else:
+                f.nbr_comp[src] = comp
         elif tag == T_CUT:
             self._on_cut(api, f, src, msg.payload[0])
         elif tag == T_MINEDGE:
@@ -260,7 +284,7 @@ class CsspProgram(PlannedProgram):
         f.comp = self.node
         if f.D == 1:
             if f.src:
-                for u in self.nbrs:
+                for u in f.peers:
                     self._send_slot(api, u, Message(T_BASE, (), f.path))
             # base-case probes arrive in the frame's opening round
             api.awake_span(f.t0, f.t0 + 1)
@@ -311,23 +335,24 @@ class CsspProgram(PlannedProgram):
 
     def _phase_start(self, api, f):
         p = f.phase
-        if p >= self._phase_count(f):
+        if p >= self._phase_count(f) or f.merging_done:
+            # a frame with no outgoing edge left sleeps through to the census
             self._census_start(api, f)
             return
         base = self._phase_base(f, p)
         if api.round != base:
             self._plan_at(api, base, "_phase_start", f.path)
             return
-        if f.merging_done:
-            f.phase += 1
-            self._phase_start(api, f)
-            return
+        if p == 0:
+            f.inside = set()
         f.nbr_comp = {}
         f.agg = None
         f.decision = None
         f.in_chosen = []
-        for u in self.nbrs:
-            self._send_slot(api, u, Message(T_COMP, (f.comp,), f.path))
+        inside = f.inside
+        for u in f.peers:
+            if u not in inside:
+                self._send_slot(api, u, Message(T_COMP, (f.comp,), f.path))
         self._sweep(api, f, base, "_send_minedge", "_root_decide")
         W = f.N + 2
         self._plan_at(api, base + 2 * W + 1, "_send_chosen", f.path)
@@ -338,12 +363,11 @@ class CsspProgram(PlannedProgram):
     def _best_edge(self, f):
         """Fold this node's own outgoing candidate into the best one its
         subtree reported; returns the merged (key, (w, a, b)) or None."""
-        for u, comp in sorted(f.nbr_comp.items()):
-            if comp != f.comp:
-                w = self.weight[u]
-                key = (w, min(self.node, u), max(self.node, u))
-                if f.agg is None or key < f.agg[0]:
-                    f.agg = (key, (w, self.node, u))
+        for u in sorted(f.nbr_comp):
+            w = self.weight[u]
+            key = (w, min(self.node, u), max(self.node, u))
+            if f.agg is None or key < f.agg[0]:
+                f.agg = (key, (w, self.node, u))
         return f.agg
 
     def _on_minedge(self, api, f, payload):
@@ -411,6 +435,11 @@ class CsspProgram(PlannedProgram):
         self._send_queued(api, src, Message(T_ACK, (), f.path))
 
     def _phase_end(self, api, f):
+        if f.phase == 0:
+            # every member sent its phase-0 id to all peers it inherited:
+            # the neighbours heard from are the frame's own peers
+            heard = f.nbr_comp
+            f.peers = [u for u in f.peers if u in heard]
         f.phase += 1
         self._phase_start(api, f)
 
@@ -421,6 +450,7 @@ class CsspProgram(PlannedProgram):
         if api.round != base:
             self._plan_at(api, base, "_census_start", f.path)
             return
+        f.nbr_comp = f.inside = f.in_chosen = None
         f.pend_size = 0
         self._sweep(api, f, base, "_census_send", "_census_root")
         f.t_cut = base + 2 * (f.N + 2) + 2
@@ -460,6 +490,7 @@ class CsspProgram(PlannedProgram):
             if cand is None or t < cand:
                 cand = t
         f.cand = cand
+        f.ticked = set()
         if cand is not None and cand <= k:
             self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path)
         # a node cannot know when the tick wave reaches it
@@ -467,8 +498,9 @@ class CsspProgram(PlannedProgram):
         self._plan_at(api, f.t_cut + k + 2, "_cutter_done", f.path)
 
     def _on_cut(self, api, f, src, tick):
-        if f.tick is not None or f.t_cut is None:
+        if f.tick is not None or f.ticked is None:
             return
+        f.ticked.add(src)
         cand = tick + self._tick_weight(f, self.weight[src])
         if f.cand is None or cand < f.cand:
             f.cand = cand
@@ -481,16 +513,19 @@ class CsspProgram(PlannedProgram):
         if api.round != f.t_cut + f.cand:
             return  # superseded by a better candidate
         f.tick = f.cand
-        for u in self.nbrs:
-            self._send_slot(api, u, Message(T_CUT, (f.tick,), f.path))
+        ticked, f.ticked = f.ticked, None
+        for u in f.peers:
+            if u not in ticked:
+                self._send_slot(api, u, Message(T_CUT, (f.tick,), f.path))
 
     def _cutter_done(self, api, f):
+        f.ticked = None
         f.v1 = f.tick is not None and f.tick < 3 * f.N
         self._trace(api, "cutter", path=f.path, tick=f.tick, v1=f.v1)
         f.t_child1 = api.round
         if f.v1:
             child = _Frame(f.path * 2, f.D // 2, f.size, f.t_child1,
-                           f.src, list(f.offsets))
+                           f.src, list(f.offsets), f.peers)
             self._enter(api, child)
         else:
             f.done_self[0] = True
@@ -542,7 +577,7 @@ class CsspProgram(PlannedProgram):
     def _announce_out(self, api, f):
         f.v2 = f.v1 and f.out[0] is not INF
         if f.v2:
-            for u in self.nbrs:
+            for u in f.peers:
                 self._send_slot(api, u, Message(T_OUTANN, (f.out[0],), f.path))
 
     def _on_outann(self, api, f, src, dist):
@@ -559,7 +594,7 @@ class CsspProgram(PlannedProgram):
             inherited = [o - half for o in f.offsets]
             assert all(o >= 1 for o in inherited), "imaginary source behind cut"
             child = _Frame(f.path * 2 + 1, half, f.size, api.round,
-                           False, sorted(f.offsets2 + inherited))
+                           False, sorted(f.offsets2 + inherited), f.peers)
             self._enter(api, child)
         else:
             f.done_self[1] = True
@@ -586,6 +621,12 @@ class CsspProgram(PlannedProgram):
             self._root_done = True
         else:
             self._child_complete(api, f)
+            self._release(f)
+
+    def _release(self, f):
+        """Forget a completed non-root frame: no message or planned action
+        names it any more."""
+        del self.frames[f.path]
 
 
 # -- public API ----------------------------------------------------------------

@@ -21,6 +21,11 @@ planned action, and waits in pipelines instead of awake. The windows:
     recursion works elsewhere. The slot rule is `engine.PlannedProgram`'s
     (`_join_pipe`, `_pipe_slot`).
 
+Frame messages go only to peers (see `congest_cssp`), and every peer listens
+when one is due, so a sleeping run loses no message and puts the same
+messages on every edge as a congest run; a completed frame is released only
+once its pipeline sends are on the wire, because they name it.
+
 Everything else, the step loop and the entry points included, is shared with
 the congest implementation: pass `program=EnergyCsspProgram` to
 `congest_cssp.run_thresholded_cssp` or `cssp`. `boruvka_forest` always runs
@@ -42,7 +47,9 @@ class EnergyCsspProgram(CsspProgram):
     def __init__(self, node, graph, sources, D_top, **kw):
         super().__init__(node, graph, sources, D_top, **kw)
         self._pipes = {}  # frame path -> (anchor, period, handle)
-        self._pending_pipe = 0  # planned slot sends not yet on the wire
+        # frame path -> planned slot sends not yet on the wire; a completed
+        # frame is released once its count drains
+        self._pending_pipe = {}
 
     # The step is CsspProgram's; naming it in this class as well lets a
     # profile or the benchmark's traced run tell sleeping steps apart.
@@ -56,7 +63,7 @@ class EnergyCsspProgram(CsspProgram):
         api.awake_span(api.round, api.round)
 
     def _may_finish(self):
-        return super()._may_finish() and self._pending_pipe == 0
+        return super()._may_finish() and not self._pending_pipe
 
     def _plan_at(self, api, r, action, *args):
         if r > api.round:
@@ -85,16 +92,27 @@ class EnergyCsspProgram(CsspProgram):
         slot = self._pipe_slot(anchor, period, self.frames[msg.ctx].depth,
                                tag in UP_TAGS,
                                api.round if earliest is None else earliest)
-        self._pending_pipe += 1
+        pending = self._pending_pipe
+        pending[msg.ctx] = pending.get(msg.ctx, 0) + 1
         self._plan_at(api, slot, "_pipe_send", msg.ctx, dst, msg)
 
     def _pipe_send(self, api, f, dst, msg):
-        self._pending_pipe -= 1
         if dst in self._sent_now:
             # channel busy this round: take the next slot of the period
             self._send_queued(api, dst, msg, earliest=api.round + 1)
-            return
-        self._send(api, dst, msg, critical=True)
+        else:
+            self._send(api, dst, msg, critical=True)
+        pending = self._pending_pipe
+        pending[f.path] -= 1
+        if not pending[f.path]:
+            del pending[f.path]
+            if f.complete and f.path != 1:
+                self._release(f)
+
+    def _release(self, f):
+        # a pending slot send is a planned action that names the frame
+        if f.path not in self._pending_pipe:
+            super()._release(f)
 
     def _frame_complete(self, api, f):
         super()._frame_complete(api, f)

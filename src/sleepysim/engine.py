@@ -29,6 +29,7 @@ import heapq
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from math import inf
 
 
 class SimError(RuntimeError):
@@ -142,16 +143,53 @@ class Schedule:
     so the next such round is found by one bisect over the residues. A
     component's index in the list is its `stop_awake` handle.
 
+    Queries visit only the live periodics (`_live_from`): `live` maps the
+    handle of each component that may still be awake at or after round
+    `seen`, the latest round asked about, to its tuple. A query about an
+    earlier round falls back to the whole list.
+
     `always` overrides both and is never unset.
     """
 
-    __slots__ = ("always", "starts", "ends", "periodics")
+    __slots__ = ("always", "starts", "ends", "periodics", "live", "live_end",
+                 "seen")
 
     def __init__(self):
         self.always = False
         self.starts = []
         self.ends = []
         self.periodics = []
+        self.live = {}
+        self.live_end = inf  # the earliest end b in `live`
+        self.seen = 0
+
+    def _add_periodic(self, component) -> int:
+        handle = len(self.periodics)
+        self.periodics.append(component)
+        self.live[handle] = component
+        self.live_end = min(self.live_end, component[4])
+        return handle
+
+    def _stop_periodic(self, handle, at_round):
+        anchor, period, residues, a, b = self.periodics[handle]
+        component = (anchor, period, residues, a, min(b, at_round))
+        self.periodics[handle] = component
+        if handle in self.live:
+            self.live[handle] = component
+            self.live_end = min(self.live_end, component[4])
+
+    def _live_from(self, r):
+        """The periodic components a query about round r must visit. Those
+        that ended before the latest round asked about leave `live` for good:
+        `stop_awake` only ever moves an end earlier."""
+        if r < self.seen:
+            return self.periodics
+        self.seen = r
+        if r > self.live_end:
+            live = {h: c for h, c in self.live.items() if c[4] >= r}
+            self.live = live
+            self.live_end = min((c[4] for c in live.values()), default=inf)
+        return self.live.values()
 
     def _add_span(self, a: int, b: int):
         if a > b or self.always:  # always is never unset: a span cannot matter
@@ -173,7 +211,7 @@ class Schedule:
         i = bisect_left(ends, r)
         if i < len(ends) and self.starts[i] <= r:
             return True
-        for anchor, period, residues, a, b in self.periodics:
+        for anchor, period, residues, a, b in self._live_from(r):
             if a <= r <= b and (r - anchor) % period in residues:
                 return True
         return False
@@ -187,7 +225,7 @@ class Schedule:
         best = max(self.starts[i], r + 1) if i < len(ends) else None
         if best == r + 1:  # no round comes earlier
             return best
-        for anchor, period, residues, a, b in self.periodics:
+        for anchor, period, residues, a, b in self._live_from(r):
             if b <= r or not residues:
                 continue
             start = a if a > r else r + 1
@@ -260,13 +298,10 @@ class NodeApi:
             raise SimError(f"awake_periodic: residues {list(residues)} "
                            f"not in [0, period) for period {period}")
         sched = self.engine._schedules[self.node]
-        sched.periodics.append((anchor, period, residues, a, b))
-        return len(sched.periodics) - 1
+        return sched._add_periodic((anchor, period, residues, a, b))
 
     def stop_awake(self, handle: int, at_round: int):
-        sched = self.engine._schedules[self.node]
-        anchor, period, residues, a, b = sched.periodics[handle]
-        sched.periodics[handle] = (anchor, period, residues, a, min(b, at_round))
+        self.engine._schedules[self.node]._stop_periodic(handle, at_round)
 
     def always_awake(self):
         self.engine._schedules[self.node].always = True

@@ -3,7 +3,8 @@
 Inputs cover the degenerate corners: n from 1 to 10, edgeless and
 disconnected graphs, zero weights, weights up to n**3 (the largest a graph
 may carry) and any number of sources from one to all. A sleeping run must
-also lose no protocol-critical message.
+also lose no protocol-critical message, and on the same input put the same
+messages on every edge as a congest run while losing none at all.
 """
 
 import pytest
@@ -43,3 +44,15 @@ def test_matches_dijkstra(run, instance):
     assert report.status == "done"
     assert report.critical_losses == []
     assert outputs == dijkstra(graph, sources)
+
+
+@settings(max_examples=100)
+@given(instances())
+@example((Graph.build(1, []), {0}))
+@example((Graph.build(4, [(0, 1, 64), (2, 3, 1)]), {0}))
+def test_sleeping_traffic_matches_congest(instance):
+    graph, sources = instance
+    _, congest, _ = cssp(graph, sources, trace=False)
+    _, sleeping, _ = cssp_energy(graph, sources, trace=False)
+    assert sleeping.congestion == congest.congestion
+    assert sleeping.lost == 0

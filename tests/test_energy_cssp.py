@@ -161,11 +161,11 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "f56fba2fd1a42785e6f0e04ab0ab27c7bf646c6d511db972d4b4f5e005fd3e03"),
+     "218a872a541ea46026e853a78801cd9d929ad0973633b1009fea842dd564312e"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "6d0289a4a88fb47391972e375d48dd43fb62699fc001f3eea4e3690efc1d2076"),
+     "52a39e7dabb449162fed86dc5c70c163dedf89921cc509bfef2a62f0900ce520"),
 ]
 
 
@@ -174,10 +174,16 @@ GOLDEN = [
 def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
     """Pinned hashes of the outputs and the report: a change to the awake
     schedules that moves any round, energy or congestion figure shows here,
-    where a rerun of the same code cannot."""
-    outputs, report, _ = cssp_energy(gen_graph(spec), sources)
+    where a rerun of the same code cannot. The sleeping run also puts the
+    same messages on every edge as the congest run and loses none: frames
+    send only to peers, and a peer listens when a frame message is due."""
+    g = gen_graph(spec)
+    outputs, report, _ = cssp_energy(g, sources)
     assert hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest() == outputs_sha
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_sha
+    _, congest, _ = cssp(g, sources, trace=False)
+    assert report.congestion == congest.congestion
+    assert report.lost == 0
 
 
 def test_windows_are_declared_once():
@@ -185,3 +191,45 @@ def test_windows_are_declared_once():
     each listening window where it plans the work."""
     assert not {"_enter", "_phase_start", "_census_start",
                 "_start_cutter"} & set(vars(EnergyCsspProgram))
+
+
+@pytest.mark.parametrize("spec, sources", [g[:2] for g in GOLDEN],
+                         ids=["gnm24", "gnm20-zeroheavy"])
+@pytest.mark.parametrize("base", [CsspProgram, EnergyCsspProgram],
+                         ids=["congest", "energy"])
+def test_released_frames_are_never_named(base, spec, sources):
+    """A completed non-root frame is released; afterwards no dispatched
+    message and no planned action names its path, and a finished run keeps
+    only each node's root frame."""
+    released = {}  # node -> released paths
+
+    class Watching(base):
+        def _release(self, f):
+            super()._release(f)
+            if f.path in self.frames:
+                return  # deferred until its pipeline sends drain
+            gone = released.setdefault(self.node, set())
+            assert f.path not in gone
+            gone.add(f.path)
+            assert all(args[0] != f.path
+                       for bucket in self._plan.values() for _, args in bucket)
+
+        def _dispatch(self, api, src, msg):
+            assert msg.ctx not in released.get(self.node, ())
+            super()._dispatch(api, src, msg)
+
+        def _act(self, api, action, args):
+            assert args[0] not in released.get(self.node, ())
+            super()._act(api, action, args)
+
+    g = gen_graph(spec)
+    programs = []
+
+    def program(*args, **kw):
+        programs.append(Watching(*args, **kw))
+        return programs[-1]
+
+    outputs, _, _ = cssp(g, sources, program=program, trace=False)
+    assert outputs == dijkstra(g, sources)
+    assert sum(map(len, released.values())) > g.n
+    assert all(list(p.frames) == [1] for p in programs)

@@ -104,8 +104,13 @@ def test_schedule_matches_brute_force(case):
         assert all(0 <= x < period for x in residues)
 
     truth = [awake(r) for r in range(last + 1)]
+    following = [next((rr for rr in range(r + 1, last + 1) if truth[rr]), None)
+                 for r in range(H + 1)]
     for r in range(H + 1):
         assert sched.awake_at(r) == truth[r], r
-        nxt = next((rr for rr in range(r + 1, last + 1) if truth[rr]), None)
-        assert sched.next_awake_after(r) == nxt, r
+        assert sched.next_awake_after(r) == following[r], r
         assert sched.awake_rounds(r) == sum(truth[1:r + 1])
+    # queries about earlier rounds still see the periodics that ended since
+    for r in range(H, -1, -1):
+        assert sched.awake_at(r) == truth[r], r
+        assert sched.next_awake_after(r) == following[r], r
