@@ -23,9 +23,9 @@ message, executes on its active node set:
      per component by an event-driven convergecast over the spanning tree,
      after which the root schedules the second recursion a safe margin ahead
      and broadcasts the start round;
-  5. finished nodes announce their distances to their peers so cut
-     neighbors can simulate the imaginary sources sitting on the crossing
-     edges;
+  5. finished nodes announce their distances to the peers that lie beyond
+     D/2 through them, so cut neighbors can simulate the imaginary sources
+     sitting on the crossing edges;
   6. recursion on the remaining set from those simulated sources; outputs
      compose as half-threshold + cut distance.
 
@@ -577,8 +577,12 @@ class CsspProgram(PlannedProgram):
     def _announce_out(self, api, f):
         f.v2 = f.v1 and f.out[0] is not INF
         if f.v2:
+            half = f.D // 2
             for u in f.peers:
-                self._send_slot(api, u, Message(T_OUTANN, (f.out[0],), f.path))
+                # a peer within D/2 through this node is v2 itself and
+                # would ignore the announcement
+                if f.out[0] + self.weight[u] > half:
+                    self._send_slot(api, u, Message(T_OUTANN, (f.out[0],), f.path))
 
     def _on_outann(self, api, f, src, dist):
         if f.v1 and not f.v2 and f.out[0] is INF:

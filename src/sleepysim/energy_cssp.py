@@ -18,8 +18,10 @@ planned action, and waits in pipelines instead of awake. The windows:
   - completion detection: instead of staying awake, waiting nodes join a
     convergecast/broadcast pipeline on the component tree with period equal
     to the component size, spending O(1) awake rounds per cycle while the
-    recursion works elsewhere. The slot rule is `engine.PlannedProgram`'s
-    (`_join_pipe`, `_pipe_slot`).
+    recursion works elsewhere. Every pipe runs on one grid anchored at round
+    0, so the pipes of nested frames over one tree listen on the same rounds
+    and their waiting is counted once. The slot rule is
+    `engine.PlannedProgram`'s (`_join_pipe`, `_pipe_slot`).
 
 Frame messages go only to peers (see `congest_cssp`), and every peer listens
 when one is due, so a sleeping run loses no message and puts the same
@@ -46,7 +48,7 @@ class EnergyCsspProgram(CsspProgram):
 
     def __init__(self, node, graph, sources, D_top, **kw):
         super().__init__(node, graph, sources, D_top, **kw)
-        self._pipes = {}  # frame path -> (anchor, period, handle)
+        self._pipes = {}  # frame path -> (period, handle)
         # frame path -> planned slot sends not yet on the wire; a completed
         # frame is released once its count drains
         self._pending_pipe = {}
@@ -78,9 +80,10 @@ class EnergyCsspProgram(CsspProgram):
         """Join the component-tree pipeline that detects recursion progress."""
         if f.size <= 1 or f.path in self._pipes:
             return
-        anchor = f.t_child1
-        handle = self._join_pipe(api, anchor, f.size, f.depth, anchor, 1 << 62)
-        self._pipes[f.path] = (anchor, f.size, handle)
+        # every pipe is anchored at round 0, so nested frames over one tree
+        # listen on the same rounds at the same depth and period
+        handle = self._join_pipe(api, 0, f.size, f.depth, f.t_child1, 1 << 62)
+        self._pipes[f.path] = (f.size, handle)
 
     def _send_queued(self, api, dst, msg, earliest=None):
         tag = msg.tag
@@ -88,8 +91,8 @@ class EnergyCsspProgram(CsspProgram):
         if pipe is None or tag not in (UP_TAGS | DOWN_TAGS):
             super()._send_queued(api, dst, msg)
             return
-        anchor, period, _ = pipe
-        slot = self._pipe_slot(anchor, period, self.frames[msg.ctx].depth,
+        period, _ = pipe
+        slot = self._pipe_slot(0, period, self.frames[msg.ctx].depth,
                                tag in UP_TAGS,
                                api.round if earliest is None else earliest)
         pending = self._pending_pipe
@@ -118,7 +121,7 @@ class EnergyCsspProgram(CsspProgram):
         super()._frame_complete(api, f)
         pipe = self._pipes.pop(f.path, None)
         if pipe is not None:
-            _, period, handle = pipe
+            period, handle = pipe
             api.stop_awake(handle, api.round + 2 * period + 4)
 
 

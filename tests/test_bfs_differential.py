@@ -1,0 +1,48 @@
+"""Differential test of `energy_bfs.full_bfs` against `oracle.hop_distances`.
+
+Inputs cover the degenerate corners: n from 1 to 10, edgeless and
+disconnected graphs drawn as arbitrary edge sets, the path, grid and gnm
+families, and any number of sources from one to all. A run must finish and
+lose no protocol-critical message.
+"""
+
+import pytest
+
+from sleepysim.energy_bfs import full_bfs
+from sleepysim.graph import Graph, GraphSpec, gen_graph
+from sleepysim.oracle import hop_distances
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, example, settings = hypothesis.given, hypothesis.example, hypothesis.settings
+
+
+@st.composite
+def instances(draw):
+    """(graph, sources)."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    family = draw(st.sampled_from(["edges", "path", "grid", "random-gnm"]))
+    if family == "edges":
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graph = Graph.build(n, [(u, v, 1) for u, v in chosen])
+    else:
+        m = draw(st.integers(0, len(pairs))) if family == "random-gnm" else None
+        graph = gen_graph(GraphSpec(family, n, seed=draw(st.integers(0, 1 << 16)),
+                                    m=m))
+    sources = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return graph, sources
+
+
+@settings(max_examples=100)
+@given(instances())
+@example((Graph.build(1, []), {0}))
+@example((Graph.build(4, []), {1}))
+@example((Graph.build(5, [(0, 1, 1), (2, 3, 1), (3, 4, 1)]), {4}))
+@example((gen_graph(GraphSpec("grid", 10)), set(range(10))))
+def test_matches_hop_distances(instance):
+    graph, sources = instance
+    outputs, report, *_ = full_bfs(graph, sources, trace=False)
+    assert report.status == "done"
+    assert report.critical_losses == []
+    assert outputs == hop_distances(graph, sources)

@@ -186,14 +186,14 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "2093d4dc63b03bedccc4a11c63c14027709264c620eb3ef0f118a775a54dce1b",
-     (9219, 0, 1, 29),
+     "2078eddb0ff5597c8511e1efd69e9d6e935398a99db39d201c4cecdd073b161b",
+     (8560, 0, 1, 29),
      800, "e737d8487ebea68b52e8506595fbd292b4176ccb442042ba0034fdc3e9573f3a"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "1a9b23e2b792e2dd2d4b5835a38c4d0063b2b77c7dea24d2528c32eaf4b88826",
-     (10928, 0, 1, 37),
+     "85dd82d40d0fb553d7fa2299d2495da35fc0e0ae4950e9df83c6047084710660",
+     (10067, 0, 1, 37),
      752, "87f681f61675da97887169a1539654ca293567c4107080cc4e8cfc634604d09f"),
 ]
 

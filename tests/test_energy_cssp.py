@@ -161,11 +161,11 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "218a872a541ea46026e853a78801cd9d929ad0973633b1009fea842dd564312e"),
+     "4109be98b0bae1f951a410a21c850d4b395f88d39e02ff1c017b6c06a4217339"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "52a39e7dabb449162fed86dc5c70c163dedf89921cc509bfef2a62f0900ce520"),
+     "7bd6ab58d89bc1146930e726b23972d1fb667fc21439818a695ae95bb25ea647"),
 ]
 
 
@@ -184,6 +184,21 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
     _, congest, _ = cssp(g, sources, trace=False)
     assert report.congestion == congest.congestion
     assert report.lost == 0
+
+
+@pytest.mark.parametrize("spec, sources, bound", [
+    (GraphSpec("random-gnm", 32, seed=0, m=96, weight_mode="uniform", max_w=60),
+     {0}, 9390),
+    (*GOLDEN[0][:2], 7146),
+    (*GOLDEN[1][:2], 7352),
+], ids=["gnm32", "gnm24", "gnm20-zeroheavy"])
+def test_max_energy_bound(spec, sources, bound):
+    """Max per-node energy may only fall: waiting nodes share one pipeline
+    grid, so stacked pipes of one tree listen on the same rounds."""
+    g = gen_graph(spec)
+    outputs, report, _ = cssp_energy(g, sources, trace=False)
+    assert outputs == dijkstra(g, sources)
+    assert report.max_energy() <= bound
 
 
 def test_windows_are_declared_once():
