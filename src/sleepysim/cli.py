@@ -311,7 +311,7 @@ def cmd_sweep(args) -> int:
         raise CliError("empty sweep axis")
     if not args.algo:
         raise CliError("need --algo")
-    rows = ["point,rounds,max_energy,max_congestion"]
+    rows = ["point,rounds,max_energy,max_congestion,messages,lost"]
     for point in points:
         if args.axis == "n":
             spec = GraphSpec(args.family or "random-gnm", point, seed=args.seed,
@@ -338,7 +338,8 @@ def cmd_sweep(args) -> int:
         else:
             raise CliError(f"sweep does not support --algo {args.algo}")
         rows.append(f"{point},{report.rounds},{report.max_energy()},"
-                    f"{report.max_congestion()}")
+                    f"{report.max_congestion()},{report.total_sent()},"
+                    f"{report.lost}")
         log("sweep point", point, "done")
     text = "\n".join(rows) + "\n"
     if args.out:

@@ -17,8 +17,9 @@ message, executes on its active node set:
      outgoing edge left it skips its remaining phases;
   3. an approximate distance cutter: weights rounded up to multiples of
      tau = W/(2*N), then a token BFS where an edge of rounded weight a*tau
-     delays a rounds, run for 6*N ticks. A node sends its tick to the peers
-     whose own tick has not reached it yet; the others ignore it;
+     delays a rounds, run for 6*N ticks. A node fixes its tick once every
+     tick of the step is read, and sends it to the peers whose own tick has
+     not reached it yet; the others ignore it;
   4. recursion on the near set with half the threshold; completion detected
      per component by an event-driven convergecast over the spanning tree,
      after which the root schedules the second recursion a safe margin ahead
@@ -94,7 +95,7 @@ class _Frame:
         "path", "D", "N", "t0", "src", "offsets", "peers",
         "comp", "parent", "children", "depth", "size", "phase",
         "nbr_comp", "inside", "agg", "decision", "merging_done", "in_chosen",
-        "pend_size", "t_cut", "cand", "tick", "ticked",
+        "pend_size", "unacked", "window", "t_cut", "cand", "tick", "ticked",
         "v1", "t_child1", "start2", "v2", "offsets2",
         "done_self", "done_kids", "sent_done", "out", "final", "complete",
     )
@@ -124,6 +125,8 @@ class _Frame:
         self.decision = None
         self.merging_done = False
         self.pend_size = 0
+        self.unacked = 0  # this phase's adoptions sent and not acknowledged
+        self.window = None  # handle of the adoption or cutter window
         self.t_cut = None
         self.cand = None
         self.tick = None
@@ -258,6 +261,8 @@ class CsspProgram(PlannedProgram):
             self._on_adopt(api, f, src, msg.payload)
         elif tag == T_ACK:
             f.children.append(src)
+            f.unacked -= 1
+            self._adoption_settled(api, f)
         elif tag == T_SIZE:
             f.pend_size += msg.payload[0]
         elif tag == T_SIZEB:
@@ -356,8 +361,9 @@ class CsspProgram(PlannedProgram):
         self._sweep(api, f, base, "_send_minedge", "_root_decide")
         W = f.N + 2
         self._plan_at(api, base + 2 * W + 1, "_send_chosen", f.path)
-        # stay up through the adoption wave of this phase
-        api.awake_span(base + 2 * W + 1, base + 3 * W + 4)
+        # stay up through the adoption wave of this phase, until this node
+        # is adopted and the nodes it adopted have acknowledged
+        f.window = api.awake_window(base + 2 * W + 1, base + 3 * W + 4)
         self._plan_at(api, base + self._phase_len(f), "_phase_end", f.path)
 
     def _best_edge(self, f):
@@ -391,6 +397,8 @@ class CsspProgram(PlannedProgram):
         f.decision = payload
         if payload == ():
             f.merging_done = True
+            # no merge: this phase's adoption wave does not pass here
+            api.end_window(f.window, api.round)
         for c in f.children:
             self._send_slot(api, c, Message(T_DECIDE, payload, f.path))
 
@@ -411,6 +419,7 @@ class CsspProgram(PlannedProgram):
                 f.children = []
                 for u in links:
                     self._send_slot(api, u, Message(T_ADOPT, (self.node, 0), f.path))
+                f.unacked = len(links)  # the core edge is one of them
 
     def _merge_edges(self, f):
         """Local edges of the merged structure: old tree + chosen + received."""
@@ -429,10 +438,18 @@ class CsspProgram(PlannedProgram):
         f.parent = src
         f.depth = d + 1
         f.children = []
-        for u in links:
-            if u != src:
-                self._send_slot(api, u, Message(T_ADOPT, (root, d + 1), f.path))
+        forwards = [u for u in links if u != src]
+        for u in forwards:
+            self._send_slot(api, u, Message(T_ADOPT, (root, d + 1), f.path))
+        f.unacked = len(forwards)
         self._send_queued(api, src, Message(T_ACK, (), f.path))
+        self._adoption_settled(api, f)
+
+    def _adoption_settled(self, api, f):
+        """Once adopted and acknowledged by every node it adopted, a node
+        takes no further part in this phase's adoption wave."""
+        if f.unacked == 0:
+            api.end_window(f.window, api.round)
 
     def _phase_end(self, api, f):
         if f.phase == 0:
@@ -491,10 +508,11 @@ class CsspProgram(PlannedProgram):
                 cand = t
         f.cand = cand
         f.ticked = set()
+        # a node cannot know when the tick wave reaches it, but once its own
+        # tick is final it reads no further tick
+        f.window = api.awake_window(f.t_cut, f.t_cut + k + 2)
         if cand is not None and cand <= k:
             self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path)
-        # a node cannot know when the tick wave reaches it
-        api.awake_span(f.t_cut, f.t_cut + k + 2)
         self._plan_at(api, f.t_cut + k + 2, "_cutter_done", f.path)
 
     def _on_cut(self, api, f, src, tick):
@@ -504,7 +522,12 @@ class CsspProgram(PlannedProgram):
         cand = tick + self._tick_weight(f, self.weight[src])
         if f.cand is None or cand < f.cand:
             f.cand = cand
-            if cand <= 6 * f.N:
+            if cand > 6 * f.N:
+                return
+            if f.t_cut + cand == api.round:
+                # the ticks later in this inbox count before this node sends
+                self._plan_after_inbox(api, "_cut_finalize", f.path)
+            else:
                 self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path)
 
     def _cut_finalize(self, api, f):
@@ -513,6 +536,7 @@ class CsspProgram(PlannedProgram):
         if api.round != f.t_cut + f.cand:
             return  # superseded by a better candidate
         f.tick = f.cand
+        api.end_window(f.window, api.round)
         ticked, f.ticked = f.ticked, None
         for u in f.peers:
             if u not in ticked:

@@ -3,18 +3,24 @@
 Same threshold-halving recursion as the congestion-metered version, with the
 energy bookkeeping made real: nodes are awake only for the frame work they
 actually do and sleep otherwise. `CsspProgram` declares each listening window
-where it plans the work (`api.awake_span`, a no-op on a congest node's
+where it plans the work (`api.awake_span`, or `api.awake_window` where the
+node may stop listening early; both are no-ops on a congest node's
 always-awake schedule); this flavor starts asleep, wakes the round before each
 planned action, and waits in pipelines instead of awake. The windows:
 
   - spanning forest: the Boruvka phases run in the same deterministic
     windows, and tree sweeps are depth-slotted (`_sweep`: two awake rounds per
-    sweep); only the merge/adoption sub-window keeps participants awake
-    throughout.
+    sweep). Only the adoption sub-window is listened through, and only until
+    the wave has passed the node: it ends once the node has been adopted (or
+    started the merge as the core) and every node it adopted has
+    acknowledged (`_adoption_settled`). A component with no outgoing edge
+    skips it.
   - distance cutter: an edge of rounded weight a*tau acts as a chain of a
     unit hops that the receiving endpoint advances arithmetically
-    (`_tick_weight`), so only one channel per edge is charged; active nodes
-    stay awake for the tick window (`_start_cutter`).
+    (`_tick_weight`), so only one channel per edge is charged. A node
+    listens from the start of the tick window (`_start_cutter`) until its
+    own tick is final (`_cut_finalize`); a node the wave does not reach
+    listens throughout.
   - completion detection: instead of staying awake, waiting nodes join a
     convergecast/broadcast pipeline on the component tree with period equal
     to the component size, spending O(1) awake rounds per cycle while the

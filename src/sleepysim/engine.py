@@ -8,13 +8,16 @@ computation; messages addressed to it are dropped and counted as lost.
 The implementation is event-driven: rounds in which nothing happens are
 skipped outright, so wall-clock cost scales with messages and program steps,
 not with the round counter. Awake time is declared through schedule
-components (spans and periodic patterns), which lets listening-only rounds
-be charged for energy without executing any code.
+components (spans, windows that a node may end early, and periodic
+patterns), which lets listening-only rounds be charged for energy without
+executing any code.
 
 Steps are kept in a calendar of due rounds: a dict from round to the set of
 nodes due then, and a heap of the distinct rounds in it. Each round is popped
 once; its nodes, less the finished ones, step in ascending id order. A
-delivery wakes the receiver at its next awake round. For a receiver whose
+delivery wakes the receiver at its next awake round; a sleeping-model
+receiver's schedule is asked once per round however many messages reach
+it. For a receiver whose
 schedule is `always` awake that is round r + 1, taken without querying the
 schedule, so the always-awake algorithms make no schedule query at all.
 
@@ -148,11 +151,19 @@ class Schedule:
     `seen`, the latest round asked about, to its tuple. A query about an
     earlier round falls back to the whole list.
 
-    `always` overrides both and is never unset.
+    `windows` maps a handle to each open window: a span [a, b] that may
+    still be cut short (`_end_window`). A window joins the merged spans once
+    ended, or once a query asks about a round past b. The latter is exact
+    because a window ends only at or after the round of the step that ends
+    it, which no query has reached yet: a window whose last round was asked
+    about is final. Queries look at the open windows only where the spans
+    leave the answer open and a window may start early enough to matter.
+
+    `always` overrides all of them and is never unset.
     """
 
     __slots__ = ("always", "starts", "ends", "periodics", "live", "live_end",
-                 "seen")
+                 "seen", "windows", "windows_start", "windows_end", "opened")
 
     def __init__(self):
         self.always = False
@@ -162,6 +173,10 @@ class Schedule:
         self.live = {}
         self.live_end = inf  # the earliest end b in `live`
         self.seen = 0
+        self.windows = {}
+        self.windows_start = inf  # the earliest start a in `windows`
+        self.windows_end = inf  # the earliest end b in `windows`
+        self.opened = 0  # windows declared so far: the next handle
 
     def _add_periodic(self, component) -> int:
         handle = len(self.periodics)
@@ -191,6 +206,39 @@ class Schedule:
             self.live_end = min((c[4] for c in live.values()), default=inf)
         return self.live.values()
 
+    def _add_window(self, a: int, b: int):
+        if self.always:  # as for a span: nothing to store or end
+            return None
+        handle = self.opened
+        self.opened += 1
+        if a <= b:  # an empty window, like an empty span, adds nothing
+            self.windows[handle] = (a, b)
+            if a < self.windows_start:
+                self.windows_start = a
+            if b < self.windows_end:
+                self.windows_end = b
+        return handle
+
+    def _end_window(self, handle, at_round):
+        window = self.windows.pop(handle, None)
+        if window is not None:  # else ended or past before, or always
+            self._add_span(window[0], min(window[1], at_round))
+            self._bound_windows()
+
+    def _close_past(self, r):
+        """Move every open window that ends before round r to the spans."""
+        windows = self.windows
+        for handle, (a, b) in list(windows.items()):
+            if b < r:
+                del windows[handle]
+                self._add_span(a, b)
+        self._bound_windows()
+
+    def _bound_windows(self):
+        windows = self.windows.values()
+        self.windows_start = min((a for a, _ in windows), default=inf)
+        self.windows_end = min((b for _, b in windows), default=inf)
+
     def _add_span(self, a: int, b: int):
         if a > b or self.always:  # always is never unset: a span cannot matter
             return
@@ -211,6 +259,12 @@ class Schedule:
         i = bisect_left(ends, r)
         if i < len(ends) and self.starts[i] <= r:
             return True
+        if self.windows_start <= r:  # inf while no window is open
+            if r > self.windows_end:
+                self._close_past(r)
+            for a, b in self.windows.values():
+                if a <= r <= b:
+                    return True
         for anchor, period, residues, a, b in self._live_from(r):
             if a <= r <= b and (r - anchor) % period in residues:
                 return True
@@ -222,9 +276,17 @@ class Schedule:
             return r + 1
         ends = self.ends
         i = bisect_right(ends, r)
-        best = max(self.starts[i], r + 1) if i < len(ends) else None
+        best = max(self.starts[i], r + 1) if i < len(ends) else inf
         if best == r + 1:  # no round comes earlier
             return best
+        if self.windows_start < best:
+            if r > self.windows_end:
+                self._close_past(r)
+            for a, b in self.windows.values():
+                if b > r and a < best:
+                    best = a if a > r else r + 1
+            if best == r + 1:
+                return best
         for anchor, period, residues, a, b in self._live_from(r):
             if b <= r or not residues:
                 continue
@@ -235,9 +297,9 @@ class Schedule:
                 cand = start + residues[k] - off
             else:
                 cand = start + period - off + residues[0]
-            if cand <= b and (best is None or cand < best):
+            if cand <= b and cand < best:
                 best = cand
-        return best
+        return best if best < inf else None
 
     def awake_rounds(self, horizon: int) -> int:
         """Number of awake rounds in [1, horizon] (round 0 is free
@@ -246,8 +308,15 @@ class Schedule:
         it. Periodic rounds are marked in a bytearray by strided slices."""
         if self.always:
             return max(0, horizon)
+        starts, ends = self.starts, self.ends
+        if self.windows:  # count the open windows as declared
+            merged = Schedule()
+            merged.starts, merged.ends = starts[:], ends[:]
+            for a, b in self.windows.values():
+                merged._add_span(a, b)
+            starts, ends = merged.starts, merged.ends
         spans = []
-        for a, b in zip(self.starts, self.ends):
+        for a, b in zip(starts, ends):
             lo, hi = max(1, a), min(b, horizon)
             if lo <= hi:
                 spans.append((lo, hi + 1))
@@ -289,6 +358,20 @@ class NodeApi:
     def awake_span(self, a: int, b: int):
         self.engine._schedules[self.node]._add_span(a, b)
 
+    def awake_window(self, a: int, b: int):
+        """Listen in rounds [a, b] like `awake_span`, but return a handle
+        with which `end_window` may end the window early."""
+        return self.engine._schedules[self.node]._add_window(a, b)
+
+    def end_window(self, handle, at_round: int):
+        """End a window from `awake_window` after round `at_round`, which is
+        not before this step's round: it keeps only its rounds up to there.
+        A window ends once; later calls, like a call on an always-awake
+        node, change nothing."""
+        if at_round < self.round:
+            raise SimError(f"end_window({at_round}) before round {self.round}")
+        self.engine._schedules[self.node]._end_window(handle, at_round)
+
     def awake_periodic(self, anchor: int, period: int, residues, a: int, b: int):
         """Declare a periodic listening schedule; returns a handle that can be
         retired early with stop_awake (effective from the next round).
@@ -324,6 +407,8 @@ class PlannedProgram:
     An action is a method name plus arguments. Planned for the current round
     it runs at once; planned for a later round it is kept (once per round and
     arguments) and the node wakes then; a past round is a protocol error.
+    `_plan_after_inbox` keeps one for the current round until the inbox has
+    been read.
 
     Tree pipelines: a node at depth d of a tree that pipelines with period p
     listens on the residues {p-d-1, p-d, d, d+1} mod p (d taken mod p). It
@@ -371,6 +456,15 @@ class PlannedProgram:
         if item not in bucket:
             bucket.append(item)
             api.wake_at(r)
+
+    def _plan_after_inbox(self, api, action, *args):
+        """Plan an action for the current round while its inbox is being
+        dispatched: it runs with the due actions, once every message of the
+        step has been read."""
+        bucket = self._plan.setdefault(api.round, [])
+        item = (action, args)
+        if item not in bucket:
+            bucket.append(item)
 
     def _act(self, api, action, args):
         getattr(self, action)(api, *args)
@@ -475,6 +569,9 @@ class Engine:
         budget = self.budget
         audit, push = audit_message, self._push_step
         following = None  # the due set of round r + 1, once looked up
+        # whether each sleeping receiver listens in round r: its schedule is
+        # asked once per round, since no schedule changes during delivery
+        listening = {}
         per_channel = {}
         max_bits, demand = rep.max_bits, rep.max_channel_demand
         delivered, lost = rep.delivered, rep.lost
@@ -508,20 +605,29 @@ class Engine:
                         slot = congestion[ek] = [0, 0]
                     slot[0 if src < dst else 1] += 1
                     sched = schedules[dst]
-                    if dst not in done and (sched.always or sched.awake_at(r)):
-                        inboxes[dst].append((src, msg))
-                        delivered += 1
-                        if sched.always:
+                    if sched.always:
+                        if dst not in done:
+                            inboxes[dst].append((src, msg))
+                            delivered += 1
                             if following is None:
                                 push(r + 1, dst)
                                 following = self._due[r + 1]
                             else:
                                 following.add(dst)
-                        else:
-                            nxt = sched.next_awake_after(r)
-                            if nxt is not None:
-                                push(nxt, dst)
-                        continue
+                            continue
+                    else:
+                        heard = listening.get(dst)
+                        if heard is None:  # the receiver's first message now
+                            heard = dst not in done and sched.awake_at(r)
+                            listening[dst] = heard
+                            if heard:
+                                nxt = sched.next_awake_after(r)
+                                if nxt is not None:
+                                    push(nxt, dst)
+                        if heard:
+                            inboxes[dst].append((src, msg))
+                            delivered += 1
+                            continue
                     lost += 1
                     if msg.tag in cfg.watch_tags:
                         rep.watched_losses.append((r, src, dst, msg.tag, msg.payload))

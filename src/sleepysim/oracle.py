@@ -80,12 +80,6 @@ def hop_distances(graph, sources, active=None) -> dict:
     return dist
 
 
-def reference_thresholded(graph, sources, tau) -> dict:
-    """dist(S, v) when <= tau, else INF."""
-    dist = dijkstra(graph, sources)
-    return {v: (d if d <= tau else INF) for v, d in dist.items()}
-
-
 # -- structure checkers ----------------------------------------------------
 #
 # Clusters, covers and decompositions are exchanged as plain data:

@@ -172,7 +172,7 @@ def test_sweep_rows(tmp_path, capsys):
                  "--values", "8,12,16", "--gen", "random-gnm"])
     assert code == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "point,rounds,max_energy,max_congestion"
+    assert lines[0] == "point,rounds,max_energy,max_congestion,messages,lost"
     assert len(lines) == 4
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sleepysim.congest_cssp import (
-    CsspProgram, boruvka_forest, cssp, run_thresholded_cssp,
+    T_ACK, T_ADOPT, CsspProgram, boruvka_forest, cssp, run_thresholded_cssp,
 )
 from sleepysim.energy_cssp import EnergyCsspProgram, cssp_energy
 from sleepysim.engine import run_simulation
@@ -161,11 +161,11 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "4109be98b0bae1f951a410a21c850d4b395f88d39e02ff1c017b6c06a4217339"),
+     "c3c2c8087b8bbfee9b2dadd34100d81c7a0ad2bc566f87e20a0ad85848c0da3a"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "7bd6ab58d89bc1146930e726b23972d1fb667fc21439818a695ae95bb25ea647"),
+     "6cb7e04d983aecc70d5bff9f5acb45275bb894960606437545d4787a27fecc2b"),
 ]
 
 
@@ -188,17 +188,72 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
 
 @pytest.mark.parametrize("spec, sources, bound", [
     (GraphSpec("random-gnm", 32, seed=0, m=96, weight_mode="uniform", max_w=60),
-     {0}, 9390),
-    (*GOLDEN[0][:2], 7146),
-    (*GOLDEN[1][:2], 7352),
+     {0}, 6605),
+    (*GOLDEN[0][:2], 5368),
+    (*GOLDEN[1][:2], 5667),
 ], ids=["gnm32", "gnm24", "gnm20-zeroheavy"])
 def test_max_energy_bound(spec, sources, bound):
     """Max per-node energy may only fall: waiting nodes share one pipeline
-    grid, so stacked pipes of one tree listen on the same rounds."""
+    grid, so stacked pipes of one tree listen on the same rounds, and the
+    cutter and adoption windows close once the node's own wave has passed."""
     g = gen_graph(spec)
     outputs, report, _ = cssp_energy(g, sources, trace=False)
     assert outputs == dijkstra(g, sources)
     assert report.max_energy() <= bound
+
+
+def test_listening_ends_with_the_wave():
+    """Cutter and adoption windows close at the node's own wave front. In
+    the root frame, a node whose tick is final in round R sleeps from R + 2
+    to the cutter's end; in each Boruvka phase a node sleeps from two rounds
+    after its last adoption event (adopted, adoption sent, or acknowledgement
+    read) to the round before the phase ends, and a node with none, in a
+    component with no outgoing edge, from just after the merge round."""
+    g = gen_graph(GOLDEN[0][0])
+    N, W = g.n, g.n + 2
+    phase_len = 3 * W + 4
+    last_event = {}  # (node, phase) -> last adoption round in the root frame
+    programs = {}
+
+    class Watching(EnergyCsspProgram):
+        def _note(self, api, msg):
+            if msg.ctx == 1 and msg.tag in (T_ADOPT, T_ACK):
+                last_event[(self.node, api.round // phase_len)] = api.round
+
+        def _dispatch(self, api, src, msg):
+            self._note(api, msg)
+            super()._dispatch(api, src, msg)
+
+        def _send(self, api, dst, msg, critical=False):
+            self._note(api, msg)
+            super()._send(api, dst, msg, critical)
+
+    def program(*args, **kw):
+        p = programs[args[0]] = Watching(*args, **kw)
+        return p
+
+    outputs, report, engine = cssp(g, GOLDEN[0][1], program=program, trace=False)
+    assert outputs == dijkstra(g, GOLDEN[0][1])
+    assert report.lost == 0
+
+    def asleep(v, lo, hi):
+        sched = engine._schedules[v]
+        return not any(sched.awake_at(r) for r in range(lo, hi + 1))
+
+    root = {v: p.frames[1] for v, p in programs.items()}
+    t_cut = root[0].t_cut
+    assert t_cut == (N - 1).bit_length() * phase_len + 2 * W + 2
+    ticked = [v for v, f in root.items() if f.tick is not None]
+    assert len(ticked) > g.n // 2
+    for v in ticked:
+        assert asleep(v, t_cut + root[v].tick + 2, t_cut + 6 * N), v
+    merges = max(p for _, p in last_event) + 1
+    assert merges >= 2
+    for p in range(merges + 1):  # the last phase finds no outgoing edge
+        base = p * phase_len
+        for v in range(g.n):
+            lo = last_event.get((v, p), base + 2 * W + 1) + 2
+            assert asleep(v, lo, base + phase_len - 2), (v, p)
 
 
 def test_windows_are_declared_once():

@@ -3,7 +3,7 @@ import random
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import (
     INF, bellman_ford, check_cover, check_decomposition, check_layered,
-    dijkstra, hop_distances, reference_thresholded,
+    dijkstra, hop_distances,
 )
 from sleepysim.structures import ClusterData, Cover, Decomposition, LayeredCover
 
@@ -42,14 +42,6 @@ def test_dijkstra_matches_bellman_ford():
                                 weight_mode="zero-heavy", max_w=50))
         srcs = rng.sample(range(n), rng.randint(1, max(1, n // 4)))
         assert dijkstra(g, srcs) == bellman_ford(g, srcs)
-
-
-def test_reference_thresholded():
-    assert reference_thresholded(p3(), [0], 4) == {0: 0, 1: 2, 2: INF}
-    assert reference_thresholded(p3(), [0], 0) == {0: 0, 1: INF, 2: INF}
-    g = p3()
-    big = g.n * max(w for (_, _, w) in g.edges)
-    assert reference_thresholded(g, [0], big) == dijkstra(g, [0])
 
 
 def _singleton_cluster(v, cid=0):

@@ -7,7 +7,7 @@ every component as declared and answers each query by checking each round.
 
 import pytest
 
-from sleepysim.engine import Engine, NodeApi
+from sleepysim.engine import Engine, NodeApi, SimError
 from sleepysim.graph import Graph
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -114,3 +114,102 @@ def test_schedule_matches_brute_force(case):
     for r in range(H, -1, -1):
         assert sched.awake_at(r) == truth[r], r
         assert sched.next_awake_after(r) == following[r], r
+
+
+@st.composite
+def windowed(draw):
+    """(ops, always_at, t, ends): components as `schedules` draws them with
+    ("window", a, b) among them, the round t of the step that ends windows,
+    and (window index, round it ends after) pairs, each round >= t: before
+    the window opens, inside it, or after it closed; a window may be ended
+    twice."""
+    ops, always_at = draw(schedules())
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, H))
+        ops.insert(draw(st.integers(0, len(ops))),
+                   ("window", a, a + draw(st.integers(-1, 25))))
+    if always_at is not None:
+        always_at = draw(st.integers(0, len(ops)))
+    t = draw(st.integers(0, H))
+    count = sum(op[0] == "window" for op in ops)
+    ends = draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                   st.integers(t, H + 30)), max_size=6))
+    return ops, always_at, t, ends
+
+
+def declare_windowed(ops, always_at):
+    """As `declare`, with windows: (engine, window handles in order)."""
+    engine = Engine(Graph.build(1, []))
+    api = NodeApi(engine, 0, 0, [])
+    handles = []
+    for i, op in enumerate(ops):
+        if i == always_at:
+            api.always_awake()
+        if op[0] == "window":
+            handles.append(api.awake_window(op[1], op[2]))
+        elif op[0] == "span":
+            api.awake_span(op[1], op[2])
+        elif op[0] == "periodic":
+            api.awake_periodic(*op[1:])
+        else:
+            api.stop_awake(op[1], op[2])
+    if always_at == len(ops):
+        api.always_awake()
+    return engine, handles
+
+
+def as_spans(ops, ends):
+    """The ops with each window replaced by the span it keeps after `ends`."""
+    last = {}
+    for k, at in ends:
+        last.setdefault(k, at)  # only the first end counts
+    out, k = [], 0
+    for op in ops:
+        if op[0] == "window":
+            out.append(("span", op[1], min(op[2], last.get(k, op[2]))))
+            k += 1
+        else:
+            out.append(op)
+    return out
+
+
+def check_against(sched, awake, last, rounds):
+    truth = [awake(r) for r in range(last + 1)]
+    for r in rounds:
+        following = next((rr for rr in range(r + 1, last + 1) if truth[rr]), None)
+        assert sched.awake_at(r) == truth[r], r
+        assert sched.next_awake_after(r) == following, r
+        assert sched.awake_rounds(r) == sum(truth[1:r + 1]), r
+
+
+@given(windowed())
+@example(([("window", 5, 20), ("span", 12, 14)], None, 9, [(0, 9)]))  # early
+@example(([("window", 5, 20)], None, 3, [(0, 3)]))  # before it opens
+@example(([("window", 5, 20)], None, 8, [(0, 40), (0, 9)]))  # after b, twice
+@example(([("window", 5, 20)], 0, 9, [(0, 9)]))  # on an always-awake node
+@example(([("window", 5, 9), ("window", 8, 30), ("periodic", 0, 4, {1}, 0, FAR)],
+          None, 12, [(1, 14), (0, 12)]))  # one window past before its end
+def test_windows_match_brute_force(case):
+    """Windows answer queries as spans do, before and after they end: queries
+    about the rounds before the ending step see the windows as declared, and
+    queries about any round after it see each window cut at its end."""
+    ops, always_at, t, ends = case
+    engine, handles = declare_windowed(ops, always_at)
+    sched = engine._schedules[0]
+    awake, last = reference(as_spans(ops, []), always_at)
+    check_against(sched, awake, last, range(t))
+
+    api = NodeApi(engine, 0, t, [])
+    for k, at in ends:
+        api.end_window(handles[k], at)
+    awake, last = reference(as_spans(ops, ends), always_at)
+    check_against(sched, awake, last, range(H + 1))
+    check_against(sched, awake, last, range(H, -1, -1))
+
+
+def test_window_cannot_end_in_the_past():
+    engine = Engine(Graph.build(1, []))
+    handle = NodeApi(engine, 0, 0, []).awake_window(2, 9)
+    with pytest.raises(SimError):
+        NodeApi(engine, 0, 5, []).end_window(handle, 4)
+    assert engine._schedules[0].next_awake_after(4) == 5
