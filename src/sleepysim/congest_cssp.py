@@ -686,13 +686,15 @@ def run_thresholded_cssp(graph, sources, D, *, program=CsspProgram,
     return run_simulation(graph, lambda v: program(v, graph, src, D), cfg)
 
 
-def boruvka_forest(graph) -> tuple:
+def boruvka_forest(graph, *, program=CsspProgram) -> tuple:
     """Maximal spanning forest of the graph; every node learns its component
-    id, parent, depth, and component size."""
+    id, parent, depth, and component size. `program` is the node program
+    class, congest or sleeping: both build the same forest in the same
+    rounds."""
     cfg = SimConfig(round_limit=default_round_limit(graph.n, 2),
                     collect_trace=False)
     outputs, report, engine = run_simulation(
-        graph, lambda v: CsspProgram(v, graph, set(), 2, forest_only=True), cfg)
+        graph, lambda v: program(v, graph, set(), 2, forest_only=True), cfg)
     comp, parent, depth, size = {}, {}, {}, {}
     for v in range(graph.n):
         c, p, d, s = outputs[v]

@@ -13,9 +13,10 @@ asleep; the frontier must only ever arrive at awake nodes, and lost frontier
 messages are logged so the sleep-safety check can separate harmless
 duplicates from real violations.
 
-Construction of the cover stack itself reuses the synchronous builder (all
-participants awake and charged accordingly); this module adds the layering,
-parent links, global-cluster detection, and the sleeping BFS phase.
+Construction of the cover stack itself reuses `netdecomp`'s builder (its
+nodes sleep outside the rounds a message can reach them); this module adds
+the layering, parent links, global-cluster detection (all nodes awake), and
+the sleeping BFS phase.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def build_cover_next(graph, layered, *, trace=True):
 
 
 def bootstrap_base_covers(graph, *, base=None, trace=True):
-    """All-awake construction of the scale-1 and scale-B covers plus links."""
+    """Construction of the scale-1 and scale-B covers plus links."""
     cover0, decomp0, rep0, tl0 = build_cover_sync(graph, 1, trace=trace, level=0)
     B = choose_base(cover0.measured_stretch(), base)
     cover1, decomp1, rep1, tl1 = build_cover_sync(graph, B, trace=trace, level=1)

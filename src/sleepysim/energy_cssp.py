@@ -36,9 +36,8 @@ once its pipeline sends are on the wire, because they name it.
 
 Everything else, the step loop and the entry points included, is shared with
 the congest implementation: pass `program=EnergyCsspProgram` to
-`congest_cssp.run_thresholded_cssp` or `cssp`. `boruvka_forest` always runs
-congest nodes; a sleeping forest alone is `EnergyCsspProgram(...,
-forest_only=True)` nodes run through `engine.run_simulation`.
+`congest_cssp.run_thresholded_cssp`, `cssp` or `boruvka_forest`, which
+`netdecomp.build_decomposition` does for its spanning forest.
 """
 
 from __future__ import annotations
@@ -73,10 +72,8 @@ class EnergyCsspProgram(CsspProgram):
     def _may_finish(self):
         return super()._may_finish() and not self._pending_pipe
 
-    def _plan_at(self, api, r, action, *args):
-        if r > api.round:
-            api.awake_span(max(1, r - 1), r)
-        super()._plan_at(api, r, action, *args)
+    # a planned action reads what arrives in the round before it
+    _listen_before = True
 
     def _cutter_done(self, api, f):
         super()._cutter_done(api, f)

@@ -17,9 +17,10 @@ nodes due then, and a heap of the distinct rounds in it. Each round is popped
 once; its nodes, less the finished ones, step in ascending id order. A
 delivery wakes the receiver at its next awake round; a sleeping-model
 receiver's schedule is asked once per round however many messages reach
-it. For a receiver whose
-schedule is `always` awake that is round r + 1, taken without querying the
-schedule, so the always-awake algorithms make no schedule query at all.
+it. For a receiver whose schedule is `always` awake, or whose last answered
+span (or the span after it) holds rounds r and r + 1, that is round r + 1,
+taken without a query, so the always-awake algorithms make no schedule
+query at all.
 
 Megarounds: with width k, every logical round of the loop stands for k
 physical rounds. A node awake in a logical round is charged k physical
@@ -131,6 +132,9 @@ class RunReport:
 # -- awake schedules -------------------------------------------------------
 
 
+FOLD_EVERY = 32  # list growth between two folds of a schedule
+
+
 class Schedule:
     """Union of awake components for one node.
 
@@ -159,11 +163,24 @@ class Schedule:
     about is final. Queries look at the open windows only where the spans
     leave the answer open and a window may start early enough to matter.
 
+    Passed intervals are folded into a count (`_fold`): no declaration
+    starts before the round of the step that makes it, so an interval that
+    ends before that round is final. While the schedule has no periodic and
+    no open window, which a later one could overlap only by starting in the
+    past, such intervals leave the lists and add their rounds to `passed`.
+    Queries about a folded round raise `SimError`.
+
+    `lo`..`hi` is the interval in which `awake_at` last found its round and
+    `nlo`..`nhi` the one after it: spans only ever grow or fold, so their
+    rounds stay awake, and a delivery in round r with lo <= r < hi, or in
+    the next interval, needs no query at all.
+
     `always` overrides all of them and is never unset.
     """
 
     __slots__ = ("always", "starts", "ends", "periodics", "live", "live_end",
-                 "seen", "windows", "windows_start", "windows_end", "opened")
+                 "seen", "windows", "windows_start", "windows_end", "opened",
+                 "passed", "folded", "fold_at", "lo", "hi", "nlo", "nhi")
 
     def __init__(self):
         self.always = False
@@ -177,6 +194,10 @@ class Schedule:
         self.windows_start = inf  # the earliest start a in `windows`
         self.windows_end = inf  # the earliest end b in `windows`
         self.opened = 0  # windows declared so far: the next handle
+        self.passed = 0  # awake rounds >= 1 in the folded intervals
+        self.folded = -1  # the last folded round
+        self.fold_at = FOLD_EVERY  # fold once the lists grow past this
+        self.lo = self.hi = self.nlo = self.nhi = 0  # intervals known awake
 
     def _add_periodic(self, component) -> int:
         handle = len(self.periodics)
@@ -239,25 +260,69 @@ class Schedule:
         self.windows_start = min((a for a, _ in windows), default=inf)
         self.windows_end = min((b for _, b in windows), default=inf)
 
-    def _add_span(self, a: int, b: int):
+    def _add_span(self, a: int, b: int, now=None):
+        """Merge [a, b] into the intervals. A span declared by the step of
+        round `now` may fold the passed intervals once the lists grow."""
         if a > b or self.always:  # always is never unset: a span cannot matter
             return
-        starts, ends = self.starts, self.ends
-        i = bisect_left(ends, a - 1)  # first interval ending at or after a - 1
-        j = bisect_right(starts, b + 1, i)  # past the last starting by b + 1
-        if i == j:
+        ends = self.ends
+        if not ends or a > ends[-1] + 1:  # after every interval, as most spans are
+            self.starts.append(a)
+            ends.append(b)
+        else:
+            starts = self.starts
+            if a >= starts[-1]:  # overlaps or touches the last interval only
+                if b > ends[-1]:
+                    ends[-1] = b
+                return
+            i = bisect_left(ends, a - 1)  # first interval ending at or after a - 1
+            if starts[i] <= a and b <= ends[i]:
+                return  # inside one interval
+            j = bisect_right(starts, b + 1, i)  # past the last starting by b + 1
+            if j == i + 1:  # one interval absorbs it
+                if a < starts[i]:
+                    starts[i] = a
+                if b > ends[i]:
+                    ends[i] = b
+                return
+            if j > i:
+                starts[i:j] = (min(a, starts[i]),)
+                ends[i:j] = (max(b, ends[j - 1]),)
+                return
             starts.insert(i, a)
             ends.insert(i, b)
-        else:
-            starts[i:j] = (min(a, starts[i]),)
-            ends[i:j] = (max(b, ends[j - 1]),)
+        if len(ends) > self.fold_at and now is not None:
+            self._fold(now)
+
+    def _fold(self, now):
+        """Fold the intervals that end before round `now`, the round of the
+        step declaring a span, unless a periodic or open window may overlap
+        them."""
+        starts, ends = self.starts, self.ends
+        if not (self.periodics or self.windows):
+            i = bisect_left(ends, now)
+            if i:
+                # round 0 is free: an interval may start there, none before
+                self.passed += sum(ends[:i]) - sum(starts[:i]) + i - (starts[0] == 0)
+                self.folded = ends[i - 1]
+                del starts[:i], ends[:i]
+        self.fold_at = len(ends) + FOLD_EVERY
+
+    def _folded_query(self, r):
+        raise SimError(f"schedule query about folded round {r}")
 
     def awake_at(self, r: int) -> bool:
         if self.always:
             return True
+        if r <= self.folded:
+            self._folded_query(r)
         ends = self.ends
         i = bisect_left(ends, r)
         if i < len(ends) and self.starts[i] <= r:
+            starts = self.starts
+            self.lo, self.hi = starts[i], ends[i]
+            if i + 1 < len(ends):
+                self.nlo, self.nhi = starts[i + 1], ends[i + 1]
             return True
         if self.windows_start <= r:  # inf while no window is open
             if r > self.windows_end:
@@ -274,6 +339,8 @@ class Schedule:
         """Smallest awake round strictly greater than r, or None."""
         if self.always:
             return r + 1
+        if r < self.folded:
+            self._folded_query(r)
         ends = self.ends
         i = bisect_right(ends, r)
         best = max(self.starts[i], r + 1) if i < len(ends) else inf
@@ -308,6 +375,8 @@ class Schedule:
         it. Periodic rounds are marked in a bytearray by strided slices."""
         if self.always:
             return max(0, horizon)
+        if horizon < self.folded:
+            self._folded_query(horizon)
         starts, ends = self.starts, self.ends
         if self.windows:  # count the open windows as declared
             merged = Schedule()
@@ -315,14 +384,17 @@ class Schedule:
             for a, b in self.windows.values():
                 merged._add_span(a, b)
             starts, ends = merged.starts, merged.ends
-        spans = []
-        for a, b in zip(starts, ends):
-            lo, hi = max(1, a), min(b, horizon)
-            if lo <= hi:
-                spans.append((lo, hi + 1))
-        count = sum(b - a for a, b in spans)
+        # the intervals that meet [1, horizon]; only the first and the last
+        # can reach past it
+        i, j = bisect_left(ends, 1), bisect_right(starts, horizon)
+        count = self.passed
+        if i < j:
+            count += (sum(ends[i:j]) - sum(starts[i:j]) + j - i
+                      - max(0, 1 - starts[i]) - max(0, ends[j - 1] - horizon))
         if not self.periodics:
             return count
+        spans = [(max(1, a), min(b, horizon) + 1)
+                 for a, b in zip(starts[i:j], ends[i:j])]
         marks = bytearray(horizon + 1)
         for anchor, period, residues, a, b in self.periodics:
             lo, hi = max(1, a), min(b, horizon)
@@ -348,19 +420,34 @@ class NodeApi:
     def send(self, dst: int, msg: Message, critical: bool = False):
         self._sends.append((dst, msg, critical))
 
-    def wake_at(self, r: int):
+    def wake_at(self, r: int, listen_from=None):
+        """Step in round r, which is after this step's; with `listen_from`,
+        not before this step's round, listen from there through r too."""
         if r <= self.round:
             raise SimError(f"wake_at({r}) not in the future of round {self.round}")
+        a = r
+        if listen_from is not None and listen_from < r:
+            if listen_from < self.round:
+                self._before_now("wake_at", listen_from)
+            a = listen_from
         engine = self.engine
-        engine._schedules[self.node]._add_span(r, r)
+        engine._schedules[self.node]._add_span(a, r, self.round)
         engine._push_step(r, self.node)
 
+    def _before_now(self, call, a):
+        raise SimError(f"{call}: start {a} before round {self.round}")
+
     def awake_span(self, a: int, b: int):
-        self.engine._schedules[self.node]._add_span(a, b)
+        """Listen in rounds [a, b]; a is not before this step's round."""
+        if a < self.round:
+            self._before_now("awake_span", a)
+        self.engine._schedules[self.node]._add_span(a, b, self.round)
 
     def awake_window(self, a: int, b: int):
         """Listen in rounds [a, b] like `awake_span`, but return a handle
         with which `end_window` may end the window early."""
+        if a < self.round:
+            self._before_now("awake_window", a)
         return self.engine._schedules[self.node]._add_window(a, b)
 
     def end_window(self, handle, at_round: int):
@@ -375,7 +462,10 @@ class NodeApi:
     def awake_periodic(self, anchor: int, period: int, residues, a: int, b: int):
         """Declare a periodic listening schedule; returns a handle that can be
         retired early with stop_awake (effective from the next round).
-        Every residue must lie in [0, period) and period must be >= 1."""
+        Every residue must lie in [0, period), period must be >= 1 and a is
+        not before this step's round."""
+        if a < self.round:
+            self._before_now("awake_periodic", a)
         residues = tuple(sorted(set(residues)))
         if period < 1 or any(not 0 <= x < period for x in residues):
             raise SimError(f"awake_periodic: residues {list(residues)} "
@@ -406,7 +496,10 @@ class PlannedProgram:
 
     An action is a method name plus arguments. Planned for the current round
     it runs at once; planned for a later round it is kept (once per round and
-    arguments) and the node wakes then; a past round is a protocol error.
+    arguments) and the node wakes then, through one `wake_at` per planned
+    round; a past round is a protocol error. An action that reads messages
+    sent before its round listens from there (`listen_from`); a class whose
+    actions all read the round before sets `_listen_before`.
     `_plan_after_inbox` keeps one for the current round until the inbox has
     been read.
 
@@ -447,15 +540,26 @@ class PlannedProgram:
         residue = (period - dep) % period if up else (dep + 1) % period
         return earliest + (residue - (earliest - anchor)) % period
 
-    def _plan_at(self, api, r, action, *args):
+    _listen_before = False
+
+    def _plan_at(self, api, r, action, *args, listen_from=None):
+        """Plan an action for round r; `listen_from` also listens from that
+        round through r, for an action that reads what arrives before it."""
         if r == api.round:
             self._act(api, action, args)
             return
-        bucket = self._plan.setdefault(r, [])
         item = (action, args)
+        bucket = self._plan.get(r)
+        if bucket is None:  # the first action planned for round r
+            self._plan[r] = [item]
+            if listen_from is None and self._listen_before:
+                listen_from = max(1, r - 1)
+            api.wake_at(r, listen_from)
+            return
+        if listen_from is not None:
+            api.awake_span(listen_from, r)
         if item not in bucket:
             bucket.append(item)
-            api.wake_at(r)
 
     def _plan_after_inbox(self, api, action, *args):
         """Plan an action for the current round while its inbox is being
@@ -605,7 +709,8 @@ class Engine:
                         slot = congestion[ek] = [0, 0]
                     slot[0 if src < dst else 1] += 1
                     sched = schedules[dst]
-                    if sched.always:
+                    # awake in round r and in r + 1, where it reads the message
+                    if sched.always or sched.lo <= r < sched.hi:
                         if dst not in done:
                             inboxes[dst].append((src, msg))
                             delivered += 1
@@ -618,10 +723,15 @@ class Engine:
                     else:
                         heard = listening.get(dst)
                         if heard is None:  # the receiver's first message now
-                            heard = dst not in done and sched.awake_at(r)
+                            if sched.nlo <= r < sched.nhi:
+                                sched.lo, sched.hi = sched.nlo, sched.nhi
+                                heard = dst not in done
+                            else:  # a span that answers is cached in lo..hi
+                                heard = dst not in done and sched.awake_at(r)
                             listening[dst] = heard
                             if heard:
-                                nxt = sched.next_awake_after(r)
+                                nxt = (r + 1 if sched.lo <= r < sched.hi
+                                       else sched.next_awake_after(r))
                                 if nxt is not None:
                                     push(nxt, dst)
                         if heard:

@@ -12,17 +12,39 @@ and remain as nonterminal tree nodes.
 
 Sequencing is fully in-protocol: every sub-window is round arithmetic from
 per-component counters, and step/phase/color transitions are decided by a
-two-bit barrier aggregation over the component spanning tree. All nodes stay
-awake (this is the synchronous, congestion-metered construction; the cover
-consumers handle sleeping separately).
+two-bit barrier aggregation over the component spanning tree.
 
 Cover mode appends one expansion wave per color, growing each cluster to its
 d-neighborhood and recording the expanded trees.
+
+Nodes sleep. The spanning forest is built by sleeping `EnergyCsspProgram`
+nodes (`forest_only=True`), and a decomposition node wakes for the rounds in
+which it acts and, since a message sent in round s is read in the step at
+s + 1, listens in [s, s + 1] for each round s in which one can reach it.
+With a step starting at base, t_join = base + k + 2, t_cnt = t_join + k + 2,
+t_dec = t_cnt + rho + 2, t_bar = t_dec + rho + k + 3 and S the component
+size, those rounds are:
+
+  - PD_PROP: base .. base + k - 1, every node (proposals travel k hops);
+  - PD_JOIN: t_join + k - hop - 1 for a node holding a proposal of hop < k,
+    t_join + k - 1 for a proposer;
+  - PD_RCNT, PD_CNT: base + rho - depth for each role with kids, the sweep
+    starting at base (the phase start, or t_cnt);
+  - PD_DEC: t_dec + depth - 1 for each non-root role of a blue cluster, and
+    t_dec + st - 1 for a node that sent a join on a proposal with depth st;
+  - PD_BUP: t_bar + S - fdepth - 1 for a node with forest kids;
+  - PD_BDOWN: t_bar + S + fdepth for a non-root;
+  - PD_EXP: base + c(d + 3) .. base + c(d + 3) + d - 1 for each color c.
+
+Every message is sent critical, so a message that reaches a sleeping node
+raises `ProtocolViolation` instead of quietly changing the cover. The
+messages, rounds, decomposition and cover are the all-awake construction's.
 """
 
 from __future__ import annotations
 
 from .congest_cssp import boruvka_forest
+from .energy_cssp import EnergyCsspProgram
 from .engine import (
     Message, PlannedProgram, SimConfig, SimError, merge_reports, run_simulation,
 )
@@ -80,9 +102,9 @@ class _Role:
 
 
 class DecompProgram(PlannedProgram):
-    """All-awake node program building one decomposition (plus cover)."""
+    """Sleeping node program building one decomposition (plus cover)."""
 
-    def __init__(self, node, graph, forest, k, *, expand_to=None):
+    def __init__(self, node, graph, forest, kids, k, *, expand_to=None):
         super().__init__(node, graph)
         self.k = k
         self.d = expand_to
@@ -92,7 +114,7 @@ class DecompProgram(PlannedProgram):
         self.comp_size = forest.size[node]
         self.fparent = forest.parent[node]
         self.fdepth = forest.depth[node]
-        self.fkids = forest.children()[node]
+        self.fkids = kids[node]  # forest.children(), computed once per run
         # color-scoped state
         self.color = 0
         self.phase = 0
@@ -113,6 +135,8 @@ class DecompProgram(PlannedProgram):
         self.colors_used = 0
         # per-step wave state
         self.prop = None  # (label, hop, st, wave parent)
+        self.t_join = None  # the round this step's join convergecast starts
+        self.t_dec = None  # the round this step's cluster roots decide
         self.cnt_kids: dict[int, list] = {}
         self.join_acc: dict[int, int] = {}
         self.bar_active = False
@@ -127,10 +151,14 @@ class DecompProgram(PlannedProgram):
     def _pop_acc(self, label):
         return self._acc.pop(label, 0)
 
+    @staticmethod
+    def _listen(api, s):
+        """Receive what is sent in round s and read it in the step at s + 1."""
+        api.awake_span(s, s + 1)
+
     def on_round(self, api):
         if not self._started:
             self._started = True
-            api.always_awake()
             self._plan_at(api, 1, "_color_start")
         props = []
         for src, msg in api.inbox:
@@ -193,26 +221,31 @@ class DecompProgram(PlannedProgram):
         self.stopped = False
         self.root_stop = False
         self._role_sweep(api, base, "_recount_up", "_recount_root")
-        self._plan_at(api, base + self._rho() + 3, "_step_begin")
+        self._plan_step(api, base + self._rho() + 3)
 
     def _role_sweep(self, api, base, up, root):
         """Plan one convergecast over every role's tree: a root acts (`root`)
         at base + rho + 2, a node at depth d sends up (`up`) at
-        base + 1 + rho - d."""
+        base + 1 + rho - d, and a role with kids listens in the round its
+        kids send."""
         rho = self._rho()
         for label in sorted(self.roles):
             role = self.roles[label]
+            heard = base + rho - role.depth  # the round its kids send
             if role.parent is None:
+                if role.kids:
+                    self._listen(api, heard)
                 self._plan_at(api, base + rho + 2, root, label)
             else:
-                self._plan_at(api, base + 1 + (rho - role.depth), up, label)
+                self._plan_at(api, heard + 1, up, label,
+                              listen_from=heard if role.kids else None)
 
     def _recount_up(self, api, label):
         role = self.roles.get(label)
         if role is None or role.parent is None:
             return
         total = (1 if role.terminal else 0) + self._pop_acc(label)
-        api.send(role.parent, Message(PD_RCNT, (label, total)))
+        api.send(role.parent, Message(PD_RCNT, (label, total)), critical=True)
 
     def _recount_root(self, api, label):
         role = self.roles.get(label)
@@ -220,11 +253,14 @@ class DecompProgram(PlannedProgram):
             return
         self.root_size = (1 if role.terminal else 0) + self._pop_acc(label)
 
-    def _step_begin(self, api):
+    def _plan_step(self, api, base):
+        """Plan the step that starts in round base. The whole step is
+        planned ahead: the roles and forest position it depends on change
+        only in its decision wave, after every count, so only a proposer
+        wakes at base."""
         self.in_step += 1
         if self.in_step > self.step_cap:
             raise ConstructionError("step budget exceeded within a phase")
-        base = api.round
         self.prop = None
         self.cnt_kids = {}
         self.join_acc = {}
@@ -235,17 +271,30 @@ class DecompProgram(PlannedProgram):
         t_cnt = t_join + k + 2
         t_dec = t_cnt + rho + 2
         t_bar = t_dec + rho + k + 3
+        self.t_join, self.t_dec = t_join, t_dec
+        # rounds are declared roughly in ascending order, which the schedule
+        # mostly appends
         mine = self.roles.get(self.label)
-        if (self.living and mine is not None and mine.terminal
-                and self._is_blue(self.label) and not self.stopped):
-            for u in self.nbrs:
-                api.send(u, Message(PD_PROP, (self.label, 1, mine.depth + 1)))
-        self._plan_at(api, t_join, "_join_phase", t_join)
-        self._plan_at(api, t_cnt, "_role_sweep", t_cnt, "_count_up", "_root_decide")
-        self._plan_at(api, t_bar, "_barrier", t_bar)
+        proposer = (self.living and mine is not None and mine.terminal
+                    and self._is_blue(self.label) and not self.stopped)
+        if proposer:
+            self._plan_at(api, base, "_propose", mine.depth + 1)
+        api.awake_span(base, base + k)  # proposals travel at most k hops
+        if proposer:
+            self._listen(api, t_join + k - 1)  # joins from hop 1
+        self._role_sweep(api, t_cnt, "_count_up", "_root_decide")
+        # a blue root's decision reaches depth d of its tree in t_dec + d - 1
+        for label, role in self.roles.items():
+            if role.parent is not None and self._is_blue(label):
+                self._listen(api, t_dec + role.depth - 1)
+        self._barrier(api, t_bar)
 
     def _is_blue(self, label):
         return ((label >> self.phase) & 1) == 0
+
+    def _propose(self, api, st):
+        for u in self.nbrs:
+            api.send(u, Message(PD_PROP, (self.label, 1, st)), critical=True)
 
     # -- proposal wave ----------------------------------------------------------------
 
@@ -254,17 +303,17 @@ class DecompProgram(PlannedProgram):
         if hop > self.k:
             return
         self.prop = (label, hop, st, src)
+        # joins converge one hop per round from t_join: the farthest first
+        t_up = self.t_join + self.k - hop
+        heard = None
         if hop < self.k:
             fwd = self.roles[label].depth + 1 if label in self.roles else st + 1
             for u in self.nbrs:
                 if u != src:
-                    api.send(u, Message(PD_PROP, (label, hop + 1, fwd)))
-
-    def _join_phase(self, api, t_join):
-        if self.prop is None:
-            return
-        label, hop, st, parent = self.prop
-        self._plan_at(api, t_join + (self.k - hop), "_join_up")
+                    api.send(u, Message(PD_PROP, (label, hop + 1, fwd)),
+                             critical=True)
+            heard = t_up - 1  # joins from hop + 1
+        self._plan_at(api, t_up, "_join_up", listen_from=heard)
 
     def _wants_join(self):
         if self.prop is None:
@@ -282,7 +331,9 @@ class DecompProgram(PlannedProgram):
             assert (self.label ^ label) & suffix == 0, "cross-class proposal"
         total = (1 if self._wants_join() else 0) + self.join_acc.pop(label, 0)
         if total > 0:
-            api.send(parent, Message(PD_JOIN, (label, total)))
+            api.send(parent, Message(PD_JOIN, (label, total)), critical=True)
+            # the decision comes back down the proposal path
+            self._listen(api, self.t_dec + st - 1)
 
     # -- counting and decisions ----------------------------------------------------------
 
@@ -296,7 +347,7 @@ class DecompProgram(PlannedProgram):
         if role is None or role.parent is None:
             return
         total = self._wave_feed(label) + self._pop_acc(label)
-        api.send(role.parent, Message(PD_CNT, (label, total)))
+        api.send(role.parent, Message(PD_CNT, (label, total)), critical=True)
 
     def _root_decide(self, api, label):
         role = self.roles.get(label)
@@ -329,10 +380,10 @@ class DecompProgram(PlannedProgram):
         role = self.roles.get(label)
         if role is not None:
             for c in role.kids:
-                api.send(c, Message(PD_DEC, (label, verdict)))
+                api.send(c, Message(PD_DEC, (label, verdict)), critical=True)
         wave_kids = self.cnt_kids.pop(label, [])
         for c in wave_kids:
-            api.send(c, Message(PD_DEC, (label, verdict)))
+            api.send(c, Message(PD_DEC, (label, verdict)), critical=True)
         if role is not None:
             if verdict == DEC_GROW:
                 role.kids.extend(c for c in wave_kids if c not in role.kids)
@@ -366,23 +417,40 @@ class DecompProgram(PlannedProgram):
     # -- barrier -------------------------------------------------------------------------
 
     def _barrier(self, api, t_bar):
+        """Plan the step's two-bit aggregation over the forest, which starts
+        at t_bar: a node at depth d reports at t_bar + S - d, the root
+        decides at t_bar + S + 1 and its verdict reaches depth d at
+        t_bar + S + d."""
         S = self.comp_size
+        heard = t_bar + S - self.fdepth - 1  # the round its kids report
+        if self.fparent is None:
+            if self.fkids:
+                self._listen(api, heard)
+            self._plan_at(api, t_bar + S + 1, "_bar_root")
+        else:
+            self._plan_at(api, heard + 1, "_bar_up",
+                          listen_from=heard if self.fkids else None)
+            self._listen(api, t_bar + S + self.fdepth)  # the verdict
+
+    def _bar_own(self):
+        """Fold this node's own bits into the aggregate: an unstopped blue
+        root with terminals keeps the phase stepping, a node killed in it
+        asks for another color."""
         root_role = self.roles.get(self.node)
         if (root_role is not None and root_role.parent is None
                 and self._is_blue(self.node) and not self.root_stop
                 and self.root_size > 0):
             self.bar_active = True
         self.bar_dead = self.bar_dead or self.dead
-        if self.fparent is not None:
-            self._plan_at(api, t_bar + (S - self.fdepth), "_bar_up")
-        else:
-            self._plan_at(api, t_bar + S + 1, "_bar_root")
 
     def _bar_up(self, api):
+        self._bar_own()
         api.send(self.fparent, Message(
-            PD_BUP, (1 if self.bar_active else 0, 1 if self.bar_dead else 0)))
+            PD_BUP, (1 if self.bar_active else 0, 1 if self.bar_dead else 0)),
+            critical=True)
 
     def _bar_root(self, api):
+        self._bar_own()
         if self.bar_active:
             verdict = V_STEP
         elif self.phase + 1 < self.b:
@@ -395,11 +463,11 @@ class DecompProgram(PlannedProgram):
 
     def _on_verdict(self, api, verdict):
         for c in self.fkids:
-            api.send(c, Message(PD_BDOWN, (verdict,)))
+            api.send(c, Message(PD_BDOWN, (verdict,)), critical=True)
         end = api.round + (self.comp_size - self.fdepth) + 2
         self.steps_done += 1
         if verdict == V_STEP:
-            self._plan_at(api, end, "_step_begin")
+            self._plan_step(api, end)
         elif verdict == V_PHASE:
             self.phase += 1
             self.in_step = 0
@@ -432,7 +500,9 @@ class DecompProgram(PlannedProgram):
         for color, label, parent, depth, terminal in self.decomp_roles:
             self.cover_roles[(color, label)] = _Role(parent, depth, terminal, color)
         for c in range(self.colors_used):
-            self._plan_at(api, base + c * (self.d + 3), "_expand_wave", c)
+            start = base + c * (self.d + 3)
+            api.awake_span(start, start + self.d)  # waves travel d hops
+            self._plan_at(api, start, "_expand_wave", c)
         self._plan_at(api, base + self.colors_used * (self.d + 3) + 1, "_finish")
 
     def _expand_wave(self, api, c):
@@ -441,7 +511,8 @@ class DecompProgram(PlannedProgram):
         role = self.cover_roles.get((c, self.my_cluster))
         if role is not None and role.terminal:
             for u in self.nbrs:
-                api.send(u, Message(PD_EXP, (self.my_cluster, 1, role.depth + 1, c)))
+                api.send(u, Message(PD_EXP, (self.my_cluster, 1, role.depth + 1, c)),
+                         critical=True)
 
     def _on_expand(self, api, src, payload):
         label, hop, st, c = payload
@@ -459,7 +530,8 @@ class DecompProgram(PlannedProgram):
         if hop < self.d:
             for u in self.nbrs:
                 if u != src:
-                    api.send(u, Message(PD_EXP, (label, hop + 1, fwd, c)))
+                    api.send(u, Message(PD_EXP, (label, hop + 1, fwd, c)),
+                             critical=True)
 
     def _finish(self, api):
         cover = [
@@ -500,11 +572,12 @@ def build_decomposition(graph, k, *, trace=True, expand_to=None, level=0):
     sparse cover when expand_to=d is given). Returns
     (Decomposition, Cover | None, report, trace_log)."""
     unit = graph.reweighted(lambda w: 1)
-    forest, rep0, _ = boruvka_forest(unit)
+    forest, rep0, _ = boruvka_forest(unit, program=EnergyCsspProgram)
+    kids = forest.children()
     cfg = SimConfig(round_limit=200_000_000,
                     width=max(4, 2 * bits_for(graph.n) + 2), collect_trace=trace)
     outputs, rep1, engine = run_simulation(
-        unit, lambda v: DecompProgram(v, unit, forest, k, expand_to=expand_to),
+        unit, lambda v: DecompProgram(v, unit, forest, kids, k, expand_to=expand_to),
         cfg)
     if rep1.status != "done":
         raise ConstructionError(f"decomposition run ended with {rep1.status}")

@@ -80,6 +80,22 @@ def hop_distances(graph, sources, active=None) -> dict:
     return dist
 
 
+def _ball(adj, v, d) -> set:
+    """The nodes within d hops of v: a BFS that stops at depth d."""
+    ball, frontier = {v}, [v]
+    for _ in range(d):
+        nxt = []
+        for u in frontier:
+            for x, _ in adj[u]:
+                if x not in ball:
+                    ball.add(x)
+                    nxt.append(x)
+        if not nxt:
+            break
+        frontier = nxt
+    return ball
+
+
 # -- structure checkers ----------------------------------------------------
 #
 # Clusters, covers and decompositions are exchanged as plain data:
@@ -146,8 +162,9 @@ def check_cover(graph, cover, d, stretch_bound, node_mult_bound, edge_mult_bound
         if c > node_mult_bound:
             out.append(_violation("cover-mult", [v], f"node in {c} clusters > {node_mult_bound}"))
     member_sets = [set(cl.members) for cl in cover.clusters]
+    adj = graph.adjacency()
     for v in range(graph.n):
-        ball = {u for u, dd in hop_distances(graph, [v]).items() if dd <= d}
+        ball = _ball(adj, v, d)
         if not any(ball <= ms for ms in member_sets):
             out.append(_violation("cover-ball", [v], f"{d}-ball of {v} not inside any cluster"))
     edge_use = {}

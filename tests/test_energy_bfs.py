@@ -157,9 +157,12 @@ def test_build_cover_next_levels():
 
 def test_golden_path65_outputs_and_report():
     """Pinned hashes of a full run whose BFS phase listens on periodic
-    cluster pipelines: a change to periodic schedules shows here."""
+    cluster pipelines: a change to periodic schedules shows here. The report
+    hash covers per-node energy, so it moved when the cover construction
+    began to sleep (max energy 766,049 -> 51,241; rounds, congestion and
+    bits unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "1e1bb2fda58b064ec5de6ba5d9853406d7d0e0e65a3bd05a8464a9d4b3b8cf76")
+            == "04c499fcb3743a2788dc25f4b8c179c91d2cce522cd053b22f18387e33ecc916")

@@ -1,3 +1,8 @@
+import hashlib
+import json
+
+import pytest
+
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import bits_for, build_cover_sync, build_decomposition
 from sleepysim.oracle import check_cover, check_decomposition
@@ -83,3 +88,48 @@ def test_determinism():
     d2, _, r2, _ = build_decomposition(g, 2)
     assert r1.to_json() == r2.to_json()
     assert d1.node_color == d2.node_color
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _clusters(clusters):
+    return [[cl.id, sorted(cl.members), sorted([v, list(t)] for v, t in cl.tree.items())]
+            for cl in clusters]
+
+
+# (family, n, seed, m, d): cover, decomposition and trace digests and rounds
+# of the all-awake construction, and the sleeping run's max energy (the
+# all-awake run's equals its rounds)
+SLEEPING_COVERS = [
+    (("path", 48, 0, None, 2),
+     "3a18d94dfb8ee222", "f4c21bfb813317ea", "5f7173c5de74ab5b", 78482, 7749),
+    (("grid", 49, 1, None, 1),
+     "459644d4fc9d5fa1", "f6c648cb2931698b", "044f0dcb8ed1efda", 45230, 4637),
+    (("random-gnm", 40, 2, 80, 1),
+     "a1df7c8363c0f754", "42ec5c5ca650a759", "8d1c9642538abebc", 37634, 4523),
+    (("random-tree", 40, 3, None, 2),
+     "58ebdf0450c0c22e", "122ad6699fd68afa", "d307fe99bdd4e451", 46387, 4931),
+    (("cycle", 36, 4, None, 2),
+     "9db369f0cf788b8e", "7232caf79f179e90", "a588dee3eb50d5f5", 37823, 4867),
+]
+
+
+@pytest.mark.parametrize("spec, cover_h, decomp_h, trace_h, rounds, energy",
+                         SLEEPING_COVERS, ids=[c[0][0] for c in SLEEPING_COVERS])
+def test_sleeping_cover_matches_all_awake(spec, cover_h, decomp_h, trace_h,
+                                          rounds, energy):
+    """Sleeping forest and decomposition nodes build the cover, decomposition
+    and trace the all-awake construction built, in the same rounds, and lose
+    no message (each is sent critical, so a missed listening slot raises)."""
+    family, n, seed, m, d = spec
+    g = gen_graph(GraphSpec(family, n, seed=seed, m=m))
+    cover, decomp, report, tlog = build_cover_sync(g, d)
+    assert _digest(_clusters(cover.clusters)) == cover_h
+    assert _digest([[_clusters(c) for c in decomp.colors],
+                    sorted(decomp.node_color.items())]) == decomp_h
+    assert _digest([[kind, sorted(data.items())] for kind, data in tlog]) == trace_h
+    assert report.rounds == rounds
+    assert report.lost == 0 and report.critical_losses == []
+    assert report.max_energy() <= energy

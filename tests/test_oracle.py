@@ -61,6 +61,20 @@ def test_check_cover_missing_ball():
     assert any(v["kind"] == "cover-ball" for v in out)
 
 
+def test_check_cover_ball_reaches_exactly_d():
+    """Clause (c) asks for every node within d hops, and no farther one."""
+    g = Graph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    cover = Cover(scale=1, clusters=[
+        ClusterData(id=0, members={0, 1, 2}, tree={0: (None, 0, True),
+                                                   1: (0, 1, True), 2: (1, 2, True)}),
+        ClusterData(id=1, members={1, 2, 3}, tree={1: (None, 0, True),
+                                                   2: (1, 1, True), 3: (2, 2, True)}),
+    ])
+    assert check_cover(g, cover, 1, 4, 4, 4) == []
+    out = check_cover(g, cover, 2, 4, 4, 4)
+    assert sorted(v["subjects"] for v in out if v["kind"] == "cover-ball") == [[1], [2]]
+
+
 def test_check_cover_bad_tree_depth():
     g = Graph.build(2, [(0, 1, 1)])
     cl = ClusterData(id=0, members={0, 1}, tree={0: (None, 0, True), 1: (0, 2, True)})

@@ -213,3 +213,48 @@ def test_window_cannot_end_in_the_past():
     with pytest.raises(SimError):
         NodeApi(engine, 0, 5, []).end_window(handle, 4)
     assert engine._schedules[0].next_awake_after(4) == 5
+
+
+@pytest.mark.parametrize("declare", [
+    lambda api: api.awake_span(4, 9),
+    lambda api: api.awake_window(4, 9),
+    lambda api: api.awake_periodic(0, 3, {1}, 4, 9),
+    lambda api: api.wake_at(9, listen_from=4),
+], ids=["awake_span", "awake_window", "awake_periodic", "wake_at"])
+def test_declaration_cannot_start_in_the_past(declare):
+    engine = Engine(Graph.build(1, []))
+    with pytest.raises(SimError, match="start 4 before round 5"):
+        declare(NodeApi(engine, 0, 5, []))
+    sched = engine._schedules[0]
+    assert sched.starts == [] and not sched.windows and not sched.periodics
+    declare(NodeApi(engine, 0, 4, []))  # a start in the step's own round is fine
+    assert sched.next_awake_after(3) == 4
+
+
+@pytest.mark.parametrize("first", [None, "periodic", "window"])
+def test_passed_spans_fold_into_a_count(first):
+    """Spans that end before the declaring step's round leave the lists and
+    count as they stand, unless a periodic or open window could overlap
+    them; the energy count is the same either way."""
+    engine = Engine(Graph.build(1, []))
+    sched = engine._schedules[0]
+    api = NodeApi(engine, 0, 0, [])
+    extra = 0
+    if first == "periodic":  # awake in rounds 999 and 1999
+        api.awake_periodic(0, 1000, {999}, 0, 2000)
+        extra = 2
+    elif first == "window":  # still open when the last span is declared
+        api.awake_window(650, 660)
+        extra = 11
+    for t in range(0, 600, 5):  # 120 spans of two rounds each
+        NodeApi(engine, 0, t, []).awake_span(t + 1, t + 2)
+    assert sched.awake_rounds(2000) == 240 + extra
+    assert sched.awake_at(597) and not sched.awake_at(598)
+    if first is None:
+        assert len(sched.starts) < 60
+        assert sched.awake_rounds(600) == 240
+        with pytest.raises(SimError, match="folded round 3"):
+            sched.awake_at(3)
+    else:
+        assert len(sched.starts) == 120
+        assert sched.awake_at(2) and not sched.awake_at(3)
