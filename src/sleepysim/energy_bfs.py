@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import inf
 
 from .engine import Message, PlannedProgram, SimConfig, merge_reports, run_simulation
-from .netdecomp import ConstructionError, bits_for, build_cover_sync
+from .netdecomp import ConstructionError, bits_for, build_cover_sync, cover_forest
 from .structures import LayeredCover
 
 INF = inf
@@ -334,13 +334,14 @@ def choose_base(stretch: int, requested=None) -> int:
     return b
 
 
-def build_cover_next(graph, layered, *, trace=True):
-    """Construct the next-scale cover and link the previous level into it."""
+def build_cover_next(graph, layered, *, trace=True, forest=None):
+    """Construct the next-scale cover and link the previous level into it;
+    `forest` as for `netdecomp.build_decomposition`."""
     level = layered.top
     B = layered.base
     scale = B ** (level + 1)
     cover, decomp, rep, tl = build_cover_sync(
-        graph, scale, trace=trace, level=level + 1)
+        graph, scale, trace=trace, level=level + 1, forest=forest)
     stretch = cover.measured_stretch()
     if 2 * stretch > B and len(cover.clusters) > 1:
         raise ConstructionError(
@@ -351,18 +352,26 @@ def build_cover_next(graph, layered, *, trace=True):
     return cover, decomp, rep, tl
 
 
-def bootstrap_base_covers(graph, *, base=None, trace=True):
-    """Construction of the scale-1 and scale-B covers plus links."""
-    cover0, decomp0, rep0, tl0 = build_cover_sync(graph, 1, trace=trace, level=0)
+def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
+    """Construction of the scale-1 and scale-B covers plus links, over one
+    spanning forest: `forest` as for `netdecomp.build_decomposition`, or
+    built here and counted once."""
+    reports = []
+    if forest is None:
+        forest, rep_f = cover_forest(graph)
+        reports.append(rep_f)
+    cover0, decomp0, rep0, tl0 = build_cover_sync(
+        graph, 1, trace=trace, level=0, forest=forest)
     B = choose_base(cover0.measured_stretch(), base)
-    cover1, decomp1, rep1, tl1 = build_cover_sync(graph, B, trace=trace, level=1)
+    cover1, decomp1, rep1, tl1 = build_cover_sync(
+        graph, B, trace=trace, level=1, forest=forest)
     stretch1 = cover1.measured_stretch()
-    reports = [rep0, rep1]
+    reports += [rep0, rep1]
     if base is None:
         B2 = choose_base(max(cover0.measured_stretch(), stretch1))
         if B2 != B:
             cover1, decomp1, rep1b, tl1 = build_cover_sync(
-                graph, B2, trace=trace, level=1)
+                graph, B2, trace=trace, level=1, forest=forest)
             reports.append(rep1b)
             B = B2
     layered = LayeredCover(base=B, levels=[cover0, cover1])
@@ -561,10 +570,12 @@ def _cover_bfs(graph, sources, threshold, base, trace, layered):
 def _grow_cover(graph, base, trace, threshold):
     """Bootstrap the cover stack, then detect and grow. Without a threshold,
     detection runs from level 0 up until some cluster spans every component;
-    with one, it runs on the top level while base**top < 2*threshold."""
+    with one, it runs on the top level while base**top < 2*threshold. Every
+    cover runs over one spanning forest."""
+    forest, rep_f = cover_forest(graph)
     layered, decomps, rep_boot, tlogs = bootstrap_base_covers(
-        graph, base=base, trace=trace)
-    reports = [rep_boot]
+        graph, base=base, trace=trace, forest=forest)
+    reports = [rep_f, rep_boot]
     level = 0 if threshold is None else layered.top
     while threshold is None or layered.base**layered.top < 2 * threshold:
         spans, rep_d = detect_global_cluster(graph, layered.levels[level])
@@ -572,7 +583,8 @@ def _grow_cover(graph, base, trace, threshold):
         if spans:
             break
         if level == layered.top:
-            cover, decomp, rep, tl = build_cover_next(graph, layered, trace=trace)
+            cover, decomp, rep, tl = build_cover_next(
+                graph, layered, trace=trace, forest=forest)
             reports.append(rep)
             decomps.append(decomp)
             tlogs.append(tl)

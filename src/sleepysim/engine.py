@@ -165,10 +165,11 @@ class Schedule:
 
     Passed intervals are folded into a count (`_fold`): no declaration
     starts before the round of the step that makes it, so an interval that
-    ends before that round is final. While the schedule has no periodic and
-    no open window, which a later one could overlap only by starting in the
-    past, such intervals leave the lists and add their rounds to `passed`.
-    Queries about a folded round raise `SimError`.
+    ends before that round is final. While the schedule has no periodic,
+    which a later one could overlap only by starting in the past, such
+    intervals that also end before every open window leave the lists and
+    add their rounds to `passed`. Queries about a folded round raise
+    `SimError`.
 
     `lo`..`hi` is the interval in which `awake_at` last found its round and
     `nlo`..`nhi` the one after it: spans only ever grow or fold, so their
@@ -296,11 +297,14 @@ class Schedule:
 
     def _fold(self, now):
         """Fold the intervals that end before round `now`, the round of the
-        step declaring a span, unless a periodic or open window may overlap
-        them."""
+        step declaring a span, and before every open window, unless a
+        periodic may overlap them. A window that ended before `now` is final
+        and joins the intervals first."""
         starts, ends = self.starts, self.ends
-        if not (self.periodics or self.windows):
-            i = bisect_left(ends, now)
+        if not self.periodics:
+            if self.windows_end < now:
+                self._close_past(now)
+            i = bisect_left(ends, min(now, self.windows_start))
             if i:
                 # round 0 is free: an interval may start there, none before
                 self.passed += sum(ends[:i]) - sum(starts[:i]) + i - (starts[0] == 0)

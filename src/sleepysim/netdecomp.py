@@ -18,14 +18,20 @@ Cover mode appends one expansion wave per color, growing each cluster to its
 d-neighborhood and recording the expanded trees.
 
 Nodes sleep. The spanning forest is built by sleeping `EnergyCsspProgram`
-nodes (`forest_only=True`), and a decomposition node wakes for the rounds in
+nodes (`forest_only=True`, `cover_forest`; the covers of one `full_bfs` run
+share one), and a decomposition node wakes for the rounds in
 which it acts and, since a message sent in round s is read in the step at
 s + 1, listens in [s, s + 1] for each round s in which one can reach it.
 With a step starting at base, t_join = base + k + 2, t_cnt = t_join + k + 2,
 t_dec = t_cnt + rho + 2, t_bar = t_dec + rho + k + 3 and S the component
 size, those rounds are:
 
-  - PD_PROP: base .. base + k - 1, every node (proposals travel k hops);
+  - PD_PROP: base .. t + 1, where t = base + h is the round in which a
+    node h hops from the nearest proposer first reads proposals (t = base
+    for a proposer), or base .. base + k if none reaches it. A proposal
+    moves one hop per round, and a node forwards it at t to every neighbour
+    except those it read from at t, which are nearer; so after t the only
+    proposals it receives come at t from neighbours as near as itself;
   - PD_JOIN: t_join + k - hop - 1 for a node holding a proposal of hop < k,
     t_join + k - 1 for a proposer;
   - PD_RCNT, PD_CNT: base + rho - depth for each role with kids, the sweep
@@ -34,11 +40,18 @@ size, those rounds are:
     t_dec + st - 1 for a node that sent a join on a proposal with depth st;
   - PD_BUP: t_bar + S - fdepth - 1 for a node with forest kids;
   - PD_BDOWN: t_bar + S + fdepth for a non-root;
-  - PD_EXP: base + c(d + 3) .. base + c(d + 3) + d - 1 for each color c.
+  - PD_EXP: for each color c, from base + c(d + 3) through t + 1 by the same
+    rule, with the cluster members as proposers and d hops: clusters of one
+    color lie more than 2d apart, so one wave reaches a node per color.
+
+A wave message read after its window closed raises `ProtocolViolation`: it
+was sent in the window's last round, so the node no longer listened in the
+round it should have read it.
 
 Every message is sent critical, so a message that reaches a sleeping node
 raises `ProtocolViolation` instead of quietly changing the cover. The
-messages, rounds, decomposition and cover are the all-awake construction's.
+rounds, decomposition and cover are the all-awake construction's; no wave
+message goes to a nearer node, where the all-awake one dropped it unread.
 """
 
 from __future__ import annotations
@@ -46,7 +59,8 @@ from __future__ import annotations
 from .congest_cssp import boruvka_forest
 from .energy_cssp import EnergyCsspProgram
 from .engine import (
-    Message, PlannedProgram, SimConfig, SimError, merge_reports, run_simulation,
+    Message, PlannedProgram, ProtocolViolation, SimConfig, SimError,
+    merge_reports, run_simulation,
 )
 from .structures import ClusterData, Cover, Decomposition
 
@@ -135,6 +149,8 @@ class DecompProgram(PlannedProgram):
         self.colors_used = 0
         # per-step wave state
         self.prop = None  # (label, hop, st, wave parent)
+        self.prop_window = [None, -1]  # [window handle, last listening round]
+        self.exp_windows = []  # the same, one per color, in cover expansion
         self.t_join = None  # the round this step's join convergecast starts
         self.t_dec = None  # the round this step's cluster roots decide
         self.cnt_kids: dict[int, list] = {}
@@ -156,22 +172,46 @@ class DecompProgram(PlannedProgram):
         """Receive what is sent in round s and read it in the step at s + 1."""
         api.awake_span(s, s + 1)
 
+    @staticmethod
+    def _open_window(api, a, b):
+        return [api.awake_window(a, b), b]
+
+    @staticmethod
+    def _close_window(api, window, r):
+        """Stop listening for a wave after round r."""
+        api.end_window(window[0], r)
+        window[1] = min(window[1], r)
+
+    def _check_listening(self, api, window, what):
+        """A wave message is read in the round after it is sent, at the
+        latest in the window's last round; one read later was sent in that
+        round, when no message of the wave may reach me."""
+        if api.round > window[1]:
+            raise ProtocolViolation(
+                f"node {self.node} reads a {what} in round {api.round}, "
+                f"after its window closed in round {window[1]}")
+
     def on_round(self, api):
         if not self._started:
             self._started = True
             self._plan_at(api, 1, "_color_start")
-        props = []
+        props, waves = [], []
         for src, msg in api.inbox:
             if msg.tag == PD_PROP:
                 props.append((msg.payload[0], src, msg.payload))
             elif msg.tag == PD_EXP:
-                self._on_expand(api, src, msg.payload)
+                waves.append((src, msg.payload))
             else:
                 self._dispatch(api, src, msg)
-        if props and self.prop is None:
-            props.sort()  # ties go to the smallest cluster id
-            _, src, payload = props[0]
-            self._on_prop(api, src, payload)
+        if props:
+            self._check_listening(api, self.prop_window, "proposal")
+            if self.prop is None:
+                nearer = {src for _, src, _ in props}
+                props.sort()  # ties go to the smallest cluster id
+                _, src, payload = props[0]
+                self._on_prop(api, src, payload, nearer)
+        if waves:
+            self._on_expand(api, waves)
         self._run_due(api)
 
     def _dispatch(self, api, src, msg):
@@ -279,7 +319,8 @@ class DecompProgram(PlannedProgram):
                     and self._is_blue(self.label) and not self.stopped)
         if proposer:
             self._plan_at(api, base, "_propose", mine.depth + 1)
-        api.awake_span(base, base + k)  # proposals travel at most k hops
+        # proposals travel at most k hops; the window closes at the wave front
+        self.prop_window = self._open_window(api, base, base + k)
         if proposer:
             self._listen(api, t_join + k - 1)  # joins from hop 1
         self._role_sweep(api, t_cnt, "_count_up", "_root_decide")
@@ -293,15 +334,22 @@ class DecompProgram(PlannedProgram):
         return ((label >> self.phase) & 1) == 0
 
     def _propose(self, api, st):
+        # every neighbour reads this proposal first and skips me when it
+        # forwards: only other proposers' proposals reach me, sent now
+        self._close_window(api, self.prop_window, api.round + 1)
         for u in self.nbrs:
             api.send(u, Message(PD_PROP, (self.label, 1, st)), critical=True)
 
     # -- proposal wave ----------------------------------------------------------------
 
-    def _on_prop(self, api, src, payload):
+    def _on_prop(self, api, src, payload, nearer):
+        """Take the first proposals, read from the neighbours in `nearer`,
+        which are one hop nearer a proposer: forward to every other
+        neighbour. One as near as I am forwards to me in this round, and one
+        farther away reads mine and skips me, so I listen through the next
+        round only."""
         label, hop, st = payload
-        if hop > self.k:
-            return
+        self._close_window(api, self.prop_window, api.round + 1)
         self.prop = (label, hop, st, src)
         # joins converge one hop per round from t_join: the farthest first
         t_up = self.t_join + self.k - hop
@@ -309,7 +357,7 @@ class DecompProgram(PlannedProgram):
         if hop < self.k:
             fwd = self.roles[label].depth + 1 if label in self.roles else st + 1
             for u in self.nbrs:
-                if u != src:
+                if u not in nearer:
                     api.send(u, Message(PD_PROP, (label, hop + 1, fwd)),
                              critical=True)
             heard = t_up - 1  # joins from hop + 1
@@ -501,7 +549,8 @@ class DecompProgram(PlannedProgram):
             self.cover_roles[(color, label)] = _Role(parent, depth, terminal, color)
         for c in range(self.colors_used):
             start = base + c * (self.d + 3)
-            api.awake_span(start, start + self.d)  # waves travel d hops
+            # waves travel d hops; each window closes at the wave front
+            self.exp_windows.append(self._open_window(api, start, start + self.d))
             self._plan_at(api, start, "_expand_wave", c)
         self._plan_at(api, base + self.colors_used * (self.d + 3) + 1, "_finish")
 
@@ -510,14 +559,21 @@ class DecompProgram(PlannedProgram):
             return
         role = self.cover_roles.get((c, self.my_cluster))
         if role is not None and role.terminal:
+            # as a proposer: every neighbour skips me when it forwards
+            self._close_window(api, self.exp_windows[c], api.round + 1)
             for u in self.nbrs:
                 api.send(u, Message(PD_EXP, (self.my_cluster, 1, role.depth + 1, c)),
                          critical=True)
 
-    def _on_expand(self, api, src, payload):
-        label, hop, st, c = payload
-        if hop > self.d:
-            return
+    def _on_expand(self, api, waves):
+        """Read the expansion messages of one step, as `_on_prop` reads
+        proposals. Clusters of one color are more than 2d apart, so one
+        cluster's wave reaches me per color, and the first message read
+        decides; the others of the step come from the same wave."""
+        src, (label, hop, st, c) = waves[0]
+        window = self.exp_windows[c]
+        self._check_listening(api, window, "cover expansion")
+        self._close_window(api, window, api.round + 1)
         role = self.cover_roles.get((c, label))
         if role is not None:
             if role.terminal:
@@ -528,8 +584,9 @@ class DecompProgram(PlannedProgram):
             self.cover_roles[(c, label)] = _Role(src, st, True, c)
             fwd = st + 1
         if hop < self.d:
+            nearer = {u for u, _ in waves}
             for u in self.nbrs:
-                if u != src:
+                if u not in nearer:
                     api.send(u, Message(PD_EXP, (label, hop + 1, fwd, c)),
                              critical=True)
 
@@ -567,13 +624,31 @@ def _assemble(outputs, id_base, key, level=0):
     return {cid: cl for cid, cl in clusters.items() if cl.members}, node_color
 
 
-def build_decomposition(graph, k, *, trace=True, expand_to=None, level=0):
-    """k-separated weak-diameter decomposition (optionally expanded into a
-    sparse cover when expand_to=d is given). Returns
-    (Decomposition, Cover | None, report, trace_log)."""
+def cover_forest(graph):
+    """The sleeping spanning forest that decompositions of the graph run
+    over, built on unit weights, and its children map: ((forest, kids),
+    report). Every cover built over one graph can share it."""
     unit = graph.reweighted(lambda w: 1)
-    forest, rep0, _ = boruvka_forest(unit, program=EnergyCsspProgram)
-    kids = forest.children()
+    forest, report, _ = boruvka_forest(unit, program=EnergyCsspProgram)
+    return (forest, forest.children()), report
+
+
+def build_decomposition(graph, k, *, trace=True, expand_to=None, level=0,
+                        forest=None):
+    """k-separated weak-diameter decomposition (optionally expanded into a
+    sparse cover when expand_to=d is given, which needs k >= 2d). Returns
+    (Decomposition, Cover | None, report, trace_log). `forest` is a
+    `cover_forest(graph)` pair to run over, whose report the caller counts;
+    without it the run builds its own and counts it."""
+    if expand_to is not None and k < 2 * expand_to:
+        raise ValueError(f"a cover of scale {expand_to} needs k >= "
+                         f"{2 * expand_to}, got k = {k}")
+    reports = []
+    if forest is None:
+        forest, rep0 = cover_forest(graph)
+        reports.append(rep0)
+    forest, kids = forest
+    unit = graph.reweighted(lambda w: 1)
     cfg = SimConfig(round_limit=200_000_000,
                     width=max(4, 2 * bits_for(graph.n) + 2), collect_trace=trace)
     outputs, rep1, engine = run_simulation(
@@ -593,12 +668,13 @@ def build_decomposition(graph, k, *, trace=True, expand_to=None, level=0):
         cclusters, _ = _assemble(outputs, id_base, "cover", level)
         cover = Cover(scale=expand_to, clusters=[
             cl for _, cl in sorted(cclusters.items())])
-    report = merge_reports([rep0, rep1])
+    report = merge_reports(reports + [rep1])
     return decomp, cover, report, engine.trace_log
 
 
-def build_cover_sync(graph, d, *, trace=True, level=0):
-    """Sparse d-cover via a (2d+1)-separated decomposition plus expansion."""
+def build_cover_sync(graph, d, *, trace=True, level=0, forest=None):
+    """Sparse d-cover via a (2d+1)-separated decomposition plus expansion;
+    `forest` as for `build_decomposition`."""
     decomp, cover, report, tlog = build_decomposition(
-        graph, 2 * d + 1, trace=trace, expand_to=d, level=level)
+        graph, 2 * d + 1, trace=trace, expand_to=d, level=level, forest=forest)
     return cover, decomp, report, tlog

@@ -160,9 +160,14 @@ def test_golden_path65_outputs_and_report():
     cluster pipelines: a change to periodic schedules shows here. The report
     hash covers per-node energy, so it moved when the cover construction
     began to sleep (max energy 766,049 -> 51,241; rounds, congestion and
-    bits unchanged)."""
+    bits unchanged). It moved again when the decomposition's proposal and
+    expansion windows began to close at the node's wave front and waves
+    stopped reaching nodes nearer their source (max energy 51,241 -> 21,348,
+    messages 21,937 -> 19,724, max edge congestion 398 -> 363), and the
+    run's covers began to share one spanning forest (rounds 772,634 ->
+    771,069, the second forest's rounds; nothing else lowers rounds)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "04c499fcb3743a2788dc25f4b8c179c91d2cce522cd053b22f18387e33ecc916")
+            == "f7463ef0e854d581d3e260689429263e11e277ace020de30192b711a8ea42015")

@@ -104,15 +104,15 @@ def _clusters(clusters):
 # all-awake run's equals its rounds)
 SLEEPING_COVERS = [
     (("path", 48, 0, None, 2),
-     "3a18d94dfb8ee222", "f4c21bfb813317ea", "5f7173c5de74ab5b", 78482, 7749),
+     "3a18d94dfb8ee222", "f4c21bfb813317ea", "5f7173c5de74ab5b", 78482, 6853),
     (("grid", 49, 1, None, 1),
-     "459644d4fc9d5fa1", "f6c648cb2931698b", "044f0dcb8ed1efda", 45230, 4637),
+     "459644d4fc9d5fa1", "f6c648cb2931698b", "044f0dcb8ed1efda", 45230, 4287),
     (("random-gnm", 40, 2, 80, 1),
-     "a1df7c8363c0f754", "42ec5c5ca650a759", "8d1c9642538abebc", 37634, 4523),
+     "a1df7c8363c0f754", "42ec5c5ca650a759", "8d1c9642538abebc", 37634, 4215),
     (("random-tree", 40, 3, None, 2),
-     "58ebdf0450c0c22e", "122ad6699fd68afa", "d307fe99bdd4e451", 46387, 4931),
+     "58ebdf0450c0c22e", "122ad6699fd68afa", "d307fe99bdd4e451", 46387, 4301),
     (("cycle", 36, 4, None, 2),
-     "9db369f0cf788b8e", "7232caf79f179e90", "a588dee3eb50d5f5", 37823, 4867),
+     "9db369f0cf788b8e", "7232caf79f179e90", "a588dee3eb50d5f5", 37823, 4125),
 ]
 
 

@@ -231,11 +231,13 @@ def test_declaration_cannot_start_in_the_past(declare):
     assert sched.next_awake_after(3) == 4
 
 
-@pytest.mark.parametrize("first", [None, "periodic", "window"])
+@pytest.mark.parametrize("first", [None, "periodic", "window", "passed window"])
 def test_passed_spans_fold_into_a_count(first):
     """Spans that end before the declaring step's round leave the lists and
-    count as they stand, unless a periodic or open window could overlap
-    them; the energy count is the same either way."""
+    count as they stand, unless a periodic could overlap them; while a window
+    is open, only those that also end before it opens, and a window that
+    ended before that round folds with them. The energy count is the same
+    either way."""
     engine = Engine(Graph.build(1, []))
     sched = engine._schedules[0]
     api = NodeApi(engine, 0, 0, [])
@@ -244,17 +246,26 @@ def test_passed_spans_fold_into_a_count(first):
         api.awake_periodic(0, 1000, {999}, 0, 2000)
         extra = 2
     elif first == "window":  # still open when the last span is declared
-        api.awake_window(650, 660)
-        extra = 11
+        api.awake_window(300, 660)
+        extra = 361 - 120  # rounds 300..660, of which the last 60 spans hold 120
+    elif first == "passed window":  # never ended, long past at the last span
+        api.awake_window(100, 110)
+        extra = 11 - 4  # rounds 100..110, of which two spans hold 4
     for t in range(0, 600, 5):  # 120 spans of two rounds each
         NodeApi(engine, 0, t, []).awake_span(t + 1, t + 2)
     assert sched.awake_rounds(2000) == 240 + extra
-    assert sched.awake_at(597) and not sched.awake_at(598)
-    if first is None:
-        assert len(sched.starts) < 60
-        assert sched.awake_rounds(600) == 240
-        with pytest.raises(SimError, match="folded round 3"):
-            sched.awake_at(3)
-    else:
+    last = 660 if first == "window" else 597
+    assert sched.awake_at(last) and not sched.awake_at(last + 1)
+    if first == "periodic":
         assert len(sched.starts) == 120
         assert sched.awake_at(2) and not sched.awake_at(3)
+        return
+    assert len(sched.starts) < 60
+    # the first 60 spans, then the window through round 600
+    assert sched.awake_rounds(600) == (120 + 301 if first == "window"
+                                       else 240 + extra)
+    assert not sched.windows
+    with pytest.raises(SimError, match="folded round 3"):
+        sched.awake_at(3)
+    if first == "window":  # every span before the window opens, none after
+        assert sched.folded == 297 and sched.starts[0] == 300
