@@ -329,13 +329,12 @@ class CsspProgram(PlannedProgram):
         return f.t0 + p * self._phase_len(f)
 
     def _sweep(self, api, f, base, up, root):
-        """Fixed-window convergecast and broadcast over the frame's tree:
-        a node acts (`up`, sending to its parent, or `root` at the root) at
-        base + N + 1 - depth, and listens in rounds base + N + depth .. +2,
-        where the root's broadcast reaches its depth."""
+        """Fixed-window convergecast (`up`, or `root` at the root) and
+        broadcast over the frame's tree: a node listens in rounds
+        base + N + depth .. +2, where the root's broadcast reaches it."""
         N, d = f.N, f.depth
-        self._plan_at(api, base + N + 1 - d, root if f.parent is None else up,
-                      f.path)
+        self._sweep_step(api, base, N, d, root if f.parent is None else up,
+                         f.path)
         api.awake_span(base + N + d, base + N + d + 2)
 
     def _phase_start(self, api, f):
@@ -398,7 +397,7 @@ class CsspProgram(PlannedProgram):
         if payload == ():
             f.merging_done = True
             # no merge: this phase's adoption wave does not pass here
-            api.end_window(f.window, api.round)
+            api.stop_awake(f.window, api.round)
         for c in f.children:
             self._send_slot(api, c, Message(T_DECIDE, payload, f.path))
 
@@ -449,7 +448,7 @@ class CsspProgram(PlannedProgram):
         """Once adopted and acknowledged by every node it adopted, a node
         takes no further part in this phase's adoption wave."""
         if f.unacked == 0:
-            api.end_window(f.window, api.round)
+            api.stop_awake(f.window, api.round)
 
     def _phase_end(self, api, f):
         if f.phase == 0:
@@ -536,7 +535,7 @@ class CsspProgram(PlannedProgram):
         if api.round != f.t_cut + f.cand:
             return  # superseded by a better candidate
         f.tick = f.cand
-        api.end_window(f.window, api.round)
+        api.stop_awake(f.window, api.round)
         ticked, f.ticked = f.ticked, None
         for u in f.peers:
             if u not in ticked:

@@ -424,15 +424,11 @@ class DetectProgram(PlannedProgram):
         cap = depth_cap + 2
         for key in sorted(self.roles):
             rt = self.roles[key]
-            if rt.terminal:
-                ok = all(rt.cid in self.nbr_lists[u] for u in self.nbrs)
-            else:
-                ok = True
+            ok = not rt.terminal or all(rt.cid in self.nbr_lists[u]
+                                        for u in self.nbrs)
             self._acc[key] = self._acc.get(key, 1) & (1 if ok else 0)
-            if rt.parent is None:
-                self._plan_at(api, base + cap + 1, "_root", key)
-            else:
-                self._plan_at(api, base + 1 + (cap - rt.depth), "_up", key)
+            self._sweep_step(api, base, cap, rt.depth,
+                             "_root" if rt.parent is None else "_up", key)
         self._plan_at(api, base + 2 * (cap + 2), "_done")
 
     def _up(self, api, key):

@@ -8,9 +8,11 @@ computation; messages addressed to it are dropped and counted as lost.
 The implementation is event-driven: rounds in which nothing happens are
 skipped outright, so wall-clock cost scales with messages and program steps,
 not with the round counter. Awake time is declared through schedule
-components (spans, windows that a node may end early, and periodic
-patterns), which lets listening-only rounds be charged for energy without
-executing any code.
+components (spans, and windows and periodic patterns that a node may end
+early), which lets listening-only rounds be charged for energy without
+executing any code. No component starts, or is cut back, before the round
+of the step that declares or cuts it, so each `Schedule` keeps merged spans
+plus the components that may still be cut, and folds the rest into a count.
 
 Steps are kept in a calendar of due rounds: a dict from round to the set of
 nodes due then, and a heap of the distinct rounds in it. Each round is popped
@@ -132,138 +134,78 @@ class RunReport:
 # -- awake schedules -------------------------------------------------------
 
 
-FOLD_EVERY = 32  # list growth between two folds of a schedule
+FOLD_EVERY = 32  # growth in spans and components between two folds
 
 
 class Schedule:
     """Union of awake components for one node.
 
-    Spans are kept merged in two parallel lists: `starts[i]..ends[i]` are
-    inclusive intervals, sorted, disjoint and not adjacent (`ends[i] + 1 <
-    starts[i + 1]`), so one bisect answers a span query. A new span absorbs
-    every interval it overlaps or touches; an empty one (a > b) adds nothing,
-    and neither does any span once `always` is set.
+    One invariant: no declaration starts, and no component is cut back,
+    before the round of the step that makes it (`NodeApi` checks both), and
+    a node's steps come at nondecreasing rounds. So every round before
+    `now`, the round of a declaring step, is final.
 
-    `periodics` holds (anchor, period, residues, a, b) tuples: awake in every
-    round r of [a, b] with (r - anchor) % period in residues, where `period`
-    >= 1 and `residues` is a sorted tuple of distinct values in [0, period),
-    so the next such round is found by one bisect over the residues. A
-    component's index in the list is its `stop_awake` handle.
+    Two kinds of state hold the rounds from `now` on. Spans are merged into
+    two parallel lists: `starts[i]..ends[i]` are inclusive intervals, sorted,
+    disjoint and not adjacent, so one bisect answers a span query; an empty
+    span (a > b) adds nothing, nor does any once `always` is set. `comps`
+    maps a handle to each component that may still be cut (once, `_stop`):
+    a periodic (anchor, period, residues, a, b) is awake in each round r of
+    [a, b] with (r - anchor) % period in `residues`, a sorted tuple of
+    distinct values in [0, period); a window [a, b] is (a, 1, (0,), a, b),
+    and joins the spans once cut.
 
-    Queries visit only the live periodics (`_live_from`): `live` maps the
-    handle of each component that may still be awake at or after round
-    `seen`, the latest round asked about, to its tuple. A query about an
-    earlier round falls back to the whole list.
-
-    `windows` maps a handle to each open window: a span [a, b] that may
-    still be cut short (`_end_window`). A window joins the merged spans once
-    ended, or once a query asks about a round past b. The latter is exact
-    because a window ends only at or after the round of the step that ends
-    it, which no query has reached yet: a window whose last round was asked
-    about is final. Queries look at the open windows only where the spans
-    leave the answer open and a window may start early enough to matter.
-
-    Passed intervals are folded into a count (`_fold`): no declaration
-    starts before the round of the step that makes it, so an interval that
-    ends before that round is final. While the schedule has no periodic,
-    which a later one could overlap only by starting in the past, such
-    intervals that also end before every open window leave the lists and
-    add their rounds to `passed`. Queries about a folded round raise
-    `SimError`.
+    `passed` counts the awake rounds in [1, now) (round 0 is free). Once the
+    spans and components have grown by `FOLD_EVERY`, `_fold` moves `now` to
+    the declaring step's round, counts the rounds in between with `_count`,
+    as `awake_rounds` does, and drops all that ends before `now`. Queries
+    ask about rounds from `now` - 1 on, as the engine's do.
 
     `lo`..`hi` is the interval in which `awake_at` last found its round and
-    `nlo`..`nhi` the one after it: spans only ever grow or fold, so their
-    rounds stay awake, and a delivery in round r with lo <= r < hi, or in
-    the next interval, needs no query at all.
-
-    `always` overrides all of them and is never unset.
+    `nlo`..`nhi` the one after it: spans only grow, so a delivery in round r
+    with lo <= r < hi, or in the next interval, needs no query. `always`
+    overrides all of them and is never unset.
     """
 
-    __slots__ = ("always", "starts", "ends", "periodics", "live", "live_end",
-                 "seen", "windows", "windows_start", "windows_end", "opened",
-                 "passed", "folded", "fold_at", "lo", "hi", "nlo", "nhi")
+    __slots__ = ("always", "starts", "ends", "comps", "opened", "passed",
+                 "now", "fold_at", "lo", "hi", "nlo", "nhi")
 
     def __init__(self):
         self.always = False
         self.starts = []
         self.ends = []
-        self.periodics = []
-        self.live = {}
-        self.live_end = inf  # the earliest end b in `live`
-        self.seen = 0
-        self.windows = {}
-        self.windows_start = inf  # the earliest start a in `windows`
-        self.windows_end = inf  # the earliest end b in `windows`
-        self.opened = 0  # windows declared so far: the next handle
-        self.passed = 0  # awake rounds >= 1 in the folded intervals
-        self.folded = -1  # the last folded round
-        self.fold_at = FOLD_EVERY  # fold once the lists grow past this
+        self.comps = {}
+        self.opened = 0  # components declared so far: the next handle
+        self.passed = 0  # awake rounds in [1, now)
+        self.now = 0
+        self.fold_at = FOLD_EVERY  # fold once spans and components grow past this
         self.lo = self.hi = self.nlo = self.nhi = 0  # intervals known awake
 
-    def _add_periodic(self, component) -> int:
-        handle = len(self.periodics)
-        self.periodics.append(component)
-        self.live[handle] = component
-        self.live_end = min(self.live_end, component[4])
-        return handle
-
-    def _stop_periodic(self, handle, at_round):
-        anchor, period, residues, a, b = self.periodics[handle]
-        component = (anchor, period, residues, a, min(b, at_round))
-        self.periodics[handle] = component
-        if handle in self.live:
-            self.live[handle] = component
-            self.live_end = min(self.live_end, component[4])
-
-    def _live_from(self, r):
-        """The periodic components a query about round r must visit. Those
-        that ended before the latest round asked about leave `live` for good:
-        `stop_awake` only ever moves an end earlier."""
-        if r < self.seen:
-            return self.periodics
-        self.seen = r
-        if r > self.live_end:
-            live = {h: c for h, c in self.live.items() if c[4] >= r}
-            self.live = live
-            self.live_end = min((c[4] for c in live.values()), default=inf)
-        return self.live.values()
-
-    def _add_window(self, a: int, b: int):
-        if self.always:  # as for a span: nothing to store or end
-            return None
+    def _add(self, component, now) -> int:
+        """Keep a component declared in round `now`; returns its handle."""
         handle = self.opened
         self.opened += 1
-        if a <= b:  # an empty window, like an empty span, adds nothing
-            self.windows[handle] = (a, b)
-            if a < self.windows_start:
-                self.windows_start = a
-            if b < self.windows_end:
-                self.windows_end = b
+        if component[3] <= component[4] and not self.always:
+            self.comps[handle] = component
+            if len(self.ends) + len(self.comps) > self.fold_at:
+                self._fold(now)
         return handle
 
-    def _end_window(self, handle, at_round):
-        window = self.windows.pop(handle, None)
-        if window is not None:  # else ended or past before, or always
-            self._add_span(window[0], min(window[1], at_round))
-            self._bound_windows()
-
-    def _close_past(self, r):
-        """Move every open window that ends before round r to the spans."""
-        windows = self.windows
-        for handle, (a, b) in list(windows.items()):
-            if b < r:
-                del windows[handle]
-                self._add_span(a, b)
-        self._bound_windows()
-
-    def _bound_windows(self):
-        windows = self.windows.values()
-        self.windows_start = min((a for a, _ in windows), default=inf)
-        self.windows_end = min((b for _, b in windows), default=inf)
+    def _stop(self, handle, at_round):
+        """Cut a component after round `at_round`, once: a cut periodic is
+        kept under a handle no caller holds."""
+        component = self.comps.pop(handle, None)
+        if component is None:  # cut before, or never kept
+            return
+        anchor, period, residues, a, b = component
+        if period > 1:
+            self.comps[~handle] = (anchor, period, residues, a, min(b, at_round))
+        elif residues:
+            self._add_span(a, min(b, at_round))
 
     def _add_span(self, a: int, b: int, now=None):
-        """Merge [a, b] into the intervals. A span declared by the step of
-        round `now` may fold the passed intervals once the lists grow."""
+        """Merge [a, b] into the intervals; `now` is the round of the step
+        declaring it, if a step does."""
         if a > b or self.always:  # always is never unset: a span cannot matter
             return
         ends = self.ends
@@ -292,34 +234,53 @@ class Schedule:
                 return
             starts.insert(i, a)
             ends.insert(i, b)
-        if len(ends) > self.fold_at and now is not None:
+        if now is not None and len(ends) + len(self.comps) > self.fold_at:
             self._fold(now)
 
     def _fold(self, now):
-        """Fold the intervals that end before round `now`, the round of the
-        step declaring a span, and before every open window, unless a
-        periodic may overlap them. A window that ended before `now` is final
-        and joins the intervals first."""
-        starts, ends = self.starts, self.ends
-        if not self.periodics:
-            if self.windows_end < now:
-                self._close_past(now)
-            i = bisect_left(ends, min(now, self.windows_start))
-            if i:
-                # round 0 is free: an interval may start there, none before
-                self.passed += sum(ends[:i]) - sum(starts[:i]) + i - (starts[0] == 0)
-                self.folded = ends[i - 1]
-                del starts[:i], ends[:i]
-        self.fold_at = len(ends) + FOLD_EVERY
+        """Count the rounds before `now` into `passed`; drop what ends there."""
+        if now > self.now:
+            self.passed += self._count(max(1, self.now), now - 1)
+            self.now = now
+            i = bisect_left(self.ends, now)
+            del self.starts[:i], self.ends[:i]
+            self.comps = {h: c for h, c in self.comps.items() if c[4] >= now}
+        self.fold_at = len(self.ends) + len(self.comps) + FOLD_EVERY
 
-    def _folded_query(self, r):
-        raise SimError(f"schedule query about folded round {r}")
+    def _count(self, lo, hi) -> int:
+        """Awake rounds in [lo, hi], hi >= lo - 1: the span lengths, clipped,
+        plus the component rounds, marked in a bytearray by strided slices,
+        that no span covers."""
+        starts, ends = self.starts, self.ends
+        # the intervals that meet [lo, hi]; only the first and the last can
+        # reach past it
+        i, j = bisect_left(ends, lo), bisect_right(starts, hi)
+        count = 0
+        if i < j:
+            count = (sum(ends[i:j]) - sum(starts[i:j]) + j - i
+                     - max(0, lo - starts[i]) - max(0, ends[j - 1] - hi))
+        comps = self.comps.values()
+        if not comps:
+            return count
+        # marks are needed only where some component may be awake
+        lo, hi = max(lo, min(c[3] for c in comps)), min(hi, max(c[4] for c in comps))
+        if hi < lo:
+            return count
+        marks = bytearray(hi - lo + 1)
+        for anchor, period, residues, a, b in comps:
+            a, b = max(a, lo), min(b, hi)
+            for res in residues:
+                first = a + (anchor + res - a) % period
+                if first <= b:
+                    marks[first - lo:b - lo + 1:period] = b"\1" * ((b - first) // period + 1)
+        i, j = bisect_left(ends, lo, i, j), bisect_right(starts, hi, i, j)
+        return count + marks.count(1) - sum(
+            marks.count(1, max(a, lo) - lo, min(b, hi) - lo + 1)
+            for a, b in zip(starts[i:j], ends[i:j]))
 
     def awake_at(self, r: int) -> bool:
         if self.always:
             return True
-        if r <= self.folded:
-            self._folded_query(r)
         ends = self.ends
         i = bisect_left(ends, r)
         if i < len(ends) and self.starts[i] <= r:
@@ -328,13 +289,7 @@ class Schedule:
             if i + 1 < len(ends):
                 self.nlo, self.nhi = starts[i + 1], ends[i + 1]
             return True
-        if self.windows_start <= r:  # inf while no window is open
-            if r > self.windows_end:
-                self._close_past(r)
-            for a, b in self.windows.values():
-                if a <= r <= b:
-                    return True
-        for anchor, period, residues, a, b in self._live_from(r):
+        for anchor, period, residues, a, b in self.comps.values():
             if a <= r <= b and (r - anchor) % period in residues:
                 return True
         return False
@@ -343,22 +298,12 @@ class Schedule:
         """Smallest awake round strictly greater than r, or None."""
         if self.always:
             return r + 1
-        if r < self.folded:
-            self._folded_query(r)
         ends = self.ends
         i = bisect_right(ends, r)
         best = max(self.starts[i], r + 1) if i < len(ends) else inf
         if best == r + 1:  # no round comes earlier
             return best
-        if self.windows_start < best:
-            if r > self.windows_end:
-                self._close_past(r)
-            for a, b in self.windows.values():
-                if b > r and a < best:
-                    best = a if a > r else r + 1
-            if best == r + 1:
-                return best
-        for anchor, period, residues, a, b in self._live_from(r):
+        for anchor, period, residues, a, b in self.comps.values():
             if b <= r or not residues:
                 continue
             start = a if a > r else r + 1
@@ -373,40 +318,10 @@ class Schedule:
         return best if best < inf else None
 
     def awake_rounds(self, horizon: int) -> int:
-        """Number of awake rounds in [1, horizon] (round 0 is free
-        initialization): the span lengths, clipped, plus the periodic rounds
-        that no span covers, each counted once however many periodics share
-        it. Periodic rounds are marked in a bytearray by strided slices."""
+        """Number of awake rounds in [1, horizon] (round 0 is free)."""
         if self.always:
             return max(0, horizon)
-        if horizon < self.folded:
-            self._folded_query(horizon)
-        starts, ends = self.starts, self.ends
-        if self.windows:  # count the open windows as declared
-            merged = Schedule()
-            merged.starts, merged.ends = starts[:], ends[:]
-            for a, b in self.windows.values():
-                merged._add_span(a, b)
-            starts, ends = merged.starts, merged.ends
-        # the intervals that meet [1, horizon]; only the first and the last
-        # can reach past it
-        i, j = bisect_left(ends, 1), bisect_right(starts, horizon)
-        count = self.passed
-        if i < j:
-            count += (sum(ends[i:j]) - sum(starts[i:j]) + j - i
-                      - max(0, 1 - starts[i]) - max(0, ends[j - 1] - horizon))
-        if not self.periodics:
-            return count
-        spans = [(max(1, a), min(b, horizon) + 1)
-                 for a, b in zip(starts[i:j], ends[i:j])]
-        marks = bytearray(horizon + 1)
-        for anchor, period, residues, a, b in self.periodics:
-            lo, hi = max(1, a), min(b, horizon)
-            for res in residues:
-                first = lo + ((anchor + res - lo) % period)
-                if first <= hi:
-                    marks[first:hi + 1:period] = b"\1" * ((hi - first) // period + 1)
-        return count + marks.count(1) - sum(marks.count(1, a, b) for a, b in spans)
+        return self.passed + self._count(max(1, self.now), horizon)
 
 
 class NodeApi:
@@ -449,19 +364,11 @@ class NodeApi:
 
     def awake_window(self, a: int, b: int):
         """Listen in rounds [a, b] like `awake_span`, but return a handle
-        with which `end_window` may end the window early."""
+        with which `stop_awake` may end the window early."""
         if a < self.round:
             self._before_now("awake_window", a)
-        return self.engine._schedules[self.node]._add_window(a, b)
-
-    def end_window(self, handle, at_round: int):
-        """End a window from `awake_window` after round `at_round`, which is
-        not before this step's round: it keeps only its rounds up to there.
-        A window ends once; later calls, like a call on an always-awake
-        node, change nothing."""
-        if at_round < self.round:
-            raise SimError(f"end_window({at_round}) before round {self.round}")
-        self.engine._schedules[self.node]._end_window(handle, at_round)
+        return self.engine._schedules[self.node]._add((a, 1, (0,), a, b),
+                                                      self.round)
 
     def awake_periodic(self, anchor: int, period: int, residues, a: int, b: int):
         """Declare a periodic listening schedule; returns a handle that can be
@@ -474,11 +381,16 @@ class NodeApi:
         if period < 1 or any(not 0 <= x < period for x in residues):
             raise SimError(f"awake_periodic: residues {list(residues)} "
                            f"not in [0, period) for period {period}")
-        sched = self.engine._schedules[self.node]
-        return sched._add_periodic((anchor, period, residues, a, b))
+        return self.engine._schedules[self.node]._add(
+            (anchor, period, residues, a, b), self.round)
 
     def stop_awake(self, handle: int, at_round: int):
-        self.engine._schedules[self.node]._stop_periodic(handle, at_round)
+        """Keep a window's or periodic's rounds only up to `at_round`, not
+        before this step's round. A component ends once; later calls, like a
+        call on an always-awake node, change nothing."""
+        if at_round < self.round:
+            raise SimError(f"stop_awake({at_round}) before round {self.round}")
+        self.engine._schedules[self.node]._stop(handle, at_round)
 
     def always_awake(self):
         self.engine._schedules[self.node].always = True
@@ -543,6 +455,14 @@ class PlannedProgram:
         dep = depth % period
         residue = (period - dep) % period if up else (dep + 1) % period
         return earliest + (residue - (earliest - anchor)) % period
+
+    def _sweep_step(self, api, base, cap, depth, action, key, lag=0, kids=False):
+        """Plan a fixed-window convergecast from round `base` over a tree of
+        depth <= `cap`: a node at depth d acts at base + 1 + cap - d + `lag`,
+        after its kids send; with `kids`, it listens from the round they do."""
+        heard = base + cap - depth
+        self._plan_at(api, heard + 1 + lag, action, key,
+                      listen_from=heard if kids else None)
 
     _listen_before = False
 

@@ -179,7 +179,7 @@ class DecompProgram(PlannedProgram):
     @staticmethod
     def _close_window(api, window, r):
         """Stop listening for a wave after round r."""
-        api.end_window(window[0], r)
+        api.stop_awake(window[0], r)
         window[1] = min(window[1], r)
 
     def _check_listening(self, api, window, what):
@@ -264,21 +264,15 @@ class DecompProgram(PlannedProgram):
         self._plan_step(api, base + self._rho() + 3)
 
     def _role_sweep(self, api, base, up, root):
-        """Plan one convergecast over every role's tree: a root acts (`root`)
-        at base + rho + 2, a node at depth d sends up (`up`) at
-        base + 1 + rho - d, and a role with kids listens in the round its
-        kids send."""
+        """Plan one convergecast over every role's tree: a node at depth d
+        sends up (`up`) at base + 1 + rho - d, a root acts (`root`) at
+        base + rho + 2, and a role with kids listens from when they send."""
         rho = self._rho()
         for label in sorted(self.roles):
             role = self.roles[label]
-            heard = base + rho - role.depth  # the round its kids send
-            if role.parent is None:
-                if role.kids:
-                    self._listen(api, heard)
-                self._plan_at(api, base + rho + 2, root, label)
-            else:
-                self._plan_at(api, heard + 1, up, label,
-                              listen_from=heard if role.kids else None)
+            is_root = role.parent is None
+            self._sweep_step(api, base, rho, role.depth, root if is_root else up,
+                             label, lag=int(is_root), kids=bool(role.kids))
 
     def _recount_up(self, api, label):
         role = self.roles.get(label)

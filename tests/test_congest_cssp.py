@@ -13,6 +13,7 @@ from sleepysim.oracle import dijkstra
 from sleepysim.trace_checks import (
     check_cut_composition, check_cutter_contract, check_recursion_accounting,
 )
+from schedule_reference import record
 
 
 def test_lift_zero_weights():
@@ -218,12 +219,16 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha,
     assert _sha256(repr(engine.trace_log)) == trace_sha
 
 
-def test_congest_windows_leave_schedules_always():
+def test_congest_windows_leave_schedules_always(monkeypatch):
     """The listening windows `CsspProgram` declares are no-ops on a congest
-    node: every schedule stays `always`, with no span or periodic kept."""
+    node: each node is always awake before it declares any, and every
+    schedule stays `always`, with no span or component kept."""
+    log = record(monkeypatch)
     g = gen_graph(GraphSpec("random-gnm", 16, seed=3, m=40,
                             weight_mode="uniform", max_w=9))
     _, _, engine = cssp(g, {0, 7})
+    assert all(log[v].always_at == 0 for v in range(g.n))
+    assert any(op[0] == "window" for v in range(g.n) for op in log[v].ops)
     for sched in engine._schedules.values():
         assert sched.always
-        assert sched.starts == [] and sched.periodics == []
+        assert sched.starts == [] and not sched.comps

@@ -9,6 +9,7 @@ from sleepysim.energy_bfs import (
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import INF, check_layered, hop_distances
 from sleepysim.trace_checks import check_relevance, check_sleep_safety
+from schedule_reference import record
 
 
 def unit_path(n):
@@ -130,18 +131,19 @@ def test_irrelevant_component_sleeps():
     assert cold < hot / 4  # init listening only on the sourceless side
 
 
-def test_pipeline_wake_fraction_in_bfs():
+def test_pipeline_wake_fraction_in_bfs(monkeypatch):
     g = unit_path(33)
     layered, _, _, _ = bootstrap_base_covers(g)
-    outputs, report, engine = run_thresholded_bfs_with_cover(g, layered, {0}, 32)
+    log = record(monkeypatch)
+    run_thresholded_bfs_with_cover(g, layered, {0}, 32)
+    lvl_periods = {max(1, layered.base**lvl) for lvl in range(layered.top + 1)}
+    periodic_seen = 0
     for v in range(g.n):
-        sched = engine._schedules.get(v)
-        if sched is None:
-            continue
-        for anchor, period, residues, a, b in sched.periodics:
+        for anchor, period, residues, a, b in log[v].periodics():
+            periodic_seen += 1
             assert len(residues) <= 4
-            lvl_periods = {max(1, layered.base**lvl) for lvl in range(layered.top + 1)}
             assert period in lvl_periods
+    assert periodic_seen > 0
 
 
 def test_build_cover_next_levels():

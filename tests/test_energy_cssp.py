@@ -14,6 +14,7 @@ from sleepysim.structures import ForestInfo
 from sleepysim.trace_checks import (
     check_cutter_contract, check_recursion_accounting,
 )
+from schedule_reference import record
 
 
 def log2c(n):
@@ -110,17 +111,15 @@ def test_waiting_is_periodic_not_busy():
     assert min(report.energy.values()) < 0.5 * report.rounds
 
 
-def test_waiting_pipeline_shape():
+def test_waiting_pipeline_shape(monkeypatch):
     """Waiting schedules are 4 residues per component-size period, so waiting
     costs O(1) awake rounds per pipeline cycle."""
+    log = record(monkeypatch)
     g = gen_graph(GraphSpec("path", 12, weight_mode="uniform", max_w=5, seed=2))
-    _, _, engine = cssp_energy(g, {0})
+    cssp_energy(g, {0})
     periodic_seen = 0
     for v in range(g.n):
-        sched = engine._schedules.get(v)
-        if sched is None:
-            continue
-        for _, period, residues, _, _ in sched.periodics:
+        for _, period, residues, _, _ in log[v].periodics():
             periodic_seen += 1
             assert len(residues) <= 4
             assert period <= g.n
@@ -202,7 +201,7 @@ def test_max_energy_bound(spec, sources, bound):
     assert report.max_energy() <= bound
 
 
-def test_listening_ends_with_the_wave():
+def test_listening_ends_with_the_wave(monkeypatch):
     """Cutter and adoption windows close at the node's own wave front. In
     the root frame, a node whose tick is final in round R sleeps from R + 2
     to the cutter's end; in each Boruvka phase a node sleeps from two rounds
@@ -232,13 +231,14 @@ def test_listening_ends_with_the_wave():
         p = programs[args[0]] = Watching(*args, **kw)
         return p
 
-    outputs, report, engine = cssp(g, GOLDEN[0][1], program=program, trace=False)
+    log = record(monkeypatch)
+    outputs, report, _ = cssp(g, GOLDEN[0][1], program=program, trace=False)
     assert outputs == dijkstra(g, GOLDEN[0][1])
     assert report.lost == 0
+    awake = {v: log[v].awake() for v in range(g.n)}
 
     def asleep(v, lo, hi):
-        sched = engine._schedules[v]
-        return not any(sched.awake_at(r) for r in range(lo, hi + 1))
+        return not any(awake[v](r) for r in range(lo, hi + 1))
 
     root = {v: p.frames[1] for v, p in programs.items()}
     t_cut = root[0].t_cut

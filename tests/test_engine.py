@@ -1,10 +1,16 @@
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
+from sleepysim import engine as engine_module
 from sleepysim.engine import (
     Engine, Message, NodeApi, PlannedProgram, SimConfig, ProtocolViolation,
     SimError, audit_message, bit_budget, run_simulation,
 )
 from sleepysim.graph import Graph
+from schedule_reference import record
 
 
 def line(n, w=1):
@@ -272,6 +278,25 @@ def test_planned_programs_own_their_step():
         assert "on_round" in vars(cls), cls.__name__
 
 
+def test_perfbench_tracer_names_resolve():
+    """perfbench's tracer counts the calls of the package functions named in
+    its COUNT_ONLY set and times those in AGGREGATED; a name that no longer
+    resolves would read 0 there without an error."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    sets = {}
+    for node in ast.parse(tracer.read_text()).body:
+        name = getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
+        if name in ("COUNT_ONLY", "AGGREGATED"):
+            sets[name] = ast.literal_eval(node.value.args[0])
+    assert set(sets) == {"COUNT_ONLY", "AGGREGATED"}
+    for name in sorted(sets["COUNT_ONLY"] | sets["AGGREGATED"]):
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"sleepysim.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        assert callable(obj), name
+
+
 def test_pipe_slot():
     slot = PlannedProgram._pipe_slot
     assert slot(0, 4, 2, True, 6) == 6  # up residue 4 - 2
@@ -279,17 +304,17 @@ def test_pipe_slot():
     assert slot(1, 3, 2, False, 1) == 1  # down residue (2 + 1) % 3
 
 
-def test_pipe_handshake():
+def test_pipe_handshake(monkeypatch):
     """A child's up-slot is a round its parent listens in, the parent's
     down-slot one its children listen in, and each slot is the first round
     >= earliest with its residue."""
-    engine = Engine(Graph.build(1, []))
-    api = NodeApi(engine, 0, 0, [])
+    log = record(monkeypatch)
+    api = engine_module.NodeApi(Engine(Graph.build(1, [])), 0, 0, [])
     slot = PlannedProgram._pipe_slot
 
     def listens(anchor, period, depth):
-        handle = PlannedProgram._join_pipe(api, anchor, period, depth, 1, 50)
-        return engine._schedules[0].periodics[handle][2]
+        PlannedProgram._join_pipe(api, anchor, period, depth, 1, 50)
+        return log[0].periodics()[-1][2]
 
     for period in range(1, 17):
         for depth in range(2 * period + 1):
@@ -310,18 +335,22 @@ def test_pipe_handshake():
 @pytest.mark.parametrize("period, residues", [
     (0, {0}), (0, set()), (-3, {1}), (4, {4}), (4, {0, 5}), (4, {-1}),
 ])
-def test_periodic_rejects_bad_period_or_residue(period, residues):
+def test_periodic_rejects_bad_period_or_residue(period, residues, monkeypatch):
+    log = record(monkeypatch)
     engine = Engine(Graph.build(1, []))
     with pytest.raises(SimError, match="awake_periodic"):
-        NodeApi(engine, 0, 0, []).awake_periodic(0, period, residues, 1, 50)
-    assert not engine._schedules[0].periodics
+        engine_module.NodeApi(engine, 0, 0, []).awake_periodic(
+            0, period, residues, 1, 50)
+    assert not log[0].ops
+    sched = engine._schedules[0]
+    assert not sched.comps and sched.next_awake_after(0) is None
 
 
 def test_periodic_residues_kept_sorted():
     engine = Engine(Graph.build(1, []))
     api = NodeApi(engine, 0, 0, [])
     handle = api.awake_periodic(2, 5, [3, 0, 3], 1, 50)
-    assert engine._schedules[0].periodics[handle] == (2, 5, (0, 3), 1, 50)
+    assert engine._schedules[0].comps == {handle: (2, 5, (0, 3), 1, 50)}
     assert engine._schedules[0].next_awake_after(5) == 7
 
 

@@ -1,28 +1,54 @@
-"""Differential test of `engine.Schedule` against a brute-force reference.
+"""Differential tests of `engine.Schedule` against a brute-force reference.
 
-Components are declared through `NodeApi`, as node programs do, so the test
-also covers the `always` shortcut of `Schedule._add_span`. The reference keeps
-every component as declared and answers each query by checking each round.
+Components are declared through `NodeApi`, as node programs do, so the tests
+also cover the `always` shortcut of `Schedule._add_span` and the round checks
+of the facade. The reference (`schedule_reference.reference`) keeps every
+component as declared and answers each query by checking each round.
 """
 
 import pytest
 
-from sleepysim.engine import Engine, NodeApi, SimError
+from schedule_reference import FAR, H, record, reference
+from sleepysim import engine as engine_module
+from sleepysim.engine import FOLD_EVERY, Engine, NodeApi, SimError
 from sleepysim.graph import Graph
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 given, example = hypothesis.given, hypothesis.example
 
-H = 60  # queries cover rounds 0..H
-FAR = 1 << 62  # an open-ended periodic component, as energy_cssp declares
+
+def test_record_matches_the_schedule(monkeypatch):
+    """The recorder logs what the schedule holds: each kind of declaration,
+    a cut, a repeated cut and a rejected one."""
+    log = record(monkeypatch)
+    engine = Engine(Graph.build(1, []))
+    api = engine_module.NodeApi(engine, 0, 0, [])
+    api.wake_at(3, listen_from=1)
+    api.awake_span(6, 7)
+    window = api.awake_window(10, 20)
+    periodic = api.awake_periodic(0, 5, [4, 2, 4], 0, FAR)
+    api.stop_awake(window, 12)
+    api.stop_awake(window, 11)
+    api.stop_awake(periodic, 30)
+    with pytest.raises(SimError):
+        api.awake_periodic(0, 0, [0], 1, 2)
+    declared = log[0]
+    assert declared.ops == [("span", 1, 3), ("span", 6, 7), ("window", 10, 20),
+                            ("periodic", 0, 5, (2, 4), 0, FAR), ("stop", 0, 12),
+                            ("stop", 0, 11), ("stop", 1, 30)]
+    awake = declared.awake()
+    sched = engine._schedules[0]
+    assert [r for r in range(40) if awake(r)] == [
+        r for r in range(40) if sched.awake_at(r)] == [
+        1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 14, 17, 19, 22, 24, 27, 29]
 
 
 @st.composite
 def schedules(draw):
     """(ops, always_at): components to declare, and where `always_awake`
     goes in that order (None: never)."""
-    ops, handles = [], 0
+    ops, comps = [], 0
     for _ in range(draw(st.integers(0, 30))):
         kind = draw(st.sampled_from(("span", "span", "periodic", "stop")))
         if kind == "span":
@@ -35,53 +61,49 @@ def schedules(draw):
             b = draw(st.one_of(st.integers(a - 2, H + 10), st.just(FAR)))
             ops.append(("periodic", draw(st.integers(-10, H)), period,
                         residues, a, b))
-            handles += 1
-        elif handles:
-            ops.append(("stop", draw(st.integers(0, handles - 1)),
+            comps += 1
+        elif comps:
+            ops.append(("stop", draw(st.integers(0, comps - 1)),
                         draw(st.integers(0, H + 5))))
     always_at = draw(st.one_of(st.none(), st.integers(0, len(ops))))
     return ops, always_at
 
 
+def apply(api, op, handles):
+    """Declare one op through `api`; `handles` lists the handles of the
+    windows and periodics declared so far, in order."""
+    if op[0] == "span":
+        api.awake_span(op[1], op[2])
+    elif op[0] == "window":
+        handles.append(api.awake_window(op[1], op[2]))
+    elif op[0] == "periodic":
+        handles.append(api.awake_periodic(*op[1:]))
+    else:
+        api.stop_awake(handles[op[1]], op[2])
+
+
 def declare(ops, always_at):
-    """The engine's schedule for node 0 after the declarations."""
+    """The engine after node 0 declared the ops in the step of round 0, and
+    the handles of its windows and periodics."""
     engine = Engine(Graph.build(1, []))
     api = NodeApi(engine, 0, 0, [])
+    handles = []
     for i, op in enumerate(ops):
         if i == always_at:
             api.always_awake()
-        if op[0] == "span":
-            api.awake_span(op[1], op[2])
-        elif op[0] == "periodic":
-            api.awake_periodic(*op[1:])
-        else:
-            api.stop_awake(op[1], op[2])
+        apply(api, op, handles)
     if always_at == len(ops):
         api.always_awake()
-    return engine._schedules[0]
+    return engine, handles
 
 
-def reference(ops, always_at):
-    """A predicate for "awake in round r", from the components as declared."""
-    spans, periodics = [], []
-    for op in ops:
-        if op[0] == "span":
-            spans.append(op[1:])
-        elif op[0] == "periodic":
-            periodics.append(list(op[1:]))
-        else:
-            periodics[op[1]][4] = min(periodics[op[1]][4], op[2])
-
-    def awake(r):
-        return (always_at is not None
-                or any(a <= r <= b for a, b in spans)
-                or any(a <= r <= b and (r - anchor) % period in residues
-                       for anchor, period, residues, a, b in periodics))
-
-    # past this round nothing but an open-ended periodic is awake, and that
-    # one within one period
-    last = H + 20 + max((p[1] for p in periodics), default=0)
-    return awake, last
+def check_against(sched, awake, last, rounds):
+    truth = [awake(r) for r in range(last + 1)]
+    for r in rounds:
+        following = next((rr for rr in range(r + 1, last + 1) if truth[rr]), None)
+        assert sched.awake_at(r) == truth[r], r
+        assert sched.next_awake_after(r) == following, r
+        assert sched.awake_rounds(r) == sum(truth[1:r + 1]), r
 
 
 @given(schedules())
@@ -89,38 +111,34 @@ def reference(ops, always_at):
            ("span", 6, 7), ("span", 13, 13)], None))  # adjacent and nested
 @example(([("periodic", 3, 4, {0, 2}, 1, FAR), ("stop", 0, 20),
            ("span", 30, 31)], None))
+@example(([("periodic", 0, 1, {0}, 4, FAR), ("stop", 0, 20), ("stop", 0, 9)],
+          None))  # a period-1 periodic joins the spans, and ends once
 @example(([("span", 2, 40), ("periodic", 0, 1, {0}, 0, 9)], 1))
 def test_schedule_matches_brute_force(case):
     ops, always_at = case
-    sched = declare(ops, always_at)
+    engine, _ = declare(ops, always_at)
+    sched = engine._schedules[0]
     awake, last = reference(ops, always_at)
 
     starts, ends = sched.starts, sched.ends
     assert len(starts) == len(ends)
     assert all(a <= b for a, b in zip(starts, ends))
     assert all(b + 1 < a for b, a in zip(ends, starts[1:]))
-    for _, period, residues, _, _ in sched.periodics:
+    for _, period, residues, _, _ in sched.comps.values():
         assert list(residues) == sorted(set(residues))
         assert all(0 <= x < period for x in residues)
 
-    truth = [awake(r) for r in range(last + 1)]
-    following = [next((rr for rr in range(r + 1, last + 1) if truth[rr]), None)
-                 for r in range(H + 1)]
-    for r in range(H + 1):
-        assert sched.awake_at(r) == truth[r], r
-        assert sched.next_awake_after(r) == following[r], r
-        assert sched.awake_rounds(r) == sum(truth[1:r + 1])
-    # queries about earlier rounds still see the periodics that ended since
-    for r in range(H, -1, -1):
-        assert sched.awake_at(r) == truth[r], r
-        assert sched.next_awake_after(r) == following[r], r
+    check_against(sched, awake, last, range(H + 1))
+    # a query changes no answer: asked again from the last round back, each
+    # round answers the same
+    check_against(sched, awake, last, range(H, -1, -1))
 
 
 @st.composite
 def windowed(draw):
     """(ops, always_at, t, ends): components as `schedules` draws them with
     ("window", a, b) among them, the round t of the step that ends windows,
-    and (window index, round it ends after) pairs, each round >= t: before
+    and (window number, round it ends after) pairs, each round >= t: before
     the window opens, inside it, or after it closed; a window may be ended
     twice."""
     ops, always_at = draw(schedules())
@@ -134,52 +152,29 @@ def windowed(draw):
     count = sum(op[0] == "window" for op in ops)
     ends = draw(st.lists(st.tuples(st.integers(0, count - 1),
                                    st.integers(t, H + 30)), max_size=6))
-    return ops, always_at, t, ends
+    return renumbered(ops), always_at, t, ends
 
 
-def declare_windowed(ops, always_at):
-    """As `declare`, with windows: (engine, window handles in order)."""
-    engine = Engine(Graph.build(1, []))
-    api = NodeApi(engine, 0, 0, [])
-    handles = []
-    for i, op in enumerate(ops):
-        if i == always_at:
-            api.always_awake()
-        if op[0] == "window":
-            handles.append(api.awake_window(op[1], op[2]))
-        elif op[0] == "span":
-            api.awake_span(op[1], op[2])
-        elif op[0] == "periodic":
-            api.awake_periodic(*op[1:])
-        else:
-            api.stop_awake(op[1], op[2])
-    if always_at == len(ops):
-        api.always_awake()
-    return engine, handles
-
-
-def as_spans(ops, ends):
-    """The ops with each window replaced by the span it keeps after `ends`."""
-    last = {}
-    for k, at in ends:
-        last.setdefault(k, at)  # only the first end counts
-    out, k = [], 0
+def renumbered(ops):
+    """The ops with each stop naming its periodic by its index among the
+    windows and periodics, where `schedules` counted periodics only."""
+    comps, periodics, out = 0, [], []
     for op in ops:
-        if op[0] == "window":
-            out.append(("span", op[1], min(op[2], last.get(k, op[2]))))
-            k += 1
-        else:
-            out.append(op)
+        if op[0] == "periodic":
+            periodics.append(comps)
+        elif op[0] == "stop":
+            op = ("stop", periodics[op[1]], op[2])
+        comps += op[0] in ("window", "periodic")
+        out.append(op)
     return out
 
 
-def check_against(sched, awake, last, rounds):
-    truth = [awake(r) for r in range(last + 1)]
-    for r in rounds:
-        following = next((rr for rr in range(r + 1, last + 1) if truth[rr]), None)
-        assert sched.awake_at(r) == truth[r], r
-        assert sched.next_awake_after(r) == following, r
-        assert sched.awake_rounds(r) == sum(truth[1:r + 1]), r
+def window_stops(ops, ends):
+    """The stop ops that end windows after `ends`, in the reference's
+    numbering of windows and periodics."""
+    comps = [op[0] for op in ops if op[0] in ("window", "periodic")]
+    windows = [k for k, kind in enumerate(comps) if kind == "window"]
+    return [("stop", windows[k], at) for k, at in ends]
 
 
 @given(windowed())
@@ -194,25 +189,96 @@ def test_windows_match_brute_force(case):
     about the rounds before the ending step see the windows as declared, and
     queries about any round after it see each window cut at its end."""
     ops, always_at, t, ends = case
-    engine, handles = declare_windowed(ops, always_at)
+    engine, handles = declare(ops, always_at)
     sched = engine._schedules[0]
-    awake, last = reference(as_spans(ops, []), always_at)
+    awake, last = reference(ops, always_at)
     check_against(sched, awake, last, range(t))
 
     api = NodeApi(engine, 0, t, [])
-    for k, at in ends:
-        api.end_window(handles[k], at)
-    awake, last = reference(as_spans(ops, ends), always_at)
+    stops = window_stops(ops, ends)
+    for stop in stops:
+        apply(api, stop, handles)
+    awake, last = reference(ops + stops, always_at)
     check_against(sched, awake, last, range(H + 1))
     check_against(sched, awake, last, range(H, -1, -1))
 
 
-def test_window_cannot_end_in_the_past():
+@st.composite
+def stepped(draw):
+    """Steps of one node at nondecreasing rounds: (round, ops) pairs whose
+    spans, windows and periodics start at or after the step's round and
+    whose stops cut at or after it. Each step declares a window or a
+    periodic, which no span absorbs, and more than `FOLD_EVERY` steps come,
+    so the schedule folds, with periodics present."""
+    steps, t, comps = [], 0, 0
+    for _ in range(FOLD_EVERY + draw(st.integers(8, 24))):
+        t += draw(st.integers(0, 3))
+        ops = []
+        for kind in ["component"] + draw(st.lists(
+                st.sampled_from(("span", "span", "stop", "component")), max_size=2)):
+            a = t + draw(st.integers(0, 8))
+            if kind == "span":
+                ops.append(("span", a, a + draw(st.integers(-1, 6))))
+            elif kind == "stop":
+                ops.append(("stop", draw(st.integers(0, comps - 1)),
+                            t + draw(st.integers(0, 12))))
+            elif draw(st.booleans()):
+                period = draw(st.integers(1, 9))
+                residues = draw(st.sets(st.integers(0, period - 1), max_size=period))
+                b = draw(st.one_of(st.integers(a - 2, a + 60), st.just(FAR)))
+                ops.append(("periodic", draw(st.integers(-10, t + 10)), period,
+                            residues, a, b))
+                comps += 1
+            else:
+                ops.append(("window", a, a + draw(st.integers(-1, 25))))
+                comps += 1
+        steps.append((t, ops))
+    return steps
+
+
+@given(stepped())
+@hypothesis.settings(max_examples=100)  # each example runs some 40 steps
+def test_folding_schedule_matches_brute_force(steps):
+    """A node's steps come at nondecreasing rounds, and the engine asks
+    about each step's round after it, as a delivery does, and counts the
+    awake rounds once the run ends: the schedule answers as the reference
+    does over every component declared so far, while it folds the rounds
+    before each declaring step's round into a count."""
     engine = Engine(Graph.build(1, []))
-    handle = NodeApi(engine, 0, 0, []).awake_window(2, 9)
-    with pytest.raises(SimError):
-        NodeApi(engine, 0, 5, []).end_window(handle, 4)
-    assert engine._schedules[0].next_awake_after(4) == 5
+    sched = engine._schedules[0]
+    ops, handles = [], []
+    for t, step in steps:
+        api = NodeApi(engine, 0, t, [])
+        for op in step:
+            apply(api, op, handles)
+        ops += step
+        awake, last = reference(ops, None)
+        assert sched.awake_at(t) == awake(t), t
+        following = next((r for r in range(t + 1, last + 1) if awake(r)), None)
+        assert sched.next_awake_after(t) == following, t
+        assert sched.now <= t
+    truth = [awake(r) for r in range(last + 1)]
+    for horizon in range(max(0, steps[-1][0] - 1), last + 1):
+        assert sched.awake_rounds(horizon) == sum(truth[1:horizon + 1]), horizon
+
+
+def test_window_cannot_end_in_the_past():
+    """`stop_awake` cuts a window or a periodic only from the step's round
+    on; a rejected cut leaves the component as it was."""
+    engine = Engine(Graph.build(1, []))
+    api = NodeApi(engine, 0, 0, [])
+    window = api.awake_window(2, 9)
+    periodic = api.awake_periodic(0, 2, {0}, 10, 30)
+    late = NodeApi(engine, 0, 5, [])
+    for handle in (window, periodic):
+        with pytest.raises(SimError, match=r"stop_awake\(4\) before round 5"):
+            late.stop_awake(handle, 4)
+    sched = engine._schedules[0]
+    assert sched.next_awake_after(4) == 5
+    assert sched.awake_rounds(40) == 8 + 11
+    late.stop_awake(window, 5)  # a cut in the step's own round is fine
+    late.stop_awake(periodic, 12)
+    assert sched.awake_rounds(40) == 4 + 2
 
 
 @pytest.mark.parametrize("declare", [
@@ -226,46 +292,44 @@ def test_declaration_cannot_start_in_the_past(declare):
     with pytest.raises(SimError, match="start 4 before round 5"):
         declare(NodeApi(engine, 0, 5, []))
     sched = engine._schedules[0]
-    assert sched.starts == [] and not sched.windows and not sched.periodics
+    assert sched.starts == [] and not sched.comps
+    assert sched.next_awake_after(0) is None
     declare(NodeApi(engine, 0, 4, []))  # a start in the step's own round is fine
     assert sched.next_awake_after(3) == 4
 
 
-@pytest.mark.parametrize("first", [None, "periodic", "window", "passed window"])
+@pytest.mark.parametrize("first", [None, "periodic", "window", "passed window",
+                                   "cut window"])
 def test_passed_spans_fold_into_a_count(first):
-    """Spans that end before the declaring step's round leave the lists and
-    count as they stand, unless a periodic could overlap them; while a window
-    is open, only those that also end before it opens, and a window that
-    ended before that round folds with them. The energy count is the same
-    either way."""
+    """Spans and components that end before the declaring step's round leave
+    the schedule and count as they stand, periodics present or not: the
+    count of the folded rounds, and every later answer, is the reference's."""
     engine = Engine(Graph.build(1, []))
     sched = engine._schedules[0]
     api = NodeApi(engine, 0, 0, [])
-    extra = 0
+    ops = []
     if first == "periodic":  # awake in rounds 999 and 1999
-        api.awake_periodic(0, 1000, {999}, 0, 2000)
-        extra = 2
-    elif first == "window":  # still open when the last span is declared
-        api.awake_window(300, 660)
-        extra = 361 - 120  # rounds 300..660, of which the last 60 spans hold 120
+        ops.append(("periodic", 0, 1000, {999}, 0, 2000))
+    elif first in ("window", "cut window"):  # open when the last span comes
+        ops.append(("window", 300, 660))
     elif first == "passed window":  # never ended, long past at the last span
-        api.awake_window(100, 110)
-        extra = 11 - 4  # rounds 100..110, of which two spans hold 4
+        ops.append(("window", 100, 110))
+    handles = []
+    for op in ops:
+        apply(api, op, handles)
     for t in range(0, 600, 5):  # 120 spans of two rounds each
+        if first == "cut window" and t == 450:
+            NodeApi(engine, 0, t, []).stop_awake(handles[0], 455)
+            ops.append(("stop", 0, 455))
         NodeApi(engine, 0, t, []).awake_span(t + 1, t + 2)
-    assert sched.awake_rounds(2000) == 240 + extra
-    last = 660 if first == "window" else 597
-    assert sched.awake_at(last) and not sched.awake_at(last + 1)
-    if first == "periodic":
-        assert len(sched.starts) == 120
-        assert sched.awake_at(2) and not sched.awake_at(3)
-        return
-    assert len(sched.starts) < 60
-    # the first 60 spans, then the window through round 600
-    assert sched.awake_rounds(600) == (120 + 301 if first == "window"
-                                       else 240 + extra)
-    assert not sched.windows
-    with pytest.raises(SimError, match="folded round 3"):
-        sched.awake_at(3)
-    if first == "window":  # every span before the window opens, none after
-        assert sched.folded == 297 and sched.starts[0] == 300
+        ops.append(("span", t + 1, t + 2))
+    awake, last = reference(ops, None)
+    truth = [awake(r) for r in range(2001)]
+    assert len(sched.starts) < 60 and sched.now > 300
+    assert sched.passed == sum(truth[1:sched.now])
+    assert len(sched.comps) == (first in ("periodic", "window"))
+    for r in range(sched.now, 2000):
+        assert sched.awake_at(r) == truth[r], r
+    assert sched.next_awake_after(sched.now) == next(
+        r for r in range(sched.now + 1, 2001) if truth[r])
+    assert sched.awake_rounds(2000) == sum(truth[1:])
