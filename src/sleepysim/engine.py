@@ -268,11 +268,11 @@ class Schedule:
             return count
         marks = bytearray(hi - lo + 1)
         for anchor, period, residues, a, b in comps:
-            a, b = max(a, lo), min(b, hi)
+            a, b = max(a, lo) - lo, min(b, hi) - lo  # offsets into marks
             for res in residues:
-                first = a + (anchor + res - a) % period
+                first = a + (anchor + res - lo - a) % period
                 if first <= b:
-                    marks[first - lo:b - lo + 1:period] = b"\1" * ((b - first) // period + 1)
+                    marks[first:b + 1:period] = b"\1" * ((b - first) // period + 1)
         i, j = bisect_left(ends, lo, i, j), bisect_right(starts, hi, i, j)
         return count + marks.count(1) - sum(
             marks.count(1, max(a, lo) - lo, min(b, hi) - lo + 1)

@@ -53,7 +53,7 @@ class Declared:
     def __init__(self):
         self.ops = []
         self.always_at = None
-        self.index = {}  # handle -> the component's index among windows and periodics
+        self.index = {}  # handle -> its index among the windows and periodics
 
     def cut_able(self, handle, op):
         self.index[handle] = len(self.index)

@@ -285,9 +285,9 @@ def test_perfbench_tracer_names_resolve():
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     sets = {}
     for node in ast.parse(tracer.read_text()).body:
-        name = getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
-        if name in ("COUNT_ONLY", "AGGREGATED"):
-            sets[name] = ast.literal_eval(node.value.args[0])
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if getattr(target, "id", None) in ("COUNT_ONLY", "AGGREGATED"):
+            sets[target.id] = ast.literal_eval(node.value.args[0])
     assert set(sets) == {"COUNT_ONLY", "AGGREGATED"}
     for name in sorted(sets["COUNT_ONLY"] | sets["AGGREGATED"]):
         module, *path = name.split(".")
