@@ -424,8 +424,10 @@ class DetectProgram(PlannedProgram):
         cap = depth_cap + 2
         for key in sorted(self.roles):
             rt = self.roles[key]
-            ok = not rt.terminal or all(rt.cid in self.nbr_lists[u]
-                                        for u in self.nbrs)
+            if rt.terminal:
+                ok = all(rt.cid in self.nbr_lists[u] for u in self.nbrs)
+            else:
+                ok = True
             self._acc[key] = self._acc.get(key, 1) & (1 if ok else 0)
             self._sweep_step(api, base, cap, rt.depth,
                              "_root" if rt.parent is None else "_up", key)

@@ -153,13 +153,15 @@ class Schedule:
     a periodic (anchor, period, residues, a, b) is awake in each round r of
     [a, b] with (r - anchor) % period in `residues`, a sorted tuple of
     distinct values in [0, period); a window [a, b] is (a, 1, (0,), a, b),
-    and joins the spans once cut.
+    and joins the spans once cut. One that is never awake is not kept.
 
     `passed` counts the awake rounds in [1, now) (round 0 is free). Once the
     spans and components have grown by `FOLD_EVERY`, `_fold` moves `now` to
     the declaring step's round, counts the rounds in between with `_count`,
-    as `awake_rounds` does, and drops all that ends before `now`. Queries
-    ask about rounds from `now` - 1 on, as the engine's do.
+    as `awake_rounds` does, and drops all that ends before `now`. So
+    `awake_at` answers about rounds from `now` on, `next_awake_after` and
+    `awake_rounds` from `now` - 1 on, as the engine asks; an earlier query
+    raises `SimError`.
 
     `lo`..`hi` is the interval in which `awake_at` last found its round and
     `nlo`..`nhi` the one after it: spans only grow, so a delivery in round r
@@ -185,7 +187,7 @@ class Schedule:
         """Keep a component declared in round `now`; returns its handle."""
         handle = self.opened
         self.opened += 1
-        if component[3] <= component[4] and not self.always:
+        if component[3] <= component[4] and component[2] and not self.always:
             self.comps[handle] = component
             if len(self.ends) + len(self.comps) > self.fold_at:
                 self._fold(now)
@@ -200,7 +202,7 @@ class Schedule:
         anchor, period, residues, a, b = component
         if period > 1:
             self.comps[~handle] = (anchor, period, residues, a, min(b, at_round))
-        elif residues:
+        else:
             self._add_span(a, min(b, at_round))
 
     def _add_span(self, a: int, b: int, now=None):
@@ -278,9 +280,14 @@ class Schedule:
             marks.count(1, max(a, lo) - lo, min(b, hi) - lo + 1)
             for a, b in zip(starts[i:j], ends[i:j]))
 
+    def _folded_query(self, r):
+        raise SimError(f"schedule query about folded round {r}")
+
     def awake_at(self, r: int) -> bool:
         if self.always:
             return True
+        if r < self.now:
+            self._folded_query(r)
         ends = self.ends
         i = bisect_left(ends, r)
         if i < len(ends) and self.starts[i] <= r:
@@ -298,15 +305,17 @@ class Schedule:
         """Smallest awake round strictly greater than r, or None."""
         if self.always:
             return r + 1
+        if r < self.now - 1:
+            self._folded_query(r)
         ends = self.ends
         i = bisect_right(ends, r)
         best = max(self.starts[i], r + 1) if i < len(ends) else inf
         if best == r + 1:  # no round comes earlier
             return best
         for anchor, period, residues, a, b in self.comps.values():
-            if b <= r or not residues:
-                continue
             start = a if a > r else r + 1
+            if start > b or start >= best:  # ended, or no earlier than best
+                continue
             off = (start - anchor) % period
             k = bisect_left(residues, off)
             if k < len(residues):
@@ -321,6 +330,8 @@ class Schedule:
         """Number of awake rounds in [1, horizon] (round 0 is free)."""
         if self.always:
             return max(0, horizon)
+        if horizon < self.now - 1:
+            self._folded_query(horizon)
         return self.passed + self._count(max(1, self.now), horizon)
 
 
@@ -456,12 +467,12 @@ class PlannedProgram:
         residue = (period - dep) % period if up else (dep + 1) % period
         return earliest + (residue - (earliest - anchor)) % period
 
-    def _sweep_step(self, api, base, cap, depth, action, key, lag=0, kids=False):
+    def _sweep_step(self, api, base, cap, depth, action, *args, lag=0, kids=False):
         """Plan a fixed-window convergecast from round `base` over a tree of
         depth <= `cap`: a node at depth d acts at base + 1 + cap - d + `lag`,
         after its kids send; with `kids`, it listens from the round they do."""
         heard = base + cap - depth
-        self._plan_at(api, heard + 1 + lag, action, key,
+        self._plan_at(api, heard + 1 + lag, action, *args,
                       listen_from=heard if kids else None)
 
     _listen_before = False

@@ -464,14 +464,11 @@ class DecompProgram(PlannedProgram):
         decides at t_bar + S + 1 and its verdict reaches depth d at
         t_bar + S + d."""
         S = self.comp_size
-        heard = t_bar + S - self.fdepth - 1  # the round its kids report
-        if self.fparent is None:
-            if self.fkids:
-                self._listen(api, heard)
-            self._plan_at(api, t_bar + S + 1, "_bar_root")
-        else:
-            self._plan_at(api, heard + 1, "_bar_up",
-                          listen_from=heard if self.fkids else None)
+        root = self.fparent is None
+        self._sweep_step(api, t_bar - 1, S, self.fdepth,
+                         "_bar_root" if root else "_bar_up",
+                         lag=int(root), kids=bool(self.fkids))
+        if not root:
             self._listen(api, t_bar + S + self.fdepth)  # the verdict
 
     def _bar_own(self):

@@ -303,7 +303,8 @@ def test_declaration_cannot_start_in_the_past(declare):
 def test_passed_spans_fold_into_a_count(first):
     """Spans and components that end before the declaring step's round leave
     the schedule and count as they stand, periodics present or not: the
-    count of the folded rounds, and every later answer, is the reference's."""
+    count of the folded rounds, and every later answer, is the reference's;
+    a query about a folded round raises."""
     engine = Engine(Graph.build(1, []))
     sched = engine._schedules[0]
     api = NodeApi(engine, 0, 0, [])
@@ -333,3 +334,11 @@ def test_passed_spans_fold_into_a_count(first):
     assert sched.next_awake_after(sched.now) == next(
         r for r in range(sched.now + 1, 2001) if truth[r])
     assert sched.awake_rounds(2000) == sum(truth[1:])
+    with pytest.raises(SimError, match="folded round 3"):
+        sched.awake_at(3)
+    with pytest.raises(SimError, match=f"folded round {sched.now - 1}"):
+        sched.awake_at(sched.now - 1)
+    with pytest.raises(SimError, match=f"folded round {sched.now - 2}"):
+        sched.next_awake_after(sched.now - 2)
+    with pytest.raises(SimError, match=f"folded round {sched.now - 2}"):
+        sched.awake_rounds(sched.now - 2)
