@@ -26,25 +26,29 @@ With a step starting at base, t_join = base + k + 2, t_cnt = t_join + k + 2,
 t_dec = t_cnt + rho + 2, t_bar = t_dec + rho + k + 3 and S the component
 size, those rounds are:
 
-  - PD_PROP: base .. t + 1, where t = base + h is the round in which a
-    node h hops from the nearest proposer first reads proposals (t = base
-    for a proposer), or base .. base + k if none reaches it. A proposal
-    moves one hop per round, and a node forwards it at t to every neighbour
-    except those it read from at t, which are nearer; so after t the only
-    proposals it receives come at t from neighbours as near as itself;
+  - PD_PROP, PD_EXP (the floods): a flood's source is hop 0, and a message
+    moves one hop per round until its hop reaches the flood's radius. A
+    node h hops from the nearest source first reads it in round t = a + h,
+    where a is the flood's start, forwards it at t to every neighbour except
+    those it read from at t, which are nearer, and listens from a through
+    t + 1 (a + radius if none reaches it): after t the only messages of the
+    flood it receives come at t from neighbours as near as itself. Join
+    proposals start at a = base, from the terminals of unstopped blue
+    clusters, with radius k; the expansion of color c starts at
+    a = base + c(d + 3), from the members of its clusters, with radius d:
+    clusters of one color lie more than 2d apart, so one wave reaches a node
+    per color;
   - PD_JOIN: t_join + k - hop - 1 for a node holding a proposal of hop < k,
     t_join + k - 1 for a proposer;
-  - PD_RCNT, PD_CNT: base + rho - depth for each role with kids, the sweep
-    starting at base (the phase start, or t_cnt);
+  - PD_CNT: base + rho - depth for each role with kids, the sweep starting
+    at base: the phase start, which recounts terminals, or t_cnt, which
+    counts joins;
   - PD_DEC: t_dec + depth - 1 for each non-root role of a blue cluster, and
     t_dec + st - 1 for a node that sent a join on a proposal with depth st;
   - PD_BUP: t_bar + S - fdepth - 1 for a node with forest kids;
-  - PD_BDOWN: t_bar + S + fdepth for a non-root;
-  - PD_EXP: for each color c, from base + c(d + 3) through t + 1 by the same
-    rule, with the cluster members as proposers and d hops: clusters of one
-    color lie more than 2d apart, so one wave reaches a node per color.
+  - PD_BDOWN: t_bar + S + fdepth for a non-root.
 
-A wave message read after its window closed raises `ProtocolViolation`: it
+A flood message read after its window closed raises `ProtocolViolation`: it
 was sent in the window's last round, so the node no longer listened in the
 round it should have read it.
 
@@ -68,7 +72,6 @@ PD_PROP = 20
 PD_JOIN = 21
 PD_CNT = 22
 PD_DEC = 23
-PD_RCNT = 24
 PD_BUP = 25
 PD_BDOWN = 26
 PD_EXP = 27
@@ -148,6 +151,7 @@ class DecompProgram(PlannedProgram):
         self.cover_roles: dict[int, _Role] = {}
         self.colors_used = 0
         # per-step wave state
+        self.flood = []  # the step's flood messages, (sender, message)
         self.prop = None  # (label, hop, st, wave parent)
         self.prop_window = [None, -1]  # [window handle, last listening round]
         self.exp_windows = []  # the same, one per color, in cover expansion
@@ -164,9 +168,6 @@ class DecompProgram(PlannedProgram):
     def _rho(self):
         return self.k * (self.steps_done + 1)
 
-    def _pop_acc(self, label):
-        return self._acc.pop(label, 0)
-
     @staticmethod
     def _listen(api, s):
         """Receive what is sent in round s and read it in the step at s + 1."""
@@ -178,49 +179,35 @@ class DecompProgram(PlannedProgram):
 
     @staticmethod
     def _close_window(api, window, r):
-        """Stop listening for a wave after round r."""
+        """Stop listening for a flood after round r."""
         api.stop_awake(window[0], r)
         window[1] = min(window[1], r)
 
     def _check_listening(self, api, window, what):
-        """A wave message is read in the round after it is sent, at the
+        """A flood message is read in the round after it is sent, at the
         latest in the window's last round; one read later was sent in that
-        round, when no message of the wave may reach me."""
+        round, when no message of the flood may reach me."""
         if api.round > window[1]:
             raise ProtocolViolation(
                 f"node {self.node} reads a {what} in round {api.round}, "
                 f"after its window closed in round {window[1]}")
 
-    def on_round(self, api):
-        if not self._started:
-            self._started = True
-            self._plan_at(api, 1, "_color_start")
-        props, waves = [], []
-        for src, msg in api.inbox:
-            if msg.tag == PD_PROP:
-                props.append((msg.payload[0], src, msg.payload))
-            elif msg.tag == PD_EXP:
-                waves.append((src, msg.payload))
-            else:
-                self._dispatch(api, src, msg)
-        if props:
-            self._check_listening(api, self.prop_window, "proposal")
-            if self.prop is None:
-                nearer = {src for _, src, _ in props}
-                props.sort()  # ties go to the smallest cluster id
-                _, src, payload = props[0]
-                self._on_prop(api, src, payload, nearer)
-        if waves:
-            self._on_expand(api, waves)
-        self._run_due(api)
+    on_round = PlannedProgram.on_round
+
+    def _start(self, api):
+        self._plan_at(api, 1, "_color_start")
 
     def _dispatch(self, api, src, msg):
         tag = msg.tag
-        if tag == PD_JOIN:
+        if tag == PD_PROP or tag == PD_EXP:
+            if not self.flood:
+                self._plan_after_inbox(api, "_read_flood")
+            self.flood.append((src, msg))
+        elif tag == PD_JOIN:
             label, count = msg.payload
             self.join_acc[label] = self.join_acc.get(label, 0) + count
             self.cnt_kids.setdefault(label, []).append(src)
-        elif tag in (PD_CNT, PD_RCNT):
+        elif tag == PD_CNT:
             label, count = msg.payload
             self._acc[label] = self._acc.get(label, 0) + count
         elif tag == PD_DEC:
@@ -260,32 +247,21 @@ class DecompProgram(PlannedProgram):
                       label=self.label)
         self.stopped = False
         self.root_stop = False
-        self._role_sweep(api, base, "_recount_up", "_recount_root")
+        self._role_sweep(api, base, True)
         self._plan_step(api, base + self._rho() + 3)
 
-    def _role_sweep(self, api, base, up, root):
-        """Plan one convergecast over every role's tree: a node at depth d
-        sends up (`up`) at base + 1 + rho - d, a root acts (`root`) at
-        base + rho + 2, and a role with kids listens from when they send."""
+    def _role_sweep(self, api, base, recount):
+        """Plan one count over every role's tree: a node at depth d sends up
+        at base + 1 + rho - d, a root acts at base + rho + 2, and a role with
+        kids listens from when they send. A recount counts terminals, a
+        step's count the joins."""
         rho = self._rho()
         for label in sorted(self.roles):
             role = self.roles[label]
             is_root = role.parent is None
-            self._sweep_step(api, base, rho, role.depth, root if is_root else up,
-                             label, lag=int(is_root), kids=bool(role.kids))
-
-    def _recount_up(self, api, label):
-        role = self.roles.get(label)
-        if role is None or role.parent is None:
-            return
-        total = (1 if role.terminal else 0) + self._pop_acc(label)
-        api.send(role.parent, Message(PD_RCNT, (label, total)), critical=True)
-
-    def _recount_root(self, api, label):
-        role = self.roles.get(label)
-        if role is None:
-            return
-        self.root_size = (1 if role.terminal else 0) + self._pop_acc(label)
+            self._sweep_step(api, base, rho, role.depth,
+                             "_count_root" if is_root else "_count_up", label,
+                             recount, lag=int(is_root), kids=bool(role.kids))
 
     def _plan_step(self, api, base):
         """Plan the step that starts in round base. The whole step is
@@ -312,12 +288,12 @@ class DecompProgram(PlannedProgram):
         proposer = (self.living and mine is not None and mine.terminal
                     and self._is_blue(self.label) and not self.stopped)
         if proposer:
-            self._plan_at(api, base, "_propose", mine.depth + 1)
+            self._plan_at(api, base, "_propose", mine.depth)
         # proposals travel at most k hops; the window closes at the wave front
         self.prop_window = self._open_window(api, base, base + k)
         if proposer:
             self._listen(api, t_join + k - 1)  # joins from hop 1
-        self._role_sweep(api, t_cnt, "_count_up", "_root_decide")
+        self._role_sweep(api, t_cnt, False)
         # a blue root's decision reaches depth d of its tree in t_dec + d - 1
         for label, role in self.roles.items():
             if role.parent is not None and self._is_blue(label):
@@ -327,35 +303,54 @@ class DecompProgram(PlannedProgram):
     def _is_blue(self, label):
         return ((label >> self.phase) & 1) == 0
 
-    def _propose(self, api, st):
+    def _propose(self, api, depth):
         # every neighbour reads this proposal first and skips me when it
         # forwards: only other proposers' proposals reach me, sent now
         self._close_window(api, self.prop_window, api.round + 1)
-        for u in self.nbrs:
-            api.send(u, Message(PD_PROP, (self.label, 1, st)), critical=True)
+        self._flood(api, PD_PROP, self.k, 0, (), self.label, depth)
 
-    # -- proposal wave ----------------------------------------------------------------
+    # -- floods -----------------------------------------------------------------------
 
-    def _on_prop(self, api, src, payload, nearer):
-        """Take the first proposals, read from the neighbours in `nearer`,
-        which are one hop nearer a proposer: forward to every other
-        neighbour. One as near as I am forwards to me in this round, and one
-        farther away reads mine and skips me, so I listen through the next
-        round only."""
-        label, hop, st = payload
-        self._close_window(api, self.prop_window, api.round + 1)
-        self.prop = (label, hop, st, src)
-        # joins converge one hop per round from t_join: the farthest first
-        t_up = self.t_join + self.k - hop
-        heard = None
-        if hop < self.k:
-            fwd = self.roles[label].depth + 1 if label in self.roles else st + 1
+    def _flood(self, api, tag, radius, hop, nearer, label, depth, *color):
+        """Pass a flood message on from hop `hop` of its source (the source
+        is hop 0) and depth `depth` of its tree, to every neighbour not in
+        `nearer`, while hop is below the flood's radius."""
+        if hop < radius:
+            msg = Message(tag, (label, hop + 1, depth + 1) + color)
             for u in self.nbrs:
                 if u not in nearer:
-                    api.send(u, Message(PD_PROP, (label, hop + 1, fwd)),
-                             critical=True)
-            heard = t_up - 1  # joins from hop + 1
-        self._plan_at(api, t_up, "_join_up", listen_from=heard)
+                    api.send(u, msg, critical=True)
+
+    def _read_flood(self, api):
+        """Read the step's flood messages after its whole inbox. The first by
+        (cluster id, sender) decides; its senders are one hop nearer the
+        source, and a flood message read after its window closed raises.
+        One as near as I am sends to me in this round, and one farther away
+        reads mine and skips me, so I listen through the next round only."""
+        msgs, self.flood = self.flood, []
+        src, msg = min(msgs, key=lambda m: (m[1].payload[0], m[0]))
+        if msg.tag == PD_PROP:
+            window, what, read = self.prop_window, "proposal", self._on_prop
+        else:
+            window, what = self.exp_windows[msg.payload[3]], "cover expansion"
+            read = self._on_expand
+        self._check_listening(api, window, what)
+        self._close_window(api, window, api.round + 1)
+        read(api, src, msg.payload, {u for u, _ in msgs})
+
+    def _on_prop(self, api, src, payload, nearer):
+        """Take the first proposal of the step and plan its join."""
+        if self.prop is not None:
+            return
+        label, hop, st = payload
+        self.prop = (label, hop, st, src)
+        role = self.roles.get(label)
+        self._flood(api, PD_PROP, self.k, hop, nearer, label,
+                    st if role is None else role.depth)
+        # joins converge one hop per round from t_join: the farthest first
+        t_up = self.t_join + self.k - hop
+        self._plan_at(api, t_up, "_join_up",  # joins from hop + 1
+                      listen_from=t_up - 1 if hop < self.k else None)
 
     def _wants_join(self):
         if self.prop is None:
@@ -379,23 +374,22 @@ class DecompProgram(PlannedProgram):
 
     # -- counting and decisions ----------------------------------------------------------
 
-    def _wave_feed(self, label):
-        if label in self.roles:
-            return self.join_acc.pop(label, 0)
-        return 0
+    def _own_count(self, label, recount):
+        """A role's share of a count plus its kids': its terminal bit in a
+        recount, the joins its wave kids sent in a step's count."""
+        own = self.roles[label].terminal if recount else self.join_acc.pop(label, 0)
+        return own + self._acc.pop(label, 0)
 
-    def _count_up(self, api, label):
-        role = self.roles.get(label)
-        if role is None or role.parent is None:
-            return
-        total = self._wave_feed(label) + self._pop_acc(label)
-        api.send(role.parent, Message(PD_CNT, (label, total)), critical=True)
+    def _count_up(self, api, label, recount):
+        api.send(self.roles[label].parent,
+                 Message(PD_CNT, (label, self._own_count(label, recount))),
+                 critical=True)
 
-    def _root_decide(self, api, label):
-        role = self.roles.get(label)
-        if role is None:
+    def _count_root(self, api, label, recount):
+        count = self._own_count(label, recount)
+        if recount:
+            self.root_size = count
             return
-        count = self._wave_feed(label) + self._pop_acc(label)
         if not self._is_blue(label) or self.root_stop:
             return
         grow = count > 0 and 2 * self.b * count > self.root_size
@@ -552,34 +546,19 @@ class DecompProgram(PlannedProgram):
         if role is not None and role.terminal:
             # as a proposer: every neighbour skips me when it forwards
             self._close_window(api, self.exp_windows[c], api.round + 1)
-            for u in self.nbrs:
-                api.send(u, Message(PD_EXP, (self.my_cluster, 1, role.depth + 1, c)),
-                         critical=True)
+            self._flood(api, PD_EXP, self.d, 0, (), self.my_cluster, role.depth, c)
 
-    def _on_expand(self, api, waves):
-        """Read the expansion messages of one step, as `_on_prop` reads
-        proposals. Clusters of one color are more than 2d apart, so one
-        cluster's wave reaches me per color, and the first message read
-        decides; the others of the step come from the same wave."""
-        src, (label, hop, st, c) = waves[0]
-        window = self.exp_windows[c]
-        self._check_listening(api, window, "cover expansion")
-        self._close_window(api, window, api.round + 1)
+    def _on_expand(self, api, src, payload, nearer):
+        """Join the cluster whose expansion reaches me. Clusters of one color
+        are more than 2d apart, so one cluster's wave reaches me per color."""
+        label, hop, st, c = payload
         role = self.cover_roles.get((c, label))
-        if role is not None:
-            if role.terminal:
-                return  # wave already seen here
-            role.terminal = True
-            fwd = role.depth + 1
-        else:
-            self.cover_roles[(c, label)] = _Role(src, st, True, c)
-            fwd = st + 1
-        if hop < self.d:
-            nearer = {u for u, _ in waves}
-            for u in self.nbrs:
-                if u not in nearer:
-                    api.send(u, Message(PD_EXP, (label, hop + 1, fwd, c)),
-                             critical=True)
+        if role is None:
+            role = self.cover_roles[(c, label)] = _Role(src, st, True, c)
+        elif role.terminal:
+            return  # wave already seen here
+        role.terminal = True
+        self._flood(api, PD_EXP, self.d, hop, nearer, label, role.depth, c)
 
     def _finish(self, api):
         cover = [
