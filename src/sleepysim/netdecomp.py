@@ -40,9 +40,10 @@ size, those rounds are:
     per color;
   - PD_JOIN: t_join + k - hop - 1 for a node holding a proposal of hop < k,
     t_join + k - 1 for a proposer;
-  - PD_CNT: base + rho - depth for each role with kids, the sweep starting
-    at base: the phase start, which recounts terminals, or t_cnt, which
-    counts joins;
+  - PD_CNT: base + rho - depth for each role with kids in a cluster blue
+    in the phase (only blue roots grow, and joins answer only blue
+    proposals), the sweep starting at base: the phase start, which
+    recounts terminals, or t_cnt, which counts joins;
   - PD_DEC: t_dec + depth - 1 for each non-root role of a blue cluster, and
     t_dec + st - 1 for a node that sent a join on a proposal with depth st;
   - PD_BUP: t_bar + S - fdepth - 1 for a node with forest kids;
@@ -251,13 +252,16 @@ class DecompProgram(PlannedProgram):
         self._plan_step(api, base + self._rho() + 3)
 
     def _role_sweep(self, api, base, recount):
-        """Plan one count over every role's tree: a node at depth d sends up
-        at base + 1 + rho - d, a root acts at base + rho + 2, and a role with
+        """Plan one count over the tree of every cluster blue in the phase,
+        the only ones whose roots grow: a node at depth d sends up at
+        base + 1 + rho - d, a root acts at base + rho + 2, and a role with
         kids listens from when they send. A recount counts terminals, a
         step's count the joins."""
         rho = self._rho()
         for label in sorted(self.roles):
             role = self.roles[label]
+            if not self._is_blue(label):
+                continue
             is_root = role.parent is None
             self._sweep_step(api, base, rho, role.depth,
                              "_count_root" if is_root else "_count_up", label,
@@ -390,7 +394,7 @@ class DecompProgram(PlannedProgram):
         if recount:
             self.root_size = count
             return
-        if not self._is_blue(label) or self.root_stop:
+        if self.root_stop:
             return
         grow = count > 0 and 2 * self.b * count > self.root_size
         if grow:

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from sleepysim.graph import Graph, GraphSpec, gen_graph
-from sleepysim.netdecomp import bits_for, build_cover_sync, build_decomposition
+from sleepysim.netdecomp import (
+    DecompProgram, bits_for, build_cover_sync, build_decomposition,
+)
 from sleepysim.oracle import check_cover, check_decomposition
 from sleepysim.trace_checks import check_halving, check_kill_budget
 
@@ -88,6 +90,21 @@ def test_determinism():
     d2, _, r2, _ = build_decomposition(g, 2)
     assert r1.to_json() == r2.to_json()
     assert d1.node_color == d2.node_color
+
+
+def test_only_blue_clusters_count(monkeypatch):
+    """Only a blue root grows, and joins answer only blue proposals, so a
+    red cluster's count would always be 0: recounts and step counts run
+    over the trees of clusters blue in the phase only."""
+    counted = []
+    for action in ("_count_up", "_count_root"):
+        def wrapped(self, api, label, recount, _act=getattr(DecompProgram, action)):
+            counted.append((self._is_blue(label), recount))
+            _act(self, api, label, recount)
+        monkeypatch.setattr(DecompProgram, action, wrapped)
+    build_cover_sync(gen_graph(GraphSpec("grid", 49, seed=1)), 1)
+    assert {recount for _, recount in counted} == {True, False}
+    assert all(blue for blue, _ in counted)
 
 
 def _digest(obj):
