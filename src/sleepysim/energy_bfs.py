@@ -341,7 +341,7 @@ def build_cover_next(graph, layered, *, trace=True, forest=None):
     B = layered.base
     scale = B ** (level + 1)
     cover, decomp, rep, tl = build_cover_sync(
-        graph, scale, trace=trace, level=level + 1, forest=forest)
+        graph, scale, trace=trace, forest=forest)
     stretch = cover.measured_stretch()
     if 2 * stretch > B and len(cover.clusters) > 1:
         raise ConstructionError(
@@ -361,17 +361,17 @@ def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
         forest, rep_f = cover_forest(graph)
         reports.append(rep_f)
     cover0, decomp0, rep0, tl0 = build_cover_sync(
-        graph, 1, trace=trace, level=0, forest=forest)
+        graph, 1, trace=trace, forest=forest)
     B = choose_base(cover0.measured_stretch(), base)
     cover1, decomp1, rep1, tl1 = build_cover_sync(
-        graph, B, trace=trace, level=1, forest=forest)
+        graph, B, trace=trace, forest=forest)
     stretch1 = cover1.measured_stretch()
     reports += [rep0, rep1]
     if base is None:
         B2 = choose_base(max(cover0.measured_stretch(), stretch1))
         if B2 != B:
             cover1, decomp1, rep1b, tl1 = build_cover_sync(
-                graph, B2, trace=trace, level=1, forest=forest)
+                graph, B2, trace=trace, forest=forest)
             reports.append(rep1b)
             B = B2
     layered = LayeredCover(base=B, levels=[cover0, cover1])

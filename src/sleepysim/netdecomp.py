@@ -259,9 +259,9 @@ class DecompProgram(PlannedProgram):
         step's count the joins."""
         rho = self._rho()
         for label in sorted(self.roles):
-            role = self.roles[label]
             if not self._is_blue(label):
                 continue
+            role = self.roles[label]
             is_root = role.parent is None
             self._sweep_step(api, base, rho, role.depth,
                              "_count_root" if is_root else "_count_up", label,
@@ -343,7 +343,8 @@ class DecompProgram(PlannedProgram):
         read(api, src, msg.payload, {u for u, _ in msgs})
 
     def _on_prop(self, api, src, payload, nearer):
-        """Take the first proposal of the step and plan its join."""
+        """Take the first proposal that reaches me, pass it on and plan its
+        join; later ones are dropped."""
         if self.prop is not None:
             return
         label, hop, st = payload
@@ -353,8 +354,8 @@ class DecompProgram(PlannedProgram):
                     st if role is None else role.depth)
         # joins converge one hop per round from t_join: the farthest first
         t_up = self.t_join + self.k - hop
-        self._plan_at(api, t_up, "_join_up",  # joins from hop + 1
-                      listen_from=t_up - 1 if hop < self.k else None)
+        heard = t_up - 1 if hop < self.k else None  # joins from hop + 1
+        self._plan_at(api, t_up, "_join_up", listen_from=heard)
 
     def _wants_join(self):
         if self.prop is None:
@@ -548,7 +549,7 @@ class DecompProgram(PlannedProgram):
             return
         role = self.cover_roles.get((c, self.my_cluster))
         if role is not None and role.terminal:
-            # as a proposer: every neighbour skips me when it forwards
+            # as a source: every neighbour skips me when it forwards
             self._close_window(api, self.exp_windows[c], api.round + 1)
             self._flood(api, PD_EXP, self.d, 0, (), self.my_cluster, role.depth, c)
 
@@ -577,7 +578,7 @@ class DecompProgram(PlannedProgram):
         })
 
 
-def _assemble(outputs, id_base, key, level=0):
+def _assemble(outputs, id_base, key):
     clusters = {}
     node_color = {}
     for v in sorted(outputs):
@@ -590,8 +591,7 @@ def _assemble(outputs, id_base, key, level=0):
             cid = color * id_base + label
             cl = clusters.get(cid)
             if cl is None:
-                cl = clusters[cid] = ClusterData(
-                    id=cid, members=set(), tree={}, level=level)
+                cl = clusters[cid] = ClusterData(id=cid, members=set(), tree={})
             cl.tree[v] = (parent, depth, terminal)
             if terminal:
                 cl.members.add(v)
@@ -607,13 +607,16 @@ def cover_forest(graph):
     return (forest, forest.children()), report
 
 
-def build_decomposition(graph, k, *, trace=True, expand_to=None, level=0,
-                        forest=None):
-    """k-separated weak-diameter decomposition (optionally expanded into a
-    sparse cover when expand_to=d is given, which needs k >= 2d). Returns
-    (Decomposition, Cover | None, report, trace_log). `forest` is a
+def build_decomposition(graph, k, *, trace=True, expand_to=None, forest=None):
+    """k-separated weak-diameter decomposition, k >= 1 (optionally expanded
+    into a sparse cover when expand_to=d >= 1 is given, which needs k >= 2d).
+    Returns (Decomposition, Cover | None, report, trace_log). `forest` is a
     `cover_forest(graph)` pair to run over, whose report the caller counts;
     without it the run builds its own and counts it."""
+    if k < 1:
+        raise ValueError(f"a decomposition needs k >= 1, got k = {k}")
+    if expand_to is not None and expand_to < 1:
+        raise ValueError(f"a cover needs a scale d >= 1, got d = {expand_to}")
     if expand_to is not None and k < 2 * expand_to:
         raise ValueError(f"a cover of scale {expand_to} needs k >= "
                          f"{2 * expand_to}, got k = {k}")
@@ -631,7 +634,7 @@ def build_decomposition(graph, k, *, trace=True, expand_to=None, level=0,
     if rep1.status != "done":
         raise ConstructionError(f"decomposition run ended with {rep1.status}")
     id_base = graph.n
-    dclusters, node_color = _assemble(outputs, id_base, "decomp", level)
+    dclusters, node_color = _assemble(outputs, id_base, "decomp")
     ncolors = 1 + max(node_color.values(), default=0)
     colors = [[] for _ in range(ncolors)]
     for cid, cl in sorted(dclusters.items()):
@@ -639,16 +642,16 @@ def build_decomposition(graph, k, *, trace=True, expand_to=None, level=0,
     decomp = Decomposition(separation=k, colors=colors, node_color=node_color)
     cover = None
     if expand_to is not None:
-        cclusters, _ = _assemble(outputs, id_base, "cover", level)
+        cclusters, _ = _assemble(outputs, id_base, "cover")
         cover = Cover(scale=expand_to, clusters=[
             cl for _, cl in sorted(cclusters.items())])
     report = merge_reports(reports + [rep1])
     return decomp, cover, report, engine.trace_log
 
 
-def build_cover_sync(graph, d, *, trace=True, level=0, forest=None):
+def build_cover_sync(graph, d, *, trace=True, forest=None):
     """Sparse d-cover via a (2d+1)-separated decomposition plus expansion;
     `forest` as for `build_decomposition`."""
     decomp, cover, report, tlog = build_decomposition(
-        graph, 2 * d + 1, trace=trace, expand_to=d, level=level, forest=forest)
+        graph, 2 * d + 1, trace=trace, expand_to=d, forest=forest)
     return cover, decomp, report, tlog

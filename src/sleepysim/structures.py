@@ -22,7 +22,6 @@ class ClusterData:
     id: int
     members: set
     tree: dict
-    level: int = 0
 
     @property
     def root(self) -> int:
@@ -112,7 +111,6 @@ COVER_MAGIC = "SLPYCOV1"
 def _cluster_doc(cl: ClusterData) -> dict:
     return {
         "id": cl.id,
-        "level": cl.level,
         "members": sorted(cl.members),
         "tree": {
             str(v): [p, d, 1 if t else 0] for v, (p, d, t) in sorted(cl.tree.items())
@@ -124,9 +122,7 @@ def _cluster_from(doc: dict) -> ClusterData:
     tree = {
         int(v): (p, d, bool(t)) for v, (p, d, t) in doc["tree"].items()
     }
-    return ClusterData(
-        id=doc["id"], members=set(doc["members"]), tree=tree, level=doc["level"]
-    )
+    return ClusterData(id=doc["id"], members=set(doc["members"]), tree=tree)
 
 
 def save_layered_cover(lc: LayeredCover) -> str:

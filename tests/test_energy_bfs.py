@@ -7,7 +7,9 @@ from sleepysim.energy_bfs import (
     run_thresholded_bfs_with_cover, thresholded_bfs,
 )
 from sleepysim.graph import Graph, GraphSpec, gen_graph
-from sleepysim.oracle import INF, check_layered, hop_distances
+from sleepysim.netdecomp import promised_bounds
+from sleepysim.oracle import INF, check_cover, check_layered, hop_distances
+from sleepysim.structures import load_layered_cover, save_layered_cover
 from sleepysim.trace_checks import check_relevance, check_sleep_safety
 from schedule_reference import record
 
@@ -146,15 +148,34 @@ def test_pipeline_wake_fraction_in_bfs(monkeypatch):
     assert periodic_seen > 0
 
 
+def test_cover_cache_with_level_keys_loads():
+    """Cover caches once stored a "level" per cluster, which nothing read:
+    such a cache still loads, to the stack a build gives now."""
+    old = ('SLPYCOV1\n{"base": 2, "levels": [{"clusters": [{"id": 0, "level": 0, '
+           '"members": [0, 1], "tree": {"0": [null, 0, 1], "1": [0, 1, 1]}}], '
+           '"scale": 1}, {"clusters": [{"id": 0, "level": 1, "members": [0, 1], '
+           '"tree": {"0": [null, 0, 1], "1": [0, 1, 1]}}], "scale": 2}], '
+           '"parents": [[0, 0, 0]]}\n')
+    layered = load_layered_cover(old)
+    built, *_ = bootstrap_base_covers(Graph.build(2, [(0, 1, 1)]))
+    assert layered == built
+    assert save_layered_cover(layered) == old.replace('"level": 0, ', "").replace(
+        '"level": 1, ', "")
+
+
 def test_build_cover_next_levels():
+    """A level-2 cover over the two base covers meets the cover and parent
+    conditions, and a BFS phase over all three levels is exact."""
     g = unit_path(32)
     layered, decomps, _, _ = bootstrap_base_covers(g, base=4)
-    if layered.base ** layered.top < 16:
-        try:
-            build_cover_next(g, layered)
-        except Exception:
-            pytest.skip("stretch exceeds forced base at this scale")
-    assert layered.base == 4
+    assert (layered.base, layered.top) == (4, 1)
+    cover, _, _, _ = build_cover_next(g, layered)
+    assert layered.top == 2 and cover.scale == 16
+    assert check_cover(g, cover, 16, *promised_bounds(g.n)) == []
+    assert check_layered(g, layered, 16, 4) == []
+    outputs, report, *_ = full_bfs(g, {0}, layered=layered)
+    assert outputs == hop_distances(g, {0})
+    assert report.lost == 0
 
 
 def test_golden_path65_outputs_and_report():

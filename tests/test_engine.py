@@ -280,16 +280,21 @@ def test_planned_programs_own_their_step():
 
 def test_perfbench_tracer_names_resolve():
     """perfbench's tracer counts the calls of the package functions named in
-    its COUNT_ONLY set and times those in AGGREGATED; a name that no longer
-    resolves would read 0 there without an error."""
+    its COUNT_ONLY set, times those in AGGREGATED and reads the arguments or
+    results of those keyed in PRE_HOOKS and POST_HOOKS; a name that no
+    longer resolves would read 0 there without an error."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     sets = {}
     for node in ast.parse(tracer.read_text()).body:
         target = node.targets[0] if isinstance(node, ast.Assign) else None
-        if getattr(target, "id", None) in ("COUNT_ONLY", "AGGREGATED"):
-            sets[target.id] = ast.literal_eval(node.value.args[0])
-    assert set(sets) == {"COUNT_ONLY", "AGGREGATED"}
-    for name in sorted(sets["COUNT_ONLY"] | sets["AGGREGATED"]):
+        name = getattr(target, "id", None)
+        if name in ("COUNT_ONLY", "AGGREGATED"):
+            sets[name] = ast.literal_eval(node.value.args[0])
+        elif name in ("PRE_HOOKS", "POST_HOOKS"):
+            sets[name] = {ast.literal_eval(key) for key in node.value.keys}
+    assert set(sets) == {"COUNT_ONLY", "AGGREGATED", "PRE_HOOKS", "POST_HOOKS"}
+    assert sets["PRE_HOOKS"] and sets["POST_HOOKS"]
+    for name in sorted(set().union(*sets.values())):
         module, *path = name.split(".")
         obj = importlib.import_module(f"sleepysim.{module}")
         for attr in path:

@@ -12,7 +12,9 @@ construction promises.
 import pytest
 
 from sleepysim.graph import Graph, GraphSpec, gen_graph
-from sleepysim.netdecomp import build_decomposition, promised_bounds
+from sleepysim.netdecomp import (
+    build_cover_sync, build_decomposition, promised_bounds,
+)
 from sleepysim.oracle import check_cover, check_decomposition
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,3 +67,13 @@ def test_cover_needs_k_at_least_2d():
     g = gen_graph(GraphSpec("path", 6))
     with pytest.raises(ValueError, match="needs k >= 4"):
         build_decomposition(g, 3, expand_to=2)
+
+
+def test_radius_zero_rejected():
+    """A radius of 0 used to fail only in the middle of a run, when a node
+    read a flood message after its window closed: it is rejected first."""
+    g = gen_graph(GraphSpec("path", 9))
+    with pytest.raises(ValueError, match="needs k >= 1"):
+        build_decomposition(g, 0)
+    with pytest.raises(ValueError, match="scale d >= 1"):
+        build_cover_sync(g, 0)
