@@ -379,19 +379,19 @@ class DecompProgram(PlannedProgram):
 
     # -- counting and decisions ----------------------------------------------------------
 
-    def _own_count(self, label, recount):
-        """A role's share of a count plus its kids': its terminal bit in a
-        recount, the joins its wave kids sent in a step's count."""
+    def _subtree_count(self, label, recount):
+        """A role's count: its kids' plus its own share, which is its terminal
+        bit in a recount and the joins its wave kids sent in a step's count."""
         own = self.roles[label].terminal if recount else self.join_acc.pop(label, 0)
         return own + self._acc.pop(label, 0)
 
     def _count_up(self, api, label, recount):
         api.send(self.roles[label].parent,
-                 Message(PD_CNT, (label, self._own_count(label, recount))),
+                 Message(PD_CNT, (label, self._subtree_count(label, recount))),
                  critical=True)
 
     def _count_root(self, api, label, recount):
-        count = self._own_count(label, recount)
+        count = self._subtree_count(label, recount)
         if recount:
             self.root_size = count
             return
