@@ -27,7 +27,7 @@ from .oracle import (
 from .trace_checks import (
     check_cut_composition, check_cutter_contract, check_halving,
     check_kill_budget, check_recursion_accounting, check_relevance,
-    check_sleep_safety,
+    check_sleep_safety, frontier_losses,
 )
 
 
@@ -311,7 +311,7 @@ def criterion_9(ctx):
         ok, detail = check_sleep_safety(outputs, report)
         if not ok:
             return False, detail
-        losses += len(report.watched_losses)
+        losses += len(frontier_losses(report))
     for _, _, report in ctx.energy_runs:
         criticals += len(report.critical_losses)
     return criticals == 0, (f"0 frontier arrivals at sleeping nodes ({losses} "

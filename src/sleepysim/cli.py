@@ -1,8 +1,9 @@
 """Command-line front door: generation, runs, sweeps, and verification.
 
 A `run` config file holds `run` flags, one `key value` (or bare `key`) per
-line; explicit flags win. Exit codes: 0 success, 2 bad config or missing
-input, 3 verification failure, 4 round-limit timeout.
+line; explicit flags win. A flag in `RUN_FLAGS` given to an algorithm that
+does not read it is a config error. Exit codes: 0 success, 2 bad config or
+missing input, 3 verification failure, 4 round-limit timeout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import inf
 from .acceptance import run_acceptance
 from .apsp_sched import apsp_random_delay
 from .congest_cssp import cssp
-from .energy_bfs import full_bfs, thresholded_bfs
+from .energy_bfs import full_bfs
 from .energy_cssp import cssp_energy
 from .engine import SimError
 from .graph import GraphError, GraphSpec, gen_graph, load_graph, save_graph
@@ -32,6 +33,26 @@ EXIT_VERIFY = 3
 EXIT_TIMEOUT = 4
 
 ALGOS = ("bfs-energy", "cssp-congest", "cssp-energy", "apsp", "decomp", "cover")
+
+# `run` flags (by argparse dest) and the algorithms that read them
+RUN_FLAGS = {
+    "round_limit": ("cssp-congest", "cssp-energy", "apsp"),
+    "threshold": ("bfs-energy",),
+    "base": ("bfs-energy",),
+    "cover_cache": ("bfs-energy",),
+    "save_cover": ("bfs-energy",),
+    "k": ("decomp",),
+    "d": ("cover",),
+    "delta": ("apsp",),
+}
+
+# what `sweep` runs per algorithm: (graph, sources, seed) -> report
+SWEEPS = {
+    "bfs-energy": lambda g, src, seed: full_bfs(g, src, trace=False)[1],
+    "cssp-congest": lambda g, src, seed: cssp(g, src, trace=False)[1],
+    "cssp-energy": lambda g, src, seed: cssp_energy(g, src, trace=False)[1],
+    "apsp": lambda g, src, seed: apsp_random_delay(g, seed=seed, trace=False)[1],
+}
 
 class CliError(Exception):
     def __init__(self, message, code=EXIT_CONFIG):
@@ -81,8 +102,7 @@ def build_parser():
     run.add_argument("--base", type=positive_int,
                      help="layered cover base override")
     run.add_argument("--round-limit", type=non_negative_int,
-                     help="logical round cap, 0 for the default "
-                          "(cssp-congest, cssp-energy, apsp)")
+                     help="logical round cap, 0 for the default")
     run.add_argument("--verify", action="store_true")
     run.add_argument("--out", help="output directory")
     run.add_argument("--json", action="store_true", help="print report JSON")
@@ -91,7 +111,7 @@ def build_parser():
 
     sweep = sub.add_parser("sweep", help="run a template across an axis")
     _graph_flags(sweep)
-    sweep.add_argument("--algo", choices=ALGOS)
+    sweep.add_argument("--algo", choices=tuple(SWEEPS))
     sweep.add_argument("--axis", choices=("n", "D", "density"), required=True)
     sweep.add_argument("--values", required=True, help="comma list of points")
     sweep.add_argument("--sources", default="0")
@@ -199,9 +219,10 @@ def _dist_doc(outputs):
 def cmd_run(args) -> int:
     if not args.algo:
         raise CliError("need --algo")
-    if args.round_limit is not None and args.algo not in (
-            "cssp-congest", "cssp-energy", "apsp"):
-        raise CliError(f"--round-limit does not apply to --algo {args.algo}")
+    for dest, algos in RUN_FLAGS.items():
+        if getattr(args, dest) is not None and args.algo not in algos:
+            flag = "--" + dest.replace("_", "-")
+            raise CliError(f"{flag} does not apply to --algo {args.algo}")
     g = resolve_graph(args)
     sources = parse_sources(args.sources, g.n)
     limit = args.round_limit
@@ -226,16 +247,11 @@ def cmd_run(args) -> int:
                 layered = load_layered_cover(open(args.cover_cache).read())
             except (OSError, ValueError) as e:
                 raise CliError(f"cover cache: {e}")
-        if args.threshold is not None:
-            outputs, report, _, layered, _, _ = thresholded_bfs(
-                g, sources, args.threshold, base=args.base, layered=layered,
-                trace=False)
-            ref = {v: (d if d <= args.threshold else inf)
-                   for v, d in hop_distances(g, sources).items()}
-        else:
-            outputs, report, _, layered, _, _ = full_bfs(
-                g, sources, base=args.base, layered=layered, trace=False)
-            ref = hop_distances(g, sources)
+        outputs, report, _, layered, _, _ = full_bfs(
+            g, sources, threshold=args.threshold, base=args.base,
+            layered=layered, trace=False)
+        ref = {v: (d if args.threshold is None or d <= args.threshold else inf)
+               for v, d in hop_distances(g, sources).items()}
         if args.save_cover:
             with open(args.save_cover, "w") as f:
                 f.write(save_layered_cover(layered))
@@ -326,17 +342,7 @@ def cmd_sweep(args) -> int:
                              m=point * args.n, weight_mode=args.weights,
                              max_w=args.maxw)
         g = generate(spec)
-        sources = parse_sources(args.sources, g.n)
-        if args.algo == "cssp-congest":
-            _, report, _ = cssp(g, sources, trace=False)
-        elif args.algo == "cssp-energy":
-            _, report, _ = cssp_energy(g, sources, trace=False)
-        elif args.algo == "bfs-energy":
-            _, report, _, _, _, _ = full_bfs(g, sources, trace=False)
-        elif args.algo == "apsp":
-            _, report, _, _ = apsp_random_delay(g, seed=args.seed, trace=False)
-        else:
-            raise CliError(f"sweep does not support --algo {args.algo}")
+        report = SWEEPS[args.algo](g, parse_sources(args.sources, g.n), args.seed)
         rows.append(f"{point},{report.rounds},{report.max_energy()},"
                     f"{report.max_congestion()},{report.total_sent()},"
                     f"{report.lost}")

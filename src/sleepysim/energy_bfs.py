@@ -8,10 +8,20 @@ dep+1} (downward slots) modulo p, so one full sweep climbs or descends the
 tree within one period plus its depth. The BFS frontier advances one hop
 every sigma rounds; clusters activate their children when told they have
 been reached, and deactivate once every member knows it (level-0 clusters
-additionally wait until all their members are reached). Inactive nodes are
-asleep; the frontier must only ever arrive at awake nodes, and lost frontier
-messages are logged so the sleep-safety check can separate harmless
-duplicates from real violations.
+additionally wait until all their members are reached). Each role listens
+on one pipeline at a time: the init pipeline sleeps once the role's and its
+parent's init broadcasts have settled, unless the role has activated, which
+keeps it until the role is done; a role activated after that joins a new
+pipeline from the round after the old one's last. A root's broadcast and a
+relayed one pass through one rule (`_bcast`), and so do a source's start and
+a relayed frontier hop (`_on_reach`). Inactive nodes are asleep; the
+frontier must only ever arrive at awake nodes. The engine logs every lost
+message that was not sent critical (`RunReport.losses`), and the
+sleep-safety check reads the frontier messages among them to separate
+harmless duplicates from real violations.
+
+`full_bfs` is the one entry point, thresholded or not, building the cover
+stack or reusing one.
 
 Construction of the cover stack itself reuses `netdecomp`'s builder (its
 nodes sleep outside the rounds a message can reach them); this module adds
@@ -21,6 +31,7 @@ the sleeping BFS phase.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import inf
 
 from .engine import Message, PlannedProgram, SimConfig, merge_reports, run_simulation
@@ -44,9 +55,8 @@ class _RoleRt:
 
     __slots__ = (
         "level", "cid", "parent", "kids", "depth", "terminal", "period",
-        "parent_key", "reported", "kid_flags", "sent", "bcast_seen",
-        "init_done", "parent_init_done", "active", "sched", "init_sched",
-        "done",
+        "parent_key", "kid_flags", "sent", "bcast_seen", "init_done",
+        "parent_init_done", "active", "pipe", "until", "done",
     )
 
     def __init__(self, level, cid, parent, kids, depth, terminal, period,
@@ -59,29 +69,19 @@ class _RoleRt:
         self.terminal = terminal
         self.period = period
         self.parent_key = parent_key
-        self.reported = set()
-        self.kid_flags = {}
+        self.kid_flags = {}  # kid -> the flags it last sent up
         self.sent = None
         self.bcast_seen = (0, 0, 0)
         self.init_done = False
         self.parent_init_done = parent_key is None
         self.active = False
-        self.sched = None
-        self.init_sched = None
+        self.pipe = None  # `stop_awake` handle of the role's pipeline
+        self.until = None  # the pipeline's last round
         self.done = False
 
 
-class BfsParams:
-    """Run-wide schedule constants derived from the measured cover stack."""
-
-    __slots__ = ("anchor", "t0", "sigma", "hop_cap", "t_end")
-
-    def __init__(self, anchor, t0, sigma, hop_cap, t_end):
-        self.anchor = anchor
-        self.t0 = t0
-        self.sigma = sigma
-        self.hop_cap = hop_cap
-        self.t_end = t_end
+# run-wide schedule constants derived from the measured cover stack
+BfsParams = namedtuple("BfsParams", "anchor t0 sigma hop_cap t_end")
 
 
 class EnergyBfsProgram(PlannedProgram):
@@ -93,7 +93,6 @@ class EnergyBfsProgram(PlannedProgram):
         self.is_source = is_source
         self.p = params
         self.reached_hop = None
-        self.sent_reach = False
 
     # Bound by name so that a profile books these steps to this class.
     on_round = PlannedProgram.on_round
@@ -101,8 +100,7 @@ class EnergyBfsProgram(PlannedProgram):
     def _start(self, api):
         for key in sorted(self.roles):
             rt = self.roles[key]
-            rt.init_sched = self._join_pipe(
-                api, self.p.anchor, rt.period, rt.depth, api.round, self.p.t_end)
+            self._join(api, rt, api.round)
             self._maybe_conv(api, rt)
         self._plan_at(api, self.p.t0, "_bfs_start")
         self._plan_at(api, self.p.t_end, "_wrap_up")
@@ -110,17 +108,11 @@ class EnergyBfsProgram(PlannedProgram):
     # -- pipeline aggregation -----------------------------------------------------
 
     def _flags_self(self, rt):
-        cs = 1 if (rt.terminal and self.is_source) else 0
-        ra = 1 if (rt.terminal and self.reached_hop is not None) else 0
         if not rt.terminal:
-            ad = 1
-        else:
-            know = rt.bcast_seen[1] == 1
-            if rt.level == 0:
-                ad = 1 if (know and self.reached_hop is not None) else 0
-            else:
-                ad = 1 if know else 0
-        return cs, ra, ad
+            return 0, 0, 1
+        reached = self.reached_hop is not None
+        know = rt.bcast_seen[1] == 1 and (reached or rt.level > 0)
+        return int(self.is_source), int(reached), int(know)
 
     def _aggregate(self, rt):
         cs, ra, ad = self._flags_self(rt)
@@ -129,14 +121,14 @@ class EnergyBfsProgram(PlannedProgram):
             cs |= kcs
             ra |= kra
             ad &= kad
-        if len(rt.reported) < len(rt.kids):
+        if len(rt.kid_flags) < len(rt.kids):
             ad = 0
         return cs, ra, ad
 
     def _maybe_conv(self, api, rt):
         if rt.done:
             return
-        if rt.sent is None and len(rt.reported) < len(rt.kids):
+        if rt.sent is None and len(rt.kid_flags) < len(rt.kids):
             return  # first report waits for the whole subtree
         agg = self._aggregate(rt)
         if rt.parent is None:
@@ -166,10 +158,7 @@ class EnergyBfsProgram(PlannedProgram):
         if first:
             rt.init_done = True
         if val != old or first:
-            self._apply_bcast(api, rt, val)
-            slot = self._pipe_slot(self.p.anchor, rt.period, rt.depth, False,
-                                   api.round)
-            self._plan_at(api, slot, "_bcast_send", rt.level, rt.cid)
+            self._bcast(api, rt, val)
 
     def _bcast_send(self, api, level, cid):
         rt = self.roles.get((level, cid))
@@ -185,20 +174,23 @@ class EnergyBfsProgram(PlannedProgram):
             rt = self.roles.get((level, cid))
             if rt is None or rt.done:
                 return
-            rt.reported.add(src)
             rt.kid_flags[src] = (cs, ra, ad)
             self._maybe_conv(api, rt)
         elif msg.tag == EB_BCAST:
             level, cid, cs, ra, de = msg.payload
             rt = self.roles.get((level, cid))
-            if rt is None or rt.done:
-                return
-            self._apply_bcast(api, rt, (cs, ra, de))
-            slot = self._pipe_slot(self.p.anchor, rt.period, rt.depth, False,
-                                   api.round)
-            self._plan_at(api, slot, "_bcast_send", level, cid)
+            if rt is not None and not rt.done:
+                self._bcast(api, rt, (cs, ra, de))
         elif msg.tag == EB_REACH:
             self._on_reach(api, msg.payload[0])
+
+    def _bcast(self, api, rt, val):
+        """Take in a broadcast value, the root's own or one relayed from the
+        parent, and pass it on to the kids in the next down slot."""
+        self._apply_bcast(api, rt, val)
+        slot = self._pipe_slot(self.p.anchor, rt.period, rt.depth, False,
+                               api.round)
+        self._plan_at(api, slot, "_bcast_send", rt.level, rt.cid)
 
     def _apply_bcast(self, api, rt, val):
         cs, ra, de = val
@@ -206,13 +198,13 @@ class EnergyBfsProgram(PlannedProgram):
         rt.bcast_seen = (max(old[0], cs), max(old[1], ra), max(old[2], de))
         if not rt.init_done:
             rt.init_done = True
-            self._maybe_retire_init(api, rt)
+            self._maybe_retire(api, rt)
         for ckey in sorted(self.roles):
             child = self.roles[ckey]
             if child.parent_key == (rt.level, rt.cid):
                 if not child.parent_init_done:
                     child.parent_init_done = True
-                    self._maybe_retire_init(api, child)
+                    self._maybe_retire(api, child)
                 if rt.bcast_seen[0] or rt.bcast_seen[1]:
                     self._activate(api, child)
         if rt.parent_key is None and cs:
@@ -221,29 +213,36 @@ class EnergyBfsProgram(PlannedProgram):
             self._conv_refresh(api)
         if de and not rt.done:
             rt.done = True
-            if rt.sched is not None:
-                grace = api.round + 2 * (rt.period + rt.depth) + 4
-                api.stop_awake(rt.sched, grace)
+            if rt.active:
+                self._retire(api, rt)
 
-    def _maybe_retire_init(self, api, rt):
-        """Sleep the initialization schedule once both this cluster's and its
-        parent's init broadcasts have settled and no activation took over."""
-        if rt.init_sched is None or not (rt.init_done and rt.parent_init_done):
-            return
-        if rt.active:
-            grace = api.round
-        else:
-            grace = api.round + 2 * (rt.period + rt.depth) + 4
-        api.stop_awake(rt.init_sched, grace)
-        rt.init_sched = None
+    def _join(self, api, rt, a):
+        rt.pipe = self._join_pipe(
+            api, self.p.anchor, rt.period, rt.depth, a, self.p.t_end)
+        rt.until = self.p.t_end
+
+    def _retire(self, api, rt):
+        """Sleep the role's pipeline once what it carries has had time to
+        reach the ends of the tree."""
+        rt.until = api.round + 2 * (rt.period + rt.depth) + 4
+        api.stop_awake(rt.pipe, rt.until)
+
+    def _maybe_retire(self, api, rt):
+        """Retire the init pipeline once both this cluster's and its parent's
+        init broadcasts have settled, unless the role has activated: an
+        active role keeps it until it is done. Each flag is set once, so
+        this retires once."""
+        if not rt.active and rt.init_done and rt.parent_init_done:
+            self._retire(api, rt)
 
     def _activate(self, api, rt):
+        """An active role keeps its pipeline; one whose init pipeline was
+        retired joins a new one from the round after the old one's last."""
         if rt.active:
             return
         rt.active = True
-        rt.sched = self._join_pipe(
-            api, self.p.anchor, rt.period, rt.depth, api.round, self.p.t_end)
-        self._maybe_retire_init(api, rt)
+        if rt.until < self.p.t_end:
+            self._join(api, rt, max(api.round, rt.until + 1))
         api.trace("ebfs_active", level=rt.level, cid=rt.cid)
 
     def _conv_refresh(self, api):
@@ -254,35 +253,24 @@ class EnergyBfsProgram(PlannedProgram):
 
     def _bfs_start(self, api):
         if self.is_source:
-            self.reached_hop = 0
-            api.trace("ebfs_reached", hop=0)
-            self._conv_refresh(api)
-            self._schedule_reach(api)
-
-    def _schedule_reach(self, api):
-        if self.sent_reach or self.reached_hop is None:
-            return
-        nxt = self.reached_hop + 1
-        if nxt > self.p.hop_cap:
-            return
-        send_round = self.p.t0 + nxt * self.p.sigma
-        if send_round >= self.p.t_end:
-            return
-        self.sent_reach = True
-        self._plan_at(api, send_round, "_reach_send")
-
-    def _reach_send(self, api):
-        hop = self.reached_hop + 1
-        for u in self.nbrs:
-            api.send(u, Message(EB_REACH, (hop,)))
+            self._on_reach(api, 0)
 
     def _on_reach(self, api, hop):
+        """Take the first hop that reaches this node and send the next one on
+        at its frontier round."""
         if self.reached_hop is not None:
             return
         self.reached_hop = hop
         api.trace("ebfs_reached", hop=hop)
         self._conv_refresh(api)
-        self._schedule_reach(api)
+        send_round = self.p.t0 + (hop + 1) * self.p.sigma
+        if hop < self.p.hop_cap and send_round < self.p.t_end:
+            self._plan_at(api, send_round, "_reach_send")
+
+    def _reach_send(self, api):
+        hop = self.reached_hop + 1
+        for u in self.nbrs:
+            api.send(u, Message(EB_REACH, (hop,)))
 
     def _wrap_up(self, api):
         api.finish(self.reached_hop if self.reached_hop is not None else INF)
@@ -412,11 +400,7 @@ class DetectProgram(PlannedProgram):
             self._acc[key] = self._acc.get(key, 1) & flag
         elif msg.tag == DG_BCAST:
             level, cid, flag = msg.payload
-            rt = self.roles.get((level, cid))
-            if rt is not None and (level, cid) not in self.answer:
-                self.answer[(level, cid)] = bool(flag)
-                for kid in rt.kids:
-                    api.send(kid, Message(DG_BCAST, (level, cid, flag)))
+            self._answer(api, (level, cid), flag)
 
     def _local_check(self, api):
         base = api.round
@@ -429,21 +413,25 @@ class DetectProgram(PlannedProgram):
             else:
                 ok = True
             self._acc[key] = self._acc.get(key, 1) & (1 if ok else 0)
-            self._sweep_step(api, base, cap, rt.depth,
-                             "_root" if rt.parent is None else "_up", key)
+            self._sweep_step(api, base, cap, rt.depth, "_up", key)
         self._plan_at(api, base + 2 * (cap + 2), "_done")
 
     def _up(self, api, key):
         rt = self.roles[key]
         flag = self._acc.get(key, 1)
-        api.send(rt.parent, Message(DG_CONV, key + (flag,)))
+        if rt.parent is None:
+            self._answer(api, key, flag)
+        else:
+            api.send(rt.parent, Message(DG_CONV, key + (flag,)))
 
-    def _root(self, api, key):
-        rt = self.roles[key]
-        flag = self._acc.get(key, 1)
-        self.answer[key] = bool(flag)
-        for kid in rt.kids:
-            api.send(kid, Message(DG_BCAST, key + (flag,)))
+    def _answer(self, api, key, flag):
+        """The verdict on a cluster, the root's own or relayed from the
+        parent: keep the first and pass it on to the kids."""
+        rt = self.roles.get(key)
+        if rt is not None and key not in self.answer:
+            self.answer[key] = bool(flag)
+            for kid in rt.kids:
+                api.send(kid, Message(DG_BCAST, key + (flag,)))
 
     def _done(self, api):
         api.finish({f"{k[0]}:{k[1]}": v for k, v in sorted(self.answer.items())})
@@ -526,7 +514,6 @@ def run_thresholded_bfs_with_cover(graph, layered, sources, threshold, *,
     cfg = SimConfig(
         round_limit=params.t_end + 8,
         width=layered.max_edge_multiplicity() + 2,
-        watch_tags=frozenset({EB_REACH}),
         collect_trace=trace,
     )
     src = set(sources)
@@ -535,24 +522,18 @@ def run_thresholded_bfs_with_cover(graph, layered, sources, threshold, *,
         cfg)
 
 
-def full_bfs(graph, sources, *, base=None, trace=True, layered=None):
-    """Exact hop distances from the source set with time/energy metering.
+def full_bfs(graph, sources, *, threshold=None, base=None, trace=True,
+             layered=None):
+    """Hop distances from the source set with time/energy metering; returns
+    (outputs, report, BFS-phase engine, layered cover, decompositions, cover
+    traces).
 
     Builds the cover stack level by level until some cluster spans every
-    component, then runs the pipelined BFS. A prebuilt layered cover may be
-    passed to skip construction (the cover cache path)."""
-    return _cover_bfs(graph, sources, None, base, trace, layered)
-
-
-def thresholded_bfs(graph, sources, threshold, *, base=None, trace=True,
-                    layered=None):
-    """Thresholded hop distances built from scratch: cover construction stops
-    at the level whose scale reaches 2*threshold (or earlier with a spanning
-    cluster)."""
-    return _cover_bfs(graph, sources, threshold, base, trace, layered)
-
-
-def _cover_bfs(graph, sources, threshold, base, trace, layered):
+    component, then runs the pipelined BFS. With a threshold, construction
+    stops at the level whose scale reaches 2*threshold (or earlier with a
+    spanning cluster), and nodes farther than the threshold output INF. A
+    prebuilt layered cover may be passed to skip construction (the cover
+    cache path)."""
     reports, decomps, tlogs = [], [], []
     if layered is None:
         layered, decomps, reports, tlogs = _grow_cover(graph, base, trace, threshold)

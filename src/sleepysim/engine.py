@@ -3,7 +3,8 @@
 Semantics: computation and communication happen in lock-step rounds. A node
 that is awake in round r receives every message sent to it in round r and may
 act on them at its next awake round (>= r+1). A sleeping node performs no
-computation; messages addressed to it are dropped and counted as lost.
+computation; messages addressed to it are dropped, counted as lost and
+logged in `RunReport.losses`, except a critical one, which raises.
 
 The implementation is event-driven: rounds in which nothing happens are
 skipped outright, so wall-clock cost scales with messages and program steps,
@@ -89,7 +90,6 @@ class SimConfig:
     width: int = 1  # physical rounds per logical round (megaround width)
     extra_ctx_bits: int = 0  # instance-id allowance for concurrent scheduling
     collect_trace: bool = True
-    watch_tags: frozenset = frozenset()  # lost messages with these tags are logged
 
 
 @dataclass
@@ -107,7 +107,7 @@ class RunReport:
     max_channel_demand: int = 0  # per-edge-direction sends in one round
     oversubscribed: list = field(default_factory=list)
     critical_losses: list = field(default_factory=list)
-    watched_losses: list = field(default_factory=list)
+    losses: list = field(default_factory=list)  # (round, src, dst, tag, payload)
 
     def max_energy(self) -> int:
         return max(self.energy.values(), default=0)
@@ -601,7 +601,6 @@ class Engine:
         return self._outputs, self._finalize(status, width)
 
     def _deliver(self, r, all_sends, width):
-        cfg = self.config
         rep = self._report
         nbr, schedules, done = self._nbr, self._schedules, self._done
         inboxes, congestion = self._inboxes, self._congestion
@@ -674,14 +673,13 @@ class Engine:
                             delivered += 1
                             continue
                     lost += 1
-                    if msg.tag in cfg.watch_tags:
-                        rep.watched_losses.append((r, src, dst, msg.tag, msg.payload))
                     if critical:
                         rep.critical_losses.append((r, src, dst, msg.tag))
                         raise ProtocolViolation(
                             f"critical message tag {msg.tag} from {src} lost at "
                             f"sleeping node {dst} in round {r}"
                         )
+                    rep.losses.append((r, src, dst, msg.tag, msg.payload))
         finally:
             rep.max_bits, rep.max_channel_demand = max_bits, demand
             rep.delivered, rep.lost = delivered, lost
@@ -713,7 +711,7 @@ def merge_reports(reports) -> RunReport:
         out.max_bits = max(out.max_bits, rep.max_bits)
         out.bit_limit = max(out.bit_limit, rep.bit_limit)
         out.critical_losses.extend(rep.critical_losses)
-        out.watched_losses.extend(rep.watched_losses)
+        out.losses.extend(rep.losses)
         if rep.status != "done":
             out.status = rep.status
     out.congestion = dict(sorted(out.congestion.items()))

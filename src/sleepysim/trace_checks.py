@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import inf
 
+from .energy_bfs import EB_REACH
 from .oracle import dijkstra
 
 INF = inf
@@ -152,11 +153,17 @@ def _frame_distances(graph, rows):
     return dijkstra(graph.induced(active), init)
 
 
+def frontier_losses(report):
+    """The lost BFS frontier messages among a report's losses."""
+    return [loss for loss in report.losses if loss[3] == EB_REACH]
+
+
 def check_sleep_safety(outputs, report):
     """A lost frontier message is benign only if its target had already been
     reached at a strictly smaller hop (duplicate announcements to sleeping,
     finished nodes). Anything else means the frontier hit a sleeping node."""
-    for r, src, dst, tag, payload in report.watched_losses:
+    losses = frontier_losses(report)
+    for r, src, dst, tag, payload in losses:
         hop = payload[0]
         got = outputs.get(dst, INF)
         if got is INF or got >= hop:
@@ -164,7 +171,7 @@ def check_sleep_safety(outputs, report):
                 f"frontier hop {hop} from {src} lost at sleeping node {dst} "
                 f"round {r} (node's own hop: {got})"
             )
-    return True, f"{len(report.watched_losses)} frontier losses, all duplicates"
+    return True, f"{len(losses)} frontier losses, all duplicates"
 
 
 def check_relevance(layered, sources, outputs, threshold):

@@ -53,10 +53,13 @@ class Declared:
     def __init__(self):
         self.ops = []
         self.always_at = None
+        self.cut_ables = 0  # windows and periodics declared so far
         self.index = {}  # handle -> its index among the windows and periodics
 
     def cut_able(self, handle, op):
-        self.index[handle] = len(self.index)
+        # a later run's schedule hands out the same handles again
+        self.index[handle] = self.cut_ables
+        self.cut_ables += 1
         self.ops.append(op)
         return handle
 

@@ -140,6 +140,35 @@ def test_round_limit_rejected_for_bfs_energy(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("algo, flag, value", [
+    ("cssp-congest", "--threshold", "3"),
+    ("cssp-energy", "--base", "4"),
+    ("decomp", "--cover-cache", "cover.slpycov"),
+    ("cssp-congest", "--save-cover", "cover.slpycov"),
+    ("cover", "--k", "2"),
+    ("decomp", "--d", "2"),
+    ("cssp-congest", "--delta", "1"),
+], ids=["threshold", "base", "cover-cache", "save-cover", "k", "d", "delta"])
+def test_flag_of_another_algo_exits_2_without_output(tmp_path, capsys, algo,
+                                                     flag, value):
+    """A `run` flag that the chosen algorithm does not read is a config error,
+    not a flag silently ignored (`--save-cover` would write nothing)."""
+    out = tmp_path / "o"
+    code = main(["run", "--gen", "path", "--n", "5", "--algo", algo,
+                 flag, str(tmp_path / value) if "cover" in flag else value,
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists() and not (tmp_path / value).exists()
+    assert f"{flag} does not apply to --algo {algo}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["decomp", "cover"])
+def test_sweep_offers_only_what_it_runs(capsys, algo):
+    code = main(["sweep", "--algo", algo, "--axis", "n", "--values", "4"])
+    assert code == EXIT_CONFIG
+    assert f"invalid choice: '{algo}'" in capsys.readouterr().err
+
+
 def test_apsp_round_limit_keeps_schedule(tmp_path):
     code = main(["run", "--gen", "cycle", "--n", "6", "--algo", "apsp",
                  "--verify", "--round-limit", "10000000",

@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from sleepysim.energy_bfs import (
-    bootstrap_base_covers, build_cover_next, detect_global_cluster, full_bfs,
-    run_thresholded_bfs_with_cover, thresholded_bfs,
+    EnergyBfsProgram, bootstrap_base_covers, build_cover_next,
+    detect_global_cluster, full_bfs, run_thresholded_bfs_with_cover,
 )
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import promised_bounds
@@ -99,13 +99,13 @@ def test_full_bfs_disconnected():
 
 def test_thresholded_zero():
     g = unit_path(6)
-    outputs, _, _, _, _, _ = thresholded_bfs(g, {2}, 0)
+    outputs, _, _, _, _, _ = full_bfs(g, {2}, threshold=0)
     assert outputs == {0: INF, 1: INF, 2: 0, 3: INF, 4: INF, 5: INF}
 
 
 def test_thresholded_p10():
     g = unit_path(10)
-    outputs, report, engine, layered, _, _ = thresholded_bfs(g, {0}, 4)
+    outputs, report, engine, layered, _, _ = full_bfs(g, {0}, threshold=4)
     want = {v: (v if v <= 4 else INF) for v in range(10)}
     assert outputs == want
     ok, detail = check_sleep_safety(outputs, report)
@@ -116,7 +116,7 @@ def test_thresholded_p10():
 
 def test_thresholded_beyond_diameter_equals_full():
     g = unit_path(8)
-    out1, _, _, _, _, _ = thresholded_bfs(g, {0}, 64)
+    out1, _, _, _, _, _ = full_bfs(g, {0}, threshold=64)
     out2, _, _, _, _, _ = full_bfs(g, {0})
     assert out1 == out2
 
@@ -146,6 +146,48 @@ def test_pipeline_wake_fraction_in_bfs(monkeypatch):
             assert len(residues) <= 4
             assert period in lvl_periods
     assert periodic_seen > 0
+
+
+def test_one_pipeline_per_role(monkeypatch):
+    """A role keeps its init pipeline when it activates, and joins a new one
+    only if the init pipeline was retired, from the round after its last:
+    no role declares a second pipeline whose window overlaps its first.
+    Periodics are attributed to the role whose `_start` or `_activate`
+    declared them; `_start` declares one per role, in key order."""
+    log = record(monkeypatch)
+    owner = {}  # (node, op index of a periodic) -> the role that declared it
+
+    def owning(method, roles_of):
+        def wrapped(self, api, *args):
+            ops = log[self.node].ops
+            before = len(ops)
+            method(self, api, *args)
+            mine = [i for i in range(before, len(ops)) if ops[i][0] == "periodic"]
+            keys = roles_of(self, *args)
+            assert len(mine) <= len(keys)
+            owner.update(((self.node, i), key) for i, key in zip(mine, keys))
+        return wrapped
+
+    monkeypatch.setattr(EnergyBfsProgram, "_start", owning(
+        EnergyBfsProgram._start, lambda self: sorted(self.roles)))
+    monkeypatch.setattr(EnergyBfsProgram, "_activate", owning(
+        EnergyBfsProgram._activate, lambda self, rt: [(rt.level, rt.cid)]))
+    full_bfs(gen_graph(GraphSpec("grid", 64, seed=1)), {0})
+    pipes = {}  # (node, role) -> [[a, b] of each pipeline, in order]
+    for v, declared in sorted(log.items()):
+        windows, stopped = [], set()
+        for i, op in enumerate(declared.ops):
+            if op[0] in ("window", "periodic"):
+                windows.append([op[-2], op[-1]])
+                if (v, i) in owner:
+                    pipes.setdefault((v, owner[v, i]), []).append(windows[-1])
+            elif op[0] == "stop" and op[1] not in stopped:
+                stopped.add(op[1])
+                windows[op[1]][1] = min(windows[op[1]][1], op[2])
+    assert any(len(windows) > 1 for windows in pipes.values())
+    for key, windows in sorted(pipes.items()):
+        for (a1, b1), (a2, b2) in zip(windows, windows[1:]):
+            assert a2 > b1, (key, windows)
 
 
 def test_cover_cache_with_level_keys_loads():

@@ -281,11 +281,14 @@ def test_planned_programs_own_their_step():
 def test_perfbench_tracer_names_resolve():
     """perfbench's tracer counts the calls of the package functions named in
     its COUNT_ONLY set, times those in AGGREGATED and reads the arguments or
-    results of those keyed in PRE_HOOKS and POST_HOOKS; a name that no
-    longer resolves would read 0 there without an error."""
-    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    results of those keyed in PRE_HOOKS and POST_HOOKS, and its layer metrics
+    read the tracer by dotted name through `tr.total`, `tr.calls` and
+    `tr.self_time`; a name that no longer resolves would read 0 there without
+    an error. Each `self_time(prefix, ".on_round")` module needs a class that
+    binds `on_round` itself."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     sets = {}
-    for node in ast.parse(tracer.read_text()).body:
+    for node in ast.parse((perfbench / "tracer.py").read_text()).body:
         target = node.targets[0] if isinstance(node, ast.Assign) else None
         name = getattr(target, "id", None)
         if name in ("COUNT_ONLY", "AGGREGATED"):
@@ -294,12 +297,66 @@ def test_perfbench_tracer_names_resolve():
             sets[name] = {ast.literal_eval(key) for key in node.value.keys}
     assert set(sets) == {"COUNT_ONLY", "AGGREGATED", "PRE_HOOKS", "POST_HOOKS"}
     assert sets["PRE_HOOKS"] and sets["POST_HOOKS"]
-    for name in sorted(set().union(*sets.values())):
-        module, *path = name.split(".")
-        obj = importlib.import_module(f"sleepysim.{module}")
-        for attr in path:
-            obj = getattr(obj, attr, None)
-        assert callable(obj), name
+    read, steps = _metric_names(ast.parse((perfbench / "run.py").read_text()))
+    assert {"energy_bfs.run_thresholded_bfs_with_cover",
+            "energy_bfs.detect_global_cluster", "graph.load_graph",
+            "engine.Schedule.awake_at", "apsp_sched.ApspProgram.on_round",
+            "netdecomp.build_decomposition"} <= read
+    for name in sorted(read.union(*sets.values())):
+        assert callable(_package_attr(name)), name
+    assert steps == {"congest_cssp.", "energy_cssp.", "netdecomp.", "energy_bfs."}
+    for prefix in sorted(steps):
+        module = _package_attr(prefix.rstrip("."))
+        assert any(isinstance(obj, type) and obj.__module__ == module.__name__
+                   and "on_round" in vars(obj)
+                   for obj in vars(module).values()), prefix
+
+
+def _package_attr(name):
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"sleepysim.{module}")
+    for attr in path:
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def _metric_names(tree):
+    """The dotted names a perfbench module reads through `tr.total`,
+    `tr.calls` and `tr.self_time` (`parent=` included), and the module
+    prefixes of `self_time(prefix, ".on_round")`. A name given through a
+    variable is followed to its string or tuple of strings."""
+    strings = {}  # variable -> the names it stands for
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            value = node.value
+            items = value.elts if isinstance(value, ast.Tuple) else [value]
+            if all(isinstance(v, ast.Constant) and isinstance(v.value, str)
+                   for v in items):
+                strings[node.targets[0].id] = [v.value for v in items]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Name):
+            strings[node.target.id] = strings.get(node.iter.id, [])
+
+    def names(arg):
+        return [arg.value] if isinstance(arg, ast.Constant) else strings[arg.id]
+
+    read, steps = set(), set()
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (isinstance(func, ast.Attribute)
+                and getattr(func.value, "id", None) == "tr"
+                and func.attr in ("total", "calls", "self_time")):
+            continue
+        suffix = [a.value for a in node.args[1:]]
+        if suffix:
+            assert (func.attr, suffix) == ("self_time", [".on_round"]), suffix
+            steps.update(names(node.args[0]))
+            continue
+        read.update(names(node.args[0]))
+        for kw in node.keywords:
+            read.update(names(kw.value))
+    return read, steps
 
 
 def test_pipe_slot():
