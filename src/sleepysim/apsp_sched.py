@@ -38,7 +38,7 @@ from collections import Counter
 from math import inf
 
 from .congest_cssp import CsspProgram, default_round_limit, pow2_at_least
-from .engine import Engine, SimConfig, merge_reports, run_simulation
+from .engine import SimConfig, merge_reports, run_simulation
 
 INF = inf
 
@@ -99,10 +99,9 @@ def draw_delays(n: int, delta: int, seed: int) -> dict:
 def apsp_random_delay(graph, delta=None, seed=0, *, round_limit=None,
                       trace=False):
     """Distances for every ordered pair, one recursion per source under
-    random-delay scheduling. Returns (matrix, report, engine, delays); the
-    engine ran nothing itself and holds the merged trace log. An unset or
-    zero `round_limit` means 4 * (single-source limit + delta); a negative
-    one raises ValueError."""
+    random-delay scheduling. Returns (matrix, report, trace log, delays),
+    the log merged from the solo runs. An unset or zero `round_limit` means
+    4 * (single-source limit + delta); a negative one raises ValueError."""
     if round_limit is not None and round_limit < 0:
         raise ValueError("round_limit must be >= 0")
     n = graph.n
@@ -135,13 +134,11 @@ def apsp_random_delay(graph, delta=None, seed=0, *, round_limit=None,
     report.energy = {v: report.rounds for v in range(n)}
     report.max_channel_demand, report.oversubscribed = _channel_demand(
         channels, n, cfg.width)
-    engine = Engine(graph, cfg)
-    engine._trace = list(heapq.merge(
-        *logs, key=lambda e: (e[1]["round"], e[1]["node"])))
+    log = list(heapq.merge(*logs, key=lambda e: (e[1]["round"], e[1]["node"])))
     done = set(range(n)).intersection(*outputs)
     matrix = {(s, v): outputs[s][v] if v in done else INF
               for v in range(n) for s in range(n)}
-    return matrix, report, engine, delays
+    return matrix, report, log, delays
 
 
 def _channel_demand(channels, n, width):

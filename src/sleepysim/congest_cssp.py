@@ -31,8 +31,15 @@ message, executes on its active node set:
      compose as half-threshold + cut distance.
 
 All distance arithmetic is exact integer tick counting; nothing floats.
-A frame is forgotten once it completes, except the root frame, which holds
-the answer; the forest phases' scratch goes when the census starts.
+A frame is forgotten in the step it completes, except the root frame, which
+holds the answer; the forest phases' scratch goes when the census starts.
+
+Sends in fixed windows go at once (`_send_slot`). Sends that answer an
+event (adoption acknowledgements, completion and start-time messages) join
+one queue per neighbour (`_send_queued`), and at the end of each step a free
+channel takes the first one due. A message is due in the rounds `_slots`
+gives: every round here; the sleeping flavor holds completion messages to
+its pipe slots.
 """
 
 from __future__ import annotations
@@ -98,6 +105,7 @@ class _Frame:
         "pend_size", "unacked", "window", "t_cut", "cand", "tick", "ticked",
         "v1", "t_child1", "start2", "v2", "offsets2",
         "done_self", "done_kids", "sent_done", "out", "final", "complete",
+        "pipe",
     )
 
     def __init__(self, path, D, N, t0, src, offsets, peers):
@@ -144,6 +152,7 @@ class _Frame:
         self.out = [INF, INF]
         self.final = None
         self.complete = False
+        self.pipe = None  # completion pipe's handle, in the sleeping flavor
 
 
 START_MARGIN = 4  # second-recursion start lead, in rounds per component node
@@ -163,7 +172,7 @@ class CsspProgram(PlannedProgram):
         self.D_top = D_top
         self.forest_only = forest_only
         self.frames: dict[int, _Frame] = {}
-        self._queue: dict[int, list] = {}
+        self._queue: dict[int, list] = {}  # dst -> [[round, period, msg]]
         self._sent_now: set = set()
         self._answer = None
         self._root_done = False
@@ -191,23 +200,47 @@ class CsspProgram(PlannedProgram):
         self._send(api, dst, msg)
 
     def _send_queued(self, api, dst, msg):
-        self._queue.setdefault(dst, []).append(msg)
+        """Queue msg for the channel to dst, to go in the first of its rounds
+        (`_slots`) in which the channel is free."""
+        period, residue = self._slots(msg)
+        first = api.round + (residue - api.round) % period
+        self._queue.setdefault(dst, []).append([first, period, msg])
+
+    def _slots(self, msg):
+        """The rounds msg may go in, as (period, residue): those congruent to
+        residue mod period. A congest node may send in every round; a
+        message held to slots of a longer period goes critical, since its
+        receiver listens in them."""
+        return 1, 0
 
     def _flush(self, api):
-        """Send the head of each queue whose channel is free this round; a
-        queue is dropped once empty, so `_queue` holds only pending sends."""
+        """At the end of a step, send on each free channel the first queued
+        message due, and move every other due one to its next round; then
+        wake at the earliest queued round. `_queue` holds only pending
+        sends."""
         queue = self._queue
         if not queue:
             return
-        sent_now = self._sent_now
+        now, sent_now = api.round, self._sent_now
         for dst in sorted(queue):
-            if dst not in sent_now:
-                q = queue[dst]
-                self._send(api, dst, q.pop(0))
-                if not q:
-                    del queue[dst]
+            kept = []
+            for item in queue[dst]:
+                r, period, msg = item
+                if r > now:
+                    kept.append(item)
+                elif dst in sent_now:
+                    # the node steps in each queued round, so r is now
+                    item[0] = r + period
+                    kept.append(item)
+                else:
+                    self._send(api, dst, msg, critical=period > 1)
+            if kept:
+                queue[dst] = kept
+            else:
+                del queue[dst]
         if queue:
-            api.wake_at(api.round + 1)
+            first = min(item[0] for q in queue.values() for item in q)
+            api.wake_at(first, first - 1 if self._listen_before else None)
 
     # -- engine entry -------------------------------------------------------
 
@@ -221,17 +254,13 @@ class CsspProgram(PlannedProgram):
             self._dispatch(api, src, msg)
         self._run_due(api)
         self._flush(api)
-        if self._root_done and self._may_finish():
+        if self._root_done and not self._queue:
             api.finish(self._answer)
 
     def _awake_from_start(self, api):
         """Declare the node's awake time at its first step; congest nodes
         never sleep."""
         api.always_awake()
-
-    def _may_finish(self):
-        """Whether a node whose root frame is done may stop now."""
-        return not self._queue
 
     def _create_root(self, api):
         f = _Frame(1, self.D_top, max(1, self.n), api.round, self.is_source,
@@ -344,9 +373,6 @@ class CsspProgram(PlannedProgram):
             self._census_start(api, f)
             return
         base = self._phase_base(f, p)
-        if api.round != base:
-            self._plan_at(api, base, "_phase_start", f.path)
-            return
         if p == 0:
             f.inside = set()
         f.nbr_comp = {}

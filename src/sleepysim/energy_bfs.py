@@ -121,8 +121,6 @@ class EnergyBfsProgram(PlannedProgram):
             cs |= kcs
             ra |= kra
             ad &= kad
-        if len(rt.kid_flags) < len(rt.kids):
-            ad = 0
         return cs, ra, ad
 
     def _maybe_conv(self, api, rt):
@@ -368,12 +366,15 @@ def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
 
 
 class DetectProgram(PlannedProgram):
-    """All-awake detection of a cluster containing its whole component."""
+    """All-awake detection of a cluster containing its whole component. Every
+    node sweeps with the same `window` and `cap`, the cover's largest tree
+    depth + 2, so the nodes of one tree agree on its sweep rounds."""
 
-    def __init__(self, node, graph, roles, window):
+    def __init__(self, node, graph, roles, window, cap):
         super().__init__(node, graph)
         self.roles = roles
         self.window = window
+        self.cap = cap
         self.nbr_lists = {u: set() for u in self.nbrs}
         self.answer = {}
         self._acc = {}
@@ -403,9 +404,7 @@ class DetectProgram(PlannedProgram):
             self._answer(api, (level, cid), flag)
 
     def _local_check(self, api):
-        base = api.round
-        depth_cap = max((rt.depth for rt in self.roles.values()), default=0)
-        cap = depth_cap + 2
+        base, cap = api.round, self.cap
         for key in sorted(self.roles):
             rt = self.roles[key]
             if rt.terminal:
@@ -466,8 +465,9 @@ def detect_global_cluster(graph, cover):
     roles_by_node = _roles_for(graph, probe, 0)
     memberships = max((len(r) for r in roles_by_node.values()), default=1)
     window = max(bits_for(graph.n), memberships) + 2
+    cap = probe.max_tree_depth(0) + 2
     outputs, report, _ = run_simulation(
-        graph, lambda v: DetectProgram(v, graph, roles_by_node[v], window),
+        graph, lambda v: DetectProgram(v, graph, roles_by_node[v], window, cap),
         SimConfig(width=max(4, memberships + 2)))
     spanning = set()
     for v, ans in sorted(outputs.items()):

@@ -27,12 +27,15 @@ planned action, and waits in pipelines instead of awake. The windows:
     recursion works elsewhere. Every pipe runs on one grid anchored at round
     0, so the pipes of nested frames over one tree listen on the same rounds
     and their waiting is counted once. The slot rule is
-    `engine.PlannedProgram`'s (`_join_pipe`, `_pipe_slot`).
+    `engine.PlannedProgram`'s (`_join_pipe`, `_pipe_slot`). A frame's
+    completion messages join `CsspProgram`'s one send queue, held to the
+    pipe's up or down slots (`_slots`), and go critical.
 
 Frame messages go only to peers (see `congest_cssp`), and every peer listens
 when one is due, so a sleeping run loses no message and puts the same
-messages on every edge as a congest run; a completed frame is released only
-once its pipeline sends are on the wire, because they name it.
+messages on every edge as a congest run. A completed frame is released in
+the step it completes, as in the congest flavor: its queued messages do not
+need it.
 
 Everything else, the step loop and the entry points included, is shared with
 the congest implementation: pass `program=EnergyCsspProgram` to
@@ -51,13 +54,6 @@ DOWN_TAGS = frozenset({T_START2, T_FDONE})
 class EnergyCsspProgram(CsspProgram):
     """Threshold-halving recursion under sleeping semantics."""
 
-    def __init__(self, node, graph, sources, D_top, **kw):
-        super().__init__(node, graph, sources, D_top, **kw)
-        self._pipes = {}  # frame path -> (period, handle)
-        # frame path -> planned slot sends not yet on the wire; a completed
-        # frame is released once its count drains
-        self._pending_pipe = {}
-
     # The step is CsspProgram's; naming it in this class as well lets a
     # profile or the benchmark's traced run tell sleeping steps apart.
     on_round = CsspProgram.on_round
@@ -69,63 +65,34 @@ class EnergyCsspProgram(CsspProgram):
         # schedule's next awake round after a delivery
         api.awake_span(api.round, api.round)
 
-    def _may_finish(self):
-        return super()._may_finish() and not self._pending_pipe
-
     # a planned action reads what arrives in the round before it
     _listen_before = True
 
     def _cutter_done(self, api, f):
+        # a node with nothing to wait for reports up in this round, before
+        # it joins the pipe
         super()._cutter_done(api, f)
-        self._open_pipe(api, f)
+        if f.size > 1:
+            # join the component-tree pipeline that detects recursion
+            # progress; every pipe is anchored at round 0, so nested frames
+            # over one tree listen on the same rounds at the same depth and
+            # period
+            f.pipe = self._join_pipe(api, 0, f.size, f.depth, f.t_child1,
+                                     1 << 62)
 
-    def _open_pipe(self, api, f):
-        """Join the component-tree pipeline that detects recursion progress."""
-        if f.size <= 1 or f.path in self._pipes:
-            return
-        # every pipe is anchored at round 0, so nested frames over one tree
-        # listen on the same rounds at the same depth and period
-        handle = self._join_pipe(api, 0, f.size, f.depth, f.t_child1, 1 << 62)
-        self._pipes[f.path] = (f.size, handle)
-
-    def _send_queued(self, api, dst, msg, earliest=None):
-        tag = msg.tag
-        pipe = self._pipes.get(msg.ctx) if msg.ctx is not None else None
-        if pipe is None or tag not in (UP_TAGS | DOWN_TAGS):
-            super()._send_queued(api, dst, msg)
-            return
-        period, _ = pipe
-        slot = self._pipe_slot(0, period, self.frames[msg.ctx].depth,
-                               tag in UP_TAGS,
-                               api.round if earliest is None else earliest)
-        pending = self._pending_pipe
-        pending[msg.ctx] = pending.get(msg.ctx, 0) + 1
-        self._plan_at(api, slot, "_pipe_send", msg.ctx, dst, msg)
-
-    def _pipe_send(self, api, f, dst, msg):
-        if dst in self._sent_now:
-            # channel busy this round: take the next slot of the period
-            self._send_queued(api, dst, msg, earliest=api.round + 1)
-        else:
-            self._send(api, dst, msg, critical=True)
-        pending = self._pending_pipe
-        pending[f.path] -= 1
-        if not pending[f.path]:
-            del pending[f.path]
-            if f.complete and f.path != 1:
-                self._release(f)
-
-    def _release(self, f):
-        # a pending slot send is a planned action that names the frame
-        if f.path not in self._pending_pipe:
-            super()._release(f)
+    def _slots(self, msg):
+        # a frame's completion messages go in its pipe's up or down slots,
+        # where the receiver listens; from anchor 0, the first is the residue
+        f = self.frames[msg.ctx]
+        up = msg.tag in UP_TAGS
+        if f.pipe is None or not (up or msg.tag in DOWN_TAGS):
+            return super()._slots(msg)
+        return f.size, self._pipe_slot(0, f.size, f.depth, up, 0)
 
     def _frame_complete(self, api, f):
         super()._frame_complete(api, f)
-        pipe = self._pipes.pop(f.path, None)
-        if pipe is not None:
-            period, handle = pipe
-            api.stop_awake(handle, api.round + 2 * period + 4)
+        if f.pipe is not None:
+            api.stop_awake(f.pipe, api.round + 2 * f.size + 4)
 
 
 def cssp_energy(graph, sources, *, round_limit=None, trace=True):

@@ -61,20 +61,18 @@ def bellman_ford(graph, sources) -> dict:
     return dist
 
 
-def hop_distances(graph, sources, active=None) -> dict:
-    """BFS hop distances, optionally restricted to an induced node set."""
-    allow = set(range(graph.n)) if active is None else set(active)
+def hop_distances(graph, sources) -> dict:
+    """BFS hop distances from the source set."""
     dist = {v: INF for v in range(graph.n)}
     q = deque()
     for s in sorted(set(sources)):
-        if s in allow:
-            dist[s] = 0
-            q.append(s)
+        dist[s] = 0
+        q.append(s)
     adj = graph.adjacency()
     while q:
         u = q.popleft()
         for v, _ in adj[u]:
-            if v in allow and dist[v] is INF:
+            if dist[v] is INF:
                 dist[v] = dist[u] + 1
                 q.append(v)
     return dist

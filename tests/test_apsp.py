@@ -98,14 +98,14 @@ def test_golden_traffic_and_trace(spec, seed, delta, delivered, lost, demand,
     """Pinned message counts, channel demand, the oversubscription list in
     order and the trace log: the figures `to_json()` leaves out. At delta=1
     every instance starts in round 1, so channels are oversubscribed."""
-    _, report, engine, _ = apsp_random_delay(gen_graph(spec), delta=delta,
-                                             seed=seed, trace=True)
+    _, report, log, _ = apsp_random_delay(gen_graph(spec), delta=delta,
+                                          seed=seed, trace=True)
     assert (report.delivered, report.lost) == (delivered, lost)
     assert report.max_channel_demand == demand
     assert len(report.oversubscribed) == n_over
     assert _sha256(repr(report.oversubscribed)) == over_sha
-    assert len(engine.trace_log) == n_events
-    assert _sha256(repr(engine.trace_log)) == trace_sha
+    assert len(log) == n_events
+    assert _sha256(repr(log)) == trace_sha
 
 
 def test_instances_are_stepped_by_their_host_from_their_delay(monkeypatch):

@@ -50,6 +50,19 @@ def test_detect_global_path():
     assert spans_top
 
 
+@pytest.mark.parametrize("n", [64, 257])
+def test_detect_level0_on_paths(n):
+    """Every node sweeps a cluster tree with the cover's depth cap, so a root
+    answers only after its whole subtree reported: no level-0 cluster of a
+    long path spans it, and detection loses no message."""
+    g = unit_path(n)
+    layered, _, _, _ = bootstrap_base_covers(g, trace=False)
+    assert len(layered.levels[0].clusters) > 1
+    spans, report = detect_global_cluster(g, layered.levels[0])
+    assert not spans
+    assert report.lost == 0
+
+
 def test_detect_global_disconnected():
     g = Graph.build(4, [(0, 1, 1), (2, 3, 1)])
     layered, _, _, _ = bootstrap_base_covers(g)
@@ -233,9 +246,12 @@ def test_golden_path65_outputs_and_report():
     771,069, the second forest's rounds; nothing else lowers rounds). It
     moved once more when red clusters stopped running count sweeps, whose
     counts were always 0 (max energy 21,348 -> 18,836, messages sent
-    19,727 -> 17,634, max edge congestion 202 -> 180; rounds unchanged)."""
+    19,727 -> 17,634, max edge congestion 202 -> 180; rounds unchanged), and
+    when every node of a detection tree began to sweep with the cover's one
+    depth cap (messages sent 17,634 -> 17,636; the lost `DG_CONV` and
+    `DG_BCAST` are gone; rounds and max energy unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "e5ec6bc3c59ff5b5b46dd4a7faeb720629bf80d5fece4837851ebcaa81937144")
+            == "2fd29e5ecb4ce7c86e4ec1ffcdc3d235cc523f7646388f6e9df26415ae4fddce")

@@ -165,11 +165,26 @@ GOLDEN = [
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
      "6cb7e04d983aecc70d5bff9f5acb45275bb894960606437545d4787a27fecc2b"),
+    # the benchmark's energy-gnm instances
+    (GraphSpec("random-gnm", 36, seed=201, m=108, weight_mode="uniform", max_w=60),
+     {0},
+     "48c103c5eb8cb809ab95c1b787df8c6cc078b492223789164b9b12224dfc9ced",
+     "cd8f9522286eae10353d7338adf2b40a3619ab8b9f361e71cb836b0167178977"),
+    (GraphSpec("random-gnm", 36, seed=202, m=108, weight_mode="uniform", max_w=60),
+     {24, 26, 30},
+     "e53436efc54767117467b9f1fb3d77d3c7b0732d6e98f62af0ba66e7849fff05",
+     "67932cfbd4d1878aab339b76e4a006fc3c426a005d07022cb80badb95586ca52"),
+    (GraphSpec("random-gnm", 28, seed=203, m=84, weight_mode="zero-heavy", max_w=60),
+     {0},
+     "f302ebbdabbf59929201252df7bd058b28af870bcca570dd3ad54bc6807a6e7d",
+     "488e3c16bd84aa805c742123af965ae4bcd27917909bf42fad6839f835aa09ab"),
 ]
+GOLDEN_IDS = ["gnm24", "gnm20-zeroheavy", "gnm36-1src", "gnm36-3src",
+              "gnm28-zeroheavy"]
 
 
 @pytest.mark.parametrize("spec, sources, outputs_sha, report_sha", GOLDEN,
-                         ids=["gnm24", "gnm20-zeroheavy"])
+                         ids=GOLDEN_IDS)
 def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
     """Pinned hashes of the outputs and the report: a change to the awake
     schedules that moves any round, energy or congestion figure shows here,
@@ -263,21 +278,30 @@ def test_windows_are_declared_once():
                 "_start_cutter"} & set(vars(EnergyCsspProgram))
 
 
-@pytest.mark.parametrize("spec, sources", [g[:2] for g in GOLDEN],
-                         ids=["gnm24", "gnm20-zeroheavy"])
+def test_one_send_queue():
+    """Both flavors send through `CsspProgram`'s one queue and release frames
+    by its rule: the sleeping flavor only says in which rounds a completion
+    message may go (`_slots`)."""
+    assert not {"_send_queued", "_pipe_send", "_release",
+                "_may_finish"} & set(vars(EnergyCsspProgram))
+
+
+@pytest.mark.parametrize("spec, sources", [g[:2] for g in GOLDEN], ids=GOLDEN_IDS)
 @pytest.mark.parametrize("base", [CsspProgram, EnergyCsspProgram],
                          ids=["congest", "energy"])
 def test_released_frames_are_never_named(base, spec, sources):
-    """A completed non-root frame is released; afterwards no dispatched
-    message and no planned action names its path, and a finished run keeps
-    only each node's root frame."""
+    """A completed non-root frame is released in the step it completes;
+    afterwards no dispatched message and no planned action names its path,
+    and a finished run keeps only each node's root frame."""
     released = {}  # node -> released paths
 
     class Watching(base):
+        def _frame_complete(self, api, f):
+            super()._frame_complete(api, f)
+            assert (f.path in self.frames) == (f.path == 1)
+
         def _release(self, f):
             super()._release(f)
-            if f.path in self.frames:
-                return  # deferred until its pipeline sends drain
             gone = released.setdefault(self.node, set())
             assert f.path not in gone
             gone.add(f.path)

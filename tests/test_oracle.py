@@ -3,7 +3,7 @@ import random
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import (
     INF, bellman_ford, check_cover, check_decomposition, check_layered,
-    dijkstra, hop_distances,
+    dijkstra,
 )
 from sleepysim.structures import ClusterData, Cover, Decomposition, LayeredCover
 
@@ -125,9 +125,3 @@ def test_check_layered():
     l1 = Cover(scale=2, clusters=[_singleton_cluster(0, 10)])
     lc_contain = LayeredCover(base=2, levels=[l0, l1], parent_of={(0, 0): 10})
     assert any(v["kind"] == "layered-contain" for v in check_layered(g2, lc_contain, 2, 2))
-
-
-def test_hop_distances_active_restriction():
-    g = Graph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    d = hop_distances(g, [0], active={0, 1, 3})
-    assert d[1] == 1 and d[2] is INF and d[3] is INF
