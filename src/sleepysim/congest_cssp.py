@@ -15,19 +15,26 @@ message, executes on its active node set:
      component: one component stays one (Gallager-Humblet-Spira's rule that
      an internal edge is never tested again). Once a component has no
      outgoing edge left it skips its remaining phases;
-  3. an approximate distance cutter: weights rounded up to multiples of
+  3. a census over the forest tells every node its component's size. In
+     the root frame it also gathers the tree's weighted height h, and the
+     root broadcasts the component's threshold, max(2, min(D, pow2(2h + 1))),
+     with the size: no distance in the component exceeds 2h. So the
+     recursion starts at the component's own span, not at n * maxW; a
+     non-root frame keeps half its parent's threshold;
+  4. an approximate distance cutter: weights rounded up to multiples of
      tau = W/(2*N), then a token BFS where an edge of rounded weight a*tau
      delays a rounds, run for 6*N ticks. A node fixes its tick once every
      tick of the step is read, and sends it to the peers whose own tick has
-     not reached it yet; the others ignore it;
-  4. recursion on the near set with half the threshold; completion detected
+     not reached it yet; the others ignore it. A better candidate withdraws
+     the wake-up planned for a worse one;
+  5. recursion on the near set with half the threshold; completion detected
      per component by an event-driven convergecast over the spanning tree,
      after which the root schedules the second recursion a safe margin ahead
      and broadcasts the start round;
-  5. finished nodes announce their distances to the peers that lie beyond
+  6. finished nodes announce their distances to the peers that lie beyond
      D/2 through them, so cut neighbors can simulate the imaginary sources
      sitting on the crossing edges;
-  6. recursion on the remaining set from those simulated sources; outputs
+  7. recursion on the remaining set from those simulated sources; outputs
      compose as half-threshold + cut distance.
 
 All distance arithmetic is exact integer tick counting; nothing floats.
@@ -82,6 +89,14 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def root_threshold(D_top: int, height: int) -> int:
+    """The root frame's threshold in a component whose spanning tree has
+    weighted height `height`: no distance there exceeds twice the height
+    (the tree-height bound on eccentricity). At least 2, so that its child
+    frames keep a threshold of 1 or more."""
+    return max(2, min(D_top, pow2_at_least(2 * height + 1)))
+
+
 def lift_zero_weights(graph):
     """Zero weights become 1; positive weight w becomes n*w."""
     n = graph.n
@@ -102,8 +117,8 @@ class _Frame:
         "path", "D", "N", "t0", "src", "offsets", "peers",
         "comp", "parent", "children", "depth", "size", "phase",
         "nbr_comp", "inside", "agg", "decision", "merging_done", "in_chosen",
-        "pend_size", "unacked", "window", "t_cut", "cand", "tick", "ticked",
-        "v1", "t_child1", "start2", "v2", "offsets2",
+        "pend_size", "pend_height", "unacked", "window", "t_cut", "cand",
+        "tick", "ticked", "v1", "t_child1", "start2", "v2", "offsets2",
         "done_self", "done_kids", "sent_done", "out", "final", "complete",
         "pipe",
     )
@@ -133,6 +148,7 @@ class _Frame:
         self.decision = None
         self.merging_done = False
         self.pend_size = 0
+        self.pend_height = 0  # largest weighted depth below, root frame only
         self.unacked = 0  # this phase's adoptions sent and not acknowledged
         self.window = None  # handle of the adoption or cutter window
         self.t_cut = None
@@ -293,9 +309,9 @@ class CsspProgram(PlannedProgram):
             f.unacked -= 1
             self._adoption_settled(api, f)
         elif tag == T_SIZE:
-            f.pend_size += msg.payload[0]
+            self._on_size(f, src, msg.payload)
         elif tag == T_SIZEB:
-            self._on_sizeb(api, f, msg.payload[0])
+            self._on_sizeb(api, f, msg.payload)
         elif tag == T_BASE:
             self._on_base_probe(api, f, src)
         elif tag == T_DONE1 or tag == T_DONE2:
@@ -313,8 +329,9 @@ class CsspProgram(PlannedProgram):
 
     def _enter(self, api, f):
         self.frames[f.path] = f
-        self._trace(api, "frame", path=f.path, D=f.D, N=f.N,
-                    src=f.src, offsets=tuple(f.offsets))
+        if not self._sets_threshold(f) or f.D == 1 or f.N == 1:
+            # a root frame with a census learns its threshold there
+            self._trace_frame(api, f)
         f.comp = self.node
         if f.D == 1:
             if f.src:
@@ -331,6 +348,10 @@ class CsspProgram(PlannedProgram):
             self._start_cutter(api, f)
             return
         self._phase_start(api, f)
+
+    def _trace_frame(self, api, f):
+        self._trace(api, "frame", path=f.path, D=f.D, N=f.N,
+                    src=f.src, offsets=tuple(f.offsets))
 
     def _base_resolve(self, api, f):
         if f.src:
@@ -498,16 +519,37 @@ class CsspProgram(PlannedProgram):
         f.t_cut = base + 2 * (f.N + 2) + 2
         self._plan_at(api, f.t_cut, "_start_cutter", f.path)
 
+    def _sets_threshold(self, f):
+        """The root frame's census also gathers the tree's weighted height,
+        from which the root sets the component's threshold."""
+        return f.path == 1 and not self.forest_only
+
+    def _on_size(self, f, src, payload):
+        f.pend_size += payload[0]
+        if len(payload) > 1:
+            f.pend_height = max(f.pend_height, payload[1] + self.weight[src])
+
     def _census_send(self, api, f):
-        self._send_slot(api, f.parent, Message(T_SIZE, (1 + f.pend_size,), f.path))
+        payload = (1 + f.pend_size,)
+        if self._sets_threshold(f):
+            payload += (f.pend_height,)
+        self._send_slot(api, f.parent, Message(T_SIZE, payload, f.path))
 
     def _census_root(self, api, f):
-        self._on_sizeb(api, f, 1 + f.pend_size)
+        payload = (1 + f.pend_size,)
+        if self._sets_threshold(f):
+            payload += (root_threshold(f.D, f.pend_height),)
+        self._on_sizeb(api, f, payload)
 
-    def _on_sizeb(self, api, f, size):
-        f.size = size
+    def _on_sizeb(self, api, f, payload):
+        """The census broadcast: the component's size and, in the root
+        frame, its threshold."""
+        f.size = payload[0]
         for c in f.children:
-            self._send_slot(api, c, Message(T_SIZEB, (size,), f.path))
+            self._send_slot(api, c, Message(T_SIZEB, payload, f.path))
+        if len(payload) > 1:
+            f.D = payload[1]
+            self._trace_frame(api, f)
         self._after_census(api, f)
 
     def _after_census(self, api, f):
@@ -537,7 +579,9 @@ class CsspProgram(PlannedProgram):
         # tick is final it reads no further tick
         f.window = api.awake_window(f.t_cut, f.t_cut + k + 2)
         if cand is not None and cand <= k:
-            self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path)
+            # the node listens through the window until it runs
+            self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path,
+                          in_window=True)
         self._plan_at(api, f.t_cut + k + 2, "_cutter_done", f.path)
 
     def _on_cut(self, api, f, src, tick):
@@ -545,21 +589,20 @@ class CsspProgram(PlannedProgram):
             return
         f.ticked.add(src)
         cand = tick + self._tick_weight(f, self.weight[src])
-        if f.cand is None or cand < f.cand:
+        k = 6 * f.N
+        if cand <= k and (f.cand is None or cand < f.cand):
+            if f.cand is not None and f.cand <= k:
+                # a superseded plan is for a later round: withdraw it
+                self._unplan(api, f.t_cut + f.cand, "_cut_finalize", f.path)
             f.cand = cand
-            if cand > 6 * f.N:
-                return
             if f.t_cut + cand == api.round:
                 # the ticks later in this inbox count before this node sends
                 self._plan_after_inbox(api, "_cut_finalize", f.path)
             else:
-                self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path)
+                self._plan_at(api, f.t_cut + cand, "_cut_finalize", f.path,
+                              in_window=True)
 
     def _cut_finalize(self, api, f):
-        if f.tick is not None or f.cand is None:
-            return
-        if api.round != f.t_cut + f.cand:
-            return  # superseded by a better candidate
         f.tick = f.cand
         api.stop_awake(f.window, api.round)
         ticked, f.ticked = f.ticked, None

@@ -20,7 +20,9 @@ planned action, and waits in pipelines instead of awake. The windows:
     (`_tick_weight`), so only one channel per edge is charged. A node
     listens from the start of the tick window (`_start_cutter`) until its
     own tick is final (`_cut_finalize`); a node the wave does not reach
-    listens throughout.
+    listens throughout. The wake-up at each candidate tick falls in that
+    window and declares no listening of its own, so a superseded one is
+    withdrawn whole.
   - completion detection: instead of staying awake, waiting nodes join a
     convergecast/broadcast pipeline on the component tree with period equal
     to the component size, spending O(1) awake rounds per cycle while the

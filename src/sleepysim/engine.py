@@ -364,6 +364,24 @@ class NodeApi:
         engine._schedules[self.node]._add_span(a, r, self.round)
         engine._push_step(r, self.node)
 
+    def step_at(self, r: int):
+        """Step in round r, which is after this step's, declaring no awake
+        round: the node listens then through a window of its own. Unlike a
+        `wake_at`, the step may be withdrawn with `unwake`."""
+        if r <= self.round:
+            raise SimError(f"step_at({r}) not in the future of round {self.round}")
+        self.engine._push_step(r, self.node)
+
+    def unwake(self, r: int):
+        """Withdraw this node's step in round r, which is after this step's:
+        a delivery may still wake it then. The program must plan nothing else
+        for r."""
+        if r <= self.round:
+            raise SimError(f"unwake({r}) not in the future of round {self.round}")
+        due = self.engine._due.get(r)
+        if due is not None:
+            due.discard(self.node)
+
     def _before_now(self, call, a):
         raise SimError(f"{call}: start {a} before round {self.round}")
 
@@ -428,7 +446,9 @@ class PlannedProgram:
     sent before its round listens from there (`listen_from`); a class whose
     actions all read the round before sets `_listen_before`.
     `_plan_after_inbox` keeps one for the current round until the inbox has
-    been read.
+    been read. An action planned `in_window` falls in a window the node
+    listens through anyway, so its wake declares nothing, and `_unplan`
+    withdraws it: the node does not step for it.
 
     Tree pipelines: a node at depth d of a tree that pipelines with period p
     listens on the residues {p-d-1, p-d, d, d+1} mod p (d taken mod p). It
@@ -440,6 +460,7 @@ class PlannedProgram:
         self.node = node
         self.nbrs = [u for (u, _) in graph.neighbors(node)]
         self._plan: dict[int, list] = {}
+        self._bare: set = set()  # planned rounds whose wake declared nothing
         self._started = False
 
     def on_round(self, api):
@@ -477,9 +498,12 @@ class PlannedProgram:
 
     _listen_before = False
 
-    def _plan_at(self, api, r, action, *args, listen_from=None):
+    def _plan_at(self, api, r, action, *args, listen_from=None,
+                 in_window=False):
         """Plan an action for round r; `listen_from` also listens from that
-        round through r, for an action that reads what arrives before it."""
+        round through r, for an action that reads what arrives before it.
+        With `in_window`, the node already listens in r and the round before
+        until the action runs or is withdrawn (`_unplan`)."""
         if r == api.round:
             self._act(api, action, args)
             return
@@ -487,14 +511,32 @@ class PlannedProgram:
         bucket = self._plan.get(r)
         if bucket is None:  # the first action planned for round r
             self._plan[r] = [item]
-            if listen_from is None and self._listen_before:
-                listen_from = max(1, r - 1)
-            api.wake_at(r, listen_from)
+        else:
+            if item not in bucket:
+                bucket.append(item)
+            if in_window or r not in self._bare:  # the round's wake will do
+                if listen_from is not None:
+                    api.awake_span(listen_from, r)
+                return
+        if in_window:
+            self._bare.add(r)
+            api.step_at(r)
             return
-        if listen_from is not None:
-            api.awake_span(listen_from, r)
-        if item not in bucket:
-            bucket.append(item)
+        self._bare.discard(r)
+        if listen_from is None and self._listen_before:
+            listen_from = max(1, r - 1)
+        api.wake_at(r, listen_from)
+
+    def _unplan(self, api, r, action, *args):
+        """Withdraw an action planned `in_window` for round r, after this
+        step's; the node no longer steps in r unless something else is
+        planned then."""
+        bucket = self._plan[r]
+        bucket.remove((action, args))
+        if not bucket:
+            del self._plan[r]
+            self._bare.discard(r)
+            api.unwake(r)
 
     def _plan_after_inbox(self, api, action, *args):
         """Plan an action for the current round while its inbox is being
@@ -510,6 +552,8 @@ class PlannedProgram:
 
     def _run_due(self, api):
         """Run every action planned for this round, in planning order."""
+        if self._bare:
+            self._bare.discard(api.round)
         for action, args in self._plan.pop(api.round, ()):
             self._act(api, action, args)
 

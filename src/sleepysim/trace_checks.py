@@ -19,24 +19,25 @@ def check_cutter_contract(graph, trace):
     """Every finite approximation satisfies dist <= tick*tau < dist + W/2 and
     every non-answer implies dist > 2W, against an oracle on the frame's
     induced subgraph. All comparisons are exact integer arithmetic with
-    tau = W / (2N). Frames are grouped by (path, N): components of different
-    sizes that share a recursion path use different tick granularity, so
-    they are audited separately."""
+    tau = W / (2N). Frames are grouped by (path, N, D): components of
+    different sizes, or whose root frames set different thresholds, may share
+    a recursion path with a different tick granularity, so they are audited
+    separately."""
     frames = {}
     for kind, data in trace:
         if kind == "frame":
             frames[(data["node"], data["path"])] = data
-    groups = {}  # (path, N) -> (frame rows, node -> tick or None)
+    groups = {}  # (path, N, D) -> (frame rows, node -> tick or None)
     for kind, data in trace:
         if kind == "cutter":
             fr = frames[(data["node"], data["path"])]
-            rows, ticks = groups.setdefault((fr["path"], fr["N"]), ([], {}))
+            rows, ticks = groups.setdefault((fr["path"], fr["N"], fr["D"]),
+                                            ([], {}))
             rows.append(fr)
             ticks[fr["node"]] = data["tick"]
     checked = 0
-    for (path, N), (rows, ticks) in sorted(groups.items()):
+    for (path, N, W), (rows, ticks) in sorted(groups.items()):
         dist = _frame_distances(graph, rows)
-        W = rows[0]["D"]
         for v in sorted(ticks):
             d = dist[v]
             t = ticks[v]
@@ -110,19 +111,20 @@ def check_cut_composition(graph, trace):
     must equal half-threshold plus the oracle distance from the simulated cut
     sources inside the frame's own subgraph.
 
-    Frames are grouped by path alone: the components that share a path are
-    disconnected in the subgraph induced by their union, so one Dijkstra run
-    keeps them apart."""
+    Frames are grouped by (path, D), each under the parent group
+    (path // 2, 2D): root frames of different components may set different
+    thresholds, and the components that share a group are disconnected in
+    the subgraph induced by their union, so one Dijkstra run keeps them
+    apart."""
     frames = {}
     for kind, data in trace:
         if kind == "frame":
-            frames.setdefault(data["path"], []).append(data)
+            frames.setdefault((data["path"], data["D"]), []).append(data)
     checked = 0
-    for path, rows in sorted(frames.items()):
-        parent_rows = frames.get(path // 2)
+    for (path, half), rows in sorted(frames.items()):  # half the parent's D
+        parent_rows = frames.get((path // 2, 2 * half))
         if path <= 1 or path % 2 == 0 or not parent_rows:
             continue  # only far-side (cut-source) frames under a traced parent
-        half = parent_rows[0]["D"] // 2
         dist_cut = _frame_distances(graph, rows)
         dist_parent = _frame_distances(graph, parent_rows)
         for v in sorted(dist_cut):

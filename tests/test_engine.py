@@ -257,6 +257,48 @@ def test_plan_into_past_round_raises():
         run_planner([(4, "_mark", ("late",))], Late)
 
 
+class WindowPlanner(Planner):
+    """Sleeps but for a listening window [1, 10]; `_close` withdraws the
+    `in_window` plans listed in `withdrawn` and ends the window. Logs every
+    step."""
+
+    def __init__(self, node, graph, plans, withdrawn):
+        super().__init__(node, graph, plans)
+        self.withdrawn = withdrawn
+        self.steps = []
+
+    def on_round(self, api):
+        self.steps.append(api.round)
+        PlannedProgram.on_round(self, api)
+
+    def _start(self, api):
+        self.window = api.awake_window(1, 10)
+        for r, action, args, in_window in self.plans:
+            self._plan_at(api, r, action, *args, in_window=in_window)
+
+    def _close(self, api):
+        for r, action, args in self.withdrawn:
+            self._unplan(api, r, action, *args)
+        api.stop_awake(self.window, api.round)
+
+
+def test_withdrawn_plan_neither_steps_nor_listens():
+    """A plan made `in_window` declares no listening; once withdrawn the node
+    does not step for it, unless an ordinary plan shares its round, which
+    keeps both its step and its own listening round."""
+    g = Graph.build(1, [])
+    prog = WindowPlanner(0, g, [
+        (3, "_mark", ("a",), True), (7, "_mark", ("b",), True),
+        (8, "_mark", ("c",), True), (8, "_mark", ("d",), False),
+        (4, "_close", (), False), (12, "_end", (), False)],
+        [(7, "_mark", ("b",)), (8, "_mark", ("c",))])
+    outputs, report, _ = run_simulation(g, lambda v: prog)
+    assert outputs[0] == [(3, "a"), (8, "d")]
+    assert prog.steps == [0, 3, 4, 8, 12]
+    # rounds 1-4 of the window, then 8 and 12 for the ordinary plans
+    assert report.energy == {0: 6}
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
