@@ -14,13 +14,17 @@ message, executes on its active node set:
      later phase sends the id only to peers not yet seen in its own
      component: one component stays one (Gallager-Humblet-Spira's rule that
      an internal edge is never tested again). Once a component has no
-     outgoing edge left it skips its remaining phases;
+     outgoing edge left it skips its remaining phases. A near child (step
+     5) also votes in phase 0's idle sweep slots, over its parent frame's
+     tree, whether it kept that whole component (`_same_up`); if so, it
+     takes the parent's tree at the end of phase 0 and merges nothing;
   3. a census over the forest tells every node its component's size. In
      the root frame it also gathers the tree's weighted height h, and the
      root broadcasts the component's threshold, max(2, min(D, pow2(2h + 1))),
      with the size: no distance in the component exceeds 2h. So the
      recursion starts at the component's own span, not at n * maxW; a
-     non-root frame keeps half its parent's threshold;
+     non-root frame keeps half its parent's threshold. A near child that
+     took its parent's tree takes its census too, and starts its cutter;
   4. an approximate distance cutter: weights rounded up to multiples of
      tau = W/(2*N), then a token BFS where an edge of rounded weight a*tau
      delays a rounds, run for 6*N ticks. A node fixes its tick once every
@@ -30,7 +34,10 @@ message, executes on its active node set:
   5. recursion on the near set with half the threshold; completion detected
      per component by an event-driven convergecast over the spanning tree,
      after which the root schedules the second recursion a safe margin ahead
-     and broadcasts the start round;
+     and broadcasts the start round. Where every node of a component is
+     near, the near child runs on the same induced subgraph, and any
+     spanning tree of it serves, so the child reuses its parent's; a child
+     that decides not to loses no round to the vote;
   6. finished nodes announce their distances to the peers that lie beyond
      D/2 through them, so cut neighbors can simulate the imaginary sources
      sitting on the crossing edges;
@@ -74,6 +81,8 @@ T_START2 = 12
 T_OUTANN = 13
 T_DONE2 = 14
 T_FDONE = 15
+T_SAME = 16
+T_SAMEB = 17
 
 NO_EDGE = (1,)  # "no outgoing candidate" marker payload
 
@@ -120,7 +129,7 @@ class _Frame:
         "pend_size", "pend_height", "unacked", "window", "t_cut", "cand",
         "tick", "ticked", "v1", "t_child1", "start2", "v2", "offsets2",
         "done_self", "done_kids", "sent_done", "out", "final", "complete",
-        "pipe",
+        "pipe", "same", "reuse",
     )
 
     def __init__(self, path, D, N, t0, src, offsets, peers):
@@ -169,6 +178,11 @@ class _Frame:
         self.final = None
         self.complete = False
         self.pipe = None  # completion pipe's handle, in the sleeping flavor
+        # a near child's phase-0 vote over its parent frame's tree: T_SAME
+        # heard from that tree's children, and whether the whole component
+        # is here, so the child keeps the parent's tree
+        self.same = 0
+        self.reuse = False
 
 
 START_MARGIN = 4  # second-recursion start lead, in rounds per component node
@@ -324,6 +338,10 @@ class CsspProgram(PlannedProgram):
             self._on_outann(api, f, src, msg.payload[0])
         elif tag == T_FDONE:
             self._on_fdone(api, f)
+        elif tag == T_SAME:
+            f.same += 1
+        elif tag == T_SAMEB:
+            self._on_sameb(api, f)
 
     # -- frame lifecycle ----------------------------------------------------
 
@@ -405,6 +423,14 @@ class CsspProgram(PlannedProgram):
             if u not in inside:
                 self._send_slot(api, u, Message(T_COMP, (f.comp,), f.path))
         self._sweep(api, f, base, "_send_minedge", "_root_decide")
+        if p == 0 and f.path % 2 == 0:
+            # a near child asks, over its parent frame's tree, whether it
+            # kept that whole component, and listens for the answer at its
+            # depth there; phase 0 has no tree of its own to sweep, so the
+            # slots are free
+            pf = self.frames[f.path // 2]
+            self._sweep_step(api, base, f.N, pf.depth, "_same_up", f.path)
+            api.awake_span(base + f.N + pf.depth, base + f.N + pf.depth + 2)
         W = f.N + 2
         self._plan_at(api, base + 2 * W + 1, "_send_chosen", f.path)
         # stay up through the adoption wave of this phase, until this node
@@ -449,6 +475,10 @@ class CsspProgram(PlannedProgram):
             self._send_slot(api, c, Message(T_DECIDE, payload, f.path))
 
     def _send_chosen(self, api, f):
+        if f.reuse:
+            # the parent frame's tree spans the component: nothing to merge
+            api.stop_awake(f.window, api.round)
+            return
         if f.decision and f.decision[1] == self.node:
             self._send_slot(api, f.decision[2], Message(T_CHOSEN, (), f.path))
         self._plan_at(api, api.round + 1, "_merge_kickoff", f.path)
@@ -503,8 +533,39 @@ class CsspProgram(PlannedProgram):
             # the neighbours heard from are the frame's own peers
             heard = f.nbr_comp
             f.peers = [u for u in f.peers if u in heard]
+            if f.reuse:
+                self._reuse_tree(api, f)
+                return
         f.phase += 1
         self._phase_start(api, f)
+
+    def _same_up(self, api, f):
+        """Convergecast over the parent frame's tree: a node reports once
+        every child there has, and only if its own parent there is in this
+        frame (it sent its phase-0 id). The root, so reached, has the whole
+        component and broadcasts reuse; silence means build as usual."""
+        pf = self.frames[f.path // 2]
+        if f.same < len(pf.children):
+            return
+        if pf.parent is None:
+            self._on_sameb(api, f)
+        elif pf.parent in f.nbr_comp:
+            self._send_slot(api, pf.parent, Message(T_SAME, (), f.path))
+
+    def _on_sameb(self, api, f):
+        f.reuse = True
+        for c in self.frames[f.path // 2].children:
+            self._send_slot(api, c, Message(T_SAMEB, (), f.path))
+
+    def _reuse_tree(self, api, f):
+        """Take the parent frame's spanning tree and census, and start the
+        cutter now, skipping the later phases and the census."""
+        pf = self.frames[f.path // 2]
+        f.parent, f.children, f.depth = pf.parent, pf.children, pf.depth
+        f.size, f.comp = pf.size, pf.comp
+        f.nbr_comp = f.inside = f.in_chosen = None
+        f.t_cut = api.round
+        self._start_cutter(api, f)
 
     # -- component census ------------------------------------------------------
 
@@ -613,7 +674,8 @@ class CsspProgram(PlannedProgram):
     def _cutter_done(self, api, f):
         f.ticked = None
         f.v1 = f.tick is not None and f.tick < 3 * f.N
-        self._trace(api, "cutter", path=f.path, tick=f.tick, v1=f.v1)
+        self._trace(api, "cutter", path=f.path, tick=f.tick, v1=f.v1,
+                    reuse=f.reuse)
         f.t_child1 = api.round
         if f.v1:
             child = _Frame(f.path * 2, f.D // 2, f.size, f.t_child1,

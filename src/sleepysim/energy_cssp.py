@@ -14,7 +14,10 @@ planned action, and waits in pipelines instead of awake. The windows:
     the wave has passed the node: it ends once the node has been adopted (or
     started the merge as the core) and every node it adopted has
     acknowledged (`_adoption_settled`). A component with no outgoing edge
-    skips it.
+    skips it. In a near child's phase 0, the reuse vote runs over the parent
+    frame's tree: a node wakes for its slot of the convergecast and listens
+    in the sweep span at its depth there for the broadcast, which reaches
+    only nodes of a component that is whole (silence means build).
   - distance cutter: an edge of rounded weight a*tau acts as a chain of a
     unit hops that the receiving endpoint advances arithmetically
     (`_tick_weight`), so only one channel per edge is charged. A node

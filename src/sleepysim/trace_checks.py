@@ -205,23 +205,32 @@ def check_relevance(layered, sources, outputs, threshold):
 
 def check_recursion_accounting(trace, n):
     """Each node appears in at most 3 subproblems per threshold level and at
-    most 3*(log2 D + 1) in total."""
-    by_node_level = {}
-    d_top = 1
+    most 3*(log2 D + 1) in total, where D is the threshold of the node's own
+    root (path-1) frame: components start at their own threshold. Events
+    are keyed by instance and node, so a merged all-pairs log is checked
+    per instance."""
+    by_level = {}
+    top = {}
     for kind, data in trace:
         if kind != "frame":
             continue
-        d_top = max(d_top, data["D"])
-        key = (data["node"], data["D"])
-        by_node_level[key] = by_node_level.get(key, 0) + 1
-    levels = d_top.bit_length()
+        who = (data.get("inst"), data["node"])
+        if data["path"] == 1:
+            top[who] = data["D"]
+        key = (*who, data["D"])
+        by_level[key] = by_level.get(key, 0) + 1
     totals = {}
-    for (node, d), count in sorted(by_node_level.items()):
+    for (inst, node, d), count in sorted(by_level.items()):
         if count > 3:
             return False, f"node {node} in {count} subproblems at level {d}"
-        totals[node] = totals.get(node, 0) + count
-    cap = 3 * levels
-    for node, total in sorted(totals.items()):
+        totals[inst, node] = totals.get((inst, node), 0) + count
+    largest = 0
+    for (inst, node), total in sorted(totals.items()):
+        if (inst, node) not in top:
+            return False, f"node {node} has no root frame"
+        cap = 3 * top[inst, node].bit_length()
         if total > cap:
             return False, f"node {node} in {total} subproblems total (cap {cap})"
-    return True, f"{len(totals)} nodes within 3/level and {cap} total"
+        largest = max(largest, cap)
+    return True, (f"{len(totals)} nodes within 3/level and 3 per level of "
+                  f"their own root threshold (largest cap {largest})")

@@ -180,21 +180,47 @@ def test_cut_composition_flags_planted_offset(gnm48_trace):
     assert f"node {far['node']}" in detail
 
 
+def test_recursion_cap_is_per_component():
+    """Each component starts at its own root threshold (256 / 4 / 32 here),
+    so node 3, at threshold 4, may be in at most 3 frames at each of its 3
+    levels: 9, not the 27 that the largest threshold would allow."""
+    g = Graph.build(7, [(0, 1, 60), (1, 2, 60), (3, 4, 1), (5, 6, 9)])
+    outputs, _, engine = cssp(g, {0, 3, 6})
+    trace = engine.trace_log
+    roots = {d["node"]: d["D"] for kind, d in trace
+             if kind == "frame" and d["path"] == 1}
+    assert [roots[v] for v in (0, 3, 5)] == [256, 4, 32]
+    ok, _ = check_recursion_accounting(trace, g.n)
+    assert ok
+    mine = [d for kind, d in trace if kind == "frame" and d["node"] == 3]
+    assert sorted(d["D"] for d in mine) == [1, 2, 4]
+    # fill node 3's three levels to 3 frames each: still within the cap
+    filled = trace + [("frame", dict(d, path=1000 + i))
+                      for i, d in enumerate(mine + mine)]
+    ok, detail = check_recursion_accounting(filled, g.n)
+    assert ok, detail
+    # a tenth frame, at a level node 3 never reaches
+    tenth = filled + [("frame", dict(mine[0], path=2000, D=8))]
+    ok, detail = check_recursion_accounting(tenth, g.n)
+    assert not ok
+    assert detail == "node 3 in 10 subproblems total (cap 9)"
+
+
 GOLDEN = [
     # (spec, sources, sha256 of the sorted outputs, of to_json(),
     #  (delivered, lost, max_channel_demand, max_bits), trace events and sha256)
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "7fbb1211e3a1fd799ebfc1fe9f212a6eac90597b2e3359346dd8f95758f68cf5",
-     (6161, 0, 1, 26),
-     656, "67cce3a2ed0d863eb7c2e06ebce67315559315f803d3e0368cc8ea98bc910b56"),
+     "a2dd6829dbce59fd21119ccd3f069152d6be8b9fba8992a9e2c1167285e141c9",
+     (4711, 0, 1, 25),
+     656, "47c28d5bc2f29396fc3e339ad4a2c82a58d3a2f646a32a0fbb7c22f8d00e694f"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "19abbab74fc1e3855f929d1a8231f1f3c2d68036e07216e50efa465c2daf0461",
-     (7368, 0, 1, 33),
-     592, "1c6770c98c605122b092f3ac45c01bb9b219482b3e6fd9d0251824bee3aa9e8a"),
+     "cf93f3ff2c1256ca7516336e59b3114a32cbf3da54bbce12e3193dff10710c9e",
+     (5116, 0, 1, 33),
+     592, "3146af5c74f8c31b9b3b7d916accaf8232ea0db618bba8cb97ed50585f3020b9"),
 ]
 
 
@@ -211,7 +237,10 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha,
     engine that moves any delivery, round or congestion figure shows here,
     where a rerun of the same code cannot. Pinned again when the root frame
     began to run at its component's threshold from the tree height (fewer
-    levels, messages and trace events; outputs unchanged)."""
+    levels, messages and trace events; outputs unchanged), and again when
+    a near child that keeps its parent's whole component began to reuse the
+    parent's spanning tree (fewer messages and rounds, a `reuse` field on
+    each `cutter` event; outputs unchanged)."""
     outputs, report, engine = cssp(gen_graph(spec), sources, trace=True)
     assert _sha256(repr(sorted(outputs.items()))) == outputs_sha
     assert _sha256(report.to_json()) == report_sha
