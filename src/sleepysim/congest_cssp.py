@@ -17,7 +17,7 @@ message, executes on its active node set:
      outgoing edge left it skips its remaining phases. A near child (step
      5) also votes in phase 0's idle sweep slots, over its parent frame's
      tree, whether it kept that whole component (`_same_up`); if so, it
-     takes the parent's tree at the end of phase 0 and merges nothing;
+     takes the parent's tree in phase 0's merge round and merges nothing;
   3. a census over the forest tells every node its component's size. In
      the root frame it also gathers the tree's weighted height h, and the
      root broadcasts the component's threshold, max(2, min(D, pow2(2h + 1))),
@@ -140,7 +140,8 @@ class _Frame:
         self.src = src
         self.offsets = offsets  # imaginary-source edge lengths ending here
         # neighbours that may be in the frame, in neighbour order: inherited
-        # from the parent frame, narrowed to the frame's own after phase 0
+        # from the parent frame, narrowed to the frame's own in phase 0's
+        # merge round
         self.peers = peers
         self.comp = None
         self.parent = None
@@ -436,7 +437,6 @@ class CsspProgram(PlannedProgram):
         # stay up through the adoption wave of this phase, until this node
         # is adopted and the nodes it adopted have acknowledged
         f.window = api.awake_window(base + 2 * W + 1, base + 3 * W + 4)
-        self._plan_at(api, base + self._phase_len(f), "_phase_end", f.path)
 
     def _best_edge(self, f):
         """Fold this node's own outgoing candidate into the best one its
@@ -475,13 +475,23 @@ class CsspProgram(PlannedProgram):
             self._send_slot(api, c, Message(T_DECIDE, payload, f.path))
 
     def _send_chosen(self, api, f):
+        if f.phase == 0:
+            # every member sent its phase-0 id to all peers it inherited,
+            # and all have arrived: the neighbours heard from are the
+            # frame's own peers
+            heard = f.nbr_comp
+            f.peers = [u for u in f.peers if u in heard]
         if f.reuse:
-            # the parent frame's tree spans the component: nothing to merge
+            # the parent frame's tree spans the component: nothing to merge,
+            # so the cutter starts now
             api.stop_awake(f.window, api.round)
+            self._reuse_tree(api, f)
             return
         if f.decision and f.decision[1] == self.node:
             self._send_slot(api, f.decision[2], Message(T_CHOSEN, (), f.path))
         self._plan_at(api, api.round + 1, "_merge_kickoff", f.path)
+        self._plan_at(api, self._phase_base(f, f.phase + 1), "_phase_end",
+                      f.path)
 
     def _merge_kickoff(self, api, f):
         # core edge: my chosen target also chose me over the same edge
@@ -528,14 +538,6 @@ class CsspProgram(PlannedProgram):
             api.stop_awake(f.window, api.round)
 
     def _phase_end(self, api, f):
-        if f.phase == 0:
-            # every member sent its phase-0 id to all peers it inherited:
-            # the neighbours heard from are the frame's own peers
-            heard = f.nbr_comp
-            f.peers = [u for u in f.peers if u in heard]
-            if f.reuse:
-                self._reuse_tree(api, f)
-                return
         f.phase += 1
         self._phase_start(api, f)
 
@@ -713,6 +715,15 @@ class CsspProgram(PlannedProgram):
         elif i:
             self._on_fdone(api, f)
         else:
+            # The lead covers the start broadcast. Its first down slot comes
+            # within one pipe period P of this round: P is 1 in the congest
+            # flavor and pow2_at_least(size) <= 2 * size - 2 in the sleeping
+            # one. A node reads it in its own down slot and forwards it
+            # there, so a node at depth d <= size - 1 reads it d rounds
+            # later. Each slot's channel is free: the node's other frames
+            # are ancestors, which wait, and descendants, which are
+            # complete. The last node so reads it by P - 1 + size - 1 <
+            # 3 * size rounds from now, before start2.
             self._on_start2(api, f, api.round + START_MARGIN * f.size + 4)
 
     def _on_start2(self, api, f, start2):

@@ -27,11 +27,14 @@ planned action, and waits in pipelines instead of awake. The windows:
     window and declares no listening of its own, so a superseded one is
     withdrawn whole.
   - completion detection: instead of staying awake, waiting nodes join a
-    convergecast/broadcast pipeline on the component tree with period equal
-    to the component size, spending O(1) awake rounds per cycle while the
-    recursion works elsewhere. Every pipe runs on one grid anchored at round
-    0, so the pipes of nested frames over one tree listen on the same rounds
-    and their waiting is counted once. The slot rule is
+    convergecast/broadcast pipeline on the component tree whose period is
+    the component size rounded up to a power of two (`_period`), spending
+    O(1) awake rounds per cycle while the recursion works elsewhere. Every
+    pipe runs on one grid anchored at round 0, and a depth's residues mod
+    2P reduce to its residues mod P, so of two pipes a node holds at one
+    depth, the longer-period one listens only in rounds the other does: the
+    waiting of nested frames is counted once even where their component
+    sizes differ. The slot rule is
     `engine.PlannedProgram`'s (`_join_pipe`, `_pipe_slot`). A frame's
     completion messages join `CsspProgram`'s one send queue, held to the
     pipe's up or down slots (`_slots`), and go critical.
@@ -50,7 +53,9 @@ the congest implementation: pass `program=EnergyCsspProgram` to
 
 from __future__ import annotations
 
-from .congest_cssp import T_DONE1, T_DONE2, T_FDONE, T_START2, CsspProgram, cssp
+from .congest_cssp import (
+    T_DONE1, T_DONE2, T_FDONE, T_START2, CsspProgram, cssp, pow2_at_least,
+)
 
 UP_TAGS = frozenset({T_DONE1, T_DONE2})
 DOWN_TAGS = frozenset({T_START2, T_FDONE})
@@ -79,11 +84,17 @@ class EnergyCsspProgram(CsspProgram):
         super()._cutter_done(api, f)
         if f.size > 1:
             # join the component-tree pipeline that detects recursion
-            # progress; every pipe is anchored at round 0, so nested frames
-            # over one tree listen on the same rounds at the same depth and
-            # period
-            f.pipe = self._join_pipe(api, 0, f.size, f.depth, f.t_child1,
-                                     1 << 62)
+            # progress
+            f.pipe = self._join_pipe(api, 0, self._period(f), f.depth,
+                                     f.t_child1, 1 << 62)
+
+    @staticmethod
+    def _period(f):
+        """A frame's pipe period: its component size rounded up to a power
+        of two, so that a node's nested pipes share their awake rounds. For
+        a size s >= 2 it is at most 2s - 2 (see `CsspProgram._check_done`
+        for the start-time lead this must fit)."""
+        return pow2_at_least(f.size)
 
     def _slots(self, msg):
         # a frame's completion messages go in its pipe's up or down slots,
@@ -92,12 +103,13 @@ class EnergyCsspProgram(CsspProgram):
         up = msg.tag in UP_TAGS
         if f.pipe is None or not (up or msg.tag in DOWN_TAGS):
             return super()._slots(msg)
-        return f.size, self._pipe_slot(0, f.size, f.depth, up, 0)
+        period = self._period(f)
+        return period, self._pipe_slot(0, period, f.depth, up, 0)
 
     def _frame_complete(self, api, f):
         super()._frame_complete(api, f)
         if f.pipe is not None:
-            api.stop_awake(f.pipe, api.round + 2 * f.size + 4)
+            api.stop_awake(f.pipe, api.round + 2 * self._period(f) + 4)
 
 
 def cssp_energy(graph, sources, *, round_limit=None, trace=True):

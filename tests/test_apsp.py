@@ -55,11 +55,11 @@ GOLDEN = [
     (GraphSpec("random-gnm", 12, seed=7, m=26, weight_mode="uniform", max_w=9),
      11,
      "99c62ea54bb7ea0bbcc10384d74f26a5c38471ad0bedb70f9c8d47917de5b46a",
-     "88bde094344cb7adc783446b2e42599c1543bf0ab7279c3cbee7880660a86e7a"),
+     "d9836ae2b6108de6384734482d28d7709523a5337f4b55701f4593d5c3e8fe44"),
     (GraphSpec("random-gnm", 16, seed=3, m=40, weight_mode="uniform", max_w=9),
      5,
      "df5038fd85b7800461337e1fa51ac44a206215f20c43a4170c04e64de3131b34",
-     "5b5d139f7489ab308b57de5b94fe00794294e8805c6dd7a1b8f208b9197e0d2e"),
+     "20c7bed9a24574675b7bc9cfdb95a00a8fa2056b57317938b044ece640ad6d64"),
 ]
 
 
@@ -70,8 +70,10 @@ def test_golden_matrix_and_report(spec, seed, matrix_sha, report_sha):
     scheduling that moves any round, energy or congestion figure shows here,
     where a rerun of the same code cannot. Pinned again when each instance's
     root frame began to run at the component's threshold from the tree
-    height (matrices unchanged), and again when a near child that keeps its
-    parent's whole component began to reuse the parent's spanning tree."""
+    height (matrices unchanged), again when a near child that keeps its
+    parent's whole component began to reuse the parent's spanning tree, and
+    again when such a child began to start its cutter in phase 0's merge
+    round (fewer rounds; matrices unchanged)."""
     matrix, report, _, _ = apsp_random_delay(gen_graph(spec), seed=seed)
     assert _sha256(repr(sorted(matrix.items()))) == matrix_sha
     assert _sha256(report.to_json()) == report_sha
@@ -82,14 +84,14 @@ GOLDEN_TRAFFIC = [
     #  oversubscribed entries and sha256, trace events and sha256)
     (GOLDEN[0][0], 11, None, 17240, 0, 7,
      0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-     2216, "6c403d33fba3395764388dde27d655a45ad46aff91aedd2e064621c2e1dc2391"),
+     2216, "5f7a2f519783d58b724c7cda53bd2418383ab1bd8fdbd8b040da9294f1a07ed7"),
     (GOLDEN[1][0], 5, None, 40691, 0, 4,
      0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-     4534, "a7e6a35190e4295466a82cb1525c1f9cb9eecc030c18643b83d2d6389549c81c"),
+     4534, "85093aeb9e1bf58898b97380f8e2c35b5b84e3bca50914c8cbcdbd2c2754f51e"),
     (GraphSpec("random-gnm", 22, seed=402, m=66, weight_mode="uniform",
                max_w=9), 7, 1, 89255, 0, 22,
-     2345, "64c71d65cbd9f320f99b5df8e9caa5cd93c402cb71d76c79be7fe9259436a063",
-     8898, "bd4f5c35214cac4c8fbc4ddd9dcbec7bc34b6e76dae8d8fff5f5d05e171de2d9"),
+     2345, "6013f4277aa127d651a74cb9d327696a620c9dd019319e2fc107b63325a6a1dc",
+     8898, "23840a485e6a16108793f0816064f9b4a4d3730bc271eb80626454d94974b103"),
 ]
 
 
@@ -104,7 +106,9 @@ def test_golden_traffic_and_trace(spec, seed, delta, delivered, lost, demand,
     Pinned again with the root threshold from the tree height: fewer
     messages, oversubscribed sends and trace events; and again when a near
     child that keeps its parent's whole component began to reuse the
-    parent's spanning tree (fewer messages and oversubscribed sends)."""
+    parent's spanning tree (fewer messages and oversubscribed sends); and
+    again when such a child began to start its cutter in phase 0's merge
+    round (the same counts, in earlier rounds)."""
     _, report, log, _ = apsp_random_delay(gen_graph(spec), delta=delta,
                                           seed=seed, trace=True)
     assert (report.delivered, report.lost) == (delivered, lost)

@@ -212,15 +212,15 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "a2dd6829dbce59fd21119ccd3f069152d6be8b9fba8992a9e2c1167285e141c9",
+     "a3204fa2fd2cd0fb3e94d2bddcb896996538d9e81447a2feeba075428a1d86fd",
      (4711, 0, 1, 25),
-     656, "47c28d5bc2f29396fc3e339ad4a2c82a58d3a2f646a32a0fbb7c22f8d00e694f"),
+     656, "06277408964c8b8253dd8f2b4500df24681348322b68c2b6a2d1d035b37d4748"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "cf93f3ff2c1256ca7516336e59b3114a32cbf3da54bbce12e3193dff10710c9e",
+     "2102e478762af2a34597a9011e5c032c98627a02b01eeb28b56486377ce12126",
      (5116, 0, 1, 33),
-     592, "3146af5c74f8c31b9b3b7d916accaf8232ea0db618bba8cb97ed50585f3020b9"),
+     592, "4236da0e35c0e6a618f90df1a93a4c4edf0b7134e966452540a5c0968956cd2d"),
 ]
 
 
@@ -240,7 +240,9 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha,
     levels, messages and trace events; outputs unchanged), and again when
     a near child that keeps its parent's whole component began to reuse the
     parent's spanning tree (fewer messages and rounds, a `reuse` field on
-    each `cutter` event; outputs unchanged)."""
+    each `cutter` event; outputs unchanged), and again when such a child
+    began to start its cutter in phase 0's merge round instead of at the
+    phase's end (fewer rounds; messages, events and outputs unchanged)."""
     outputs, report, engine = cssp(gen_graph(spec), sources, trace=True)
     assert _sha256(repr(sorted(outputs.items()))) == outputs_sha
     assert _sha256(report.to_json()) == report_sha

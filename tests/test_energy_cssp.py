@@ -4,7 +4,8 @@ import random
 import pytest
 
 from sleepysim.congest_cssp import (
-    T_ACK, T_ADOPT, CsspProgram, boruvka_forest, cssp, run_thresholded_cssp,
+    START_MARGIN, T_ACK, T_ADOPT, CsspProgram, boruvka_forest, cssp,
+    pow2_at_least, run_thresholded_cssp,
 )
 from sleepysim.energy_cssp import EnergyCsspProgram, cssp_energy
 from sleepysim.engine import run_simulation
@@ -112,18 +113,67 @@ def test_waiting_is_periodic_not_busy():
 
 
 def test_waiting_pipeline_shape(monkeypatch):
-    """Waiting schedules are 4 residues per component-size period, so waiting
-    costs O(1) awake rounds per pipeline cycle."""
+    """Waiting schedules are at most 4 residues per period, the component
+    size rounded up to a power of two, so waiting costs O(1) awake rounds
+    per pipeline cycle; and a node's pipes at one depth nest: every residue
+    of the longer period is, mod the shorter one, a residue of the shorter
+    pipe, so the longer pipe adds no awake round (a 12-node path: sizes 12,
+    10 and 7 at node 3's depth 0 give periods 16, 16 and 8)."""
     log = record(monkeypatch)
+    pipes = {}  # node -> (size, depth) of each pipe joined, in order
+
+    class Recording(EnergyCsspProgram):
+        def _cutter_done(self, api, f):
+            super()._cutter_done(api, f)
+            if f.pipe is not None:
+                pipes.setdefault(self.node, []).append((f.size, f.depth))
+
     g = gen_graph(GraphSpec("path", 12, weight_mode="uniform", max_w=5, seed=2))
-    cssp_energy(g, {0})
-    periodic_seen = 0
+    outputs, _, _ = cssp(g, {0}, program=Recording, trace=False)
+    assert outputs == dijkstra(g, {0})
+    nested = 0
     for v in range(g.n):
-        for _, period, residues, _, _ in log[v].periodics():
-            periodic_seen += 1
+        periodics = log[v].periodics()
+        assert len(periodics) == len(pipes.get(v, ()))
+        held = {}  # depth -> residue sets by period
+        for (_, period, residues, _, _), (size, depth) in zip(
+                periodics, pipes.get(v, ())):
+            assert period == pow2_at_least(size)
             assert len(residues) <= 4
-            assert period <= g.n
-    assert periodic_seen > 0
+            held.setdefault(depth, {}).setdefault(period, set()).update(residues)
+        for by_period in held.values():
+            for p, short in by_period.items():
+                for q, long in by_period.items():
+                    if p < q:
+                        nested += 1
+                        assert {x % p for x in long} <= short, (v, p, q)
+    assert nested > 0
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_start_time_lead_covers_the_longest_period(k):
+    """The second recursion's start round is START_MARGIN * size + 4 rounds
+    ahead of the root's decision, and a pipe period may be 2 * size - 2, on
+    a path of 2^k + 1 nodes. Every node reads the start time within one
+    period of the decision plus its depth, so before the start round."""
+    reads = []  # (decision round, read round, start round, period, depth)
+
+    class Recording(EnergyCsspProgram):
+        def _on_start2(self, api, f, start2):
+            if f.start2 is None:
+                reads.append((start2 - START_MARGIN * f.size - 4, api.round,
+                              start2, self._period(f), f.depth))
+            super()._on_start2(api, f, start2)
+
+    n = 2 ** k + 1
+    g = gen_graph(GraphSpec("path", n, weight_mode="uniform", max_w=9, seed=k))
+    outputs, report, _ = cssp(g, {0}, program=Recording, trace=False)
+    assert outputs == dijkstra(g, {0})
+    assert report.lost == 0
+    assert report.critical_losses == []
+    assert any(period == 2 * n - 2 for *_, period, _ in reads)
+    for decided, read, start2, period, depth in reads:
+        assert read <= decided + period - 1 + depth < start2
 
 
 @pytest.mark.parametrize("weight_mode", ["uniform", "zero-heavy"])
@@ -160,24 +210,24 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "11b33f541880496720b0e8e9739c108658f390dc59d4792202d59794b48ff60c"),
+     "855243985e42006ebbf547ae97efb43774137b4aa4f556231d8e5f761c6242fb"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "c697db120d5ec67f1f4c220f381d13238e75c5125edfb8924b4d3134eca70879"),
+     "41ee4bca6353c814a5e912ff1118fc3246c743339b752d5355f9fac58a310f86"),
     # the benchmark's energy-gnm instances
     (GraphSpec("random-gnm", 36, seed=201, m=108, weight_mode="uniform", max_w=60),
      {0},
      "48c103c5eb8cb809ab95c1b787df8c6cc078b492223789164b9b12224dfc9ced",
-     "b500d59c2be0a199892df7ce7fca2709eb032c08817fc7c779feefdc940ce107"),
+     "c17a2ebce94f9b0b8a47a1b5b20c906cb5b0a9ee728b606a4990c3e16efede45"),
     (GraphSpec("random-gnm", 36, seed=202, m=108, weight_mode="uniform", max_w=60),
      {24, 26, 30},
      "e53436efc54767117467b9f1fb3d77d3c7b0732d6e98f62af0ba66e7849fff05",
-     "b0cca0ba4b2fe9027815289b9c13b5a23799786dc4a52bf2f86a64224c8dfa2c"),
+     "d7033191f31c5e57c4080cd52d55522ac12cfc1f5833de62adfb186fdd0284ae"),
     (GraphSpec("random-gnm", 28, seed=203, m=84, weight_mode="zero-heavy", max_w=60),
      {0},
      "f302ebbdabbf59929201252df7bd058b28af870bcca570dd3ad54bc6807a6e7d",
-     "4163b0efc27f83d3ec27248e5ea9a944c18e618dd65d44c685f0ad08dde07a45"),
+     "6a06e23e9f3820dcf2b4b28dec4c6ecbbf2c11309174d8a4903cd4d02219f79c"),
 ]
 GOLDEN_IDS = ["gnm24", "gnm20-zeroheavy", "gnm36-1src", "gnm36-3src",
               "gnm28-zeroheavy"]
@@ -195,7 +245,11 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
     threshold from the tree height and superseded cutter wake-ups were
     withdrawn (outputs unchanged), and again when a near child that keeps
     its parent's whole component began to reuse the parent's spanning tree
-    (fewer rounds, messages and awake rounds; outputs unchanged)."""
+    (fewer rounds, messages and awake rounds; outputs unchanged). Pinned
+    again when completion pipes went to power-of-two periods, so that a
+    node's nested pipes share their awake rounds, and a reused child began
+    to start its cutter in phase 0's merge round (less energy, rounds
+    within 1%; messages, congestion and outputs unchanged)."""
     g = gen_graph(spec)
     outputs, report, _ = cssp_energy(g, sources)
     assert hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest() == outputs_sha
@@ -207,13 +261,14 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
 
 @pytest.mark.parametrize("spec, sources, bound", [
     (GraphSpec("random-gnm", 32, seed=0, m=96, weight_mode="uniform", max_w=60),
-     {0}, 5542),
-    (*GOLDEN[0][:2], 4437),
-    (*GOLDEN[1][:2], 4124),
+     {0}, 5095),
+    (*GOLDEN[0][:2], 3851),
+    (*GOLDEN[1][:2], 3007),
 ], ids=["gnm32", "gnm24", "gnm20-zeroheavy"])
 def test_max_energy_bound(spec, sources, bound):
     """Max per-node energy may only fall: waiting nodes share one pipeline
-    grid, so stacked pipes of one tree listen on the same rounds, the
+    grid with power-of-two periods, so a node's nested pipes at one depth
+    listen on the same rounds whatever their component sizes, the
     cutter and adoption windows close once the node's own wave has passed,
     the recursion starts at the component's threshold, and a near child
     that keeps its parent's whole component reuses the parent's tree."""
