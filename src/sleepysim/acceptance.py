@@ -25,9 +25,9 @@ from .oracle import (
     check_cover, check_decomposition, check_layered, dijkstra, hop_distances,
 )
 from .trace_checks import (
-    check_cut_composition, check_cutter_contract, check_halving,
-    check_kill_budget, check_recursion_accounting, check_relevance,
-    check_sleep_safety, frontier_losses,
+    check_component_sizes, check_cut_composition, check_cutter_contract,
+    check_halving, check_kill_budget, check_recursion_accounting,
+    check_relevance, check_sleep_safety, frontier_losses,
 )
 
 
@@ -177,9 +177,10 @@ def _keep_cover_stack(ctx, g, layered, decomps, tlogs):
 def criterion_4(ctx):
     checked = 0
     for graph, trace, _ in ctx.congest_runs + ctx.energy_runs:
-        ok, detail = check_cutter_contract(graph, trace)
-        if not ok:
-            return False, detail
+        for audit in (check_component_sizes, check_cutter_contract):
+            ok, detail = audit(graph, trace)
+            if not ok:
+                return False, detail
         checked += int(detail.split()[0])
     return True, f"{checked} outputs within bounds, 0 violations"
 

@@ -13,18 +13,19 @@ message, executes on its active node set:
      senders are the frame's *peers*, its neighbours inside the frame. A
      later phase sends the id only to peers not yet seen in its own
      component: one component stays one (Gallager-Humblet-Spira's rule that
-     an internal edge is never tested again). Once a component has no
-     outgoing edge left it skips its remaining phases. A near child (step
-     5) also votes in phase 0's idle sweep slots, over its parent frame's
-     tree, whether it kept that whole component (`_same_up`); if so, it
-     takes the parent's tree in phase 0's merge round and merges nothing;
-  3. a census over the forest tells every node its component's size. In
-     the root frame it also gathers the tree's weighted height h, and the
-     root broadcasts the component's threshold, max(2, min(D, pow2(2h + 1))),
-     with the size: no distance in the component exceeds 2h. So the
-     recursion starts at the component's own span, not at n * maxW; a
-     non-root frame keeps half its parent's threshold. A near child that
-     took its parent's tree takes its census too, and starts its cutter;
+     an internal edge is never tested again). A near child (step 5) also
+     votes in phase 0's idle sweep slots, over its parent frame's tree,
+     whether it kept that whole component (`_same_up`); if so, it takes the
+     parent's tree and census in phase 0's merge round and merges nothing;
+  3. a census rides on the phase whose min-edge convergecast finds no
+     outgoing edge (their rule for detecting that a fragment is whole):
+     subtrees report their size instead, in the root frame also the
+     tree's weighted height h, and the root's decision carries the size
+     and the threshold max(2, min(D, pow2(2h + 1))): no distance in the
+     component exceeds 2h. So the recursion starts at the component's own
+     span, not at n * maxW; a non-root frame keeps half its parent's
+     threshold. The cutter starts in that phase's merge round: the
+     component shares no edge with the frame's others, still merging;
   4. an approximate distance cutter: weights rounded up to multiples of
      tau = W/(2*N), then a token BFS where an edge of rounded weight a*tau
      delays a rounds, run for 6*N ticks. A node fixes its tick once every
@@ -46,7 +47,7 @@ message, executes on its active node set:
 
 All distance arithmetic is exact integer tick counting; nothing floats.
 A frame is forgotten in the step it completes, except the root frame, which
-holds the answer; the forest phases' scratch goes when the census starts.
+holds the answer; the forest phases' scratch goes when the cutter starts.
 
 Sends in fixed windows go at once (`_send_slot`). Sends that answer an
 event (adoption acknowledgements, completion and start-time messages) join
@@ -72,8 +73,6 @@ T_DECIDE = 3
 T_CHOSEN = 4
 T_ADOPT = 5
 T_ACK = 6
-T_SIZE = 7
-T_SIZEB = 8
 T_CUT = 9
 T_BASE = 10
 T_DONE1 = 11
@@ -83,8 +82,6 @@ T_DONE2 = 14
 T_FDONE = 15
 T_SAME = 16
 T_SAMEB = 17
-
-NO_EDGE = (1,)  # "no outgoing candidate" marker payload
 
 
 def pow2_at_least(x: int) -> int:
@@ -157,8 +154,9 @@ class _Frame:
         self.agg = None
         self.decision = None
         self.merging_done = False
+        # this phase's census of the subtrees below with no outgoing edge
         self.pend_size = 0
-        self.pend_height = 0  # largest weighted depth below, root frame only
+        self.pend_height = 0  # largest weighted depth, root frame only
         self.unacked = 0  # this phase's adoptions sent and not acknowledged
         self.window = None  # handle of the adoption or cutter window
         self.t_cut = None
@@ -184,9 +182,6 @@ class _Frame:
         # is here, so the child keeps the parent's tree
         self.same = 0
         self.reuse = False
-
-
-START_MARGIN = 4  # second-recursion start lead, in rounds per component node
 
 
 class CsspProgram(PlannedProgram):
@@ -243,6 +238,10 @@ class CsspProgram(PlannedProgram):
         message held to slots of a longer period goes critical, since its
         receiver listens in them."""
         return 1, 0
+
+    def _period(self, f):
+        """The period of frame f's completion messages (`_slots`)."""
+        return 1
 
     def _flush(self, api):
         """At the end of a step, send on each free channel the first queued
@@ -312,7 +311,7 @@ class CsspProgram(PlannedProgram):
         elif tag == T_CUT:
             self._on_cut(api, f, src, msg.payload[0])
         elif tag == T_MINEDGE:
-            self._on_minedge(api, f, msg.payload)
+            self._on_minedge(api, f, src, msg.payload)
         elif tag == T_DECIDE:
             self._on_decide(api, f, msg.payload)
         elif tag == T_CHOSEN:
@@ -323,10 +322,6 @@ class CsspProgram(PlannedProgram):
             f.children.append(src)
             f.unacked -= 1
             self._adoption_settled(api, f)
-        elif tag == T_SIZE:
-            self._on_size(f, src, msg.payload)
-        elif tag == T_SIZEB:
-            self._on_sizeb(api, f, msg.payload)
         elif tag == T_BASE:
             self._on_base_probe(api, f, src)
         elif tag == T_DONE1 or tag == T_DONE2:
@@ -349,7 +344,7 @@ class CsspProgram(PlannedProgram):
     def _enter(self, api, f):
         self.frames[f.path] = f
         if not self._sets_threshold(f) or f.D == 1 or f.N == 1:
-            # a root frame with a census learns its threshold there
+            # a root frame with a forest learns its threshold in `_on_decide`
             self._trace_frame(api, f)
         f.comp = self.node
         if f.D == 1:
@@ -389,7 +384,9 @@ class CsspProgram(PlannedProgram):
     # -- spanning forest (merge phases in fixed windows) ----------------------
 
     def _phase_count(self, f):
-        return (f.N - 1).bit_length()
+        # each merge phase at least halves a frame's components, so every
+        # component meets a phase that finds no outgoing edge
+        return (f.N - 1).bit_length() + 1
 
     def _phase_len(self, f):
         return 3 * (f.N + 2) + 4
@@ -397,21 +394,16 @@ class CsspProgram(PlannedProgram):
     def _phase_base(self, f, p):
         return f.t0 + p * self._phase_len(f)
 
-    def _sweep(self, api, f, base, up, root):
-        """Fixed-window convergecast (`up`, or `root` at the root) and
-        broadcast over the frame's tree: a node listens in rounds
+    def _sweep(self, api, f, base, depth, action):
+        """Fixed-window convergecast (`action` at this node, at `depth` in
+        the tree) and broadcast: the node listens in rounds
         base + N + depth .. +2, where the root's broadcast reaches it."""
-        N, d = f.N, f.depth
-        self._sweep_step(api, base, N, d, root if f.parent is None else up,
-                         f.path)
-        api.awake_span(base + N + d, base + N + d + 2)
+        self._sweep_step(api, base, f.N, depth, action, f.path)
+        api.awake_span(base + f.N + depth, base + f.N + depth + 2)
 
     def _phase_start(self, api, f):
         p = f.phase
-        if p >= self._phase_count(f) or f.merging_done:
-            # a frame with no outgoing edge left sleeps through to the census
-            self._census_start(api, f)
-            return
+        assert p < self._phase_count(f), "component still has an outgoing edge"
         base = self._phase_base(f, p)
         if p == 0:
             f.inside = set()
@@ -419,19 +411,20 @@ class CsspProgram(PlannedProgram):
         f.agg = None
         f.decision = None
         f.in_chosen = []
+        f.pend_size = f.pend_height = 0
         inside = f.inside
         for u in f.peers:
             if u not in inside:
                 self._send_slot(api, u, Message(T_COMP, (f.comp,), f.path))
-        self._sweep(api, f, base, "_send_minedge", "_root_decide")
+        self._sweep(api, f, base, f.depth, "_root_decide" if f.parent is None
+                    else "_send_minedge")
         if p == 0 and f.path % 2 == 0:
             # a near child asks, over its parent frame's tree, whether it
             # kept that whole component, and listens for the answer at its
             # depth there; phase 0 has no tree of its own to sweep, so the
             # slots are free
-            pf = self.frames[f.path // 2]
-            self._sweep_step(api, base, f.N, pf.depth, "_same_up", f.path)
-            api.awake_span(base + f.N + pf.depth, base + f.N + pf.depth + 2)
+            self._sweep(api, f, base, self.frames[f.path // 2].depth,
+                        "_same_up")
         W = f.N + 2
         self._plan_at(api, base + 2 * W + 1, "_send_chosen", f.path)
         # stay up through the adoption wave of this phase, until this node
@@ -448,8 +441,10 @@ class CsspProgram(PlannedProgram):
                 f.agg = (key, (w, self.node, u))
         return f.agg
 
-    def _on_minedge(self, api, f, payload):
-        if payload == NO_EDGE:
+    def _on_minedge(self, api, f, src, payload):
+        if payload[0]:
+            # no outgoing edge below src: the report is its subtree's census
+            self._on_size(f, src, payload[1:])
             return
         _, w, a, b = payload
         key = (w, min(a, b), max(a, b))
@@ -458,21 +453,29 @@ class CsspProgram(PlannedProgram):
 
     def _send_minedge(self, api, f):
         best = self._best_edge(f)
-        payload = NO_EDGE if best is None else (0, *best[1])
+        payload = (1, *self._census(f)) if best is None else (0, *best[1])
         self._send_slot(api, f.parent, Message(T_MINEDGE, payload, f.path))
 
     def _root_decide(self, api, f):
         best = self._best_edge(f)
-        self._on_decide(api, f, () if best is None else best[1])
+        # with no outgoing edge the component is whole: decide its census
+        self._on_decide(api, f, self._census(f) if best is None else best[1])
 
     def _on_decide(self, api, f, payload):
-        f.decision = payload
-        if payload == ():
-            f.merging_done = True
-            # no merge: this phase's adoption wave does not pass here
-            api.stop_awake(f.window, api.round)
+        """The chosen edge (w, a, b), or the component's size[, threshold]
+        where it has no outgoing edge."""
         for c in f.children:
             self._send_slot(api, c, Message(T_DECIDE, payload, f.path))
+        f.merging_done = len(payload) < 3
+        f.decision = () if f.merging_done else payload
+        if f.merging_done:
+            # no adoption wave passes here
+            api.stop_awake(f.window, api.round)
+            f.size, *threshold = payload
+            if threshold:
+                f.D = threshold[0]
+                self._trace_frame(api, f)
+            self._after_census(api, f)
 
     def _send_chosen(self, api, f):
         if f.phase == 0:
@@ -482,10 +485,17 @@ class CsspProgram(PlannedProgram):
             heard = f.nbr_comp
             f.peers = [u for u in f.peers if u in heard]
         if f.reuse:
-            # the parent frame's tree spans the component: nothing to merge,
-            # so the cutter starts now
+            # take the parent frame's tree and census: nothing to merge
             api.stop_awake(f.window, api.round)
-            self._reuse_tree(api, f)
+            pf = self.frames[f.path // 2]
+            f.parent, f.children, f.depth = pf.parent, pf.children, pf.depth
+            f.size, f.comp = pf.size, pf.comp
+        if f.reuse or f.merging_done:
+            # the component is whole and knows its size: the cutter starts
+            # now, skipping the later phases, and the forest scratch goes
+            f.nbr_comp = f.inside = f.in_chosen = None
+            f.t_cut = api.round
+            self._start_cutter(api, f)
             return
         if f.decision and f.decision[1] == self.node:
             self._send_slot(api, f.decision[2], Message(T_CHOSEN, (), f.path))
@@ -559,32 +569,11 @@ class CsspProgram(PlannedProgram):
         for c in self.frames[f.path // 2].children:
             self._send_slot(api, c, Message(T_SAMEB, (), f.path))
 
-    def _reuse_tree(self, api, f):
-        """Take the parent frame's spanning tree and census, and start the
-        cutter now, skipping the later phases and the census."""
-        pf = self.frames[f.path // 2]
-        f.parent, f.children, f.depth = pf.parent, pf.children, pf.depth
-        f.size, f.comp = pf.size, pf.comp
-        f.nbr_comp = f.inside = f.in_chosen = None
-        f.t_cut = api.round
-        self._start_cutter(api, f)
-
     # -- component census ------------------------------------------------------
 
-    def _census_start(self, api, f):
-        base = self._phase_base(f, self._phase_count(f))
-        if api.round != base:
-            self._plan_at(api, base, "_census_start", f.path)
-            return
-        f.nbr_comp = f.inside = f.in_chosen = None
-        f.pend_size = 0
-        self._sweep(api, f, base, "_census_send", "_census_root")
-        f.t_cut = base + 2 * (f.N + 2) + 2
-        self._plan_at(api, f.t_cut, "_start_cutter", f.path)
-
     def _sets_threshold(self, f):
-        """The root frame's census also gathers the tree's weighted height,
-        from which the root sets the component's threshold."""
+        """The root frame's census, on the no-edge phase's min-edge reports,
+        also gathers the tree's weighted height for the root's threshold."""
         return f.path == 1 and not self.forest_only
 
     def _on_size(self, f, src, payload):
@@ -592,28 +581,15 @@ class CsspProgram(PlannedProgram):
         if len(payload) > 1:
             f.pend_height = max(f.pend_height, payload[1] + self.weight[src])
 
-    def _census_send(self, api, f):
-        payload = (1 + f.pend_size,)
-        if self._sets_threshold(f):
-            payload += (f.pend_height,)
-        self._send_slot(api, f.parent, Message(T_SIZE, payload, f.path))
-
-    def _census_root(self, api, f):
-        payload = (1 + f.pend_size,)
-        if self._sets_threshold(f):
-            payload += (root_threshold(f.D, f.pend_height),)
-        self._on_sizeb(api, f, payload)
-
-    def _on_sizeb(self, api, f, payload):
-        """The census broadcast: the component's size and, in the root
-        frame, its threshold."""
-        f.size = payload[0]
-        for c in f.children:
-            self._send_slot(api, c, Message(T_SIZEB, payload, f.path))
-        if len(payload) > 1:
-            f.D = payload[1]
-            self._trace_frame(api, f)
-        self._after_census(api, f)
+    def _census(self, f):
+        """This subtree's census, (size[, weighted height]); at the root,
+        the component's (size[, threshold])."""
+        size = 1 + f.pend_size
+        if not self._sets_threshold(f):
+            return (size,)
+        if f.parent is None:
+            return size, root_threshold(f.D, f.pend_height)
+        return size, f.pend_height
 
     def _after_census(self, api, f):
         if self.forest_only and f.path == 1:
@@ -677,7 +653,7 @@ class CsspProgram(PlannedProgram):
         f.ticked = None
         f.v1 = f.tick is not None and f.tick < 3 * f.N
         self._trace(api, "cutter", path=f.path, tick=f.tick, v1=f.v1,
-                    reuse=f.reuse)
+                    reuse=f.reuse, size=f.size)
         f.t_child1 = api.round
         if f.v1:
             child = _Frame(f.path * 2, f.D // 2, f.size, f.t_child1,
@@ -716,15 +692,14 @@ class CsspProgram(PlannedProgram):
             self._on_fdone(api, f)
         else:
             # The lead covers the start broadcast. Its first down slot comes
-            # within one pipe period P of this round: P is 1 in the congest
-            # flavor and pow2_at_least(size) <= 2 * size - 2 in the sleeping
-            # one. A node reads it in its own down slot and forwards it
-            # there, so a node at depth d <= size - 1 reads it d rounds
-            # later. Each slot's channel is free: the node's other frames
-            # are ancestors, which wait, and descendants, which are
-            # complete. The last node so reads it by P - 1 + size - 1 <
-            # 3 * size rounds from now, before start2.
-            self._on_start2(api, f, api.round + START_MARGIN * f.size + 4)
+            # within one period P (`_period`) of this round. A node reads it
+            # in its own down slot and forwards it there, so a node at depth
+            # d <= size - 1 reads it d rounds later. Each slot's channel is
+            # free: the node's other frames are ancestors, which wait, and
+            # descendants, which are complete. The last node so reads it by
+            # now + (P - 1) + (size - 1), before start2.
+            lead = self._period(f) + f.size + 2
+            self._on_start2(api, f, api.round + lead)
 
     def _on_start2(self, api, f, start2):
         if f.start2 is not None:

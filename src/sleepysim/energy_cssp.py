@@ -13,11 +13,14 @@ planned action, and waits in pipelines instead of awake. The windows:
     sweep). Only the adoption sub-window is listened through, and only until
     the wave has passed the node: it ends once the node has been adopted (or
     started the merge as the core) and every node it adopted has
-    acknowledged (`_adoption_settled`). A component with no outgoing edge
-    skips it. In a near child's phase 0, the reuse vote runs over the parent
-    frame's tree: a node wakes for its slot of the convergecast and listens
-    in the sweep span at its depth there for the broadcast, which reaches
-    only nodes of a component that is whole (silence means build).
+    acknowledged (`_adoption_settled`). The phase that finds no outgoing
+    edge carries the census on its sweep, skips the adoption sub-window and
+    starts the cutter in its merge round, so no census sweep runs and the
+    component wakes for no later phase. In a near child's phase 0, the
+    reuse vote runs over the parent frame's tree: a node wakes for its slot
+    of the convergecast and listens in the sweep span at its depth there for
+    the broadcast, which reaches only nodes of a component that is whole
+    (silence means build).
   - distance cutter: an edge of rounded weight a*tau acts as a chain of a
     unit hops that the receiving endpoint advances arithmetically
     (`_tick_weight`), so only one channel per edge is charged. A node
@@ -88,12 +91,10 @@ class EnergyCsspProgram(CsspProgram):
             f.pipe = self._join_pipe(api, 0, self._period(f), f.depth,
                                      f.t_child1, 1 << 62)
 
-    @staticmethod
-    def _period(f):
+    def _period(self, f):
         """A frame's pipe period: its component size rounded up to a power
-        of two, so that a node's nested pipes share their awake rounds. For
-        a size s >= 2 it is at most 2s - 2 (see `CsspProgram._check_done`
-        for the start-time lead this must fit)."""
+        of two, so that a node's nested pipes share their awake rounds
+        (`CsspProgram._check_done` sizes the start-time lead from it)."""
         return pow2_at_least(f.size)
 
     def _slots(self, msg):

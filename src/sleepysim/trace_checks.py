@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import inf
 
 from .energy_bfs import EB_REACH
-from .oracle import dijkstra
+from .oracle import dijkstra, hop_distances
 
 INF = inf
 
@@ -23,24 +23,11 @@ def check_cutter_contract(graph, trace):
     different sizes, or whose root frames set different thresholds, may share
     a recursion path with a different tick granularity, so they are audited
     separately."""
-    frames = {}
-    for kind, data in trace:
-        if kind == "frame":
-            frames[(data["node"], data["path"])] = data
-    groups = {}  # (path, N, D) -> (frame rows, node -> tick or None)
-    for kind, data in trace:
-        if kind == "cutter":
-            fr = frames[(data["node"], data["path"])]
-            rows, ticks = groups.setdefault((fr["path"], fr["N"], fr["D"]),
-                                            ([], {}))
-            rows.append(fr)
-            ticks[fr["node"]] = data["tick"]
     checked = 0
-    for (path, N, W), (rows, ticks) in sorted(groups.items()):
+    for (path, N, W), (rows, cuts) in sorted(_cutter_groups(trace).items()):
         dist = _frame_distances(graph, rows)
-        for v in sorted(ticks):
-            d = dist[v]
-            t = ticks[v]
+        for v in sorted(cuts):
+            d, t = dist[v], cuts[v]["tick"]
             checked += 1
             if t is not None:
                 if d is INF:
@@ -54,6 +41,41 @@ def check_cutter_contract(graph, trace):
                 if d is not INF and not (d > 2 * W):
                     return False, f"path {path}: node {v} unanswered but dist {d} <= {2 * W}"
     return True, f"{checked} cutter outputs verified"
+
+
+def check_component_sizes(graph, trace):
+    """Every `cutter` event's component size equals the node's component in
+    the subgraph induced by its (path, N, D) group, grouped as in
+    `check_cutter_contract`: a group's components share no edge."""
+    for (path, _, _), (_, cuts) in sorted(_cutter_groups(trace).items()):
+        sub, size = graph.induced(cuts), {}
+        for v in sorted(cuts):
+            if v not in size:
+                hops = hop_distances(sub, [v])
+                part = [u for u in cuts if hops[u] is not INF]
+                size.update(dict.fromkeys(part, len(part)))
+            if cuts[v]["size"] != size[v]:
+                return False, (f"path {path}: node {v} has size "
+                               f"{cuts[v]['size']}, component {size[v]}")
+    checked = sum(kind == "cutter" for kind, _ in trace)
+    return True, f"{checked} component sizes verified"
+
+
+def _cutter_groups(trace):
+    """(path, N, D) -> (frame rows, node -> `cutter` event)."""
+    frames = {}
+    for kind, data in trace:
+        if kind == "frame":
+            frames[(data["node"], data["path"])] = data
+    groups = {}
+    for kind, data in trace:
+        if kind == "cutter":
+            fr = frames[(data["node"], data["path"])]
+            rows, cuts = groups.setdefault((fr["path"], fr["N"], fr["D"]),
+                                           ([], {}))
+            rows.append(fr)
+            cuts[fr["node"]] = data
+    return groups
 
 
 def check_halving(trace):

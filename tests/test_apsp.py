@@ -55,11 +55,11 @@ GOLDEN = [
     (GraphSpec("random-gnm", 12, seed=7, m=26, weight_mode="uniform", max_w=9),
      11,
      "99c62ea54bb7ea0bbcc10384d74f26a5c38471ad0bedb70f9c8d47917de5b46a",
-     "d9836ae2b6108de6384734482d28d7709523a5337f4b55701f4593d5c3e8fe44"),
+     "eb4345d9ea051f14209a3fd5e530e78e15a0999c4dbf742d4d493cab1dc31a1a"),
     (GraphSpec("random-gnm", 16, seed=3, m=40, weight_mode="uniform", max_w=9),
      5,
      "df5038fd85b7800461337e1fa51ac44a206215f20c43a4170c04e64de3131b34",
-     "20c7bed9a24574675b7bc9cfdb95a00a8fa2056b57317938b044ece640ad6d64"),
+     "0c088ffe244997aa66af43eefa125a68b050740fc4cebfbd8339e57c7355b462"),
 ]
 
 
@@ -73,7 +73,10 @@ def test_golden_matrix_and_report(spec, seed, matrix_sha, report_sha):
     height (matrices unchanged), again when a near child that keeps its
     parent's whole component began to reuse the parent's spanning tree, and
     again when such a child began to start its cutter in phase 0's merge
-    round (fewer rounds; matrices unchanged)."""
+    round (fewer rounds; matrices unchanged), and again when the component
+    census began to ride on the Boruvka phase that finds no outgoing edge
+    and the far child's start lead began to follow the pipe period (fewer
+    rounds and messages; matrices unchanged)."""
     matrix, report, _, _ = apsp_random_delay(gen_graph(spec), seed=seed)
     assert _sha256(repr(sorted(matrix.items()))) == matrix_sha
     assert _sha256(report.to_json()) == report_sha
@@ -82,16 +85,16 @@ def test_golden_matrix_and_report(spec, seed, matrix_sha, report_sha):
 GOLDEN_TRAFFIC = [
     # (spec, seed, delta, delivered, lost, max_channel_demand,
     #  oversubscribed entries and sha256, trace events and sha256)
-    (GOLDEN[0][0], 11, None, 17240, 0, 7,
+    (GOLDEN[0][0], 11, None, 16364, 0, 7,
      0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-     2216, "5f7a2f519783d58b724c7cda53bd2418383ab1bd8fdbd8b040da9294f1a07ed7"),
-    (GOLDEN[1][0], 5, None, 40691, 0, 4,
+     2216, "f3cc4ad0ab4d9b697f8ea7dbe4f805facb96bc42d6081cd455e75b23859db59a"),
+    (GOLDEN[1][0], 5, None, 38853, 0, 4,
      0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-     4534, "85093aeb9e1bf58898b97380f8e2c35b5b84e3bca50914c8cbcdbd2c2754f51e"),
+     4534, "04f0de9020eea72bd149fc4e4b091096d3b3f076e5a950a8a2e2b6aafacf4a28"),
     (GraphSpec("random-gnm", 22, seed=402, m=66, weight_mode="uniform",
-               max_w=9), 7, 1, 89255, 0, 22,
-     2345, "6013f4277aa127d651a74cb9d327696a620c9dd019319e2fc107b63325a6a1dc",
-     8898, "23840a485e6a16108793f0816064f9b4a4d3730bc271eb80626454d94974b103"),
+               max_w=9), 7, 1, 85531, 0, 22,
+     2261, "e1069948106dac3deb0dd3840a46f5c9e2be545ab497847369cafc2f1a39278f",
+     8898, "47a8b9b71854b1dfc418d0773ff51d1edbbcac5451d6bf42478afdcb0682b16f"),
 ]
 
 
@@ -108,7 +111,11 @@ def test_golden_traffic_and_trace(spec, seed, delta, delivered, lost, demand,
     child that keeps its parent's whole component began to reuse the
     parent's spanning tree (fewer messages and oversubscribed sends); and
     again when such a child began to start its cutter in phase 0's merge
-    round (the same counts, in earlier rounds)."""
+    round (the same counts, in earlier rounds); and again when the
+    component census began to ride on the Boruvka phase that finds no
+    outgoing edge, with the far child's start lead following the pipe
+    period (fewer messages and oversubscribed sends; the same trace events,
+    with a `size` field on each `cutter` event)."""
     _, report, log, _ = apsp_random_delay(gen_graph(spec), delta=delta,
                                           seed=seed, trace=True)
     assert (report.delivered, report.lost) == (delivered, lost)

@@ -212,15 +212,15 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "a3204fa2fd2cd0fb3e94d2bddcb896996538d9e81447a2feeba075428a1d86fd",
-     (4711, 0, 1, 25),
-     656, "06277408964c8b8253dd8f2b4500df24681348322b68c2b6a2d1d035b37d4748"),
+     "e2a9b3ceba9961e5fb8dd3d675ff001150061c361ac2e98825e58aca98457487",
+     (4483, 0, 1, 25),
+     656, "8315487e3795e7af2f0921ed71dffb047dd90145a60b25efdb378cc59ef49046"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "2102e478762af2a34597a9011e5c032c98627a02b01eeb28b56486377ce12126",
-     (5116, 0, 1, 33),
-     592, "4236da0e35c0e6a618f90df1a93a4c4edf0b7134e966452540a5c0968956cd2d"),
+     "5bec0baea1394210bbe54fe171c7bc71179b08a5ff99111959dcf5a2d60f3029",
+     (4932, 0, 1, 33),
+     592, "0b6b00998a6004d2f98beb3feff57e601ee312b927a06b2b680a3df863e03fba"),
 ]
 
 
@@ -242,7 +242,12 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha,
     parent's spanning tree (fewer messages and rounds, a `reuse` field on
     each `cutter` event; outputs unchanged), and again when such a child
     began to start its cutter in phase 0's merge round instead of at the
-    phase's end (fewer rounds; messages, events and outputs unchanged)."""
+    phase's end (fewer rounds; messages, events and outputs unchanged).
+    Pinned again when the component census began to ride on the Boruvka
+    phase that finds no outgoing edge, whose merge round starts the
+    cutter, and the far child's start lead began to follow the pipe period
+    (fewer rounds and messages, a `size` field on each `cutter` event;
+    events and outputs unchanged)."""
     outputs, report, engine = cssp(gen_graph(spec), sources, trace=True)
     assert _sha256(repr(sorted(outputs.items()))) == outputs_sha
     assert _sha256(report.to_json()) == report_sha

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sleepysim.congest_cssp import (
-    START_MARGIN, T_ACK, T_ADOPT, CsspProgram, boruvka_forest, cssp,
+    T_ACK, T_ADOPT, CsspProgram, boruvka_forest, cssp,
     pow2_at_least, run_thresholded_cssp,
 )
 from sleepysim.energy_cssp import EnergyCsspProgram, cssp_energy
@@ -150,19 +150,30 @@ def test_waiting_pipeline_shape(monkeypatch):
     assert nested > 0
 
 
-@pytest.mark.parametrize("k", [4, 5])
-def test_start_time_lead_covers_the_longest_period(k):
-    """The second recursion's start round is START_MARGIN * size + 4 rounds
-    ahead of the root's decision, and a pipe period may be 2 * size - 2, on
-    a path of 2^k + 1 nodes. Every node reads the start time within one
-    period of the decision plus its depth, so before the start round."""
-    reads = []  # (decision round, read round, start round, period, depth)
+@pytest.mark.parametrize("base, k", [(EnergyCsspProgram, 4),
+                                     (EnergyCsspProgram, 5),
+                                     (CsspProgram, 4), (CsspProgram, 5)],
+                         ids=["4", "5", "congest-4", "congest-5"])
+def test_start_time_lead_covers_the_longest_period(base, k):
+    """The second recursion's start round leads the root's decision by the
+    pipe period P plus size + 2, and in the sleeping flavor P may be
+    2 * size - 2, on a path of 2^k + 1 nodes. Every node reads the start
+    time within P - 1 rounds of the decision plus its depth, so before the
+    start round."""
+    decided = {}  # (root, path) -> the round the root set the start time
+    reads = []  # (root, path, read round, start round, period, depth)
 
-    class Recording(EnergyCsspProgram):
+    class Recording(base):
+        def _check_done(self, api, f, i):
+            root = f.parent is None and i == 0 and not f.sent_done[0]
+            super()._check_done(api, f, i)
+            if root and f.sent_done[0]:
+                decided[f.comp, f.path] = api.round
+
         def _on_start2(self, api, f, start2):
             if f.start2 is None:
-                reads.append((start2 - START_MARGIN * f.size - 4, api.round,
-                              start2, self._period(f), f.depth))
+                reads.append((f.comp, f.path, api.round, start2,
+                              self._period(f), f.depth))
             super()._on_start2(api, f, start2)
 
     n = 2 ** k + 1
@@ -171,9 +182,12 @@ def test_start_time_lead_covers_the_longest_period(k):
     assert outputs == dijkstra(g, {0})
     assert report.lost == 0
     assert report.critical_losses == []
-    assert any(period == 2 * n - 2 for *_, period, _ in reads)
-    for decided, read, start2, period, depth in reads:
-        assert read <= decided + period - 1 + depth < start2
+    longest = 2 * n - 2 if base is EnergyCsspProgram else 1
+    assert any(period == longest for *_, period, _ in reads)
+    assert len(decided) > 1
+    for comp, path, read, start2, period, depth in reads:
+        at = decided[comp, path]
+        assert read <= at + period - 1 + depth < start2
 
 
 @pytest.mark.parametrize("weight_mode", ["uniform", "zero-heavy"])
@@ -210,24 +224,24 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "855243985e42006ebbf547ae97efb43774137b4aa4f556231d8e5f761c6242fb"),
+     "e1ea12cbfc89554bd50cdcb3cafb6b949e8761ec0df7b9ae63ac3d8692f14e34"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "41ee4bca6353c814a5e912ff1118fc3246c743339b752d5355f9fac58a310f86"),
+     "5612076062ea10761a30023d2de3bbeae196949728327a3bde37a1fb366320d6"),
     # the benchmark's energy-gnm instances
     (GraphSpec("random-gnm", 36, seed=201, m=108, weight_mode="uniform", max_w=60),
      {0},
      "48c103c5eb8cb809ab95c1b787df8c6cc078b492223789164b9b12224dfc9ced",
-     "c17a2ebce94f9b0b8a47a1b5b20c906cb5b0a9ee728b606a4990c3e16efede45"),
+     "9fce358a7d08b061058bef7096ff7c1a2a121d61240ebdd4fc9cbcd8a49fe09c"),
     (GraphSpec("random-gnm", 36, seed=202, m=108, weight_mode="uniform", max_w=60),
      {24, 26, 30},
      "e53436efc54767117467b9f1fb3d77d3c7b0732d6e98f62af0ba66e7849fff05",
-     "d7033191f31c5e57c4080cd52d55522ac12cfc1f5833de62adfb186fdd0284ae"),
+     "30af71818012b99b98dd685c2a7b4d6e10ce9de2aef735c84a5ef9e5c9ebeb3d"),
     (GraphSpec("random-gnm", 28, seed=203, m=84, weight_mode="zero-heavy", max_w=60),
      {0},
      "f302ebbdabbf59929201252df7bd058b28af870bcca570dd3ad54bc6807a6e7d",
-     "6a06e23e9f3820dcf2b4b28dec4c6ecbbf2c11309174d8a4903cd4d02219f79c"),
+     "d8ce4fc13fc9cefdddc4647a30c984993f69b56d727385c1234d6786190f63bf"),
 ]
 GOLDEN_IDS = ["gnm24", "gnm20-zeroheavy", "gnm36-1src", "gnm36-3src",
               "gnm28-zeroheavy"]
@@ -249,7 +263,11 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
     again when completion pipes went to power-of-two periods, so that a
     node's nested pipes share their awake rounds, and a reused child began
     to start its cutter in phase 0's merge round (less energy, rounds
-    within 1%; messages, congestion and outputs unchanged)."""
+    within 1%; messages, congestion and outputs unchanged). Pinned again
+    when the component census began to ride on the Boruvka phase that
+    finds no outgoing edge, whose merge round starts the cutter, and the
+    far child's start lead began to follow the pipe period (fewer rounds,
+    messages and awake rounds; outputs unchanged)."""
     g = gen_graph(spec)
     outputs, report, _ = cssp_energy(g, sources)
     assert hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest() == outputs_sha
@@ -261,17 +279,18 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
 
 @pytest.mark.parametrize("spec, sources, bound", [
     (GraphSpec("random-gnm", 32, seed=0, m=96, weight_mode="uniform", max_w=60),
-     {0}, 5095),
-    (*GOLDEN[0][:2], 3851),
-    (*GOLDEN[1][:2], 3007),
+     {0}, 3587),
+    (*GOLDEN[0][:2], 2604),
+    (*GOLDEN[1][:2], 2279),
 ], ids=["gnm32", "gnm24", "gnm20-zeroheavy"])
 def test_max_energy_bound(spec, sources, bound):
     """Max per-node energy may only fall: waiting nodes share one pipeline
     grid with power-of-two periods, so a node's nested pipes at one depth
     listen on the same rounds whatever their component sizes, the
     cutter and adoption windows close once the node's own wave has passed,
-    the recursion starts at the component's threshold, and a near child
-    that keeps its parent's whole component reuses the parent's tree."""
+    the recursion starts at the component's threshold, a near child
+    that keeps its parent's whole component reuses the parent's tree, and
+    a component starts its cutter once a Boruvka phase finds it whole."""
     g = gen_graph(spec)
     outputs, report, _ = cssp_energy(g, sources, trace=False)
     assert outputs == dijkstra(g, sources)
@@ -283,8 +302,8 @@ def test_listening_ends_with_the_wave(monkeypatch):
     the root frame, a node whose tick is final in round R sleeps from R + 2
     to the cutter's end; in each Boruvka phase a node sleeps from two rounds
     after its last adoption event (adopted, adoption sent, or acknowledgement
-    read) to the round before the phase ends, and a node with none, in a
-    component with no outgoing edge, from just after the merge round."""
+    read) to the round before the phase ends. The first phase that finds
+    no outgoing edge starts the cutter in its merge round."""
     g = gen_graph(GOLDEN[0][0])
     N, W = g.n, g.n + 2
     phase_len = 3 * W + 4
@@ -317,16 +336,17 @@ def test_listening_ends_with_the_wave(monkeypatch):
     def asleep(v, lo, hi):
         return not any(awake[v](r) for r in range(lo, hi + 1))
 
+    merges = max(p for _, p in last_event) + 1
+    assert 2 <= merges < (N - 1).bit_length()
     root = {v: p.frames[1] for v, p in programs.items()}
     t_cut = root[0].t_cut
-    assert t_cut == (N - 1).bit_length() * phase_len + 2 * W + 2
+    assert t_cut == merges * phase_len + 2 * W + 1
+    assert all(f.t_cut == t_cut for f in root.values())
     ticked = [v for v, f in root.items() if f.tick is not None]
     assert len(ticked) > g.n // 2
     for v in ticked:
         assert asleep(v, t_cut + root[v].tick + 2, t_cut + 6 * N), v
-    merges = max(p for _, p in last_event) + 1
-    assert merges >= 2
-    for p in range(merges + 1):  # the last phase finds no outgoing edge
+    for p in range(merges):
         base = p * phase_len
         for v in range(g.n):
             lo = last_event.get((v, p), base + 2 * W + 1) + 2
@@ -336,7 +356,7 @@ def test_listening_ends_with_the_wave(monkeypatch):
 def test_windows_are_declared_once():
     """The sleeping flavor restates no frame window: `CsspProgram` declares
     each listening window where it plans the work."""
-    assert not {"_enter", "_phase_start", "_census_start",
+    assert not {"_enter", "_phase_start", "_send_chosen",
                 "_start_cutter"} & set(vars(EnergyCsspProgram))
 
 

@@ -2,10 +2,11 @@
 
 The root frame of each component runs its cutter at
 max(2, min(D_top, pow2(2h + 1))), where h is the weighted height of the
-component's spanning tree; the root learns h on its census. Inputs are
-disconnected graphs whose components have different heights: isolated
-nodes (h = 0, the clamp at 2), single edges, zero weights (h in the lifted
-graph) and sources in several components. Both CSSP flavors and APSP must
+component's spanning tree; the root learns h on the census that rides on
+the Boruvka phase that finds no outgoing edge. Inputs are disconnected
+graphs whose components have different heights: isolated nodes (h = 0, the
+clamp at 2), single edges, zero weights (h in the lifted graph) and sources
+in several components. Both CSSP flavors and APSP must
 stay exact, pass the cutter-contract and cut-composition audits, and set
 every root threshold to the value computed here from `boruvka_forest`.
 """
@@ -53,7 +54,7 @@ def components(draw):
 def expected_thresholds(graph, D_top):
     """Each node's root threshold, from the weighted height of its
     component's spanning tree on the host. A root frame with threshold 1 or
-    a single node in the graph runs no census and keeps D_top."""
+    a single node in the graph builds no forest and keeps D_top."""
     forest, _, _ = boruvka_forest(graph)
     weight = {(u, v): w for u, v, w in graph.edges}
     depth = {}
