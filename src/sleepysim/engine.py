@@ -18,12 +18,9 @@ plus the components that may still be cut, and folds the rest into a count.
 Steps are kept in a calendar of due rounds: a dict from round to the set of
 nodes due then, and a heap of the distinct rounds in it. Each round is popped
 once; its nodes, less the finished ones, step in ascending id order. A
-delivery wakes the receiver at its next awake round; a sleeping-model
-receiver's schedule is asked once per round however many messages reach
-it. For a receiver whose schedule is `always` awake, or whose last answered
-span (or the span after it) holds rounds r and r + 1, that is round r + 1,
-taken without a query, so the always-awake algorithms make no schedule
-query at all.
+message sent in round r reaches a receiver that is awake in r and has not
+finished, and the receiver steps at its next awake round; each receiver's
+schedule answers both once per round however many messages reach it.
 
 Megarounds: with width k, every logical round of the loop stands for k
 physical rounds. A node awake in a logical round is charged k physical
@@ -161,16 +158,11 @@ class Schedule:
     as `awake_rounds` does, and drops all that ends before `now`. So
     `awake_at` answers about rounds from `now` on, `next_awake_after` and
     `awake_rounds` from `now` - 1 on, as the engine asks; an earlier query
-    raises `SimError`.
-
-    `lo`..`hi` is the interval in which `awake_at` last found its round and
-    `nlo`..`nhi` the one after it: spans only grow, so a delivery in round r
-    with lo <= r < hi, or in the next interval, needs no query. `always`
-    overrides all of them and is never unset.
+    raises `SimError`. `always` overrides all of them and is never unset.
     """
 
     __slots__ = ("always", "starts", "ends", "comps", "opened", "passed",
-                 "now", "fold_at", "lo", "hi", "nlo", "nhi")
+                 "now", "fold_at")
 
     def __init__(self):
         self.always = False
@@ -181,7 +173,6 @@ class Schedule:
         self.passed = 0  # awake rounds in [1, now)
         self.now = 0
         self.fold_at = FOLD_EVERY  # fold once spans and components grow past this
-        self.lo = self.hi = self.nlo = self.nhi = 0  # intervals known awake
 
     def _add(self, component, now) -> int:
         """Keep a component declared in round `now`; returns its handle."""
@@ -291,10 +282,6 @@ class Schedule:
         ends = self.ends
         i = bisect_left(ends, r)
         if i < len(ends) and self.starts[i] <= r:
-            starts = self.starts
-            self.lo, self.hi = starts[i], ends[i]
-            if i + 1 < len(ends):
-                self.nlo, self.nhi = starts[i + 1], ends[i + 1]
             return True
         for anchor, period, residues, a, b in self.comps.values():
             if a <= r <= b and (r - anchor) % period in residues:
@@ -650,9 +637,8 @@ class Engine:
         inboxes, congestion = self._inboxes, self._congestion
         budget = self.budget
         audit, push = audit_message, self._push_step
-        following = None  # the due set of round r + 1, once looked up
-        # whether each sleeping receiver listens in round r: its schedule is
-        # asked once per round, since no schedule changes during delivery
+        # whether each receiver listens in round r: its schedule is asked
+        # once per round, since no schedule changes during delivery
         listening = {}
         per_channel = {}
         max_bits, demand = rep.max_bits, rep.max_channel_demand
@@ -686,36 +672,19 @@ class Engine:
                     if slot is None:
                         slot = congestion[ek] = [0, 0]
                     slot[0 if src < dst else 1] += 1
-                    sched = schedules[dst]
-                    # awake in round r and in r + 1, where it reads the message
-                    if sched.always or sched.lo <= r < sched.hi:
-                        if dst not in done:
-                            inboxes[dst].append((src, msg))
-                            delivered += 1
-                            if following is None:
-                                push(r + 1, dst)
-                                following = self._due[r + 1]
-                            else:
-                                following.add(dst)
-                            continue
-                    else:
-                        heard = listening.get(dst)
-                        if heard is None:  # the receiver's first message now
-                            if sched.nlo <= r < sched.nhi:
-                                sched.lo, sched.hi = sched.nlo, sched.nhi
-                                heard = dst not in done
-                            else:  # a span that answers is cached in lo..hi
-                                heard = dst not in done and sched.awake_at(r)
-                            listening[dst] = heard
-                            if heard:
-                                nxt = (r + 1 if sched.lo <= r < sched.hi
-                                       else sched.next_awake_after(r))
-                                if nxt is not None:
-                                    push(nxt, dst)
-                        if heard:
-                            inboxes[dst].append((src, msg))
-                            delivered += 1
-                            continue
+                    heard = listening.get(dst)
+                    if heard is None:  # the receiver's first message now
+                        sched = schedules[dst]
+                        heard = listening[dst] = (dst not in done
+                                                  and sched.awake_at(r))
+                        if heard:  # it reads the message at its next step
+                            nxt = sched.next_awake_after(r)
+                            if nxt is not None:
+                                push(nxt, dst)
+                    if heard:
+                        inboxes[dst].append((src, msg))
+                        delivered += 1
+                        continue
                     lost += 1
                     if critical:
                         rep.critical_losses.append((r, src, dst, msg.tag))
