@@ -110,7 +110,7 @@ class EnergyCsspProgram(CsspProgram):
     def _frame_complete(self, api, f):
         super()._frame_complete(api, f)
         if f.pipe is not None:
-            api.stop_awake(f.pipe, api.round + 2 * self._period(f) + 4)
+            api.stop_awake(f.pipe, api.round)
 
 
 def cssp_energy(graph, sources, *, round_limit=None, trace=True):
