@@ -124,6 +124,8 @@ def _family_edges(spec: GraphSpec, rng: random.Random) -> list[tuple[int, int]]:
     if fam == "random-gnm":
         m = spec.m if spec.m is not None else 3 * n
         max_m = n * (n - 1) // 2
+        if m < 0:
+            raise GraphError(f"random-gnm: m={m} is negative")
         if m > max_m:
             raise GraphError(f"random-gnm: m={m} exceeds {max_m}")
         chosen = set()

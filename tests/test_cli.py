@@ -218,6 +218,19 @@ def test_sweep_bad_graph_exits_2():
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--gen", "random-gnm", "--n", "5", "--m", "-1"],
+    ["sweep", "--algo", "cssp-congest", "--axis", "density", "--n", "5",
+     "--values", "-2"],
+], ids=["gen", "sweep-density"])
+def test_negative_gnm_edge_count_exits_2(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "negative" in captured.err and "Traceback" not in captured.err
+
+
 def test_verify_missing_fixtures(tmp_path):
     code = main(["verify", "--fixtures", str(tmp_path / "nope"), "--quick"])
     assert code == EXIT_CONFIG
