@@ -70,7 +70,7 @@ class Scripted:
     def on_round(self, api):
         t, log = api.round, self.log
         log["steps"][self.node].append(t)
-        for src, msg in api.inbox:
+        for _, msg in api.inbox:
             log["read"][msg.payload[0]] = (self.node, t)
         if t == 0:
             for r in sorted(self.script):
