@@ -23,7 +23,8 @@ from .engine import SimError
 from .graph import GraphError, GraphSpec, gen_graph, load_graph, save_graph
 from .netdecomp import build_cover_sync, build_decomposition, promised_bounds
 from .oracle import (
-    check_cover, check_decomposition, check_layered, dijkstra, hop_distances,
+    check_cover, check_decomposition, check_layered, check_on_graph, dijkstra,
+    hop_distances,
 )
 from .structures import load_layered_cover, save_layered_cover
 
@@ -216,6 +217,20 @@ def _dist_doc(outputs):
         sort_keys=True)
 
 
+def cover_faults(g, layered) -> list:
+    """What a cover stack violates on graph `g`: node ids and tree edges
+    first, then every level's cover conditions at the promised bounds and
+    the parent conditions."""
+    bad = [f for cov in layered.levels for f in check_on_graph(g, cov)]
+    if bad:
+        return bad
+    for cov in layered.levels:
+        bad.extend(check_cover(g, cov, cov.scale, *promised_bounds(g.n)))
+    bad.extend(check_layered(g, layered, layered.base**layered.top,
+                             layered.base))
+    return bad
+
+
 def cmd_run(args) -> int:
     if not args.algo:
         raise CliError("need --algo")
@@ -247,6 +262,9 @@ def cmd_run(args) -> int:
                 layered = load_layered_cover(open(args.cover_cache).read())
             except (OSError, ValueError) as e:
                 raise CliError(f"cover cache: {e}")
+            bad = cover_faults(g, layered)
+            if bad:
+                raise CliError(f"cover cache: {bad[0]['detail']}")
         outputs, report, _, layered, _, _ = full_bfs(
             g, sources, threshold=args.threshold, base=args.base,
             layered=layered, trace=False)
@@ -370,11 +388,7 @@ def cmd_verify(args) -> int:
         except (GraphError, ValueError) as e:
             print(f"fixture check [FAIL] cover cache: {e}")
             return EXIT_VERIFY
-        bad = []
-        for cov in layered.levels:
-            bad.extend(check_cover(g, cov, cov.scale, *promised_bounds(g.n)))
-        bad.extend(check_layered(g, layered, layered.base**layered.top,
-                                 layered.base))
+        bad = cover_faults(g, layered)
         status = "PASS" if not bad else "FAIL"
         print(f"fixture check [{status}] cover cache"
               + (f": {bad[0]}" if bad else ""))

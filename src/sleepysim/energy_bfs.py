@@ -483,8 +483,19 @@ def detect_global_cluster(graph, cover):
     return True, report
 
 
-def bfs_schedule(layered, hop_cap):
-    """Derive anchor, start round, cadence, and end round from measured trees."""
+def _spans_component(graph, cl):
+    """Whether the cluster's members are closed under graph neighbours, so
+    they are its whole connected component."""
+    return all(u in cl.members for v in cl.members for u, _ in graph.neighbors(v))
+
+
+def bfs_schedule(layered, hop_cap, graph):
+    """Derive anchor, start round, cadence, and end round from measured trees.
+
+    sigma gives every level >= 1 C_PIPE sweeps of its trees per frontier hop,
+    except a level whose clusters each span their component: such a cluster
+    holds its component's sources as terminals, so its init broadcast
+    activates every child before t0 and no frontier flag has to climb it."""
     B = layered.base
     max_depth = 0
     max_period = 1
@@ -494,7 +505,8 @@ def bfs_schedule(layered, hop_cap):
         p = max(1, B**lvl)
         max_depth = max(max_depth, d)
         max_period = max(max_period, p)
-        if lvl >= 1:
+        if lvl >= 1 and not all(_spans_component(graph, cl)
+                                for cl in layered.levels[lvl].clusters):
             need = (C_PIPE * (d + p) // max(1, p // 2)) + 1
             sigma = max(sigma, need)
     init_len = 4 * (max_depth + max_period) + 32
@@ -509,7 +521,7 @@ def run_thresholded_bfs_with_cover(graph, layered, sources, threshold, *,
                                    trace=True):
     """The sleeping-model BFS phase given a layered cover; returns
     (hop outputs, report, engine)."""
-    params = bfs_schedule(layered, threshold)
+    params = bfs_schedule(layered, threshold, graph)
     roles = _roles_for(graph, layered, layered.top)
     cfg = SimConfig(
         round_limit=params.t_end + 8,

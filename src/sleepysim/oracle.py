@@ -140,6 +140,27 @@ def check_tree(cluster) -> list:
     return out
 
 
+def check_on_graph(graph, cover) -> list:
+    """Every member and tree node is a node id of the graph, and every tree
+    edge is a graph edge. The other cover checks index by node, so they run
+    only on a cover that passes this one."""
+    out = []
+    adj = graph.adjacency()
+    for cl in cover.clusters:
+        edges = cl.tree_edges()
+        nodes = set(cl.members) | set(cl.tree) | {v for e in edges for v in e}
+        foreign = sorted(nodes - adj.keys())
+        if foreign:
+            out.append(_violation("cover-node", foreign[:5],
+                                  f"cluster {cl.id}: nodes {foreign[:5]} not in the graph"))
+            continue
+        for u, v in edges:
+            if all(x != v for x, _ in adj[u]):
+                out.append(_violation("cover-edge", [u, v],
+                                      f"cluster {cl.id}: tree edge {u}-{v} not in the graph"))
+    return out
+
+
 def check_cover(graph, cover, d, stretch_bound, node_mult_bound, edge_mult_bound) -> list:
     """Sparse d-cover conditions: (a) tree depth <= d*stretch, (b) node
     membership count bound, (c) every d-ball inside some cluster, (d) per-edge

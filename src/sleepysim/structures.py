@@ -118,11 +118,21 @@ def _cluster_doc(cl: ClusterData) -> dict:
     }
 
 
+def _int(x, what):
+    if type(x) is not int:
+        raise ValueError(f"{what} is not an integer: {x!r}")
+    return x
+
+
 def _cluster_from(doc: dict) -> ClusterData:
-    tree = {
-        int(v): (p, d, bool(t)) for v, (p, d, t) in doc["tree"].items()
-    }
-    return ClusterData(id=doc["id"], members=set(doc["members"]), tree=tree)
+    cid = _int(doc["id"], "cluster id")
+    tree = {}
+    for v, (p, d, t) in doc["tree"].items():
+        if p is not None:
+            _int(p, f"cluster {cid}: parent of {v}")
+        tree[int(v)] = (p, _int(d, f"cluster {cid}: depth of {v}"), bool(t))
+    members = {_int(v, f"cluster {cid}: member") for v in doc["members"]}
+    return ClusterData(id=cid, members=members, tree=tree)
 
 
 def save_layered_cover(lc: LayeredCover) -> str:
@@ -138,13 +148,31 @@ def save_layered_cover(lc: LayeredCover) -> str:
 
 
 def load_layered_cover(text: str) -> LayeredCover:
+    """Parse a cover cache. A bad header or a malformed document raises
+    ValueError; whether the stack fits a graph is the caller's check."""
     header, _, body = text.partition("\n")
     if header.strip() != COVER_MAGIC:
         raise ValueError(f"bad cover cache header {header!r}")
-    doc = json.loads(body)
-    levels = [
-        Cover(scale=lv["scale"], clusters=[_cluster_from(c) for c in lv["clusters"]])
-        for lv in doc["levels"]
-    ]
-    parent_of = {(lvl, cid): pid for lvl, cid, pid in doc["parents"]}
-    return LayeredCover(base=doc["base"], levels=levels, parent_of=parent_of)
+    try:
+        doc = json.loads(body)
+        levels = [
+            Cover(scale=_int(lv["scale"], "scale"),
+                  clusters=[_cluster_from(c) for c in lv["clusters"]])
+            for lv in doc["levels"]
+        ]
+        parent_of = {(_int(lvl, "level"), _int(cid, "cluster id")):
+                     _int(pid, "parent id") for lvl, cid, pid in doc["parents"]}
+        base = _int(doc["base"], "base")
+    except KeyError as e:
+        raise ValueError(f"missing key {e}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed cover document: {e}") from None
+    if not levels:
+        raise ValueError("no cover levels")
+    if base < 1:
+        raise ValueError(f"base {base} < 1")
+    for lvl, cov in enumerate(levels):
+        ids = [cl.id for cl in cov.clusters]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"level {lvl}: repeated cluster id")
+    return LayeredCover(base=base, levels=levels, parent_of=parent_of)

@@ -2,7 +2,8 @@
 
 The suite runs once per session; every criterion prints its own pass/fail
 line. A criterion that `EXPECTED_FAILURES` declares (criterion 6: its
-energy-flatness clause is out of reach at desk scale) is marked expected-fail
+energy-flatness and rounds-growth clauses are out of reach at desk scale)
+is marked expected-fail
 with its declared reason and the measured detail when it fails.
 """
 

@@ -44,6 +44,57 @@ def test_cover_cache_roundtrip(tmp_path):
     assert code == EXIT_OK
 
 
+def test_cover_cache_without_levels_exits_2(tmp_path, capsys):
+    """A cache whose body misses its keys is a config error for `run` and a
+    failed fixture check for `verify`, not a traceback."""
+    cache = tmp_path / "cover.slpycov"
+    cache.write_text("SLPYCOV1\n{}\n")
+    code = main(["run", "--gen", "path", "--n", "5", "--algo", "bfs-energy",
+                 "--cover-cache", str(cache), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err == "error: cover cache: missing key 'levels'\n"
+    fix = tmp_path / "fix"
+    fix.mkdir()
+    (fix / "graph.txt").write_text(save_graph(gen_graph(GraphSpec("path", 5))))
+    (fix / "cover.slpycov").write_text(cache.read_text())
+    code = main(["verify", "--fixtures", str(fix), "--quick"])
+    assert code == EXIT_VERIFY
+    assert "fixture check [FAIL] cover cache: missing key" in capsys.readouterr().out
+
+
+def test_cover_cache_of_another_graph_exits_2(tmp_path, capsys):
+    """A valid cache saved from path9, run on a path5 file: its clusters name
+    nodes the graph does not have."""
+    cache = tmp_path / "cover.slpycov"
+    layered, _, _, _ = bootstrap_base_covers(gen_graph(GraphSpec("path", 9)))
+    cache.write_text(save_layered_cover(layered))
+    graph = tmp_path / "p5.txt"
+    graph.write_text(save_graph(gen_graph(GraphSpec("path", 5))))
+    code = main(["run", "--graph", str(graph), "--algo", "bfs-energy",
+                 "--cover-cache", str(cache), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: cover cache: cluster ")
+    assert "not in the graph" in err and "Traceback" not in err
+
+
+def test_cover_cache_tree_edge_off_the_graph_exits_2(tmp_path, capsys):
+    """A cache whose tree uses a pair of nodes the graph does not join."""
+    g = gen_graph(GraphSpec("path", 9))
+    layered, _, _, _ = bootstrap_base_covers(g)
+    cl = layered.levels[0].clusters[0]
+    leaf = max(cl.tree, key=lambda v: cl.tree[v][1])
+    _, depth, term = cl.tree[leaf]
+    cl.tree[leaf] = (cl.root, depth, term)
+    cache = tmp_path / "cover.slpycov"
+    cache.write_text(save_layered_cover(layered))
+    code = main(["run", "--gen", "path", "--n", "9", "--algo", "bfs-energy",
+                 "--cover-cache", str(cache), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "not in the graph" in capsys.readouterr().err
+
+
 def test_malformed_config_exits_2(tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text("algo cssp-congest\nbogus-key 7\n")

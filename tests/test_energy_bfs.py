@@ -2,14 +2,19 @@ import hashlib
 
 import pytest
 
+from sleepysim import energy_bfs
 from sleepysim.energy_bfs import (
-    EnergyBfsProgram, bootstrap_base_covers, build_cover_next,
-    detect_global_cluster, full_bfs, run_thresholded_bfs_with_cover,
+    C_PIPE, EnergyBfsProgram, bfs_schedule, bootstrap_base_covers,
+    build_cover_next, detect_global_cluster, full_bfs,
+    run_thresholded_bfs_with_cover,
 )
+from sleepysim.engine import ProtocolViolation
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import promised_bounds
 from sleepysim.oracle import INF, check_cover, check_layered, hop_distances
-from sleepysim.structures import load_layered_cover, save_layered_cover
+from sleepysim.structures import (
+    ClusterData, Cover, LayeredCover, load_layered_cover, save_layered_cover,
+)
 from sleepysim.trace_checks import check_relevance, check_sleep_safety
 from schedule_reference import record
 
@@ -134,6 +139,106 @@ def test_thresholded_beyond_diameter_equals_full():
     assert out1 == out2
 
 
+def two_paths():
+    """Two 20-node paths, 0..19 and 20..39."""
+    return Graph.build(40, [(i, i + 1, 1) for i in range(19)]
+                       + [(i, i + 1, 1) for i in range(20, 39)])
+
+
+def path_cluster(cid, lo, hi):
+    """The nodes lo..hi of a path as one cluster, its tree rooted at lo."""
+    tree = {v: (v - 1 if v > lo else None, v - lo, True) for v in range(lo, hi + 1)}
+    return ClusterData(id=cid, members=set(range(lo, hi + 1)), tree=tree)
+
+
+@pytest.mark.parametrize("graph", [
+    gen_graph(GraphSpec("random-tree", 96, seed=3)), two_paths(),
+], ids=["random-tree96", "two-paths40"])
+def test_spanning_levels_set_no_cadence(graph):
+    """Each level-1 cluster of these bootstrap stacks spans its component,
+    so no level sets sigma: it stays at its floor of 4."""
+    layered, *_ = bootstrap_base_covers(graph, trace=False)
+    assert layered.top == 1 and len(layered.levels[1].clusters) == 2
+    assert bfs_schedule(layered, 30, graph).sigma == 4
+
+
+def test_non_spanning_level_keeps_its_cadence():
+    """A level-1 cluster that misses part of its component keeps that
+    level's term in sigma; the same stack with a spanning level 1 does not."""
+    g = unit_path(12)
+    level0 = Cover(1, [path_cluster(i, 4 * i, 4 * i + 3) for i in range(3)])
+    spanning = LayeredCover(4, [level0, Cover(4, [path_cluster(0, 0, 11)])])
+    assert bfs_schedule(spanning, 11, g).sigma == 4
+    split = LayeredCover(4, [level0, Cover(4, [path_cluster(0, 0, 7),
+                                               path_cluster(1, 4, 11)])])
+    assert bfs_schedule(split, 11, g).sigma == C_PIPE * (7 + 4) // 2 + 1
+
+
+def three_level_path200():
+    """A hand-built valid stack on a 200-node path whose level 1 does not
+    span: level 0 is [20i, 20i + 21], level 1 is [0, 119] and [80, 199]
+    (B = 8, depth 119), level 2 the whole path."""
+    g = unit_path(200)
+    layered = LayeredCover(8, [
+        Cover(1, [path_cluster(i, 20 * i, min(20 * i + 21, 199)) for i in range(10)]),
+        Cover(8, [path_cluster(0, 0, 119), path_cluster(1, 80, 199)]),
+        Cover(64, [path_cluster(0, 0, 199)]),
+    ])
+    for i in range(10):
+        layered.parent_of[(0, i)] = 0 if 20 * i + 21 <= 119 else 1
+    layered.parent_of.update({(1, 0): 0, (1, 1): 0})
+    for cover in layered.levels:
+        assert check_cover(g, cover, cover.scale, *promised_bounds(g.n)) == []
+    assert check_layered(g, layered, 64, 8) == []
+    return g, layered
+
+
+def test_cadence_of_a_non_spanning_level_is_needed(monkeypatch):
+    """A frontier that enters level-1 cluster [0, 119] from outside needs the
+    cadence its tree sets: at sigma 96 every run is exact with no critical
+    loss; at a planted sigma of 12 the reached flag climbs too late and a
+    level-0 report is sent to a node still asleep."""
+    g, layered = three_level_path200()
+    assert bfs_schedule(layered, 400, g).sigma == C_PIPE * (119 + 8) // 4 + 1
+    for source in (0, 100, 199):
+        outputs, report, _ = run_thresholded_bfs_with_cover(
+            g, layered, {source}, 400, trace=False)
+        assert outputs == hop_distances(g, [source])
+        assert report.critical_losses == []
+    computed = bfs_schedule
+
+    def planted(layered, hop_cap, graph):
+        p = computed(layered, hop_cap, graph)
+        return p._replace(sigma=12, t_end=p.t_end - (hop_cap + 1) * (p.sigma - 12))
+
+    monkeypatch.setattr(energy_bfs, "bfs_schedule", planted)
+    with pytest.raises(ProtocolViolation, match="critical message"):
+        run_thresholded_bfs_with_cover(g, layered, {199}, 400, trace=False)
+
+
+@pytest.mark.parametrize("source", [0, 17, 50, 95])
+def test_full_bfs_random_tree_spanning_level(source):
+    """random-tree96's level 1 is two clusters that each span the tree, so
+    the phase runs at sigma 4; it stays exact and loses nothing."""
+    g = gen_graph(GraphSpec("random-tree", 96, seed=3))
+    outputs, report, *_ = full_bfs(g, {source}, trace=False)
+    assert outputs == hop_distances(g, [source])
+    assert report.lost == 0 and report.critical_losses == []
+
+
+def test_criterion6_path_at_sigma_floor():
+    """The D = 64 path of criterion 6: its one-cluster level 1 no longer
+    sets sigma (31 -> 4 on path257's stack, 13 -> 4 here)."""
+    g = unit_path(65)
+    layered, *_ = bootstrap_base_covers(g, trace=False)
+    assert bfs_schedule(layered, 64, g).sigma == 4
+    outputs, report, _ = run_thresholded_bfs_with_cover(g, layered, {0}, 64,
+                                                        trace=False)
+    assert outputs == hop_distances(g, [0])
+    assert report.lost == 0 and report.critical_losses == []
+    assert (report.max_energy(), report.rounds) == (4535, 6745)
+
+
 def test_irrelevant_component_sleeps():
     """Clusters whose top ancestor holds no source never wake after init."""
     g = Graph.build(40, [(i, i + 1, 1) for i in range(19)]
@@ -218,6 +323,25 @@ def test_cover_cache_with_level_keys_loads():
         '"level": 1, ', "")
 
 
+@pytest.mark.parametrize("body", [
+    '{}',
+    '[]',
+    '{"base": 2, "levels": [], "parents": []}',
+    '{"base": 2, "levels": [{"scale": 1}], "parents": []}',
+    '{"base": 2, "levels": [{"scale": 1, "clusters": [{"id": 0, '
+    '"members": ["0"], "tree": {"0": [null, 0, 1]}}]}], "parents": []}',
+    '{"base": 2, "levels": [{"scale": 1, "clusters": [{"id": 0, '
+    '"members": [0], "tree": {"0": [null, 0]}}]}], "parents": []}',
+    '{"base": 2, "levels": [{"scale": 1, "clusters": [{"id": 0, "members": [0], '
+    '"tree": {"0": [null, 0, 1]}}, {"id": 0, "members": [0], '
+    '"tree": {"0": [null, 0, 1]}}]}], "parents": []}',
+], ids=["empty", "list", "no-levels", "no-clusters", "string-member",
+        "short-tree-entry", "repeated-id"])
+def test_malformed_cover_cache_raises_value_error(body):
+    with pytest.raises(ValueError):
+        load_layered_cover("SLPYCOV1\n" + body + "\n")
+
+
 def test_build_cover_next_levels():
     """A level-2 cover over the two base covers meets the cover and parent
     conditions, and a BFS phase over all three levels is exact."""
@@ -254,9 +378,14 @@ def test_golden_path65_outputs_and_report():
     Boruvka phase that finds no outgoing edge, so a node learns its
     component's size there and no census sweep runs (rounds 771,069 ->
     769,839, max energy 18,836 -> 18,824, messages sent 17,636 -> 17,508,
-    max edge congestion 180 -> 179; outputs unchanged)."""
+    max edge congestion 180 -> 179; outputs unchanged). It moved again when
+    sigma stopped taking a term from levels whose clusters each span their
+    component (here the one-cluster level 1: sigma 13 -> 4, max energy
+    18,824 -> 16,720, rounds 769,839 -> 763,944, messages sent 17,508 ->
+    17,542, the extra ones level-1 `EB_CONV` reports of nodes the faster
+    frontier reaches before the cluster is done; outputs unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "8a9de98fc7154caf00561515a2ad97c09a7acf43d7b651b22251d9b3968b8f30")
+            == "dbe71d56eb0383ef42be4e39dcc1fb0d0ea0e0eb52104bc0245b28eaa2f4befd")
