@@ -17,7 +17,7 @@ from math import inf
 from .acceptance import run_acceptance
 from .apsp_sched import apsp_random_delay
 from .congest_cssp import cssp
-from .energy_bfs import full_bfs
+from .energy_bfs import full_bfs, stack_fault
 from .energy_cssp import cssp_energy
 from .engine import SimError
 from .graph import GraphError, GraphSpec, gen_graph, load_graph, save_graph
@@ -217,10 +217,11 @@ def _dist_doc(outputs):
         sort_keys=True)
 
 
-def cover_faults(g, layered) -> list:
+def cover_faults(g, layered, threshold=None) -> list:
     """What a cover stack violates on graph `g`: node ids and tree edges
-    first, then every level's cover conditions at the promised bounds and
-    the parent conditions."""
+    first, then every level's cover conditions at the promised bounds, the
+    parent conditions and what a BFS to `threshold` (None: unthresholded)
+    needs of the stack (`energy_bfs.stack_fault`)."""
     bad = [f for cov in layered.levels for f in check_on_graph(g, cov)]
     if bad:
         return bad
@@ -228,6 +229,9 @@ def cover_faults(g, layered) -> list:
         bad.extend(check_cover(g, cov, cov.scale, *promised_bounds(g.n)))
     bad.extend(check_layered(g, layered, layered.base**layered.top,
                              layered.base))
+    fault = stack_fault(g, layered, threshold)
+    if fault is not None:
+        bad.append({"kind": "bfs-stack", "subjects": [], "detail": fault})
     return bad
 
 
@@ -262,7 +266,7 @@ def cmd_run(args) -> int:
                 layered = load_layered_cover(open(args.cover_cache).read())
             except (OSError, ValueError) as e:
                 raise CliError(f"cover cache: {e}")
-            bad = cover_faults(g, layered)
+            bad = cover_faults(g, layered, args.threshold)
             if bad:
                 raise CliError(f"cover cache: {bad[0]['detail']}")
         outputs, report, _, layered, _, _ = full_bfs(

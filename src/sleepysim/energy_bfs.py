@@ -549,13 +549,43 @@ def full_bfs(graph, sources, *, threshold=None, base=None, trace=True,
     reports, decomps, tlogs = [], [], []
     if layered is None:
         layered, decomps, reports, tlogs = _grow_cover(graph, base, trace, threshold)
-    top = layered.top
-    if threshold is None:
-        threshold = 2 * max(layered.max_tree_depth(lvl) for lvl in range(top + 1)) + 2
+    else:
+        fault = stack_fault(graph, layered, threshold)
+        if fault is not None:
+            raise ValueError(fault)
+    threshold = _bfs_threshold(layered, threshold)
     outputs, rep, engine = run_thresholded_bfs_with_cover(
         graph, layered, sources, threshold, trace=trace)
     reports.append(rep)
     return outputs, merge_reports(reports), engine, layered, decomps, tlogs
+
+
+def _bfs_threshold(layered, threshold=None):
+    """The hop threshold `full_bfs` runs the BFS phase to on a cover stack:
+    the given one, or twice the stack's deepest tree plus 2."""
+    if threshold is not None:
+        return threshold
+    return 2 * max(layered.max_tree_depth(lvl) for lvl in range(layered.top + 1)) + 2
+
+
+def stack_fault(graph, layered, threshold=None):
+    """Why the BFS phase cannot run on a cover stack to `_bfs_threshold`, or
+    None. It needs what `_grow_cover` stops at: a level in which every node
+    lies in a cluster that spans its component, or base**top at least twice
+    the threshold."""
+    threshold = _bfs_threshold(layered, threshold)
+    reach = layered.base**layered.top
+    if reach >= 2 * threshold:
+        return None
+    for cover in layered.levels:
+        spanned = set()
+        for cl in cover.clusters:
+            if _spans_component(graph, cl):
+                spanned |= cl.members
+        if len(spanned) == graph.n:
+            return None
+    return (f"no level has every node in a cluster that spans its component, "
+            f"and base**top = {reach} is below 2 x threshold {threshold}")
 
 
 def _grow_cover(graph, base, trace, threshold):

@@ -723,6 +723,9 @@ def merge_reports(reports) -> RunReport:
         out.lost += rep.lost
         out.max_bits = max(out.max_bits, rep.max_bits)
         out.bit_limit = max(out.bit_limit, rep.bit_limit)
+        out.max_channel_demand = max(out.max_channel_demand,
+                                     rep.max_channel_demand)
+        out.oversubscribed.extend(rep.oversubscribed)
         out.critical_losses.extend(rep.critical_losses)
         out.losses.extend(rep.losses)
         if rep.status != "done":

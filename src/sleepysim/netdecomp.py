@@ -57,6 +57,19 @@ Every message is sent critical, so a message that reaches a sleeping node
 raises `ProtocolViolation` instead of quietly changing the cover. The
 rounds, decomposition and cover are the all-awake construction's; no wave
 message goes to a nearer node, where the all-awake one dropped it unread.
+
+Width. In every build measured, the only sends that coincide on one
+channel in one round are the `PD_CNT` (label, count) or `PD_DEC` (label,
+verdict) pairs of several roles on one tree edge. A step queues its pairs
+and sends those of one tag for one neighbour together when it ends, as one
+message with a flat pair payload,
+P = (budget - tag bits) // (bits of a label <= n - 1 + bits of a value <= n)
+pairs to a message, with the budget `engine.bit_budget` gives the unit
+graph (P = 4 at n = 16..257). The run's width is
+max(2, ceil(max(4, 2b + 2) / P)), so a channel still takes max(4, 2b + 2)
+coinciding same-tag roles in a round, as many as when each pair was a
+message of its own at width max(4, 2b + 2). The logical run is the same;
+only its rounds and energy, logical rounds x width, fall.
 """
 
 from __future__ import annotations
@@ -65,7 +78,7 @@ from .congest_cssp import boruvka_forest
 from .energy_cssp import EnergyCsspProgram
 from .engine import (
     Message, PlannedProgram, ProtocolViolation, SimConfig, SimError,
-    merge_reports, run_simulation,
+    bit_budget, merge_reports, run_simulation,
 )
 from .structures import ClusterData, Cover, Decomposition
 
@@ -88,6 +101,23 @@ DEC_STOP = 0
 
 def bits_for(n: int) -> int:
     return max(0, (max(1, n) - 1).bit_length())
+
+
+def _pair_cap(n: int) -> int:
+    """The (label, value) pairs one `PD_CNT` or `PD_DEC` message carries
+    within the bit budget of the unit-weight graph on n nodes: a label is at
+    most n - 1 and a count or verdict at most n."""
+    tag_bits = (max(PD_CNT, PD_DEC) + 1).bit_length()
+    pair_bits = n.bit_length() + (n + 1).bit_length()
+    return (bit_budget(n, 1) - tag_bits) // pair_bits
+
+
+def _decomp_width(n: int) -> int:
+    """The megaround width of a decomposition on n nodes: room for
+    max(4, 2b + 2) coinciding same-tag roles on one channel, `_pair_cap(n)`
+    to a message."""
+    roles = max(4, 2 * bits_for(n) + 2)
+    return max(2, -(-roles // _pair_cap(n)))
 
 
 def promised_bounds(n: int, k: int | None = None) -> tuple:
@@ -163,6 +193,8 @@ class DecompProgram(PlannedProgram):
         self.bar_active = False
         self.bar_dead = False
         self._acc: dict[int, int] = {}
+        self.pair_cap = _pair_cap(graph.n)
+        self._outbox: dict[tuple, tuple] = {}  # (dst, tag) -> the step's pairs
 
     # -- window arithmetic ----------------------------------------------------
 
@@ -193,10 +225,37 @@ class DecompProgram(PlannedProgram):
                 f"node {self.node} reads a {what} in round {api.round}, "
                 f"after its window closed in round {window[1]}")
 
-    on_round = PlannedProgram.on_round
+    def on_round(self, api):
+        """`PlannedProgram.on_round`, then send the pairs the step queued."""
+        if not self._started:
+            self._started = True
+            self._start(api)
+        for src, msg in api.inbox:
+            self._dispatch(api, src, msg)
+        self._run_due(api)
+        if self._outbox:
+            self._flush(api)
 
     def _start(self, api):
         self._plan_at(api, 1, "_color_start")
+
+    def _send_pair(self, dst, tag, label, value):
+        """Queue a `PD_CNT` or `PD_DEC` pair for `dst`; the step's pairs of
+        one tag to one neighbour leave together when the step ends."""
+        key = (dst, tag)
+        pairs = self._outbox.get(key)
+        self._outbox[key] = ((label, value) if pairs is None
+                             else pairs + (label, value))
+
+    def _flush(self, api):
+        """Send the step's queued pairs, at most `pair_cap` to a message."""
+        chunk = 2 * self.pair_cap
+        for (dst, tag), pairs in self._outbox.items():
+            while len(pairs) > chunk:
+                api.send(dst, Message(tag, pairs[:chunk]), critical=True)
+                pairs = pairs[chunk:]
+            api.send(dst, Message(tag, pairs), critical=True)
+        self._outbox = {}
 
     def _dispatch(self, api, src, msg):
         tag = msg.tag
@@ -209,10 +268,13 @@ class DecompProgram(PlannedProgram):
             self.join_acc[label] = self.join_acc.get(label, 0) + count
             self.cnt_kids.setdefault(label, []).append(src)
         elif tag == PD_CNT:
-            label, count = msg.payload
-            self._acc[label] = self._acc.get(label, 0) + count
+            pairs = msg.payload
+            for label, count in zip(pairs[::2], pairs[1::2]):
+                self._acc[label] = self._acc.get(label, 0) + count
         elif tag == PD_DEC:
-            self._on_dec(api, src, msg.payload)
+            pairs = msg.payload
+            for label, verdict in zip(pairs[::2], pairs[1::2]):
+                self._on_dec(api, src, label, verdict)
         elif tag == PD_BUP:
             self.bar_active = self.bar_active or bool(msg.payload[0])
             self.bar_dead = self.bar_dead or bool(msg.payload[1])
@@ -386,9 +448,8 @@ class DecompProgram(PlannedProgram):
         return own + self._acc.pop(label, 0)
 
     def _count_up(self, api, label, recount):
-        api.send(self.roles[label].parent,
-                 Message(PD_CNT, (label, self._subtree_count(label, recount))),
-                 critical=True)
+        self._send_pair(self.roles[label].parent, PD_CNT, label,
+                        self._subtree_count(label, recount))
 
     def _count_root(self, api, label, recount):
         count = self._subtree_count(label, recount)
@@ -406,8 +467,7 @@ class DecompProgram(PlannedProgram):
                 self.stopped = True
         self._handle_dec(api, label, DEC_GROW if grow else DEC_STOP)
 
-    def _on_dec(self, api, src, payload):
-        label, verdict = payload
+    def _on_dec(self, api, src, label, verdict):
         role = self.roles.get(label)
         from_tree = role is not None and role.parent == src
         from_wave = (self.prop is not None and self.prop[0] == label
@@ -421,10 +481,10 @@ class DecompProgram(PlannedProgram):
         role = self.roles.get(label)
         if role is not None:
             for c in role.kids:
-                api.send(c, Message(PD_DEC, (label, verdict)), critical=True)
+                self._send_pair(c, PD_DEC, label, verdict)
         wave_kids = self.cnt_kids.pop(label, [])
         for c in wave_kids:
-            api.send(c, Message(PD_DEC, (label, verdict)), critical=True)
+            self._send_pair(c, PD_DEC, label, verdict)
         if role is not None:
             if verdict == DEC_GROW:
                 role.kids.extend(c for c in wave_kids if c not in role.kids)
@@ -627,7 +687,7 @@ def build_decomposition(graph, k, *, trace=True, expand_to=None, forest=None):
     forest, kids = forest
     unit = graph.reweighted(lambda w: 1)
     cfg = SimConfig(round_limit=200_000_000,
-                    width=max(4, 2 * bits_for(graph.n) + 2), collect_trace=trace)
+                    width=_decomp_width(graph.n), collect_trace=trace)
     outputs, rep1, engine = run_simulation(
         unit, lambda v: DecompProgram(v, unit, forest, kids, k, expand_to=expand_to),
         cfg)

@@ -5,9 +5,11 @@ import pytest
 from sleepysim import cli
 from sleepysim.acceptance import CriterionResult
 from sleepysim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, EXIT_VERIFY, main
-from sleepysim.energy_bfs import bootstrap_base_covers
+from sleepysim.energy_bfs import bootstrap_base_covers, full_bfs
 from sleepysim.graph import GraphSpec, gen_graph, save_graph
-from sleepysim.structures import save_layered_cover
+from sleepysim.structures import (
+    ClusterData, Cover, LayeredCover, save_layered_cover,
+)
 
 
 def test_run_cssp_with_verify(tmp_path, capsys):
@@ -93,6 +95,48 @@ def test_cover_cache_tree_edge_off_the_graph_exits_2(tmp_path, capsys):
                  "--cover-cache", str(cache), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "not in the graph" in capsys.readouterr().err
+
+
+def _segment(cid, lo, hi):
+    """A cluster of path nodes lo..hi, its tree the path rooted at lo."""
+    return ClusterData(id=cid, members=set(range(lo, hi + 1)), tree={
+        v: (None if v == lo else v - 1, v - lo, True) for v in range(lo, hi + 1)})
+
+
+def test_cover_cache_that_never_spans_exits_2(tmp_path, capsys, monkeypatch):
+    """A stack that meets every cover and parent condition on path200 but
+    has no level whose clusters span the path, and base**top = 8 below twice
+    the threshold: the BFS phase would lose a critical message on it. At
+    threshold 4 (8 >= 2 x 4) it is a stack the cover build could stop at."""
+    n = 200
+    g = gen_graph(GraphSpec("path", n))
+    layered = LayeredCover(8, [
+        Cover(1, [_segment(i, 20 * i, min(n - 1, 20 * i + 21)) for i in range(10)]),
+        Cover(8, [_segment(0, 0, 119), _segment(1, 80, 199)])],
+        {(0, i): int(i > 4) for i in range(10)})
+    graph, cache = tmp_path / "p200.txt", tmp_path / "cover.slpycov"
+    graph.write_text(save_graph(g))
+    cache.write_text(save_layered_cover(layered))
+    run = ["run", "--graph", str(graph), "--algo", "bfs-energy",
+           "--cover-cache", str(cache), "--verify"]
+    assert main(run + ["--out", str(tmp_path / "a")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: cover cache: no level has every node in a cluster that spans "
+        "its component, and base**top = 8 is below 2 x threshold 240\n")
+    assert main(run + ["--threshold", "5", "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+    assert "below 2 x threshold 5" in capsys.readouterr().err
+    assert main(run + ["--threshold", "4", "--out", str(tmp_path / "c")]) == EXIT_OK
+    with pytest.raises(ValueError, match="base\\*\\*top = 8"):
+        full_bfs(g, {0}, layered=layered)
+    fix = tmp_path / "fix"
+    fix.mkdir()
+    (fix / "graph.txt").write_text(graph.read_text())
+    (fix / "cover.slpycov").write_text(cache.read_text())
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "run_acceptance", lambda profile: [])
+    assert main(["verify", "--fixtures", str(fix), "--quick"]) == EXIT_VERIFY
+    assert "fixture check [FAIL] cover cache: {'kind': 'bfs-stack'" in (
+        capsys.readouterr().out)
 
 
 def test_malformed_config_exits_2(tmp_path):

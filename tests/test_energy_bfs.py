@@ -8,7 +8,7 @@ from sleepysim.energy_bfs import (
     build_cover_next, detect_global_cluster, full_bfs,
     run_thresholded_bfs_with_cover,
 )
-from sleepysim.engine import ProtocolViolation
+from sleepysim.engine import Engine, ProtocolViolation
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import promised_bounds
 from sleepysim.oracle import INF, check_cover, check_layered, hop_distances
@@ -383,9 +383,31 @@ def test_golden_path65_outputs_and_report():
     component (here the one-cluster level 1: sigma 13 -> 4, max energy
     18,824 -> 16,720, rounds 769,839 -> 763,944, messages sent 17,508 ->
     17,542, the extra ones level-1 `EB_CONV` reports of nodes the faster
-    frontier reaches before the cluster is done; outputs unchanged)."""
+    frontier reaches before the cluster is done; outputs unchanged). It
+    moved again when the decomposition began to pack the count and decision
+    pairs of one step for one neighbour into one message and to run at
+    width 4 instead of 16, with the same logical run (rounds 763,944 ->
+    197,964, max energy 16,720 -> 8,112; messages sent, congestion and
+    outputs unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "dbe71d56eb0383ef42be4e39dcc1fb0d0ea0e0eb52104bc0245b28eaa2f4befd")
+            == "674d1735a43f837d6de83adba3666e9fd15a8888cdbf3095a40957dea9c3e678")
+
+
+def test_full_bfs_report_keeps_its_stages_channel_demand(monkeypatch):
+    """The merged `full_bfs` report reads the largest channel demand of its
+    stages, the forest, cover builds, detections and BFS phase."""
+    stages = []
+    finalize = Engine._finalize
+
+    def record_stage(self, status, width):
+        stages.append(finalize(self, status, width))
+        return stages[-1]
+
+    monkeypatch.setattr(Engine, "_finalize", record_stage)
+    _, report, *_ = full_bfs(unit_path(33), {0})
+    assert len(stages) >= 4
+    assert report.max_channel_demand == max(
+        r.max_channel_demand for r in stages) >= 1

@@ -6,8 +6,9 @@ import pytest
 
 from sleepysim import engine as engine_module
 from sleepysim.engine import (
-    Engine, Message, NodeApi, PlannedProgram, SimConfig, ProtocolViolation,
-    SimError, audit_message, bit_budget, run_simulation,
+    Engine, Message, NodeApi, PlannedProgram, RunReport, SimConfig,
+    ProtocolViolation, SimError, audit_message, bit_budget, merge_reports,
+    run_simulation,
 )
 from sleepysim.graph import Graph
 from schedule_reference import record
@@ -571,3 +572,17 @@ def test_report_counters_kept_when_delivery_raises():
     assert rep.delivered == 1
     assert rep.max_bits == audit_message(Message(7, (1 << 200,)))
     assert rep.max_channel_demand == 1
+
+
+def test_merged_report_keeps_channel_demand():
+    """A merged report's channel demand is its stages' largest and its
+    oversubscribed sends are theirs in stage order; neither is in the JSON."""
+    stages = [RunReport(rounds=4, max_channel_demand=1),
+              RunReport(rounds=6, max_channel_demand=3,
+                        oversubscribed=[(2, 0, 1, 9)]),
+              RunReport(rounds=2, max_channel_demand=2,
+                        oversubscribed=[(1, 1, 0, 7)])]
+    merged = merge_reports(stages)
+    assert merged.max_channel_demand == 3
+    assert merged.oversubscribed == [(2, 0, 1, 9), (1, 1, 0, 7)]
+    assert merged.to_json() == RunReport(rounds=12).to_json()

@@ -1,11 +1,14 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from sleepysim.engine import Engine, audit_message
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import (
-    DecompProgram, bits_for, build_cover_sync, build_decomposition,
+    PD_CNT, PD_DEC, DecompProgram, _decomp_width, _pair_cap, bits_for,
+    build_cover_sync, build_decomposition, cover_forest,
 )
 from sleepysim.oracle import check_cover, check_decomposition
 from sleepysim.trace_checks import check_halving, check_kill_budget
@@ -122,18 +125,22 @@ def _clusters(clusters):
 # equals its rounds). The rounds and energies moved, and nothing else, when
 # the forest's component census began to ride on the Boruvka phase that
 # finds no outgoing edge: no census sweep runs, and a node stops listening
-# for it
+# for it. They moved again, and nothing else, when the decomposition began to
+# pack the count and decision pairs of one step for one neighbour into one
+# message and to run at width max(2, ceil(max(4, 2b + 2) / P)) with P = 4
+# pairs to a message, 4 here instead of max(4, 2b + 2) = 14: the logical run
+# is the same, and the decomposition's rounds and energy scale with the width
 SLEEPING_COVERS = [
     (("path", 48, 0, None, 2),
-     "3a18d94dfb8ee222", "f4c21bfb813317ea", "5f7173c5de74ab5b", 77712, 6171),
+     "3a18d94dfb8ee222", "f4c21bfb813317ea", "5f7173c5de74ab5b", 22382, 1781),
     (("grid", 49, 1, None, 1),
-     "459644d4fc9d5fa1", "f6c648cb2931698b", "044f0dcb8ed1efda", 44445, 4010),
+     "459644d4fc9d5fa1", "f6c648cb2931698b", "044f0dcb8ed1efda", 12855, 1160),
     (("random-gnm", 40, 2, 80, 1),
-     "a1df7c8363c0f754", "42ec5c5ca650a759", "8d1c9642538abebc", 37114, 3797),
+     "a1df7c8363c0f754", "42ec5c5ca650a759", "8d1c9642538abebc", 10824, 1107),
     (("random-tree", 40, 3, None, 2),
-     "58ebdf0450c0c22e", "122ad6699fd68afa", "d307fe99bdd4e451", 45737, 4093),
+     "58ebdf0450c0c22e", "122ad6699fd68afa", "d307fe99bdd4e451", 13197, 1183),
     (("cycle", 36, 4, None, 2),
-     "9db369f0cf788b8e", "7232caf79f179e90", "a588dee3eb50d5f5", 37233, 3665),
+     "9db369f0cf788b8e", "7232caf79f179e90", "a588dee3eb50d5f5", 10773, 1065),
 ]
 
 
@@ -154,3 +161,76 @@ def test_sleeping_cover_matches_all_awake(spec, cover_h, decomp_h, trace_h,
     assert report.rounds == rounds
     assert report.lost == 0 and report.critical_losses == []
     assert report.max_energy() == energy
+
+
+class _Sends:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dst, msg, critical=False):
+        self.sent.append((dst, msg, critical))
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 257, 1000])
+def test_pairs_past_the_cap_split_within_the_bit_budget(n):
+    """P + 1 pairs of one tag queued for one neighbour in one step leave as
+    two messages, P pairs and 1, each within the unit graph's bit budget
+    with the largest label (n - 1) and value (n) on the wire."""
+    g = gen_graph(GraphSpec("path", n))
+    forest = SimpleNamespace(size={0: n}, parent={0: None}, depth={0: 0})
+    prog = DecompProgram(0, g, forest, {0: []}, 2)
+    cap = _pair_cap(n)
+    for tag in (PD_CNT, PD_DEC):
+        for i in range(cap + 1):
+            prog._send_pair(1, tag, n - 1 - i % 2, n)
+    api = _Sends()
+    prog._flush(api)
+    assert [(dst, msg.tag, len(msg.payload) // 2, critical)
+            for dst, msg, critical in api.sent] == [
+        (1, PD_CNT, cap, True), (1, PD_CNT, 1, True),
+        (1, PD_DEC, cap, True), (1, PD_DEC, 1, True)]
+    assert api.sent[0][1].payload[:4] == (n - 1, n, n - 2, n)
+    budget = Engine(g).budget
+    assert all(audit_message(msg) <= budget for _, msg, _ in api.sent)
+    assert prog._outbox == {}
+
+
+def test_width_holds_as_many_roles_as_messages_did():
+    """The width times the pairs a message carries is at least
+    max(4, 2b + 2), the coinciding same-tag roles a channel took in one
+    round when each pair was a message of its own."""
+    assert [_decomp_width(n) for n in (16, 32, 64, 128, 256, 257)] == [
+        3, 3, 4, 4, 5, 5]
+    for n in range(1, 1025):
+        assert _decomp_width(n) * _pair_cap(n) >= max(4, 2 * bits_for(n) + 2)
+
+
+# (n, seed): digest of the cover and the decomposition built at d = 1 over
+# random-gnm with m = 2n, the same before and after the count and decision
+# pairs were packed. Unpacked, 9 of these 12 builds put two messages on one
+# channel in one logical round
+GNM_COVERS = [
+    ((32, 0), "e90e4e99e98ec25f"), ((32, 1), "3cc0fe8105f26b1e"),
+    ((32, 2), "a9b02cccc0309b07"), ((32, 3), "dce73600b047b7ba"),
+    ((64, 0), "4cf69d8d82e53ea5"), ((64, 1), "6ba9c4bf43ae5ac4"),
+    ((64, 2), "e9244067bd81c335"), ((64, 3), "ddc0ff507c4ecfa6"),
+    ((96, 0), "ca948290e3362fbc"), ((96, 1), "5b87d307a99a5b72"),
+    ((96, 2), "d111bf85b886b884"), ((96, 3), "958b284639a508f7"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", GNM_COVERS,
+                         ids=[f"n{n}-s{s}" for (n, s), _ in GNM_COVERS])
+def test_packed_pairs_keep_the_gnm_covers(spec, digest):
+    """Packing changes no cover or decomposition, loses no message, and
+    leaves each channel at most one message per logical round. With the
+    forest passed in, the merged report is the decomposition run's."""
+    n, seed = spec
+    g = gen_graph(GraphSpec("random-gnm", n, seed=seed, m=2 * n))
+    forest, _ = cover_forest(g)
+    cover, decomp, report, _ = build_cover_sync(g, 1, forest=forest)
+    assert _digest([_clusters(cover.clusters),
+                    [_clusters(c) for c in decomp.colors],
+                    sorted(decomp.node_color.items())]) == digest
+    assert report.lost == 0 and report.critical_losses == []
+    assert report.max_channel_demand == 1
