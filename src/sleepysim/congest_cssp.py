@@ -24,8 +24,10 @@ message, executes on its active node set:
      and the threshold max(2, min(D, pow2(2h + 1))): no distance in the
      component exceeds 2h. So the recursion starts at the component's own
      span, not at n * maxW; a non-root frame keeps half its parent's
-     threshold. The cutter starts in that phase's merge round: the
-     component shares no edge with the frame's others, still merging;
+     threshold. A forest-only run (`boruvka_forest`) gathers the height in
+     hops instead, and its decision carries that height down as it is.
+     The cutter starts in that phase's merge round: the component shares
+     no edge with the frame's others, still merging;
   4. an approximate distance cutter: weights rounded up to multiples of
      tau = W/(2*N), then a token BFS where an edge of rounded weight a*tau
      delays a rounds, run for 6*N ticks. A node fixes its tick once every
@@ -156,7 +158,7 @@ class _Frame:
         self.merging_done = False
         # this phase's census of the subtrees below with no outgoing edge
         self.pend_size = 0
-        self.pend_height = 0  # largest weighted depth, root frame only
+        self.pend_height = 0  # largest depth below, root frame only
         self.unacked = 0  # this phase's adoptions sent and not acknowledged
         self.window = None  # handle of the adoption or cutter window
         self.t_cut = None
@@ -462,8 +464,9 @@ class CsspProgram(PlannedProgram):
         self._on_decide(api, f, self._census(f) if best is None else best[1])
 
     def _on_decide(self, api, f, payload):
-        """The chosen edge (w, a, b), or the component's size[, threshold]
-        where it has no outgoing edge."""
+        """The chosen edge (w, a, b), or the component's census where it has
+        no outgoing edge: its size, in a root frame with its threshold, and
+        in a forest's with its hop height."""
         for c in f.children:
             self._send_slot(api, c, Message(T_DECIDE, payload, f.path))
         f.merging_done = len(payload) < 3
@@ -471,10 +474,12 @@ class CsspProgram(PlannedProgram):
         if f.merging_done:
             # no adoption wave passes here
             api.stop_awake(f.window, api.round)
-            f.size, *threshold = payload
-            if threshold:
-                f.D = threshold[0]
+            f.size, *census = payload
+            if self._sets_threshold(f):
+                f.D = census[0]
                 self._trace_frame(api, f)
+            elif census:
+                f.pend_height = census[0]  # the forest's height
             self._after_census(api, f)
 
     def _send_chosen(self, api, f):
@@ -579,21 +584,24 @@ class CsspProgram(PlannedProgram):
     def _on_size(self, f, src, payload):
         f.pend_size += payload[0]
         if len(payload) > 1:
-            f.pend_height = max(f.pend_height, payload[1] + self.weight[src])
+            hop = 1 if self.forest_only else self.weight[src]
+            f.pend_height = max(f.pend_height, payload[1] + hop)
 
     def _census(self, f):
-        """This subtree's census, (size[, weighted height]); at the root,
-        the component's (size[, threshold])."""
+        """This subtree's census, (size[, height]); at the root, the
+        component's (size[, threshold]). The root frame's height is the
+        tree's weighted height, a forest's its height in hops, which the
+        root passes down as it is."""
         size = 1 + f.pend_size
-        if not self._sets_threshold(f):
+        if f.path != 1:
             return (size,)
-        if f.parent is None:
+        if f.parent is None and not self.forest_only:
             return size, root_threshold(f.D, f.pend_height)
         return size, f.pend_height
 
     def _after_census(self, api, f):
         if self.forest_only and f.path == 1:
-            self._answer = (f.comp, f.parent, f.depth, f.size)
+            self._answer = (f.comp, f.parent, f.depth, f.size, f.pend_height)
             self._root_done = True
 
     # -- approximate cutter -------------------------------------------------------
@@ -804,18 +812,17 @@ def run_thresholded_cssp(graph, sources, D, *, program=CsspProgram,
 
 def boruvka_forest(graph, *, program=CsspProgram) -> tuple:
     """Maximal spanning forest of the graph; every node learns its component
-    id, parent, depth, and component size. `program` is the node program
-    class, congest or sleeping: both build the same forest in the same
-    rounds."""
+    id, parent, depth, component size and the component tree's height in
+    hops, whatever the weights. `program` is the node program class,
+    congest or sleeping: both build the same forest in the same rounds."""
     cfg = SimConfig(round_limit=default_round_limit(graph.n, 2),
                     collect_trace=False)
     outputs, report, engine = run_simulation(
         graph, lambda v: program(v, graph, set(), 2, forest_only=True), cfg)
-    comp, parent, depth, size = {}, {}, {}, {}
+    comp, parent, depth, size, height = {}, {}, {}, {}, {}
     for v in range(graph.n):
-        c, p, d, s = outputs[v]
-        comp[v], parent[v], depth[v], size[v] = c, p, d, s
-    return ForestInfo(comp, parent, depth, size), report, engine
+        comp[v], parent[v], depth[v], size[v], height[v] = outputs[v]
+    return ForestInfo(comp, parent, depth, size, height), report, engine
 
 
 def cssp(graph, sources, *, program=CsspProgram, round_limit=None, trace=True):

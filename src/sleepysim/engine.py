@@ -478,7 +478,13 @@ class PlannedProgram:
     def _sweep_step(self, api, base, cap, depth, action, *args, lag=0, kids=False):
         """Plan a fixed-window convergecast from round `base` over a tree of
         depth <= `cap`: a node at depth d acts at base + 1 + cap - d + `lag`,
-        after its kids send; with `kids`, it listens from the round they do."""
+        after its kids send; with `kids`, it listens from the round they do.
+        A node deeper than the cap raises: the window is too short for the
+        tree."""
+        if depth > cap:
+            raise ProtocolViolation(
+                f"node {self.node} at depth {depth} is swept by a window "
+                f"for depth {cap}")
         heard = base + cap - depth
         self._plan_at(api, heard + 1 + lag, action, *args,
                       listen_from=heard if kids else None)

@@ -11,8 +11,9 @@ cluster stops for the phase). Dead and already-colored nodes keep relaying
 and remain as nonterminal tree nodes.
 
 Sequencing is fully in-protocol: every sub-window is round arithmetic from
-per-component counters, and step/phase/color transitions are decided by a
-two-bit barrier aggregation over the component spanning tree.
+depths the component measures, and step/phase/color transitions are decided
+by a barrier aggregation over the component spanning tree, which also
+carries the component's deepest role up and back down.
 
 Cover mode appends one expansion wave per color, growing each cluster to its
 d-neighborhood and recording the expanded trees.
@@ -23,8 +24,15 @@ share one), and a decomposition node wakes for the rounds in
 which it acts and, since a message sent in round s is read in the step at
 s + 1, listens in [s, s + 1] for each round s in which one can reach it.
 With a step starting at base, t_join = base + k + 2, t_cnt = t_join + k + 2,
-t_dec = t_cnt + rho + 2, t_bar = t_dec + rho + k + 3 and S the component
-size, those rounds are:
+t_dec = t_cnt + rho + 2 and t_bar = t_dec + rho + k + 3, those rounds are
+as below. rho is the largest role depth in the component when the last
+barrier swept it (0 at a color's start), which bounds every tree the step
+counts over; a step grows a tree by at most k hops (Rozhon-Ghaffari), so the
+decision wave reaches depth at most rho + k before t_bar, and the next
+barrier carries the new depth. H is the height of the component's spanning
+forest tree, which the forest's census measures (`ForestInfo.height`).
+A sweep that finds a node deeper than its cap raises `ProtocolViolation`
+(`PlannedProgram._sweep_step`).
 
   - PD_PROP, PD_EXP (the floods): a flood's source is hop 0, and a message
     moves one hop per round until its hop reaches the flood's radius. A
@@ -46,8 +54,8 @@ size, those rounds are:
     recounts terminals, or t_cnt, which counts joins;
   - PD_DEC: t_dec + depth - 1 for each non-root role of a blue cluster, and
     t_dec + st - 1 for a node that sent a join on a proposal with depth st;
-  - PD_BUP: t_bar + S - fdepth - 1 for a node with forest kids;
-  - PD_BDOWN: t_bar + S + fdepth for a non-root.
+  - PD_BUP: t_bar + H - fdepth - 1 for a node with forest kids;
+  - PD_BDOWN: t_bar + H + fdepth for a non-root.
 
 A flood message read after its window closed raises `ProtocolViolation`: it
 was sent in the window's last round, so the node no longer listened in the
@@ -159,14 +167,14 @@ class DecompProgram(PlannedProgram):
         self.b = bits_for(graph.n)
         self.color_cap = max(1, 2 * bits_for(graph.n))
         self.step_cap = max(8, 10 * self.b * max(1, bits_for(graph.n)))
-        self.comp_size = forest.size[node]
+        self.fheight = forest.height[node]
         self.fparent = forest.parent[node]
         self.fdepth = forest.depth[node]
         self.fkids = kids[node]  # forest.children(), computed once per run
         # color-scoped state
         self.color = 0
         self.phase = 0
-        self.steps_done = 0
+        self.rho = 0  # the component's largest role depth at the last barrier
         self.in_step = 0
         self.living = True
         self.dead = False
@@ -192,6 +200,7 @@ class DecompProgram(PlannedProgram):
         self.join_acc: dict[int, int] = {}
         self.bar_active = False
         self.bar_dead = False
+        self.bar_depth = 0
         self._acc: dict[int, int] = {}
         self.pair_cap = _pair_cap(graph.n)
         self._outbox: dict[tuple, tuple] = {}  # (dst, tag) -> the step's pairs
@@ -199,7 +208,10 @@ class DecompProgram(PlannedProgram):
     # -- window arithmetic ----------------------------------------------------
 
     def _rho(self):
-        return self.k * (self.steps_done + 1)
+        """The count and decision windows' depth cap: the deepest role in
+        the component when the last barrier swept it, which the roles' trees
+        keep until the next step's decision wave."""
+        return self.rho
 
     @staticmethod
     def _listen(api, s):
@@ -276,10 +288,12 @@ class DecompProgram(PlannedProgram):
             for label, verdict in zip(pairs[::2], pairs[1::2]):
                 self._on_dec(api, src, label, verdict)
         elif tag == PD_BUP:
-            self.bar_active = self.bar_active or bool(msg.payload[0])
-            self.bar_dead = self.bar_dead or bool(msg.payload[1])
+            active, dead, depth = msg.payload
+            self.bar_active = self.bar_active or bool(active)
+            self.bar_dead = self.bar_dead or bool(dead)
+            self.bar_depth = max(self.bar_depth, depth)
         elif tag == PD_BDOWN:
-            self._on_verdict(api, msg.payload[0])
+            self._on_verdict(api, *msg.payload)
 
     # -- color / phase / step sequencing ------------------------------------------
 
@@ -292,7 +306,7 @@ class DecompProgram(PlannedProgram):
         self.dead = False
         self.label = self.node
         self.roles = {}
-        self.steps_done = 0
+        self.rho = 0
         self.phase = 0
         self.in_step = 0
         self.root_size = 1
@@ -342,6 +356,7 @@ class DecompProgram(PlannedProgram):
         self.join_acc = {}
         self.bar_active = False
         self.bar_dead = False
+        self.bar_depth = 0
         k, rho = self.k, self._rho()
         t_join = base + k + 2
         t_cnt = t_join + k + 2
@@ -518,34 +533,38 @@ class DecompProgram(PlannedProgram):
     # -- barrier -------------------------------------------------------------------------
 
     def _barrier(self, api, t_bar):
-        """Plan the step's two-bit aggregation over the forest, which starts
-        at t_bar: a node at depth d reports at t_bar + S - d, the root
-        decides at t_bar + S + 1 and its verdict reaches depth d at
-        t_bar + S + d."""
-        S = self.comp_size
+        """Plan the step's aggregation over the forest, which starts at
+        t_bar: with H the forest's height in the component, a node at depth
+        d reports at t_bar + H - d, the root decides at t_bar + H + 1 and
+        its verdict reaches depth d at t_bar + H + d."""
+        H = self.fheight
         root = self.fparent is None
-        self._sweep_step(api, t_bar - 1, S, self.fdepth,
+        self._sweep_step(api, t_bar - 1, H, self.fdepth,
                          "_bar_root" if root else "_bar_up",
                          lag=int(root), kids=bool(self.fkids))
         if not root:
-            self._listen(api, t_bar + S + self.fdepth)  # the verdict
+            self._listen(api, t_bar + H + self.fdepth)  # the verdict
 
     def _bar_own(self):
-        """Fold this node's own bits into the aggregate: an unstopped blue
-        root with terminals keeps the phase stepping, a node killed in it
-        asks for another color."""
+        """Fold this node's own share into the aggregate, after the step's
+        decisions: an unstopped blue root with terminals keeps the phase
+        stepping, a node killed in it asks for another color, and its
+        deepest role bounds the next step's windows."""
         root_role = self.roles.get(self.node)
         if (root_role is not None and root_role.parent is None
                 and self._is_blue(self.node) and not self.root_stop
                 and self.root_size > 0):
             self.bar_active = True
         self.bar_dead = self.bar_dead or self.dead
+        for role in self.roles.values():
+            if role.depth > self.bar_depth:
+                self.bar_depth = role.depth
 
     def _bar_up(self, api):
         self._bar_own()
         api.send(self.fparent, Message(
-            PD_BUP, (1 if self.bar_active else 0, 1 if self.bar_dead else 0)),
-            critical=True)
+            PD_BUP, (1 if self.bar_active else 0, 1 if self.bar_dead else 0,
+                     self.bar_depth)), critical=True)
 
     def _bar_root(self, api):
         self._bar_own()
@@ -557,13 +576,15 @@ class DecompProgram(PlannedProgram):
             verdict = V_COLOR
         else:
             verdict = V_DONE
-        self._on_verdict(api, verdict)
+        self._on_verdict(api, verdict, self.bar_depth)
 
-    def _on_verdict(self, api, verdict):
+    def _on_verdict(self, api, verdict, depth):
+        """Pass the verdict and the component's deepest role down, and go on
+        from the round all of the component ends the barrier."""
         for c in self.fkids:
-            api.send(c, Message(PD_BDOWN, (verdict,)), critical=True)
-        end = api.round + (self.comp_size - self.fdepth) + 2
-        self.steps_done += 1
+            api.send(c, Message(PD_BDOWN, (verdict, depth)), critical=True)
+        end = api.round + (self.fheight - self.fdepth) + 2
+        self.rho = depth
         if verdict == V_STEP:
             self._plan_step(api, end)
         elif verdict == V_PHASE:

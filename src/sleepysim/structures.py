@@ -94,6 +94,7 @@ class ForestInfo:
     parent: dict  # node -> parent or None
     depth: dict  # node -> depth
     size: dict  # node -> |C| of its component
+    height: dict  # node -> hop height of its component's tree
 
     def children(self) -> dict:
         out = {v: [] for v in self.component}

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from sleepysim.congest_cssp import (
-    INF, boruvka_forest, cssp, lift_zero_weights, pow2_at_least,
-    project_distance, run_thresholded_cssp,
+    INF, CsspProgram, boruvka_forest, cssp, lift_zero_weights,
+    pow2_at_least, project_distance, run_thresholded_cssp,
 )
+from sleepysim.energy_cssp import EnergyCsspProgram
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import dijkstra
 from sleepysim.trace_checks import (
@@ -58,6 +59,24 @@ def test_boruvka_path_is_own_forest():
     assert len(set(forest.component.values())) == 1
     tree_edges = {(min(v, p), max(v, p)) for v, p in forest.parent.items() if p is not None}
     assert tree_edges == {(0, 1), (1, 2), (2, 3)}
+
+
+@pytest.mark.parametrize("program", [CsspProgram, EnergyCsspProgram])
+@pytest.mark.parametrize("graph", [
+    gen_graph(GraphSpec("path", 17)),
+    gen_graph(GraphSpec("grid", 25, seed=1)),
+    Graph.build(7, [(0, 1, 1), (1, 2, 1), (3, 4, 1)]),  # with isolated 5, 6
+    gen_graph(GraphSpec("random-gnm", 24, seed=5, m=40, weight_mode="uniform",
+                        max_w=60)),
+], ids=["path", "grid", "disconnected", "weighted-gnm"])
+def test_forest_height_is_the_components_deepest_node(graph, program):
+    """Every node learns its component tree's height in hops, the largest
+    `depth` there, whatever the weights, from either program class."""
+    forest, _, _ = boruvka_forest(graph, program=program)
+    deepest = {}
+    for v, c in forest.component.items():
+        deepest[c] = max(deepest.get(c, 0), forest.depth[v])
+    assert forest.height == {v: deepest[c] for v, c in forest.component.items()}
 
 
 def test_cutter_contract_two_nodes():

@@ -388,12 +388,16 @@ def test_golden_path65_outputs_and_report():
     pairs of one step for one neighbour into one message and to run at
     width 4 instead of 16, with the same logical run (rounds 763,944 ->
     197,964, max energy 16,720 -> 8,112; messages sent, congestion and
-    outputs unchanged)."""
+    outputs unchanged). It moved again when the decomposition's count and
+    decision windows began to be sized by the component's deepest role,
+    carried on the barrier, and the barrier by the forest's height instead
+    of the component's size (rounds 197,964 -> 60,844; max energy, messages
+    sent, congestion and outputs unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "674d1735a43f837d6de83adba3666e9fd15a8888cdbf3095a40957dea9c3e678")
+            == "d3bf054de551aec6af3beb60842a87cea852c64507b5591839abc2b272f4c1a2")
 
 
 def test_full_bfs_report_keeps_its_stages_channel_demand(monkeypatch):

@@ -27,7 +27,7 @@ def sleeping_forest(g):
     outputs, report, _ = run_simulation(
         g, lambda v: EnergyCsspProgram(v, g, set(), 2, forest_only=True))
     forest = ForestInfo(*({v: out[i] for v, out in outputs.items()}
-                          for i in range(4)))
+                          for i in range(5)))
     return forest, report
 
 

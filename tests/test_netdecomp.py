@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 from types import SimpleNamespace
 
 import pytest
 
-from sleepysim.engine import Engine, audit_message
+from sleepysim.engine import Engine, ProtocolViolation, audit_message
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import (
     PD_CNT, PD_DEC, DecompProgram, _decomp_width, _pair_cap, bits_for,
@@ -110,6 +111,45 @@ def test_only_blue_clusters_count(monkeypatch):
     assert all(blue for blue, _ in counted)
 
 
+def test_count_windows_reach_the_deepest_role(monkeypatch):
+    """A count window is as deep as the component's deepest role at the last
+    barrier: no swept role lies deeper, and on a path the deepest window
+    sweeps a role at its full depth."""
+    swept = []
+    sweep = DecompProgram._role_sweep
+
+    def record(self, api, base, recount):
+        swept.extend((self._rho(), role.depth) for label, role in self.roles.items()
+                     if self._is_blue(label))
+        sweep(self, api, base, recount)
+
+    monkeypatch.setattr(DecompProgram, "_role_sweep", record)
+    build_cover_sync(gen_graph(GraphSpec("path", 48)), 2)
+    assert all(depth <= rho for rho, depth in swept)
+    assert max(rho for rho, depth in swept if depth == rho) == max(
+        rho for rho, _ in swept) > 0
+
+
+def test_count_window_one_short_of_the_deepest_role_raises(monkeypatch):
+    """A count window one hop shallower than the deepest role the barrier
+    carried raises at that role instead of building another cover."""
+    monkeypatch.setattr(DecompProgram, "_rho", lambda self: max(0, self.rho - 1))
+    with pytest.raises(ProtocolViolation, match="swept by a window for depth"):
+        build_cover_sync(gen_graph(GraphSpec("path", 48)), 2)
+
+
+@pytest.mark.parametrize("family, n", [("path", 48), ("grid", 49)])
+def test_barrier_one_short_of_the_forest_height_raises(family, n):
+    """A barrier sized for one hop less than the forest's height raises at
+    the forest's deepest node instead of building another cover."""
+    g = gen_graph(GraphSpec(family, n, seed=1))
+    (forest, kids), _ = cover_forest(g)
+    short = dataclasses.replace(
+        forest, height={v: h - 1 for v, h in forest.height.items()})
+    with pytest.raises(ProtocolViolation, match="swept by a window for depth"):
+        build_cover_sync(g, 1, forest=(short, kids))
+
+
 def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -119,35 +159,43 @@ def _clusters(clusters):
             for cl in clusters]
 
 
-# (family, n, seed, m, d): cover, decomposition and trace digests and rounds
-# of the all-awake construction, and the sleeping run's max energy, pinned
-# exactly so that a change that listens more shows (the all-awake run's
-# equals its rounds). The rounds and energies moved, and nothing else, when
-# the forest's component census began to ride on the Boruvka phase that
-# finds no outgoing edge: no census sweep runs, and a node stops listening
-# for it. They moved again, and nothing else, when the decomposition began to
-# pack the count and decision pairs of one step for one neighbour into one
+# (family, n, seed, m, d): cover, decomposition and trace digests, the trace
+# digest with every event's round dropped, and the rounds of the all-awake
+# construction, and the sleeping run's max energy, pinned exactly so that a
+# change that listens more shows (the all-awake run's equals its rounds).
+# The rounds and energies moved, and nothing else, when the forest's
+# component census began to ride on the Boruvka phase that finds no
+# outgoing edge: no census sweep runs, and a node stops listening for it.
+# They moved again, and nothing else, when the decomposition began to pack
+# the count and decision pairs of one step for one neighbour into one
 # message and to run at width max(2, ceil(max(4, 2b + 2) / P)) with P = 4
 # pairs to a message, 4 here instead of max(4, 2b + 2) = 14: the logical run
-# is the same, and the decomposition's rounds and energy scale with the width
+# is the same, and the decomposition's rounds and energy scale with the
+# width. The rounds and the trace digests moved again when the count and
+# decision windows began to be sized by the component's deepest role, which
+# the barrier carries, instead of k x (steps done + 1), and the barrier by
+# the forest's height instead of the component's size: the same events in
+# the same order at earlier rounds (the digest without rounds, recorded
+# before, is unchanged), with the same energy (rounds 22,382 / 12,855 /
+# 10,824 / 13,197 / 10,773 -> 15,154 / 4,431 / 3,480 / 4,381 / 6,701)
 SLEEPING_COVERS = [
-    (("path", 48, 0, None, 2),
-     "3a18d94dfb8ee222", "f4c21bfb813317ea", "5f7173c5de74ab5b", 22382, 1781),
-    (("grid", 49, 1, None, 1),
-     "459644d4fc9d5fa1", "f6c648cb2931698b", "044f0dcb8ed1efda", 12855, 1160),
-    (("random-gnm", 40, 2, 80, 1),
-     "a1df7c8363c0f754", "42ec5c5ca650a759", "8d1c9642538abebc", 10824, 1107),
-    (("random-tree", 40, 3, None, 2),
-     "58ebdf0450c0c22e", "122ad6699fd68afa", "d307fe99bdd4e451", 13197, 1183),
-    (("cycle", 36, 4, None, 2),
-     "9db369f0cf788b8e", "7232caf79f179e90", "a588dee3eb50d5f5", 10773, 1065),
+    (("path", 48, 0, None, 2), "3a18d94dfb8ee222", "f4c21bfb813317ea",
+     "cdcc41ac8e425dd6", "49a03f401415de2b", 15154, 1781),
+    (("grid", 49, 1, None, 1), "459644d4fc9d5fa1", "f6c648cb2931698b",
+     "a2df7eb2b238c24b", "f70ce7f14ed2df19", 4431, 1160),
+    (("random-gnm", 40, 2, 80, 1), "a1df7c8363c0f754", "42ec5c5ca650a759",
+     "527cddb5a7a657a3", "3ba8a50c8c24f803", 3480, 1107),
+    (("random-tree", 40, 3, None, 2), "58ebdf0450c0c22e", "122ad6699fd68afa",
+     "eda711f1c18f007f", "2a2798705190e8a7", 4381, 1183),
+    (("cycle", 36, 4, None, 2), "9db369f0cf788b8e", "7232caf79f179e90",
+     "8d9d098674407202", "7ebf938cccc03d56", 6701, 1065),
 ]
 
 
-@pytest.mark.parametrize("spec, cover_h, decomp_h, trace_h, rounds, energy",
+@pytest.mark.parametrize("spec, cover_h, decomp_h, trace_h, events_h, rounds, energy",
                          SLEEPING_COVERS, ids=[c[0][0] for c in SLEEPING_COVERS])
 def test_sleeping_cover_matches_all_awake(spec, cover_h, decomp_h, trace_h,
-                                          rounds, energy):
+                                          events_h, rounds, energy):
     """Sleeping forest and decomposition nodes build the cover, decomposition
     and trace the all-awake construction built, in the same rounds, and lose
     no message (each is sent critical, so a missed listening slot raises)."""
@@ -158,6 +206,9 @@ def test_sleeping_cover_matches_all_awake(spec, cover_h, decomp_h, trace_h,
     assert _digest([[_clusters(c) for c in decomp.colors],
                     sorted(decomp.node_color.items())]) == decomp_h
     assert _digest([[kind, sorted(data.items())] for kind, data in tlog]) == trace_h
+    assert _digest([[kind, sorted((key, value) for key, value in data.items()
+                                  if key != "round")]
+                    for kind, data in tlog]) == events_h
     assert report.rounds == rounds
     assert report.lost == 0 and report.critical_losses == []
     assert report.max_energy() == energy
@@ -177,7 +228,7 @@ def test_pairs_past_the_cap_split_within_the_bit_budget(n):
     two messages, P pairs and 1, each within the unit graph's bit budget
     with the largest label (n - 1) and value (n) on the wire."""
     g = gen_graph(GraphSpec("path", n))
-    forest = SimpleNamespace(size={0: n}, parent={0: None}, depth={0: 0})
+    forest = SimpleNamespace(height={0: n - 1}, parent={0: None}, depth={0: 0})
     prog = DecompProgram(0, g, forest, {0: []}, 2)
     cap = _pair_cap(n)
     for tag in (PD_CNT, PD_DEC):

@@ -22,6 +22,10 @@ st = pytest.importorskip("hypothesis.strategies")
 given, example, settings = hypothesis.given, hypothesis.example, hypothesis.settings
 
 
+PATH9_EDGE_NODE = Graph.build(
+    12, [(v, v + 1, 1) for v in range(8)] + [(9, 10, 1)])
+
+
 @st.composite
 def instances(draw):
     """(graph, k, d or None)."""
@@ -48,6 +52,10 @@ def instances(draw):
 @example((gen_graph(GraphSpec("path", 9)), 2, 1))
 @example((gen_graph(GraphSpec("cycle", 12)), 6, 3))
 @example((gen_graph(GraphSpec("random-gnm", 7, seed=0)), 5, 2))  # complete K7
+# path 9, one edge and an isolated node: components whose forest heights and
+# deepest roles differ, so each sizes its windows by its own depths
+@example((PATH9_EDGE_NODE, 6, 3))
+@example((PATH9_EDGE_NODE, 1, None))
 def test_construction_is_sound(instance):
     graph, k, d = instance
     decomp, cover, report, _ = build_decomposition(graph, k, trace=False,
