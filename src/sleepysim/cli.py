@@ -96,9 +96,9 @@ def build_parser():
     run.add_argument("--sources", default="0", help="comma list of node ids")
     run.add_argument("--threshold", type=non_negative_int,
                      help="distance threshold")
-    run.add_argument("--k", type=non_negative_int,
-                     help="decomposition separation, 0 for the default")
-    run.add_argument("--d", type=non_negative_int, help="cover scale")
+    run.add_argument("--k", type=positive_int,
+                     help="decomposition separation (default 2)")
+    run.add_argument("--d", type=positive_int, help="cover scale (default 1)")
     run.add_argument("--delta", type=non_negative_int, help="apsp delay range")
     run.add_argument("--base", type=positive_int,
                      help="layered cover base override")
@@ -269,9 +269,12 @@ def cmd_run(args) -> int:
             bad = cover_faults(g, layered, args.threshold)
             if bad:
                 raise CliError(f"cover cache: {bad[0]['detail']}")
-        outputs, report, _, layered, _, _ = full_bfs(
-            g, sources, threshold=args.threshold, base=args.base,
-            layered=layered, trace=False)
+        try:
+            outputs, report, _, layered, _, _ = full_bfs(
+                g, sources, threshold=args.threshold, base=args.base,
+                layered=layered, trace=False)
+        except ValueError as e:
+            raise CliError(str(e))
         ref = {v: (d if args.threshold is None or d <= args.threshold else inf)
                for v, d in hop_distances(g, sources).items()}
         if args.save_cover:
@@ -296,7 +299,7 @@ def cmd_run(args) -> int:
                 for v in range(g.n)))
         dist_text = "\n".join(rows) + "\n"
     elif args.algo == "decomp":
-        k = args.k or 2
+        k = 2 if args.k is None else args.k
         decomp, _, report, _ = build_decomposition(g, k, trace=False)
         if args.verify:
             bad = check_decomposition(g, decomp, k, *promised_bounds(g.n, k))
@@ -310,7 +313,7 @@ def cmd_run(args) -> int:
             ],
         }, sort_keys=True)
     else:  # cover
-        d = args.d or 1
+        d = 1 if args.d is None else args.d
         cover, decomp, report, _ = build_cover_sync(g, d, trace=False)
         if args.verify:
             bad = check_cover(g, cover, d, *promised_bounds(g.n))

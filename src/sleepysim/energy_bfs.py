@@ -24,9 +24,9 @@ harmless duplicates from real violations.
 stack or reusing one.
 
 Construction of the cover stack itself reuses `netdecomp`'s builder (its
-nodes sleep outside the rounds a message can reach them); this module adds
-the layering, parent links, global-cluster detection (all nodes awake), and
-the sleeping BFS phase.
+nodes sleep outside the rounds a message can reach them), which also counts
+which clusters span their component; this module adds the layering, parent
+links, the stop rule that reads those counts, and the sleeping BFS phase.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import namedtuple
 from math import inf
 
 from .engine import Message, PlannedProgram, SimConfig, merge_reports, run_simulation
-from .netdecomp import ConstructionError, bits_for, build_cover_sync, cover_forest
+from .netdecomp import ConstructionError, build_cover_sync, cover_forest
 from .structures import LayeredCover
 
 INF = inf
@@ -43,9 +43,6 @@ INF = inf
 EB_CONV = 40  # (level, cid, contains_src, reached_any, all_done)
 EB_BCAST = 41  # (level, cid, contains_src, reached, deact)
 EB_REACH = 42  # (hop,)
-DG_LIST = 43
-DG_CONV = 44
-DG_BCAST = 45
 
 C_PIPE = 3  # pipeline sweeps a cluster gets per frontier hop
 
@@ -341,7 +338,9 @@ def build_cover_next(graph, layered, *, trace=True, forest=None):
 def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
     """Construction of the scale-1 and scale-B covers plus links, over one
     spanning forest: `forest` as for `netdecomp.build_decomposition`, or
-    built here and counted once."""
+    built here and counted once. A requested base whose scale-B cover cannot
+    hold the scale-1 clusters' trees raises ValueError; a derived one that
+    cannot is a `ConstructionError`."""
     reports = []
     if forest is None:
         forest, rep_f = cover_forest(graph)
@@ -361,79 +360,14 @@ def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
             reports.append(rep1b)
             B = B2
     layered = LayeredCover(base=B, levels=[cover0, cover1])
-    assign_parents(graph, layered, 0, decomp1)
+    try:
+        assign_parents(graph, layered, 0, decomp1)
+    except ConstructionError as e:
+        if base is None:
+            raise
+        raise ValueError(f"base {base} cannot link the scale-1 cover into "
+                         f"the scale-{base} one: {e}") from None
     return layered, [decomp0, decomp1], merge_reports(reports), [tl0, tl1]
-
-
-class DetectProgram(PlannedProgram):
-    """All-awake detection of a cluster containing its whole component. Every
-    node sweeps with the same `window` and `cap`, the cover's largest tree
-    depth + 2, so the nodes of one tree agree on its sweep rounds."""
-
-    def __init__(self, node, graph, roles, window, cap):
-        super().__init__(node, graph)
-        self.roles = roles
-        self.window = window
-        self.cap = cap
-        self.nbr_lists = {u: set() for u in self.nbrs}
-        self.answer = {}
-        self._acc = {}
-
-    on_round = PlannedProgram.on_round
-
-    def _start(self, api):
-        api.always_awake()
-        mine = sorted(cid for (_, cid), rt in self.roles.items() if rt.terminal)
-        for i, cid in enumerate(mine):
-            self._plan_at(api, api.round + i + 1, "_tell", cid)
-        self._plan_at(api, api.round + self.window, "_local_check")
-
-    def _tell(self, api, cid):
-        for u in self.nbrs:
-            api.send(u, Message(DG_LIST, (cid,)))
-
-    def _dispatch(self, api, src, msg):
-        if msg.tag == DG_LIST:
-            self.nbr_lists[src].add(msg.payload[0])
-        elif msg.tag == DG_CONV:
-            level, cid, flag = msg.payload
-            key = (level, cid)
-            self._acc[key] = self._acc.get(key, 1) & flag
-        elif msg.tag == DG_BCAST:
-            level, cid, flag = msg.payload
-            self._answer(api, (level, cid), flag)
-
-    def _local_check(self, api):
-        base, cap = api.round, self.cap
-        for key in sorted(self.roles):
-            rt = self.roles[key]
-            if rt.terminal:
-                ok = all(rt.cid in self.nbr_lists[u] for u in self.nbrs)
-            else:
-                ok = True
-            self._acc[key] = self._acc.get(key, 1) & (1 if ok else 0)
-            self._sweep_step(api, base, cap, rt.depth, "_up", key)
-        self._plan_at(api, base + 2 * (cap + 2), "_done")
-
-    def _up(self, api, key):
-        rt = self.roles[key]
-        flag = self._acc.get(key, 1)
-        if rt.parent is None:
-            self._answer(api, key, flag)
-        else:
-            api.send(rt.parent, Message(DG_CONV, key + (flag,)))
-
-    def _answer(self, api, key, flag):
-        """The verdict on a cluster, the root's own or relayed from the
-        parent: keep the first and pass it on to the kids."""
-        rt = self.roles.get(key)
-        if rt is not None and key not in self.answer:
-            self.answer[key] = bool(flag)
-            for kid in rt.kids:
-                api.send(kid, Message(DG_BCAST, key + (flag,)))
-
-    def _done(self, api):
-        api.finish({f"{k[0]}:{k[1]}": v for k, v in sorted(self.answer.items())})
 
 
 def _roles_for(graph, layered, top_level):
@@ -458,29 +392,20 @@ def _roles_for(graph, layered, top_level):
 
 
 def detect_global_cluster(graph, cover):
-    """All-awake containment detection; returns (stop flag, report). The stop
-    flag is set when in every component some cluster spans it (so every node
-    belongs to a spanning cluster)."""
-    probe = LayeredCover(base=2, levels=[cover])
-    roles_by_node = _roles_for(graph, probe, 0)
-    memberships = max((len(r) for r in roles_by_node.values()), default=1)
-    window = max(bits_for(graph.n), memberships) + 2
-    cap = probe.max_tree_depth(0) + 2
-    outputs, report, _ = run_simulation(
-        graph, lambda v: DetectProgram(v, graph, roles_by_node[v], window, cap),
-        SimConfig(width=max(4, memberships + 2)))
-    spanning = set()
-    for v, ans in sorted(outputs.items()):
-        for key, flag in ans.items():
-            if flag:
-                spanning.add(key)
-    if not spanning:
-        return False, report
-    for v in range(graph.n):
-        keys = {f"{lvl}:{cid}" for (lvl, cid) in roles_by_node[v]}
-        if not keys & spanning:
-            return False, report
-    return True, report
+    """Whether every node lies in a cluster that spans its component, read
+    from the flags the cover's build counted (`Cover.spanning`)."""
+    if cover.spanning is None:
+        raise ValueError("the cover carries no spanning flags from its build")
+    return _all_spanned(graph, cover, lambda cl: cl.id in cover.spanning)
+
+
+def _all_spanned(graph, cover, spans):
+    """Whether the clusters for which `spans` holds cover every node."""
+    spanned = set()
+    for cl in cover.clusters:
+        if spans(cl):
+            spanned |= cl.members
+    return len(spanned) == graph.n
 
 
 def _spans_component(graph, cl):
@@ -578,30 +503,25 @@ def stack_fault(graph, layered, threshold=None):
     if reach >= 2 * threshold:
         return None
     for cover in layered.levels:
-        spanned = set()
-        for cl in cover.clusters:
-            if _spans_component(graph, cl):
-                spanned |= cl.members
-        if len(spanned) == graph.n:
+        if _all_spanned(graph, cover, lambda cl: _spans_component(graph, cl)):
             return None
     return (f"no level has every node in a cluster that spans its component, "
             f"and base**top = {reach} is below 2 x threshold {threshold}")
 
 
 def _grow_cover(graph, base, trace, threshold):
-    """Bootstrap the cover stack, then detect and grow. Without a threshold,
-    detection runs from level 0 up until some cluster spans every component;
-    with one, it runs on the top level while base**top < 2*threshold. Every
-    cover runs over one spanning forest."""
+    """Bootstrap the cover stack, then read each level's spanning flags and
+    grow. Without a threshold, the reading runs from level 0 up until every
+    node lies in a cluster that spans its component; with one, it reads the
+    top level while base**top < 2*threshold. Every cover runs over one
+    spanning forest."""
     forest, rep_f = cover_forest(graph)
     layered, decomps, rep_boot, tlogs = bootstrap_base_covers(
         graph, base=base, trace=trace, forest=forest)
     reports = [rep_f, rep_boot]
     level = 0 if threshold is None else layered.top
     while threshold is None or layered.base**layered.top < 2 * threshold:
-        spans, rep_d = detect_global_cluster(graph, layered.levels[level])
-        reports.append(rep_d)
-        if spans:
+        if detect_global_cluster(graph, layered.levels[level]):
             break
         if level == layered.top:
             cover, decomp, rep, tl = build_cover_next(

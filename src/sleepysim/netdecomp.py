@@ -16,7 +16,11 @@ by a barrier aggregation over the component spanning tree, which also
 carries the component's deepest role up and back down.
 
 Cover mode appends one expansion wave per color, growing each cluster to its
-d-neighborhood and recording the expanded trees.
+d-neighborhood and recording the expanded trees, then one count of each
+expanded cluster's terminals toward its root. A cluster's members lie in one
+connected tree, so it spans its component exactly when its root counts the
+component's size, which the forest's census measures (`ForestInfo.size`);
+the roots' flags come back as `Cover.spanning`.
 
 Nodes sleep. The spanning forest is built by sleeping `EnergyCsspProgram`
 nodes (`forest_only=True`, `cover_forest`; the covers of one `full_bfs` run
@@ -55,7 +59,12 @@ A sweep that finds a node deeper than its cap raises `ProtocolViolation`
   - PD_DEC: t_dec + depth - 1 for each non-root role of a blue cluster, and
     t_dec + st - 1 for a node that sent a join on a proposal with depth st;
   - PD_BUP: t_bar + H - fdepth - 1 for a node with forest kids;
-  - PD_BDOWN: t_bar + H + fdepth for a non-root.
+  - PD_BDOWN: t_bar + H + fdepth for a non-root;
+  - PD_CNT in the spanning count: t_span + cap - depth for every expanded
+    role, with t_span = a + d + 4 after the last color's expansion start a
+    and cap = rho_max + d, rho_max the largest depth the color barriers
+    carried: an expansion role lies at most d below its source's role, and
+    a role does not know its expansion kids, so each listens.
 
 A flood message read after its window closed raises `ProtocolViolation`: it
 was sent in the window's last round, so the node no longer listened in the
@@ -77,7 +86,12 @@ graph (P = 4 at n = 16..257). The run's width is
 max(2, ceil(max(4, 2b + 2) / P)), so a channel still takes max(4, 2b + 2)
 coinciding same-tag roles in a round, as many as when each pair was a
 message of its own at width max(4, 2b + 2). The logical run is the same;
-only its rounds and energy, logical rounds x width, fall.
+only its rounds and energy, logical rounds x width, fall. The spanning count
+keys its pairs by cluster id, color x n + label, below 2b x n, so P' pairs
+fit a message, with 2b x n in place of n in P (P' = 3 at n = 16..257); at
+the same width a channel takes width x P' >= b + 1 coinciding roles for
+n <= 4096, as many as the colors of a build whose every color halves the
+living nodes.
 """
 
 from __future__ import annotations
@@ -111,12 +125,12 @@ def bits_for(n: int) -> int:
     return max(0, (max(1, n) - 1).bit_length())
 
 
-def _pair_cap(n: int) -> int:
-    """The (label, value) pairs one `PD_CNT` or `PD_DEC` message carries
-    within the bit budget of the unit-weight graph on n nodes: a label is at
-    most n - 1 and a count or verdict at most n."""
+def _pair_cap(n: int, keys: int | None = None) -> int:
+    """The (key, value) pairs one `PD_CNT` or `PD_DEC` message carries
+    within the bit budget of the unit-weight graph on n nodes: a key is below
+    `keys` (a label, below n, by default) and a count or verdict at most n."""
     tag_bits = (max(PD_CNT, PD_DEC) + 1).bit_length()
-    pair_bits = n.bit_length() + (n + 1).bit_length()
+    pair_bits = (n if keys is None else keys).bit_length() + (n + 1).bit_length()
     return (bit_budget(n, 1) - tag_bits) // pair_bits
 
 
@@ -164,10 +178,12 @@ class DecompProgram(PlannedProgram):
         super().__init__(node, graph)
         self.k = k
         self.d = expand_to
+        self.n = graph.n
         self.b = bits_for(graph.n)
         self.color_cap = max(1, 2 * bits_for(graph.n))
         self.step_cap = max(8, 10 * self.b * max(1, bits_for(graph.n)))
         self.fheight = forest.height[node]
+        self.fsize = forest.size[node]
         self.fparent = forest.parent[node]
         self.fdepth = forest.depth[node]
         self.fkids = kids[node]  # forest.children(), computed once per run
@@ -175,6 +191,7 @@ class DecompProgram(PlannedProgram):
         self.color = 0
         self.phase = 0
         self.rho = 0  # the component's largest role depth at the last barrier
+        self.rho_max = 0  # the same over every color so far
         self.in_step = 0
         self.living = True
         self.dead = False
@@ -189,6 +206,7 @@ class DecompProgram(PlannedProgram):
         self.decomp_roles: list = []
         self.cover_roles: dict[int, _Role] = {}
         self.colors_used = 0
+        self.spanning = []  # ids of the expanded clusters I root that span
         # per-step wave state
         self.flood = []  # the step's flood messages, (sender, message)
         self.prop = None  # (label, hop, st, wave parent)
@@ -585,6 +603,7 @@ class DecompProgram(PlannedProgram):
             api.send(c, Message(PD_BDOWN, (verdict, depth)), critical=True)
         end = api.round + (self.fheight - self.fdepth) + 2
         self.rho = depth
+        self.rho_max = max(self.rho_max, depth)
         if verdict == V_STEP:
             self._plan_step(api, end)
         elif verdict == V_PHASE:
@@ -623,7 +642,8 @@ class DecompProgram(PlannedProgram):
             # waves travel d hops; each window closes at the wave front
             self.exp_windows.append(self._open_window(api, start, start + self.d))
             self._plan_at(api, start, "_expand_wave", c)
-        self._plan_at(api, base + self.colors_used * (self.d + 3) + 1, "_finish")
+        self._plan_at(api, base + self.colors_used * (self.d + 3) + 1,
+                      "_span_sweep")
 
     def _expand_wave(self, api, c):
         if self.my_color != c:
@@ -646,6 +666,44 @@ class DecompProgram(PlannedProgram):
         role.terminal = True
         self._flood(api, PD_EXP, self.d, hop, nearer, label, role.depth, c)
 
+    # -- spanning clusters -----------------------------------------------------------------
+
+    def _span_cap(self):
+        """The spanning count's depth cap: an expansion role lies at most d
+        below its source's role, which is no deeper than the component's
+        deepest role in any color."""
+        return self.rho_max + self.d
+
+    def _span_sweep(self, api):
+        """Plan one count of terminals over every expanded cluster's tree,
+        keyed by cluster id, color x n + label; a role does not know its
+        expansion kids, so each listens in the round they send."""
+        base, cap = api.round, self._span_cap()
+        self.pair_cap = _pair_cap(self.n, self.color_cap * self.n)  # wider keys
+        for (color, label), role in sorted(self.cover_roles.items()):
+            root = role.parent is None
+            self._sweep_step(api, base, cap, role.depth,
+                             "_span_root" if root else "_span_up", color, label,
+                             lag=int(root), kids=True)
+        self._plan_at(api, base + cap + 2, "_finish")
+
+    def _span_count(self, color, label):
+        cid = color * self.n + label
+        return cid, self.cover_roles[(color, label)].terminal + self._acc.pop(cid, 0)
+
+    def _span_up(self, api, color, label):
+        cid, count = self._span_count(color, label)
+        if count:
+            self._send_pair(self.cover_roles[(color, label)].parent, PD_CNT,
+                            cid, count)
+
+    def _span_root(self, api, color, label):
+        """The members of a cluster lie in one connected tree, so it spans
+        its component exactly when it counts the component's size."""
+        cid, count = self._span_count(color, label)
+        if count == self.fsize:
+            self.spanning.append(cid)
+
     def _finish(self, api):
         cover = [
             (color, label, r.parent, r.depth, r.terminal)
@@ -656,6 +714,7 @@ class DecompProgram(PlannedProgram):
             "cluster": self.my_cluster,
             "decomp": sorted(self.decomp_roles),
             "cover": cover,
+            "spanning": self.spanning,
         })
 
 
@@ -725,7 +784,8 @@ def build_decomposition(graph, k, *, trace=True, expand_to=None, forest=None):
     if expand_to is not None:
         cclusters, _ = _assemble(outputs, id_base, "cover")
         cover = Cover(scale=expand_to, clusters=[
-            cl for _, cl in sorted(cclusters.items())])
+            cl for _, cl in sorted(cclusters.items())], spanning=frozenset(
+                cid for out in outputs.values() for cid in out["spanning"]))
     report = merge_reports(reports + [rep1])
     return decomp, cover, report, engine.trace_log
 

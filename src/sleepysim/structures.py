@@ -41,10 +41,14 @@ class ClusterData:
 
 @dataclass
 class Cover:
-    """A sparse d-cover: clusters whose trees jointly cover every d-ball."""
+    """A sparse d-cover: clusters whose trees jointly cover every d-ball.
+    `spanning` holds the ids of the clusters that span their component, as
+    the build counted them (None for a cover not built here, such as a
+    loaded one); it is not saved and not compared."""
 
     scale: int
     clusters: list
+    spanning: frozenset | None = field(default=None, compare=False)
 
     def measured_stretch(self) -> int:
         if not self.clusters:

@@ -194,20 +194,54 @@ def test_negative_round_limit_exits_2_without_output(tmp_path, capsys):
     assert "--round-limit: must be >= 0, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algo, flag, value", [
-    ("cover", "--d", "-1"),
-    ("apsp", "--delta", "-3"),
-    ("bfs-energy", "--threshold", "-2"),
-    ("decomp", "--k", "-1"),
+@pytest.mark.parametrize("algo, flag, value, low", [
+    ("cover", "--d", "-1", 1),
+    ("apsp", "--delta", "-3", 0),
+    ("bfs-energy", "--threshold", "-2", 0),
+    ("decomp", "--k", "-1", 1),
 ], ids=["d", "delta", "threshold", "k"])
 def test_negative_value_exits_2_without_output(tmp_path, capsys, algo, flag,
-                                               value):
+                                               value, low):
     out = tmp_path / "o"
     code = main(["run", "--gen", "path", "--n", "5", "--algo", algo,
                  flag, value, "--out", str(out)])
     assert code == EXIT_CONFIG
     assert not out.exists()
-    assert f"{flag}: must be >= 0, got {value}" in capsys.readouterr().err
+    assert f"{flag}: must be >= {low}, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo, flag", [("decomp", "--k"), ("cover", "--d")],
+                         ids=["k", "d"])
+def test_zero_k_or_d_exits_2_without_output(tmp_path, capsys, algo, flag):
+    """A separation or scale of 0 is rejected, not replaced by the default."""
+    out = tmp_path / "o"
+    code = main(["run", "--gen", "path", "--n", "5", "--algo", algo,
+                 flag, "0", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert f"{flag}: must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, base", [(64, 1), (64, 2), (64, 3), (40, 2)])
+def test_base_the_stack_cannot_link_exits_2_without_output(tmp_path, capsys,
+                                                           n, base):
+    """A requested base whose scale-B cover misses some scale-1 cluster's
+    tree nodes is a bad input, not a simulation error."""
+    out = tmp_path / "o"
+    code = main(["run", "--gen", "path", "--n", str(n), "--algo", "bfs-energy",
+                 "--base", str(base), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert f"base {base} cannot link" in capsys.readouterr().err
+
+
+def test_base_the_stack_links_runs(tmp_path):
+    """No stretch rule separates the bases that link: on path64, base 4 links
+    where bases 1 to 3 do not."""
+    code = main(["run", "--gen", "path", "--n", "64", "--algo", "bfs-energy",
+                 "--base", "4", "--verify", "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+    assert (tmp_path / "o" / "distances.json").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

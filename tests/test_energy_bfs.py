@@ -43,36 +43,67 @@ def test_bootstrap_cycle_checker_clean():
 def test_detect_global_trivial():
     g = Graph.build(1, [])
     layered, _, _, _ = bootstrap_base_covers(g)
-    spans, _ = detect_global_cluster(g, layered.levels[0])
-    assert spans
+    assert detect_global_cluster(g, layered.levels[0])
 
 
 def test_detect_global_path():
     g = unit_path(9)
     layered, _, _, _ = bootstrap_base_covers(g)
-    spans_top, _ = detect_global_cluster(g, layered.levels[1])
     # scale-B cover of P9 must contain a spanning cluster at desk scale
-    assert spans_top
+    assert detect_global_cluster(g, layered.levels[1])
 
 
 @pytest.mark.parametrize("n", [64, 257])
 def test_detect_level0_on_paths(n):
-    """Every node sweeps a cluster tree with the cover's depth cap, so a root
-    answers only after its whole subtree reported: no level-0 cluster of a
-    long path spans it, and detection loses no message."""
+    """The build counts each cluster's members over a window as deep as its
+    deepest role, so a root compares its whole count with the component's
+    size: no level-0 cluster of a long path spans it, and the build that
+    counts loses no message."""
     g = unit_path(n)
-    layered, _, _, _ = bootstrap_base_covers(g, trace=False)
+    layered, _, report, _ = bootstrap_base_covers(g, trace=False)
     assert len(layered.levels[0].clusters) > 1
-    spans, report = detect_global_cluster(g, layered.levels[0])
-    assert not spans
+    assert not detect_global_cluster(g, layered.levels[0])
     assert report.lost == 0
 
 
 def test_detect_global_disconnected():
     g = Graph.build(4, [(0, 1, 1), (2, 3, 1)])
     layered, _, _, _ = bootstrap_base_covers(g)
-    spans, _ = detect_global_cluster(g, layered.levels[1])
-    assert spans  # each component separately contained
+    # each component separately contained
+    assert detect_global_cluster(g, layered.levels[1])
+
+
+def test_detect_needs_the_builds_flags():
+    """A cover that did not come from a build, such as a loaded one, carries
+    no spanning flags, and reading them raises instead of answering."""
+    g = unit_path(9)
+    layered, _, _, _ = bootstrap_base_covers(g)
+    loaded = load_layered_cover(save_layered_cover(layered))
+    assert loaded == layered and loaded.levels[1].spanning is None
+    with pytest.raises(ValueError, match="no spanning flags"):
+        detect_global_cluster(g, loaded.levels[1])
+
+
+# (graph, threshold): (base, top) of the stack `full_bfs` grows, recorded
+# before the spanning clusters were counted in the cover build, so the level
+# the growth stops at cannot drift
+STOP_LEVELS = [
+    ("path64", unit_path(64), None, (128, 1)),
+    ("path257", unit_path(257), None, (64, 1)),
+    ("grid256", gen_graph(GraphSpec("grid", 256, seed=1)), None, (64, 1)),
+    ("two-edges", Graph.build(4, [(0, 1, 1), (2, 3, 1)]), None, (2, 1)),
+    ("path65-t10", unit_path(65), 10, (64, 1)),
+]
+
+
+@pytest.mark.parametrize("g, threshold, base_top",
+                         [c[1:] for c in STOP_LEVELS],
+                         ids=[c[0] for c in STOP_LEVELS])
+def test_full_bfs_stops_at_the_recorded_level(g, threshold, base_top):
+    outputs, report, _, layered, _, _ = full_bfs(g, {0}, threshold=threshold,
+                                                 trace=False)
+    assert (layered.base, layered.top) == base_top
+    assert report.lost == 0
 
 
 def test_full_bfs_all_sources():
@@ -392,17 +423,21 @@ def test_golden_path65_outputs_and_report():
     decision windows began to be sized by the component's deepest role,
     carried on the barrier, and the barrier by the forest's height instead
     of the component's size (rounds 197,964 -> 60,844; max energy, messages
-    sent, congestion and outputs unchanged)."""
+    sent, congestion and outputs unchanged). It moved again when the cover
+    build began to count which clusters span their component and the
+    all-awake detection runs were dropped (rounds 60,844 -> 60,596, max
+    energy 8,112 -> 7,272, messages sent 17,542 -> 17,148, max edge
+    congestion 179 -> 177; outputs and covers unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "d3bf054de551aec6af3beb60842a87cea852c64507b5591839abc2b272f4c1a2")
+            == "cb0f722cf66c634f497fbd2523f6b58e2f4a7358c0a41922a06e8b37101e79b3")
 
 
 def test_full_bfs_report_keeps_its_stages_channel_demand(monkeypatch):
     """The merged `full_bfs` report reads the largest channel demand of its
-    stages, the forest, cover builds, detections and BFS phase."""
+    stages, the forest, cover builds and BFS phase."""
     stages = []
     finalize = Engine._finalize
 

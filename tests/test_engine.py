@@ -316,7 +316,7 @@ def test_planned_programs_own_their_step():
             if c.__module__.startswith("sleepysim.")]
     assert {c.__name__ for c in ours} == {
         "CsspProgram", "EnergyCsspProgram", "ApspProgram", "DecompProgram",
-        "EnergyBfsProgram", "DetectProgram"}
+        "EnergyBfsProgram"}
     for cls in ours:
         assert "on_round" in vars(cls), cls.__name__
 

@@ -138,6 +138,18 @@ def test_count_window_one_short_of_the_deepest_role_raises(monkeypatch):
         build_cover_sync(gen_graph(GraphSpec("path", 48)), 2)
 
 
+def test_spanning_count_one_short_of_the_deepest_cover_role_raises(monkeypatch):
+    """The spanning count's window reaches the deepest expanded role; one hop
+    shallower, it raises at that role instead of returning a flag."""
+    g = gen_graph(GraphSpec("path", 48))
+    cover, *_ = build_cover_sync(g, 2)
+    deepest = max(cl.depth() for cl in cover.clusters)
+    assert cover.spanning == {0} and deepest == 47
+    monkeypatch.setattr(DecompProgram, "_span_cap", lambda self: deepest - 1)
+    with pytest.raises(ProtocolViolation, match="swept by a window for depth 46"):
+        build_cover_sync(g, 2)
+
+
 @pytest.mark.parametrize("family, n", [("path", 48), ("grid", 49)])
 def test_barrier_one_short_of_the_forest_height_raises(family, n):
     """A barrier sized for one hop less than the forest's height raises at
@@ -177,18 +189,24 @@ def _clusters(clusters):
 # the forest's height instead of the component's size: the same events in
 # the same order at earlier rounds (the digest without rounds, recorded
 # before, is unchanged), with the same energy (rounds 22,382 / 12,855 /
-# 10,824 / 13,197 / 10,773 -> 15,154 / 4,431 / 3,480 / 4,381 / 6,701)
+# 10,824 / 13,197 / 10,773 -> 15,154 / 4,431 / 3,480 / 4,381 / 6,701).
+# The rounds and energies moved again, and nothing else, when the build
+# began to count each expanded cluster's members after its last expansion
+# wave, a sweep as deep as the deepest decomposition role plus d in which
+# every role listens once (rounds -> 15,354 / 4,487 / 3,516 / 4,437 /
+# 6,817, max energy 1,781 / 1,160 / 1,107 / 1,183 / 1,065 -> 1,817 / 1,192 /
+# 1,143 / 1,207 / 1,101); it adds no trace event
 SLEEPING_COVERS = [
     (("path", 48, 0, None, 2), "3a18d94dfb8ee222", "f4c21bfb813317ea",
-     "cdcc41ac8e425dd6", "49a03f401415de2b", 15154, 1781),
+     "cdcc41ac8e425dd6", "49a03f401415de2b", 15354, 1817),
     (("grid", 49, 1, None, 1), "459644d4fc9d5fa1", "f6c648cb2931698b",
-     "a2df7eb2b238c24b", "f70ce7f14ed2df19", 4431, 1160),
+     "a2df7eb2b238c24b", "f70ce7f14ed2df19", 4487, 1192),
     (("random-gnm", 40, 2, 80, 1), "a1df7c8363c0f754", "42ec5c5ca650a759",
-     "527cddb5a7a657a3", "3ba8a50c8c24f803", 3480, 1107),
+     "527cddb5a7a657a3", "3ba8a50c8c24f803", 3516, 1143),
     (("random-tree", 40, 3, None, 2), "58ebdf0450c0c22e", "122ad6699fd68afa",
-     "eda711f1c18f007f", "2a2798705190e8a7", 4381, 1183),
+     "eda711f1c18f007f", "2a2798705190e8a7", 4437, 1207),
     (("cycle", 36, 4, None, 2), "9db369f0cf788b8e", "7232caf79f179e90",
-     "8d9d098674407202", "7ebf938cccc03d56", 6701, 1065),
+     "8d9d098674407202", "7ebf938cccc03d56", 6817, 1101),
 ]
 
 
@@ -228,7 +246,8 @@ def test_pairs_past_the_cap_split_within_the_bit_budget(n):
     two messages, P pairs and 1, each within the unit graph's bit budget
     with the largest label (n - 1) and value (n) on the wire."""
     g = gen_graph(GraphSpec("path", n))
-    forest = SimpleNamespace(height={0: n - 1}, parent={0: None}, depth={0: 0})
+    forest = SimpleNamespace(height={0: n - 1}, size={0: n}, parent={0: None},
+                             depth={0: 0})
     prog = DecompProgram(0, g, forest, {0: []}, 2)
     cap = _pair_cap(n)
     for tag in (PD_CNT, PD_DEC):

@@ -6,11 +6,13 @@ from 1 to 6, alone or with a cover expansion to any scale d with k >= 2d.
 Every message of the construction is sent critical and a wave message read
 after its window closed raises, so a node that stops listening too early
 shows as an exception here. A run must lose nothing and meet the bounds the
-construction promises.
+construction promises, and a cover's spanning flags must be the clusters
+whose members are closed under neighbours.
 """
 
 import pytest
 
+from sleepysim.energy_bfs import _spans_component
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import (
     build_cover_sync, build_decomposition, promised_bounds,
@@ -48,6 +50,7 @@ def instances(draw):
 @settings(max_examples=100)
 @given(instances())
 @example((Graph.build(1, []), 1, None))
+@example((Graph.build(1, []), 2, 1))
 @example((Graph.build(5, []), 2, 1))
 @example((gen_graph(GraphSpec("path", 9)), 2, 1))
 @example((gen_graph(GraphSpec("cycle", 12)), 6, 3))
@@ -56,6 +59,9 @@ def instances(draw):
 # deepest roles differ, so each sizes its windows by its own depths
 @example((PATH9_EDGE_NODE, 6, 3))
 @example((PATH9_EDGE_NODE, 1, None))
+# a cluster holding all but one node of its component, which must not be
+# flagged as spanning it
+@example((gen_graph(GraphSpec("grid", 9)), 6, 3))
 def test_construction_is_sound(instance):
     graph, k, d = instance
     decomp, cover, report, _ = build_decomposition(graph, k, trace=False,
@@ -67,6 +73,8 @@ def test_construction_is_sound(instance):
         assert cover is None
     else:
         assert check_cover(graph, cover, d, *promised_bounds(graph.n)) == []
+        assert cover.spanning == {cl.id for cl in cover.clusters
+                                  if _spans_component(graph, cl)}
 
 
 def test_cover_needs_k_at_least_2d():
