@@ -20,6 +20,26 @@ message that was not sent critical (`RunReport.losses`), and the
 sleep-safety check reads the frontier messages among them to separate
 harmless duplicates from real violations.
 
+At a top level where every node lies in a cluster that spans its
+component, the phase runs on those clusters alone (`_phase_stack`): a
+sourceless cluster there that does not span would retire its pipeline and
+then still pass on the reports of members the frontier reaches.
+
+Pipeline messages are packed. A role's convergecast report (`EB_CONV`) and
+broadcast (`EB_BCAST`) are records (level, cid, code), code = kind x 8 +
+the three flags; a step packs every role's records for one neighbour into
+one critical `EB_PIPE` message (`PlannedProgram._pack`), P records to a
+message, P = (budget - tag bits) // (bits of the stack's top level + bits
+of its largest cluster id + bits of a code), with the budget
+`engine.bit_budget` gives the unit graph. A role sends at most one record
+on a channel in a round (a second one in the same step rewrites the
+first), and a cluster's tree edge carries one role's records each way, so
+a channel carries at most the stack's edge multiplicity in records, plus
+one `EB_REACH`. The width is ceil(multiplicity / P) + 1 (`_bfs_width`),
+computed from the stack alone: 2 on the README's graphs, where it was
+multiplicity + 2 with each record a message of its own. The logical run is
+the same; only its rounds and energy, logical rounds x width, fall.
+
 `full_bfs` is the one entry point, thresholded or not, building the cover
 stack or reusing one.
 
@@ -34,15 +54,21 @@ from __future__ import annotations
 from collections import namedtuple
 from math import inf
 
-from .engine import Message, PlannedProgram, SimConfig, merge_reports, run_simulation
+from .engine import (
+    Message, PlannedProgram, SimConfig, bit_budget, merge_reports, run_simulation,
+)
 from .netdecomp import ConstructionError, build_cover_sync, cover_forest
 from .structures import LayeredCover
 
 INF = inf
 
-EB_CONV = 40  # (level, cid, contains_src, reached_any, all_done)
-EB_BCAST = 41  # (level, cid, contains_src, reached, deact)
+EB_PIPE = 40  # flat (level, cid, code) records, code = kind x 8 + flags
 EB_REACH = 42  # (hop,)
+
+# record kinds, and the flags each carries as bits 2, 1, 0 of its code
+EB_CONV = 0  # up the tree: contains_src, reached_any, all_done
+EB_BCAST = 1  # down the tree: contains_src, reached, deact
+CODE_MAX = EB_BCAST * 8 + 7
 
 C_PIPE = 3  # pipeline sweeps a cluster gets per frontier hop
 
@@ -53,7 +79,7 @@ class _RoleRt:
     __slots__ = (
         "level", "cid", "parent", "kids", "depth", "terminal", "period",
         "parent_key", "kid_flags", "sent", "bcast_seen", "init_done",
-        "parent_init_done", "active", "pipe", "until", "done",
+        "parent_init_done", "active", "pipe", "until", "done", "packed",
     )
 
     def __init__(self, level, cid, parent, kids, depth, terminal, period,
@@ -75,6 +101,7 @@ class _RoleRt:
         self.pipe = None  # `stop_awake` handle of the role's pipeline
         self.until = None  # the pipeline's last round
         self.done = False
+        self.packed = {}  # kind -> (round, where its records were packed)
 
 
 # run-wide schedule constants derived from the measured cover stack
@@ -84,12 +111,13 @@ BfsParams = namedtuple("BfsParams", "anchor t0 sigma hop_cap t_end")
 class EnergyBfsProgram(PlannedProgram):
     """Sleeping-model node program for cover-driven thresholded BFS."""
 
-    def __init__(self, node, graph, roles, is_source, params):
+    def __init__(self, node, graph, roles, is_source, params, records):
         super().__init__(node, graph)
         self.roles = roles  # dict (level, cid) -> _RoleRt
         self.is_source = is_source
         self.p = params
         self.reached_hop = None
+        self._chunk = 3 * records  # records to a packed `EB_PIPE` message
 
     # Bound by name so that a profile books these steps to this class.
     on_round = PlannedProgram.on_round
@@ -142,7 +170,7 @@ class EnergyBfsProgram(PlannedProgram):
         if agg == rt.sent:
             return
         rt.sent = agg
-        api.send(rt.parent, Message(EB_CONV, (level, cid) + agg), critical=True)
+        self._pipe_send(api, rt, (rt.parent,), EB_CONV, agg)
 
     def _root_progress(self, api, rt, agg):
         cs, ra, ad = agg
@@ -159,23 +187,36 @@ class EnergyBfsProgram(PlannedProgram):
         rt = self.roles.get((level, cid))
         if rt is None:
             return
-        for kid in rt.kids:
-            api.send(kid, Message(EB_BCAST, (level, cid) + rt.bcast_seen),
-                     critical=True)
+        self._pipe_send(api, rt, rt.kids, EB_BCAST, rt.bcast_seen)
+
+    def _pipe_send(self, api, rt, dsts, kind, flags):
+        """Pack the role's record of one kind for each of `dsts`. A role sends
+        at most one record on a channel in a round: a second one in the same
+        step rewrites the first's code, so the neighbour reads the last."""
+        cs, ra, ad = flags
+        code = kind * 8 + cs * 4 + ra * 2 + ad
+        last = rt.packed.get(kind)
+        if last is not None and last[0] == api.round:
+            for i in last[1]:
+                self._repack(i, rt.level, rt.cid, code)
+            return
+        rt.packed[kind] = (api.round, [
+            self._pack(dst, EB_PIPE, rt.level, rt.cid, code) for dst in dsts])
 
     def _dispatch(self, api, src, msg):
-        if msg.tag == EB_CONV:
-            level, cid, cs, ra, ad = msg.payload
-            rt = self.roles.get((level, cid))
-            if rt is None or rt.done:
-                return
-            rt.kid_flags[src] = (cs, ra, ad)
-            self._maybe_conv(api, rt)
-        elif msg.tag == EB_BCAST:
-            level, cid, cs, ra, de = msg.payload
-            rt = self.roles.get((level, cid))
-            if rt is not None and not rt.done:
-                self._bcast(api, rt, (cs, ra, de))
+        if msg.tag == EB_PIPE:
+            p = msg.payload
+            for i in range(0, len(p), 3):
+                rt = self.roles.get((p[i], p[i + 1]))
+                if rt is None or rt.done:
+                    continue
+                code = p[i + 2]
+                flags = (code >> 2 & 1, code >> 1 & 1, code & 1)
+                if code >> 3 == EB_BCAST:
+                    self._bcast(api, rt, flags)
+                else:
+                    rt.kid_flags[src] = flags
+                    self._maybe_conv(api, rt)
         elif msg.tag == EB_REACH:
             self._on_reach(api, msg.payload[0])
 
@@ -370,20 +411,48 @@ def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
     return layered, [decomp0, decomp1], merge_reports(reports), [tl0, tl1]
 
 
-def _roles_for(graph, layered, top_level):
-    """Per-node runtime roles for levels 0..top_level, with children lists."""
+def _phase_stack(graph, layered):
+    """The clusters the BFS phase runs on, level by level, and their parent
+    ids. At a top level where every node lies in a cluster that spans its
+    component, only those clusters run: one that does not span holds no node
+    that a spanning one of its component lacks, and it cannot tell whether a
+    frontier will reach it, so it would relay reports over a pipeline it has
+    retired. A cluster linked to it hangs under the spanning cluster of its
+    component with the smallest id instead, whose tree holds its own."""
+    levels = [cover.clusters for cover in layered.levels]
+    top = layered.top
+    spans = sorted((cl for cl in levels[top] if _spans_component(graph, cl)),
+                   key=lambda cl: cl.id)
+    home = {}
+    for cl in spans:
+        for v in cl.members:
+            home.setdefault(v, cl.id)
+    if top == 0 or len(spans) == len(levels[top]) or len(home) < graph.n:
+        return levels, layered.parent_of
+    kept = {cl.id for cl in spans}
+    parent_of = dict(layered.parent_of)
+    for cl in levels[top - 1]:
+        if parent_of.get((top - 1, cl.id)) not in kept:
+            parent_of[(top - 1, cl.id)] = home[cl.root]
+    levels[top] = spans
+    return levels, parent_of
+
+
+def _roles_for(graph, layered):
+    """Per-node runtime roles for the clusters of `_phase_stack`, with
+    children lists."""
     roles = {v: {} for v in range(graph.n)}
-    for lvl in range(top_level + 1):
-        cover = layered.levels[lvl]
+    levels, parent_of = _phase_stack(graph, layered)
+    for lvl, clusters in enumerate(levels):
         period = max(1, layered.base**lvl)
-        for cl in cover.clusters:
+        for cl in clusters:
             kids = {v: [] for v in cl.tree}
             for v, (p, _, _) in cl.tree.items():
                 if p is not None:
                     kids[p].append(v)
             pkey = None
-            pid = layered.parent_of.get((lvl, cl.id))
-            if pid is not None and lvl + 1 <= top_level:
+            pid = parent_of.get((lvl, cl.id))
+            if pid is not None and lvl < layered.top:
                 pkey = (lvl + 1, pid)
             for v, (p, dep, term) in cl.tree.items():
                 roles[v][(lvl, cl.id)] = _RoleRt(
@@ -420,18 +489,18 @@ def bfs_schedule(layered, hop_cap, graph):
     sigma gives every level >= 1 C_PIPE sweeps of its trees per frontier hop,
     except a level whose clusters each span their component: such a cluster
     holds its component's sources as terminals, so its init broadcast
-    activates every child before t0 and no frontier flag has to climb it."""
+    activates every child before t0 and no frontier flag has to climb it.
+    The levels are those of `_phase_stack`."""
     B = layered.base
     max_depth = 0
     max_period = 1
     sigma = 4
-    for lvl in range(layered.top + 1):
-        d = layered.max_tree_depth(lvl)
+    for lvl, clusters in enumerate(_phase_stack(graph, layered)[0]):
+        d = max((cl.depth() for cl in clusters), default=0)
         p = max(1, B**lvl)
         max_depth = max(max_depth, d)
         max_period = max(max_period, p)
-        if lvl >= 1 and not all(_spans_component(graph, cl)
-                                for cl in layered.levels[lvl].clusters):
+        if lvl >= 1 and not all(_spans_component(graph, cl) for cl in clusters):
             need = (C_PIPE * (d + p) // max(1, p // 2)) + 1
             sigma = max(sigma, need)
     init_len = 4 * (max_depth + max_period) + 32
@@ -447,16 +516,38 @@ def run_thresholded_bfs_with_cover(graph, layered, sources, threshold, *,
     """The sleeping-model BFS phase given a layered cover; returns
     (hop outputs, report, engine)."""
     params = bfs_schedule(layered, threshold, graph)
-    roles = _roles_for(graph, layered, layered.top)
+    roles = _roles_for(graph, layered)
+    records = _record_cap(graph.n, layered)
     cfg = SimConfig(
         round_limit=params.t_end + 8,
-        width=layered.max_edge_multiplicity() + 2,
+        width=_bfs_width(graph.n, layered),
         collect_trace=trace,
     )
     src = set(sources)
     return run_simulation(
-        graph, lambda v: EnergyBfsProgram(v, graph, roles[v], v in src, params),
+        graph, lambda v: EnergyBfsProgram(v, graph, roles[v], v in src, params,
+                                          records),
         cfg)
+
+
+def _record_cap(n, layered):
+    """The (level, cid, code) records one `EB_PIPE` message carries within
+    the bit budget of the unit-weight graph on n nodes, with levels up to
+    the stack's top and cluster ids up to its largest (at least 1: a record
+    past the budget is the engine's bit audit to report)."""
+    tag_bits = (EB_PIPE + 1).bit_length()
+    top_cid = max((cl.id for cover in layered.levels for cl in cover.clusters),
+                  default=0)
+    record_bits = ((layered.top + 1).bit_length() + (top_cid + 1).bit_length()
+                   + (CODE_MAX + 1).bit_length())
+    return max(1, (bit_budget(n, 1) - tag_bits) // record_bits)
+
+
+def _bfs_width(n, layered):
+    """The BFS phase's megaround width. A role sends at most one record on a
+    channel in a round, so a channel carries at most the stack's edge
+    multiplicity in records, `_record_cap` to a message, plus one `EB_REACH`."""
+    return -(-layered.max_edge_multiplicity() // _record_cap(n, layered)) + 1
 
 
 def full_bfs(graph, sources, *, threshold=None, base=None, trace=True,

@@ -423,8 +423,17 @@ class PlannedProgram:
 
     The shared step `on_round` calls `_start(api)` at the node's first step,
     then `_dispatch(api, src, msg)` for each inbox message, then runs the due
-    actions. A subclass binds it by name (`on_round = PlannedProgram.on_round`)
-    or writes a longer step of its own.
+    actions, then sends what the step packed. A subclass binds it by name
+    (`on_round = PlannedProgram.on_round`) or writes a longer step of its own.
+
+    Packed sends: `_pack(dst, tag, *fields)` queues a record of integers for
+    a neighbour in the step's outbox, and `_repack` replaces one queued in
+    the same step. When the step ends, the records of one neighbour and tag
+    leave as critical messages whose payload is the records' fields, flat
+    and in queueing order, at most `_chunk` fields to a message; a class
+    sets `_chunk` to a whole number of records that fits the bit budget. So
+    records that coincide on a channel in one round share a message, and a
+    run's width counts messages, not records.
 
     An action is a method name plus arguments. Planned for the current round
     it runs at once; planned for a later round it is kept (once per round and
@@ -449,6 +458,7 @@ class PlannedProgram:
         self._plan: dict[int, list] = {}
         self._bare: set = set()  # planned rounds whose wake declared nothing
         self._started = False
+        self._outbox: list = []  # the step's records, (dst, tag, fields)
 
     def on_round(self, api):
         if not self._started:
@@ -457,6 +467,44 @@ class PlannedProgram:
         for src, msg in api.inbox:
             self._dispatch(api, src, msg)
         self._run_due(api)
+        out = self._outbox
+        if out:
+            if len(out) == 1:  # most sending steps: one record, one message
+                dst, tag, fields = out.pop()
+                api.send(dst, Message(tag, fields), True)
+            else:
+                self._send_packed(api)
+
+    _chunk = 0  # fields to a packed message
+
+    def _pack(self, dst, tag, *fields):
+        """Queue a record for `dst` under `tag`; returns its place in the
+        step's outbox, for `_repack`."""
+        out = self._outbox
+        out.append((dst, tag, fields))
+        return len(out) - 1
+
+    def _repack(self, i, *fields):
+        """Replace the fields of the record queued at place i this step."""
+        dst, tag, _ = self._outbox[i]
+        self._outbox[i] = (dst, tag, fields)
+
+    def _send_packed(self, api):
+        """Send the step's records, those of one neighbour and tag together,
+        at most `_chunk` fields to a message."""
+        out, self._outbox = self._outbox, []
+        packed = {}
+        for dst, tag, fields in out:
+            key = (dst, tag)
+            held = packed.get(key)
+            packed[key] = fields if held is None else held + fields
+        chunk, send = self._chunk, api.send
+        for (dst, tag), fields in packed.items():
+            if len(fields) <= chunk:
+                send(dst, Message(tag, fields), True)
+                continue
+            for i in range(0, len(fields), chunk):
+                send(dst, Message(tag, fields[i:i + chunk]), True)
 
     @staticmethod
     def _join_pipe(api, anchor, period, depth, a, b):

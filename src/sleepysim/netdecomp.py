@@ -77,9 +77,9 @@ message goes to a nearer node, where the all-awake one dropped it unread.
 
 Width. In every build measured, the only sends that coincide on one
 channel in one round are the `PD_CNT` (label, count) or `PD_DEC` (label,
-verdict) pairs of several roles on one tree edge. A step queues its pairs
-and sends those of one tag for one neighbour together when it ends, as one
-message with a flat pair payload,
+verdict) pairs of several roles on one tree edge. A step packs its pairs
+(`PlannedProgram._pack`) and sends those of one tag for one neighbour
+together when it ends, as one message with a flat pair payload,
 P = (budget - tag bits) // (bits of a label <= n - 1 + bits of a value <= n)
 pairs to a message, with the budget `engine.bit_budget` gives the unit
 graph (P = 4 at n = 16..257). The run's width is
@@ -220,8 +220,7 @@ class DecompProgram(PlannedProgram):
         self.bar_dead = False
         self.bar_depth = 0
         self._acc: dict[int, int] = {}
-        self.pair_cap = _pair_cap(graph.n)
-        self._outbox: dict[tuple, tuple] = {}  # (dst, tag) -> the step's pairs
+        self._chunk = 2 * _pair_cap(graph.n)  # fields of the packed pairs
 
     # -- window arithmetic ----------------------------------------------------
 
@@ -255,37 +254,11 @@ class DecompProgram(PlannedProgram):
                 f"node {self.node} reads a {what} in round {api.round}, "
                 f"after its window closed in round {window[1]}")
 
-    def on_round(self, api):
-        """`PlannedProgram.on_round`, then send the pairs the step queued."""
-        if not self._started:
-            self._started = True
-            self._start(api)
-        for src, msg in api.inbox:
-            self._dispatch(api, src, msg)
-        self._run_due(api)
-        if self._outbox:
-            self._flush(api)
+    # Bound by name so that a profile books these steps to this class.
+    on_round = PlannedProgram.on_round
 
     def _start(self, api):
         self._plan_at(api, 1, "_color_start")
-
-    def _send_pair(self, dst, tag, label, value):
-        """Queue a `PD_CNT` or `PD_DEC` pair for `dst`; the step's pairs of
-        one tag to one neighbour leave together when the step ends."""
-        key = (dst, tag)
-        pairs = self._outbox.get(key)
-        self._outbox[key] = ((label, value) if pairs is None
-                             else pairs + (label, value))
-
-    def _flush(self, api):
-        """Send the step's queued pairs, at most `pair_cap` to a message."""
-        chunk = 2 * self.pair_cap
-        for (dst, tag), pairs in self._outbox.items():
-            while len(pairs) > chunk:
-                api.send(dst, Message(tag, pairs[:chunk]), critical=True)
-                pairs = pairs[chunk:]
-            api.send(dst, Message(tag, pairs), critical=True)
-        self._outbox = {}
 
     def _dispatch(self, api, src, msg):
         tag = msg.tag
@@ -481,8 +454,8 @@ class DecompProgram(PlannedProgram):
         return own + self._acc.pop(label, 0)
 
     def _count_up(self, api, label, recount):
-        self._send_pair(self.roles[label].parent, PD_CNT, label,
-                        self._subtree_count(label, recount))
+        self._pack(self.roles[label].parent, PD_CNT, label,
+                   self._subtree_count(label, recount))
 
     def _count_root(self, api, label, recount):
         count = self._subtree_count(label, recount)
@@ -514,10 +487,10 @@ class DecompProgram(PlannedProgram):
         role = self.roles.get(label)
         if role is not None:
             for c in role.kids:
-                self._send_pair(c, PD_DEC, label, verdict)
+                self._pack(c, PD_DEC, label, verdict)
         wave_kids = self.cnt_kids.pop(label, [])
         for c in wave_kids:
-            self._send_pair(c, PD_DEC, label, verdict)
+            self._pack(c, PD_DEC, label, verdict)
         if role is not None:
             if verdict == DEC_GROW:
                 role.kids.extend(c for c in wave_kids if c not in role.kids)
@@ -679,7 +652,7 @@ class DecompProgram(PlannedProgram):
         keyed by cluster id, color x n + label; a role does not know its
         expansion kids, so each listens in the round they send."""
         base, cap = api.round, self._span_cap()
-        self.pair_cap = _pair_cap(self.n, self.color_cap * self.n)  # wider keys
+        self._chunk = 2 * _pair_cap(self.n, self.color_cap * self.n)  # wider keys
         for (color, label), role in sorted(self.cover_roles.items()):
             root = role.parent is None
             self._sweep_step(api, base, cap, role.depth,
@@ -694,8 +667,8 @@ class DecompProgram(PlannedProgram):
     def _span_up(self, api, color, label):
         cid, count = self._span_count(color, label)
         if count:
-            self._send_pair(self.cover_roles[(color, label)].parent, PD_CNT,
-                            cid, count)
+            self._pack(self.cover_roles[(color, label)].parent, PD_CNT,
+                       cid, count)
 
     def _span_root(self, api, color, label):
         """The members of a cluster lie in one connected tree, so it spans

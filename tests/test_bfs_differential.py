@@ -3,18 +3,20 @@
 Inputs cover the degenerate corners: n from 1 to 10, edgeless and
 disconnected graphs drawn as arbitrary edge sets, the path, grid and gnm
 families, and any number of sources from one to all. A run must finish and
-lose no protocol-critical message.
+lose no protocol-critical message, and no channel of the BFS phase may
+carry more messages in a round than the width computed from its stack.
 """
 
 import pytest
 
-from sleepysim.energy_bfs import full_bfs
+from sleepysim.energy_bfs import _bfs_width, full_bfs
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import hop_distances
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 given, example, settings = hypothesis.given, hypothesis.example, hypothesis.settings
+assume = hypothesis.assume
 
 
 @st.composite
@@ -46,3 +48,23 @@ def test_matches_hop_distances(instance):
     assert report.status == "done"
     assert report.critical_losses == []
     assert outputs == hop_distances(graph, sources)
+
+
+@settings(max_examples=150)
+@given(instances(), st.sampled_from([None, 2, 4, 8]))
+@example((gen_graph(GraphSpec("path", 10)), {0, 9}), 2)
+@example((Graph.build(6, [(0, 1, 1), (1, 2, 1), (3, 4, 1)]), {0, 5}), 4)
+def test_phase_channels_fit_the_computed_width(instance, base):
+    """Exact, nothing lost, and the BFS phase's busiest channel within the
+    width `_bfs_width` computes from the stack alone; also at requested
+    bases, whose stacks may hold top-level clusters that do not span."""
+    graph, sources = instance
+    try:
+        outputs, report, engine, layered, *_ = full_bfs(
+            graph, sources, base=base, trace=False)
+    except ValueError:  # a requested base that cannot link the stack
+        assume(False)
+    assert outputs == hop_distances(graph, sources)
+    assert report.lost == 0
+    assert engine.config.width == _bfs_width(graph.n, layered)
+    assert engine._report.max_channel_demand <= engine.config.width

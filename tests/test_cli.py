@@ -244,6 +244,17 @@ def test_base_the_stack_links_runs(tmp_path):
     assert (tmp_path / "o" / "distances.json").exists()
 
 
+@pytest.mark.parametrize("n", [16, 32, 40])
+def test_base_4_runs_exact(tmp_path, n):
+    """path32's base-4 stack has a top-level cluster that neither spans the
+    path nor holds the source, with a level-0 cluster linked under it; the
+    BFS phase runs on the spanning top cluster alone, so the run passes
+    `--verify` (it exited 3 with a critical loss while that cluster ran)."""
+    code = main(["run", "--gen", "path", "--n", str(n), "--algo", "bfs-energy",
+                 "--base", "4", "--verify", "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_base_below_1_exits_2_without_output(tmp_path, capsys, value):
     out = tmp_path / "o"

@@ -8,7 +8,9 @@ from sleepysim.energy_bfs import (
     build_cover_next, detect_global_cluster, full_bfs,
     run_thresholded_bfs_with_cover,
 )
-from sleepysim.engine import Engine, ProtocolViolation
+from sleepysim.engine import (
+    Engine, Message, PlannedProgram, ProtocolViolation, SimError, audit_message,
+)
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import promised_bounds
 from sleepysim.oracle import INF, check_cover, check_layered, hop_distances
@@ -259,7 +261,10 @@ def test_full_bfs_random_tree_spanning_level(source):
 
 def test_criterion6_path_at_sigma_floor():
     """The D = 64 path of criterion 6: its one-cluster level 1 no longer
-    sets sigma (31 -> 4 on path257's stack, 13 -> 4 here)."""
+    sets sigma (31 -> 4 on path257's stack, 13 -> 4 here). The BFS phase
+    packs its pipeline records and runs at width 2 instead of 5, with the
+    same logical run, so max energy and rounds moved (4,535, 6,745) ->
+    (1,814, 2,698): the width is the only reason."""
     g = unit_path(65)
     layered, *_ = bootstrap_base_covers(g, trace=False)
     assert bfs_schedule(layered, 64, g).sigma == 4
@@ -267,7 +272,124 @@ def test_criterion6_path_at_sigma_floor():
                                                         trace=False)
     assert outputs == hop_distances(g, [0])
     assert report.lost == 0 and report.critical_losses == []
-    assert (report.max_energy(), report.rounds) == (4535, 6745)
+    assert (report.max_energy(), report.rounds) == (1814, 2698)
+
+
+def _phase_digest(g, sources):
+    """A digest of the BFS phase's logical run on the grown stack: outputs,
+    losses, every node's energy / width and rounds / width; and the width."""
+    layered, *_ = energy_bfs._grow_cover(g, None, False, None)
+    outputs, report, engine = run_thresholded_bfs_with_cover(
+        g, layered, sources, energy_bfs._bfs_threshold(layered), trace=False)
+    w = engine.config.width
+    assert report.rounds % w == 0
+    assert all(e % w == 0 for e in report.energy.values())
+    logical = (sorted(outputs.items()), report.losses,
+               sorted((v, e // w) for v, e in report.energy.items()),
+               report.rounds // w)
+    return hashlib.sha256(repr(logical).encode()).hexdigest()[:16], w
+
+
+@pytest.mark.parametrize("spec, sources, digest, width_was", [
+    (("path", 65, 0), {0}, "6c965b319b5bcedd", 5),
+    (("grid", 64, 0), {0}, "23f9d04adeff41b3", 4),
+    (("random-tree", 96, 3), {0, 5, 17, 60}, "a991b3575cdbcbab", 6),
+    (("cycle", 128, 0), {0}, "7f4f58ae34710cfb", 5),
+], ids=["path65", "grid64", "random-tree96", "cycle128"])
+def test_packed_phase_keeps_the_logical_run(spec, sources, digest, width_was):
+    """Packing the pipeline records moves no logical round: the digests were
+    recorded when every record was a message of its own at width
+    multiplicity + 2 (`width_was`); the phase now runs at width 2."""
+    family, n, seed = spec
+    assert _phase_digest(gen_graph(GraphSpec(family, n, seed=seed)),
+                         sources) == (digest, 2)
+    assert width_was > 2
+
+
+@pytest.mark.parametrize("g, base", [
+    (unit_path(33), None), (gen_graph(GraphSpec("grid", 36)), None),
+    (gen_graph(GraphSpec("random-tree", 40, seed=3)), None),
+    (unit_path(40), 4),
+], ids=["path33", "grid36", "random-tree40", "path40-base4"])
+def test_width_covers_the_multiplicity_and_a_reach(g, base):
+    """Records of one role on one channel in one round are one record, so a
+    channel carries at most the stack's edge multiplicity in records: the
+    width's packed messages hold that many, P to a message, and leave one
+    message for `EB_REACH`. P is the most records the bit budget holds for
+    the stack's top level and largest cluster id."""
+    layered, *_ = bootstrap_base_covers(g, base=base, trace=False)
+    cap = energy_bfs._record_cap(g.n, layered)
+    width = energy_bfs._bfs_width(g.n, layered)
+    assert (width - 1) * cap >= layered.max_edge_multiplicity()
+    assert (width - 2) * cap < layered.max_edge_multiplicity()
+    top_cid = max(cl.id for cover in layered.levels for cl in cover.clusters)
+    record = (layered.top, top_cid, energy_bfs.CODE_MAX)
+    budget = Engine(g).budget
+    assert audit_message(Message(energy_bfs.EB_PIPE, record * cap)) <= budget
+    assert audit_message(Message(energy_bfs.EB_PIPE, record * (cap + 1))) > budget
+    outputs, report, engine = run_thresholded_bfs_with_cover(
+        g, layered, {0}, energy_bfs._bfs_threshold(layered), trace=False)
+    assert outputs == hop_distances(g, [0]) and report.lost == 0
+    assert engine.config.width == width
+    assert report.max_channel_demand <= width
+
+
+def test_a_role_packs_one_record_per_channel_and_round(monkeypatch):
+    """On random-tree96 a role sometimes reports twice in one step (two
+    kids' reports arrive together); the second record rewrites the first,
+    so no step packs two records of one role for one neighbour, which is
+    what lets the width count roles."""
+    rewrites = []
+    repack, send = PlannedProgram._repack, PlannedProgram._send_packed
+
+    def counted(self, i, *fields):
+        rewrites.append(i)
+        repack(self, i, *fields)
+
+    def checked(self, api):
+        keys = [(dst,) + fields[:2] for dst, tag, fields in self._outbox]
+        assert len(keys) == len(set(keys))
+        send(self, api)
+
+    monkeypatch.setattr(PlannedProgram, "_repack", counted)
+    monkeypatch.setattr(PlannedProgram, "_send_packed", checked)
+    g = gen_graph(GraphSpec("random-tree", 96, seed=3))
+    outputs, report, *_ = full_bfs(g, {0}, trace=False)
+    assert outputs == hop_distances(g, [0]) and report.lost == 0
+    assert rewrites
+
+
+def test_width_one_short_oversubscribes(monkeypatch):
+    """On path65 a packed pipeline message and an `EB_REACH` meet on one
+    channel in one round, so a width one below the computed one raises."""
+    g = unit_path(65)
+    layered, *_ = energy_bfs._grow_cover(g, None, False, None)
+    computed = energy_bfs._bfs_width
+    monkeypatch.setattr(energy_bfs, "_bfs_width",
+                        lambda n, layered: computed(n, layered) - 1)
+    with pytest.raises(SimError, match="channel oversubscription"):
+        run_thresholded_bfs_with_cover(
+            g, layered, {0}, energy_bfs._bfs_threshold(layered), trace=False)
+
+
+def test_phase_runs_the_spanning_top_clusters():
+    """path32 at base 4: top-level cluster 62 neither spans the path nor
+    holds the source, and level-0 cluster 62 is linked under it. The phase
+    runs on top-level cluster 0 alone, which spans the path, and hangs
+    level-0 cluster 62 under it, so the run is exact and loses nothing (with
+    cluster 62 running, its retired pipeline took a report and its root's
+    broadcast was lost at a sleeping node)."""
+    g = unit_path(32)
+    layered, *_ = energy_bfs._grow_cover(g, 4, False, None)
+    assert layered.top == 1
+    assert [cl.id for cl in layered.levels[1].clusters] == [0, 62]
+    assert layered.parent_of[(0, 62)] == 62
+    levels, parent_of = energy_bfs._phase_stack(g, layered)
+    assert [cl.id for cl in levels[1]] == [0]
+    assert parent_of[(0, 62)] == 0 and layered.parent_of[(0, 62)] == 62
+    outputs, report, *_ = full_bfs(g, {0}, base=4, trace=False)
+    assert outputs == hop_distances(g, [0])
+    assert report.lost == 0 and report.critical_losses == []
 
 
 def test_irrelevant_component_sleeps():
@@ -427,12 +549,17 @@ def test_golden_path65_outputs_and_report():
     build began to count which clusters span their component and the
     all-awake detection runs were dropped (rounds 60,844 -> 60,596, max
     energy 8,112 -> 7,272, messages sent 17,542 -> 17,148, max edge
-    congestion 179 -> 177; outputs and covers unchanged)."""
+    congestion 179 -> 177; outputs and covers unchanged). It moved again
+    when the BFS phase began to pack each step's pipeline records for one
+    neighbour into one message and to run at width 2 instead of 5, with the
+    same logical run (rounds 60,596 -> 55,757, max energy 7,272 -> 4,611,
+    messages sent 17,148 -> 17,147, the one saved a pair of records that now
+    share a message; outputs unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "cb0f722cf66c634f497fbd2523f6b58e2f4a7358c0a41922a06e8b37101e79b3")
+            == "7e92b2ba3296fe0c0d912856bf73b48b97d2ea392b9dc31502cce2fa3201e25a")
 
 
 def test_full_bfs_report_keeps_its_stages_channel_demand(monkeypatch):

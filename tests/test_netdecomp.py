@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from sleepysim.engine import Engine, ProtocolViolation, audit_message
+from sleepysim.energy_bfs import CODE_MAX, EB_PIPE, EnergyBfsProgram, _record_cap
+from sleepysim.engine import Engine, Message, ProtocolViolation, audit_message
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import (
     PD_CNT, PD_DEC, DecompProgram, _decomp_width, _pair_cap, bits_for,
@@ -242,27 +243,48 @@ class _Sends:
 
 @pytest.mark.parametrize("n", [2, 16, 64, 257, 1000])
 def test_pairs_past_the_cap_split_within_the_bit_budget(n):
-    """P + 1 pairs of one tag queued for one neighbour in one step leave as
-    two messages, P pairs and 1, each within the unit graph's bit budget
-    with the largest label (n - 1) and value (n) on the wire."""
+    """The one packer both node programs send through
+    (`PlannedProgram._pack`): P + 1 records of one tag queued for one
+    neighbour in one step leave as two messages, P records and 1, each within
+    the unit graph's bit budget with the largest fields on the wire. Both
+    record shapes: the decomposition's (label <= n - 1, value <= n) pairs,
+    and the BFS phase's (level, cid, code) records on a stack with top level
+    b and cluster ids up to 2b x n - 1, the largest a build makes."""
     g = gen_graph(GraphSpec("path", n))
+    budget = Engine(g).budget
     forest = SimpleNamespace(height={0: n - 1}, size={0: n}, parent={0: None},
                              depth={0: 0})
     prog = DecompProgram(0, g, forest, {0: []}, 2)
     cap = _pair_cap(n)
     for tag in (PD_CNT, PD_DEC):
         for i in range(cap + 1):
-            prog._send_pair(1, tag, n - 1 - i % 2, n)
+            prog._pack(1, tag, n - 1 - i % 2, n)
     api = _Sends()
-    prog._flush(api)
+    prog._send_packed(api)
     assert [(dst, msg.tag, len(msg.payload) // 2, critical)
             for dst, msg, critical in api.sent] == [
         (1, PD_CNT, cap, True), (1, PD_CNT, 1, True),
         (1, PD_DEC, cap, True), (1, PD_DEC, 1, True)]
     assert api.sent[0][1].payload[:4] == (n - 1, n, n - 2, n)
-    budget = Engine(g).budget
     assert all(audit_message(msg) <= budget for _, msg, _ in api.sent)
-    assert prog._outbox == {}
+    assert prog._outbox == []
+
+    b = max(1, bits_for(n))
+    stack = SimpleNamespace(top=b, levels=[
+        SimpleNamespace(clusters=[SimpleNamespace(id=2 * b * n - 1)])])
+    cap = _record_cap(n, stack)
+    prog = EnergyBfsProgram(0, g, {}, False, None, cap)
+    for _ in range(cap + 1):
+        prog._pack(1, EB_PIPE, b, 2 * b * n - 1, CODE_MAX)
+    api = _Sends()
+    prog._send_packed(api)
+    assert [(dst, msg.tag, len(msg.payload) // 3, critical)
+            for dst, msg, critical in api.sent] == [
+        (1, EB_PIPE, cap, True), (1, EB_PIPE, 1, True)]
+    assert all(audit_message(msg) <= budget for _, msg, _ in api.sent)
+    # one more record would not have fit
+    assert audit_message(Message(EB_PIPE, (b, 2 * b * n - 1, CODE_MAX)
+                                 * (cap + 1))) > budget
 
 
 def test_width_holds_as_many_roles_as_messages_did():
