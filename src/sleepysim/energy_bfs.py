@@ -28,7 +28,7 @@ then still pass on the reports of members the frontier reaches.
 Pipeline messages are packed. A role's convergecast report (`EB_CONV`) and
 broadcast (`EB_BCAST`) are records (level, cid, code), code = kind x 8 +
 the three flags; a step packs every role's records for one neighbour into
-one critical `EB_PIPE` message (`PlannedProgram._pack`), P records to a
+one critical `EB_PIPE` message (`PlannedProgram._pack_all`), P records to a
 message, P = (budget - tag bits) // (bits of the stack's top level + bits
 of its largest cluster id + bits of a code), with the budget
 `engine.bit_budget` gives the unit graph. A role sends at most one record
@@ -69,6 +69,7 @@ EB_REACH = 42  # (hop,)
 EB_CONV = 0  # up the tree: contains_src, reached_any, all_done
 EB_BCAST = 1  # down the tree: contains_src, reached, deact
 CODE_MAX = EB_BCAST * 8 + 7
+_FLAGS = [(f >> 2 & 1, f >> 1 & 1, f & 1) for f in range(8)]  # code & 7 -> flags
 
 C_PIPE = 3  # pipeline sweeps a cluster gets per frontier hop
 
@@ -80,6 +81,7 @@ class _RoleRt:
         "level", "cid", "parent", "kids", "depth", "terminal", "period",
         "parent_key", "kid_flags", "sent", "bcast_seen", "init_done",
         "parent_init_done", "active", "pipe", "until", "done", "packed",
+        "subs",
     )
 
     def __init__(self, level, cid, parent, kids, depth, terminal, period,
@@ -102,6 +104,7 @@ class _RoleRt:
         self.until = None  # the pipeline's last round
         self.done = False
         self.packed = {}  # kind -> (round, where its records were packed)
+        self.subs = []  # this node's roles whose parent is this role, in key order
 
 
 # run-wide schedule constants derived from the measured cover stack
@@ -114,6 +117,9 @@ class EnergyBfsProgram(PlannedProgram):
     def __init__(self, node, graph, roles, is_source, params, records):
         super().__init__(node, graph)
         self.roles = roles  # dict (level, cid) -> _RoleRt
+        self._order = [roles[key] for key in sorted(roles)]
+        for rt in self._order:
+            rt.subs = [c for c in self._order if c.parent_key == (rt.level, rt.cid)]
         self.is_source = is_source
         self.p = params
         self.reached_hop = None
@@ -123,8 +129,7 @@ class EnergyBfsProgram(PlannedProgram):
     on_round = PlannedProgram.on_round
 
     def _start(self, api):
-        for key in sorted(self.roles):
-            rt = self.roles[key]
+        for rt in self._order:
             self._join(api, rt, api.round)
             self._maybe_conv(api, rt)
         self._plan_at(api, self.p.t0, "_bfs_start")
@@ -200,22 +205,21 @@ class EnergyBfsProgram(PlannedProgram):
             for i in last[1]:
                 self._repack(i, rt.level, rt.cid, code)
             return
-        rt.packed[kind] = (api.round, [
-            self._pack(dst, EB_PIPE, rt.level, rt.cid, code) for dst in dsts])
+        rt.packed[kind] = (api.round, self._pack_all(
+            dsts, EB_PIPE, rt.level, rt.cid, code))
 
     def _dispatch(self, api, src, msg):
         if msg.tag == EB_PIPE:
-            p = msg.payload
+            p, roles = msg.payload, self.roles
             for i in range(0, len(p), 3):
-                rt = self.roles.get((p[i], p[i + 1]))
+                rt = roles.get((p[i], p[i + 1]))
                 if rt is None or rt.done:
                     continue
                 code = p[i + 2]
-                flags = (code >> 2 & 1, code >> 1 & 1, code & 1)
                 if code >> 3 == EB_BCAST:
-                    self._bcast(api, rt, flags)
+                    self._bcast(api, rt, _FLAGS[code & 7])
                 else:
-                    rt.kid_flags[src] = flags
+                    rt.kid_flags[src] = _FLAGS[code & 7]
                     self._maybe_conv(api, rt)
         elif msg.tag == EB_REACH:
             self._on_reach(api, msg.payload[0])
@@ -235,14 +239,12 @@ class EnergyBfsProgram(PlannedProgram):
         if not rt.init_done:
             rt.init_done = True
             self._maybe_retire(api, rt)
-        for ckey in sorted(self.roles):
-            child = self.roles[ckey]
-            if child.parent_key == (rt.level, rt.cid):
-                if not child.parent_init_done:
-                    child.parent_init_done = True
-                    self._maybe_retire(api, child)
-                if rt.bcast_seen[0] or rt.bcast_seen[1]:
-                    self._activate(api, child)
+        for child in rt.subs:
+            if not child.parent_init_done:
+                child.parent_init_done = True
+                self._maybe_retire(api, child)
+            if rt.bcast_seen[0] or rt.bcast_seen[1]:
+                self._activate(api, child)
         if rt.parent_key is None and cs:
             self._activate(api, rt)
         if ra and not old[1]:
@@ -282,8 +284,8 @@ class EnergyBfsProgram(PlannedProgram):
         api.trace("ebfs_active", level=rt.level, cid=rt.cid)
 
     def _conv_refresh(self, api):
-        for key in sorted(self.roles):
-            self._maybe_conv(api, self.roles[key])
+        for rt in self._order:
+            self._maybe_conv(api, rt)
 
     # -- the BFS itself --------------------------------------------------------------
 

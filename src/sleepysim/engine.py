@@ -427,8 +427,8 @@ class PlannedProgram:
     (`on_round = PlannedProgram.on_round`) or writes a longer step of its own.
 
     Packed sends: `_pack(dst, tag, *fields)` queues a record of integers for
-    a neighbour in the step's outbox, and `_repack` replaces one queued in
-    the same step. When the step ends, the records of one neighbour and tag
+    a neighbour in the step's outbox (`_pack_all` one for each of several),
+    and `_repack` replaces one queued in the same step. When the step ends, the records of one neighbour and tag
     leave as critical messages whose payload is the records' fields, flat
     and in queueing order, at most `_chunk` fields to a message; a class
     sets `_chunk` to a whole number of records that fits the bit budget. So
@@ -483,6 +483,15 @@ class PlannedProgram:
         out = self._outbox
         out.append((dst, tag, fields))
         return len(out) - 1
+
+    def _pack_all(self, dsts, tag, *fields):
+        """Queue one record for each of `dsts` in one pass; returns their
+        places in the step's outbox, for `_repack`."""
+        out = self._outbox
+        start = len(out)
+        for dst in dsts:
+            out.append((dst, tag, fields))
+        return range(start, len(out))
 
     def _repack(self, i, *fields):
         """Replace the fields of the record queued at place i this step."""

@@ -486,11 +486,9 @@ class DecompProgram(PlannedProgram):
         """Relay a decision down tree and wave, and apply it locally."""
         role = self.roles.get(label)
         if role is not None:
-            for c in role.kids:
-                self._pack(c, PD_DEC, label, verdict)
+            self._pack_all(role.kids, PD_DEC, label, verdict)
         wave_kids = self.cnt_kids.pop(label, [])
-        for c in wave_kids:
-            self._pack(c, PD_DEC, label, verdict)
+        self._pack_all(wave_kids, PD_DEC, label, verdict)
         if role is not None:
             if verdict == DEC_GROW:
                 role.kids.extend(c for c in wave_kids if c not in role.kids)
