@@ -154,7 +154,7 @@ def criterion_3(ctx):
         if outputs != hop_distances(g, src):
             mismatches += 1
         farthest = max((h for h in outputs.values() if h is not inf), default=0)
-        ok, detail = check_relevance(layered, src, outputs, farthest)
+        ok, detail = check_relevance(g, layered, src, outputs, farthest)
         if not ok:
             return False, detail
         relevant += int(detail.split()[0])

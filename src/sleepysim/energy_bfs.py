@@ -21,9 +21,10 @@ sleep-safety check reads the frontier messages among them to separate
 harmless duplicates from real violations.
 
 At a top level where every node lies in a cluster that spans its
-component, the phase runs on those clusters alone (`_phase_stack`): a
-sourceless cluster there that does not span would retire its pipeline and
-then still pass on the reports of members the frontier reaches.
+component, top 0 included, the phase runs on those clusters alone
+(`_phase_stack`): a sourceless cluster there that does not span would
+retire its pipeline and then still pass on the reports of members the
+frontier reaches.
 
 Pipeline messages are packed. A role's convergecast report (`EB_CONV`) and
 broadcast (`EB_BCAST`) are records (level, cid, code), code = kind x 8 +
@@ -47,6 +48,11 @@ Construction of the cover stack itself reuses `netdecomp`'s builder (its
 nodes sleep outside the rounds a message can reach them), which also counts
 which clusters span their component; this module adds the layering, parent
 links, the stop rule that reads those counts, and the sleeping BFS phase.
+The stack builds no level it can already see: it stops at level 0 when
+every node lies in a level-0 cluster that spans its component, and a level
+whose scale B**l reaches the height H of the spanning forest that every
+build runs over is that forest's trees (`forest_level`), since each root's
+B**l-ball is then its whole component.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from .engine import (
     Message, PlannedProgram, SimConfig, bit_budget, merge_reports, run_simulation,
 )
 from .netdecomp import ConstructionError, build_cover_sync, cover_forest
-from .structures import LayeredCover
+from .structures import ClusterData, Cover, LayeredCover
 
 INF = inf
 
@@ -182,10 +188,7 @@ class EnergyBfsProgram(PlannedProgram):
         old = rt.bcast_seen
         val = (max(old[0], cs), max(old[1], ra),
                1 if ((old[1] or ra) and ad) else old[2])
-        first = not rt.init_done
-        if first:
-            rt.init_done = True
-        if val != old or first:
+        if val != old or not rt.init_done:
             self._bcast(api, rt, val)
 
     def _bcast_send(self, api, level, cid):
@@ -378,31 +381,58 @@ def build_cover_next(graph, layered, *, trace=True, forest=None):
     return cover, decomp, rep, tl
 
 
+def forest_level(layered, forest):
+    """Put the spanning forest's trees on top of the stack as its next level,
+    if that level's scale B**(top + 1) reaches the height H of every tree
+    (`ForestInfo.height`): a root's ball of that radius is then its whole
+    component, so a cover built at the scale would be one spanning cluster
+    per component anyway. Each component is one cluster, its id the
+    component's, its tree the forest's with every node a terminal; each
+    top-level cluster's parent is the component of its root. Returns whether
+    the level was added."""
+    info = forest[0]
+    scale = layered.base ** (layered.top + 1)
+    if scale < max(info.height.values(), default=0):
+        return False
+    clusters = {}
+    for v in sorted(info.component):
+        c = info.component[v]
+        cl = clusters.get(c)
+        if cl is None:
+            cl = clusters[c] = ClusterData(id=c, members=set(), tree={})
+        cl.members.add(v)
+        cl.tree[v] = (info.parent[v], info.depth[v], True)
+    for cl in layered.levels[-1].clusters:
+        layered.parent_of[(layered.top, cl.id)] = info.component[cl.root]
+    layered.levels.append(Cover(scale, [clusters[c] for c in sorted(clusters)],
+                                spanning=frozenset(clusters)))
+    return True
+
+
 def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
-    """Construction of the scale-1 and scale-B covers plus links, over one
+    """Construction of the scale-1 cover and the level above it, over one
     spanning forest: `forest` as for `netdecomp.build_decomposition`, or
-    built here and counted once. A requested base whose scale-B cover cannot
-    hold the scale-1 clusters' trees raises ValueError; a derived one that
-    cannot is a `ConstructionError`."""
+    built here and counted once. A stack whose level 0 has every node in a
+    cluster that spans its component (`detect_global_cluster`) stops there.
+    Otherwise level 1 is the forest's trees when B >= H (`forest_level`),
+    or else the scale-B cover, linked. A requested base whose scale-B cover
+    cannot hold the scale-1 clusters' trees raises ValueError; a derived one
+    that cannot is a `ConstructionError`."""
     reports = []
     if forest is None:
         forest, rep_f = cover_forest(graph)
         reports.append(rep_f)
     cover0, decomp0, rep0, tl0 = build_cover_sync(
         graph, 1, trace=trace, forest=forest)
+    reports.append(rep0)
     B = choose_base(cover0.measured_stretch(), base)
+    layered = LayeredCover(base=B, levels=[cover0])
+    if detect_global_cluster(graph, cover0) or forest_level(layered, forest):
+        return layered, [decomp0], merge_reports(reports), [tl0]
     cover1, decomp1, rep1, tl1 = build_cover_sync(
         graph, B, trace=trace, forest=forest)
-    stretch1 = cover1.measured_stretch()
-    reports += [rep0, rep1]
-    if base is None:
-        B2 = choose_base(max(cover0.measured_stretch(), stretch1))
-        if B2 != B:
-            cover1, decomp1, rep1b, tl1 = build_cover_sync(
-                graph, B2, trace=trace, forest=forest)
-            reports.append(rep1b)
-            B = B2
-    layered = LayeredCover(base=B, levels=[cover0, cover1])
+    reports.append(rep1)
+    layered.levels.append(cover1)
     try:
         assign_parents(graph, layered, 0, decomp1)
     except ConstructionError as e:
@@ -416,24 +446,24 @@ def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
 def _phase_stack(graph, layered):
     """The clusters the BFS phase runs on, level by level, and their parent
     ids. At a top level where every node lies in a cluster that spans its
-    component, only those clusters run: one that does not span holds no node
-    that a spanning one of its component lacks, and it cannot tell whether a
-    frontier will reach it, so it would relay reports over a pipeline it has
-    retired. A cluster linked to it hangs under the spanning cluster of its
-    component with the smallest id instead, whose tree holds its own."""
+    component (`_spanned`), top 0 included, only those clusters run: one
+    that does not span holds no node that a spanning one of its component
+    lacks, and it cannot tell whether a frontier will reach it, so it would
+    relay reports over a pipeline it has retired. A cluster linked to it
+    hangs under the spanning cluster of its component with the smallest id
+    instead, whose tree holds its own."""
     levels = [cover.clusters for cover in layered.levels]
     top = layered.top
-    spans = sorted((cl for cl in levels[top] if _spans_component(graph, cl)),
-                   key=lambda cl: cl.id)
+    spans = _spanned(graph, layered.levels[-1])
+    if spans is None or len(spans) == len(levels[top]):
+        return levels, layered.parent_of
     home = {}
     for cl in spans:
         for v in cl.members:
             home.setdefault(v, cl.id)
-    if top == 0 or len(spans) == len(levels[top]) or len(home) < graph.n:
-        return levels, layered.parent_of
     kept = {cl.id for cl in spans}
     parent_of = dict(layered.parent_of)
-    for cl in levels[top - 1]:
+    for cl in levels[top - 1] if top else ():
         if parent_of.get((top - 1, cl.id)) not in kept:
             parent_of[(top - 1, cl.id)] = home[cl.root]
     levels[top] = spans
@@ -467,16 +497,23 @@ def detect_global_cluster(graph, cover):
     from the flags the cover's build counted (`Cover.spanning`)."""
     if cover.spanning is None:
         raise ValueError("the cover carries no spanning flags from its build")
-    return _all_spanned(graph, cover, lambda cl: cl.id in cover.spanning)
+    return _spanned(graph, cover) is not None
 
 
-def _all_spanned(graph, cover, spans):
-    """Whether the clusters for which `spans` holds cover every node."""
-    spanned = set()
-    for cl in cover.clusters:
-        if spans(cl):
-            spanned |= cl.members
-    return len(spanned) == graph.n
+def _spanned(graph, cover):
+    """The clusters of a cover that span their component, in id order, if
+    every node lies in one of them; else None. A built cover answers from
+    the flags its build counted (`Cover.spanning`), a loaded one from its
+    structure (`_spans_component`). Read at a stack's top level, this is the
+    one answer that the build's stop rule, the stack check and the phase's
+    clusters share."""
+    if cover.spanning is None:
+        spans = [cl for cl in cover.clusters if _spans_component(graph, cl)]
+    else:
+        spans = [cl for cl in cover.clusters if cl.id in cover.spanning]
+    if len(set().union(*(cl.members for cl in spans))) < graph.n:
+        return None
+    return sorted(spans, key=lambda cl: cl.id)
 
 
 def _spans_component(graph, cl):
@@ -558,12 +595,15 @@ def full_bfs(graph, sources, *, threshold=None, base=None, trace=True,
     (outputs, report, BFS-phase engine, layered cover, decompositions, cover
     traces).
 
-    Builds the cover stack level by level until some cluster spans every
-    component, then runs the pipelined BFS. With a threshold, construction
-    stops at the level whose scale reaches 2*threshold (or earlier with a
-    spanning cluster), and nodes farther than the threshold output INF. A
-    prebuilt layered cover may be passed to skip construction (the cover
-    cache path)."""
+    Builds the cover stack level by level until every node lies in a
+    top-level cluster that spans its component, then runs the pipelined BFS
+    on the clusters of `_phase_stack`. Level 0 may already be that level, and
+    a level whose scale reaches the spanning forest's height is the forest's
+    trees, built by no cover run (`_grow_cover`). With a threshold,
+    construction stops at the level whose scale reaches 2*threshold (or
+    earlier with a spanning level), and nodes farther than the threshold
+    output INF. A prebuilt layered cover may be passed to skip construction
+    (the cover cache path)."""
     reports, decomps, tlogs = [], [], []
     if layered is None:
         layered, decomps, reports, tlogs = _grow_cover(graph, base, trace, threshold)
@@ -588,39 +628,34 @@ def _bfs_threshold(layered, threshold=None):
 
 def stack_fault(graph, layered, threshold=None):
     """Why the BFS phase cannot run on a cover stack to `_bfs_threshold`, or
-    None. It needs what `_grow_cover` stops at: a level in which every node
-    lies in a cluster that spans its component, or base**top at least twice
-    the threshold."""
+    None. It needs what `_grow_cover` stops at: a top level in which every
+    node lies in a cluster that spans its component (`_spanned`), or
+    base**top at least twice the threshold."""
     threshold = _bfs_threshold(layered, threshold)
     reach = layered.base**layered.top
-    if reach >= 2 * threshold:
+    if reach >= 2 * threshold or _spanned(graph, layered.levels[-1]) is not None:
         return None
-    for cover in layered.levels:
-        if _all_spanned(graph, cover, lambda cl: _spans_component(graph, cl)):
-            return None
     return (f"no level has every node in a cluster that spans its component, "
             f"and base**top = {reach} is below 2 x threshold {threshold}")
 
 
 def _grow_cover(graph, base, trace, threshold):
-    """Bootstrap the cover stack, then read each level's spanning flags and
-    grow. Without a threshold, the reading runs from level 0 up until every
-    node lies in a cluster that spans its component; with one, it reads the
-    top level while base**top < 2*threshold. Every cover runs over one
-    spanning forest."""
+    """Bootstrap the cover stack, then grow it one level at a time until
+    every node lies in a top-level cluster that spans its component
+    (`_spanned`, read from the flags the builds counted) or, with a
+    threshold, until base**top >= 2*threshold. A level whose scale reaches
+    the spanning forest's height is the forest's trees (`forest_level`),
+    and every cover built runs over that one forest."""
     forest, rep_f = cover_forest(graph)
     layered, decomps, rep_boot, tlogs = bootstrap_base_covers(
         graph, base=base, trace=trace, forest=forest)
     reports = [rep_f, rep_boot]
-    level = 0 if threshold is None else layered.top
-    while threshold is None or layered.base**layered.top < 2 * threshold:
-        if detect_global_cluster(graph, layered.levels[level]):
-            break
-        if level == layered.top:
+    while _spanned(graph, layered.levels[-1]) is None and (
+            threshold is None or layered.base**layered.top < 2 * threshold):
+        if not forest_level(layered, forest):
             cover, decomp, rep, tl = build_cover_next(
                 graph, layered, trace=trace, forest=forest)
             reports.append(rep)
             decomps.append(decomp)
             tlogs.append(tl)
-        level += 1
     return layered, decomps, reports, tlogs

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .energy_bfs import EB_REACH
+from .energy_bfs import EB_REACH, _phase_stack
 from .oracle import dijkstra, hop_distances
 
 INF = inf
@@ -198,23 +198,20 @@ def check_sleep_safety(outputs, report):
     return True, f"{len(losses)} frontier losses, all duplicates"
 
 
-def check_relevance(layered, sources, outputs, threshold):
-    """Every cluster containing a node within the threshold must be relevant:
-    its ancestor chain ends at a top cluster containing a source."""
-    # relevance computed structurally from the cover stack
-    top = layered.top
-    relevant = set()
-    for cl in layered.levels[top].clusters:
-        if cl.members & sources:
-            relevant.add((top, cl.id))
+def check_relevance(graph, layered, sources, outputs, threshold):
+    """Every cluster the BFS phase runs on (`energy_bfs._phase_stack`) that
+    contains a node within the threshold must be relevant: its chain of
+    phase parents ends at a top cluster containing a source."""
+    levels, parent_of = _phase_stack(graph, layered)
+    top = len(levels) - 1
+    relevant = {(top, cl.id) for cl in levels[top] if cl.members & sources}
     for lvl in range(top - 1, -1, -1):
-        for cl in layered.levels[lvl].clusters:
-            pid = layered.parent_of.get((lvl, cl.id))
-            if (lvl + 1, pid) in relevant:
+        for cl in levels[lvl]:
+            if (lvl + 1, parent_of.get((lvl, cl.id))) in relevant:
                 relevant.add((lvl, cl.id))
     reached = 0
-    for lvl in range(top + 1):
-        for cl in layered.levels[lvl].clusters:
+    for lvl, clusters in enumerate(levels):
+        for cl in clusters:
             hot = any(
                 outputs.get(v, INF) is not INF and outputs[v] <= threshold
                 for v in cl.members

@@ -5,13 +5,18 @@ disconnected graphs drawn as arbitrary edge sets, the path, grid and gnm
 families, and any number of sources from one to all. A run must finish and
 lose no protocol-critical message, and no channel of the BFS phase may
 carry more messages in a round than the width computed from its stack.
+A third test draws larger gnm graphs and grids, whose level 0 often spans
+while it also holds clusters that do not, and checks the stack the run
+stopped at as well as its outputs.
 """
 
 import pytest
 
 from sleepysim.energy_bfs import _bfs_width, full_bfs
 from sleepysim.graph import Graph, GraphSpec, gen_graph
-from sleepysim.oracle import hop_distances
+from sleepysim.netdecomp import promised_bounds
+from sleepysim.oracle import INF, check_cover, check_layered, hop_distances
+from sleepysim.trace_checks import check_relevance
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -68,3 +73,42 @@ def test_phase_channels_fit_the_computed_width(instance, base):
     assert report.lost == 0
     assert engine.config.width == _bfs_width(graph.n, layered)
     assert engine._report.max_channel_demand <= engine.config.width
+
+
+@st.composite
+def level0_instances(draw):
+    """(graph, sources): gnm with n = 8..96 and m = 2n or 3n, or a grid."""
+    n = draw(st.integers(8, 96))
+    if draw(st.booleans()):
+        spec = GraphSpec("random-gnm", n, seed=draw(st.integers(0, 1 << 16)),
+                         m=draw(st.sampled_from([2, 3])) * n)
+    else:
+        spec = GraphSpec("grid", n)
+    sources = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
+    return gen_graph(spec), sources
+
+
+@settings(max_examples=25)
+@given(level0_instances())
+@example((gen_graph(GraphSpec("grid", 256, seed=1)), {0}))
+@example((gen_graph(GraphSpec("path", 65)), {0}))
+@example((gen_graph(GraphSpec("random-tree", 96, seed=3)), {0, 5, 17, 60}))
+def test_level0_and_forest_stops_stay_exact(instance):
+    """Whatever level the growth stops at (a level 0 that spans, kept to its
+    spanning clusters in the phase; the spanning forest's tree, as on path65
+    and random-tree96; or a built cover), the run is exact and loses
+    nothing, every cluster it reaches is relevant, every level meets the
+    cover conditions at the promised bounds, and the stack meets the parent
+    conditions."""
+    graph, sources = instance
+    outputs, report, _, layered, *_ = full_bfs(graph, sources, trace=False)
+    assert outputs == hop_distances(graph, sources)
+    assert report.lost == 0
+    farthest = max(h for h in outputs.values() if h is not INF)
+    ok, detail = check_relevance(graph, layered, sources, outputs, farthest)
+    assert ok, detail
+    for cover in layered.levels:
+        assert check_cover(graph, cover, cover.scale,
+                           *promised_bounds(graph.n)) == []
+    assert check_layered(graph, layered, layered.base**layered.top,
+                         layered.base) == []

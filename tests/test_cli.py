@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +8,12 @@ from sleepysim.acceptance import CriterionResult
 from sleepysim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, EXIT_VERIFY, main
 from sleepysim.energy_bfs import bootstrap_base_covers, full_bfs
 from sleepysim.graph import GraphSpec, gen_graph, save_graph
+from sleepysim.oracle import hop_distances
 from sleepysim.structures import (
-    ClusterData, Cover, LayeredCover, save_layered_cover,
+    ClusterData, Cover, LayeredCover, load_layered_cover, save_layered_cover,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_run_cssp_with_verify(tmp_path, capsys):
@@ -95,6 +99,37 @@ def test_cover_cache_tree_edge_off_the_graph_exits_2(tmp_path, capsys):
                  "--cover-cache", str(cache), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "not in the graph" in capsys.readouterr().err
+
+
+def test_two_level_cover_cache_of_a_spanning_level_0_runs(tmp_path):
+    """A cache saved when the build always put the scale-B cover on level 0:
+    criterion 3's gnm40, whose level 0 already spans the graph and whose
+    level 1 holds a cluster that does not. It still loads, passes the stack
+    checks and runs exact."""
+    cache = FIXTURES / "gnm40-seed4-m90-two-levels.slpycov"
+    assert load_layered_cover(cache.read_text()).top == 1
+    code = main(["run", "--gen", "random-gnm", "--n", "40", "--seed", "4",
+                 "--m", "90", "--algo", "bfs-energy", "--cover-cache",
+                 str(cache), "--verify", "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("spec, top, decomps", [
+    (GraphSpec("grid", 36), 0, 1), (GraphSpec("path", 65), 1, 1),
+    (GraphSpec("path", 257), 1, 2),
+], ids=["grid36-top0", "path65-forest-top", "path257-built"])
+def test_grown_stacks_round_trip(spec, top, decomps):
+    """A stack that stops at level 0, one whose top is the spanning forest's
+    tree and one whose top was built are saved, loaded, checked as a cache
+    is, and run exact from the loaded copy."""
+    g = gen_graph(spec)
+    layered, built, _, _ = bootstrap_base_covers(g, trace=False)
+    assert (layered.top, len(built)) == (top, decomps)
+    loaded = load_layered_cover(save_layered_cover(layered))
+    assert loaded == layered
+    assert cli.cover_faults(g, loaded) == []
+    outputs, report, *_ = full_bfs(g, {0}, layered=loaded, trace=False)
+    assert outputs == hop_distances(g, [0]) and report.lost == 0
 
 
 def _segment(cid, lo, hi):

@@ -12,7 +12,7 @@ from sleepysim.engine import (
     Engine, Message, PlannedProgram, ProtocolViolation, SimError, audit_message,
 )
 from sleepysim.graph import Graph, GraphSpec, gen_graph
-from sleepysim.netdecomp import promised_bounds
+from sleepysim.netdecomp import cover_forest, promised_bounds
 from sleepysim.oracle import INF, check_cover, check_layered, hop_distances
 from sleepysim.structures import (
     ClusterData, Cover, LayeredCover, load_layered_cover, save_layered_cover,
@@ -26,11 +26,13 @@ def unit_path(n):
 
 
 def test_bootstrap_single_node():
+    """The one node's level-0 cluster spans its component, so the stack stops
+    at level 0 and builds no scale-B cover."""
     g = Graph.build(1, [])
     layered, decomps, report, _ = bootstrap_base_covers(g)
-    assert len(layered.levels) == 2
-    assert all(len(cov.clusters) == 1 for cov in layered.levels)
-    assert check_layered(g, layered, layered.base, layered.base) == []
+    assert layered.top == 0 and len(decomps) == 1
+    assert len(layered.levels[0].clusters) == 1
+    assert check_layered(g, layered, 1, layered.base) == []
 
 
 def test_bootstrap_cycle_checker_clean():
@@ -49,10 +51,13 @@ def test_detect_global_trivial():
 
 
 def test_detect_global_path():
+    """P9's level 0 already spans it, so the stack stops there; a scale-B
+    cover built over it spans the path too."""
     g = unit_path(9)
     layered, _, _, _ = bootstrap_base_covers(g)
-    # scale-B cover of P9 must contain a spanning cluster at desk scale
-    assert detect_global_cluster(g, layered.levels[1])
+    assert layered.top == 0 and detect_global_cluster(g, layered.levels[0])
+    cover, *_ = build_cover_next(g, layered)
+    assert detect_global_cluster(g, cover)
 
 
 @pytest.mark.parametrize("n", [64, 257])
@@ -71,8 +76,10 @@ def test_detect_level0_on_paths(n):
 def test_detect_global_disconnected():
     g = Graph.build(4, [(0, 1, 1), (2, 3, 1)])
     layered, _, _, _ = bootstrap_base_covers(g)
-    # each component separately contained
-    assert detect_global_cluster(g, layered.levels[1])
+    # each component separately contained, already at level 0
+    assert layered.top == 0 and detect_global_cluster(g, layered.levels[0])
+    cover, *_ = build_cover_next(g, layered)
+    assert detect_global_cluster(g, cover)
 
 
 def test_detect_needs_the_builds_flags():
@@ -81,19 +88,21 @@ def test_detect_needs_the_builds_flags():
     g = unit_path(9)
     layered, _, _, _ = bootstrap_base_covers(g)
     loaded = load_layered_cover(save_layered_cover(layered))
-    assert loaded == layered and loaded.levels[1].spanning is None
+    assert loaded == layered and loaded.levels[0].spanning is None
     with pytest.raises(ValueError, match="no spanning flags"):
-        detect_global_cluster(g, loaded.levels[1])
+        detect_global_cluster(g, loaded.levels[0])
 
 
 # (graph, threshold): (base, top) of the stack `full_bfs` grows, recorded
 # before the spanning clusters were counted in the cover build, so the level
-# the growth stops at cannot drift
+# the growth stops at cannot drift. grid256 and two-edges moved from top 1 to
+# top 0 when the growth began to stop at a level 0 that spans: the scale-B
+# cover above it is no longer built.
 STOP_LEVELS = [
     ("path64", unit_path(64), None, (128, 1)),
     ("path257", unit_path(257), None, (64, 1)),
-    ("grid256", gen_graph(GraphSpec("grid", 256, seed=1)), None, (64, 1)),
-    ("two-edges", Graph.build(4, [(0, 1, 1), (2, 3, 1)]), None, (2, 1)),
+    ("grid256", gen_graph(GraphSpec("grid", 256, seed=1)), None, (64, 0)),
+    ("two-edges", Graph.build(4, [(0, 1, 1), (2, 3, 1)]), None, (2, 0)),
     ("path65-t10", unit_path(65), 10, (64, 1)),
 ]
 
@@ -161,7 +170,7 @@ def test_thresholded_p10():
     assert outputs == want
     ok, detail = check_sleep_safety(outputs, report)
     assert ok, detail
-    ok, detail = check_relevance(layered, {0}, outputs, 4)
+    ok, detail = check_relevance(g, layered, {0}, outputs, 4)
     assert ok, detail
 
 
@@ -184,15 +193,50 @@ def path_cluster(cid, lo, hi):
     return ClusterData(id=cid, members=set(range(lo, hi + 1)), tree=tree)
 
 
-@pytest.mark.parametrize("graph", [
-    gen_graph(GraphSpec("random-tree", 96, seed=3)), two_paths(),
+@pytest.mark.parametrize("graph, top_clusters", [
+    (gen_graph(GraphSpec("random-tree", 96, seed=3)), (1, 1)), (two_paths(), (0, 2)),
 ], ids=["random-tree96", "two-paths40"])
-def test_spanning_levels_set_no_cadence(graph):
-    """Each level-1 cluster of these bootstrap stacks spans its component,
-    so no level sets sigma: it stays at its floor of 4."""
+def test_spanning_levels_set_no_cadence(graph, top_clusters):
+    """Each top-level cluster of these bootstrap stacks spans its component
+    (random-tree96's level 1 is the spanning forest's tree, two-paths40's
+    level 0 one cluster per path), so no level sets sigma: it stays at its
+    floor of 4."""
     layered, *_ = bootstrap_base_covers(graph, trace=False)
-    assert layered.top == 1 and len(layered.levels[1].clusters) == 2
+    assert (layered.top, len(layered.levels[-1].clusters)) == top_clusters
     assert bfs_schedule(layered, 30, graph).sigma == 4
+
+
+def paths_50_60():
+    """Two paths, 0..49 and 50..109."""
+    return Graph.build(110, [(i, i + 1, 1) for i in range(49)]
+                       + [(i, i + 1, 1) for i in range(50, 109)])
+
+
+@pytest.mark.parametrize("g, sources", [
+    (unit_path(65), {0}),
+    (gen_graph(GraphSpec("random-tree", 96, seed=3)), {0, 5, 17, 60}),
+    (paths_50_60(), {0, 53}),
+], ids=["path65", "random-tree96", "paths50-60"])
+def test_forest_top_is_the_spanning_forest(g, sources):
+    """Where level 0 does not span and B reaches the forest's height H, level
+    1 is the spanning forest's trees, with no scale-B cover built: one
+    cluster per component, its tree the forest's with every node a
+    terminal, flagged as spanning, and each level-0 cluster linked to its
+    root's component. The run on it is exact and loses nothing."""
+    (info, _), _ = cover_forest(g)
+    layered, decomps, *_ = bootstrap_base_covers(g, trace=False)
+    assert layered.top == 1 and len(decomps) == 1
+    assert layered.base >= max(info.height.values())
+    top = layered.levels[1]
+    assert {cl.id for cl in top.clusters} == set(info.component.values())
+    assert top.spanning == {cl.id for cl in top.clusters}
+    for cl in top.clusters:
+        assert cl.tree == {v: (info.parent[v], info.depth[v], True)
+                           for v in cl.members}
+    for cl in layered.levels[0].clusters:
+        assert layered.parent_of[(0, cl.id)] == info.component[cl.root]
+    outputs, report, *_ = full_bfs(g, sources, trace=False)
+    assert outputs == hop_distances(g, sources) and report.lost == 0
 
 
 def test_non_spanning_level_keeps_its_cadence():
@@ -275,10 +319,22 @@ def test_criterion6_path_at_sigma_floor():
     assert (report.max_energy(), report.rounds) == (1814, 2698)
 
 
+def _built_two_levels(g):
+    """Level 0 and the scale-B cover built over it, linked: the stack the
+    growth gave these graphs before it began to stop at a level 0 that spans
+    and to take the spanning forest's tree for a level whose scale reaches
+    its height."""
+    boot, *_ = bootstrap_base_covers(g, trace=False)
+    layered = LayeredCover(boot.base, boot.levels[:1])
+    build_cover_next(g, layered, trace=False)
+    return layered
+
+
 def _phase_digest(g, sources):
-    """A digest of the BFS phase's logical run on the grown stack: outputs,
-    losses, every node's energy / width and rounds / width; and the width."""
-    layered, *_ = energy_bfs._grow_cover(g, None, False, None)
+    """A digest of the BFS phase's logical run on `_built_two_levels`:
+    outputs, losses, every node's energy / width and rounds / width; and the
+    width."""
+    layered = _built_two_levels(g)
     outputs, report, engine = run_thresholded_bfs_with_cover(
         g, layered, sources, energy_bfs._bfs_threshold(layered), trace=False)
     w = engine.config.width
@@ -299,7 +355,8 @@ def _phase_digest(g, sources):
 def test_packed_phase_keeps_the_logical_run(spec, sources, digest, width_was):
     """Packing the pipeline records moves no logical round: the digests were
     recorded when every record was a message of its own at width
-    multiplicity + 2 (`width_was`); the phase now runs at width 2."""
+    multiplicity + 2 (`width_was`); the phase now runs at width 2. The
+    stacks are the two-level ones the digests were recorded on."""
     family, n, seed = spec
     assert _phase_digest(gen_graph(GraphSpec(family, n, seed=seed)),
                          sources) == (digest, 2)
@@ -392,8 +449,42 @@ def test_phase_runs_the_spanning_top_clusters():
     assert report.lost == 0 and report.critical_losses == []
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_relevance_reads_the_phase_stack_at_base_4(n):
+    """At base 4 the top level of path32 and path64 holds a cluster that
+    does not span the path, and some level-0 cluster hangs under it. The
+    relevance check reads the clusters the phase runs and their phase
+    parents, so these exact runs pass it (read from the stack's own links,
+    a reached level-0 cluster looked irrelevant)."""
+    g = unit_path(n)
+    outputs, report, _, layered, *_ = full_bfs(g, {0}, base=4, trace=False)
+    assert outputs == hop_distances(g, [0]) and report.lost == 0
+    assert len(energy_bfs._phase_stack(g, layered)[0][1]) < len(
+        layered.levels[1].clusters)
+    ok, detail = check_relevance(g, layered, {0}, outputs, n - 1)
+    assert ok, detail
+
+
+def test_top_0_stack_runs_its_spanning_clusters():
+    """Criterion 3's gnm40 stops at level 0, where one cluster spans the
+    graph and another does not. The phase runs the spanning one alone, the
+    run is exact, and every cluster it reaches is relevant."""
+    g = gen_graph(GraphSpec("random-gnm", 40, seed=4, m=90))
+    outputs, report, _, layered, *_ = full_bfs(g, {0}, trace=False)
+    assert layered.top == 0 and len(layered.levels[0].clusters) == 2
+    levels, _ = energy_bfs._phase_stack(g, layered)
+    assert [len(clusters) for clusters in levels] == [1]
+    assert outputs == hop_distances(g, [0]) and report.lost == 0
+    farthest = max(h for h in outputs.values() if h is not INF)
+    ok, detail = check_relevance(g, layered, {0}, outputs, farthest)
+    assert ok, detail
+
+
 def test_irrelevant_component_sleeps():
-    """Clusters whose top ancestor holds no source never wake after init."""
+    """Clusters whose top ancestor holds no source never wake after init.
+    Each path is one spanning level-0 cluster, so the stack stops at level
+    0, and the sourceless path's root retires its pipeline once its own init
+    broadcast has settled, as every other role does."""
     g = Graph.build(40, [(i, i + 1, 1) for i in range(19)]
                     + [(i, i + 1, 1) for i in range(20, 39)])
     layered, _, _, _ = bootstrap_base_covers(g)
@@ -463,14 +554,18 @@ def test_one_pipeline_per_role(monkeypatch):
 
 def test_cover_cache_with_level_keys_loads():
     """Cover caches once stored a "level" per cluster, which nothing read:
-    such a cache still loads, to the stack a build gives now."""
+    such a cache still loads, to the stack a build gives now with its level 1
+    built over the level 0 that spans."""
     old = ('SLPYCOV1\n{"base": 2, "levels": [{"clusters": [{"id": 0, "level": 0, '
            '"members": [0, 1], "tree": {"0": [null, 0, 1], "1": [0, 1, 1]}}], '
            '"scale": 1}, {"clusters": [{"id": 0, "level": 1, "members": [0, 1], '
            '"tree": {"0": [null, 0, 1], "1": [0, 1, 1]}}], "scale": 2}], '
            '"parents": [[0, 0, 0]]}\n')
     layered = load_layered_cover(old)
-    built, *_ = bootstrap_base_covers(Graph.build(2, [(0, 1, 1)]))
+    g = Graph.build(2, [(0, 1, 1)])
+    built, *_ = bootstrap_base_covers(g)
+    assert built.top == 0
+    build_cover_next(g, built)
     assert layered == built
     assert save_layered_cover(layered) == old.replace('"level": 0, ', "").replace(
         '"level": 1, ', "")
@@ -554,17 +649,24 @@ def test_golden_path65_outputs_and_report():
     neighbour into one message and to run at width 2 instead of 5, with the
     same logical run (rounds 60,596 -> 55,757, max energy 7,272 -> 4,611,
     messages sent 17,148 -> 17,147, the one saved a pair of records that now
-    share a message; outputs unchanged)."""
+    share a message; outputs unchanged). It moved again when the stack began
+    to take the spanning forest's tree as a level whose scale reaches the
+    tree's height (here level 1: B = 64 >= H = 64) instead of building the
+    scale-64 cover, whose one cluster was that same tree (rounds 55,757 ->
+    23,593, max energy 4,611 -> 3,531, messages sent 17,147 -> 10,904, max
+    edge congestion 177 -> 113, max bits 23 -> 20; outputs, stack and BFS
+    phase unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "7e92b2ba3296fe0c0d912856bf73b48b97d2ea392b9dc31502cce2fa3201e25a")
+            == "476439aef1cfb24884f1ff94643971bed8a2844bd22105ebf5f55685e59ac32e")
 
 
 def test_full_bfs_report_keeps_its_stages_channel_demand(monkeypatch):
     """The merged `full_bfs` report reads the largest channel demand of its
-    stages, the forest, cover builds and BFS phase."""
+    stages: the forest, the scale-1 cover build (path33's level 0 spans the
+    path, so no other cover is built) and the BFS phase."""
     stages = []
     finalize = Engine._finalize
 
@@ -574,6 +676,6 @@ def test_full_bfs_report_keeps_its_stages_channel_demand(monkeypatch):
 
     monkeypatch.setattr(Engine, "_finalize", record_stage)
     _, report, *_ = full_bfs(unit_path(33), {0})
-    assert len(stages) >= 4
+    assert len(stages) == 3
     assert report.max_channel_demand == max(
         r.max_channel_demand for r in stages) >= 1
