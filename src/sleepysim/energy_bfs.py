@@ -110,7 +110,7 @@ class _RoleRt:
         self.until = None  # the pipeline's last round
         self.done = False
         self.packed = {}  # kind -> (round, where its records were packed)
-        self.subs = []  # this node's roles whose parent is this role, in key order
+        self.subs = []  # the node's roles this role parents, in key order
 
 
 # run-wide schedule constants derived from the measured cover stack
@@ -457,16 +457,18 @@ def _phase_stack(graph, layered):
     spans = _spanned(graph, layered.levels[-1])
     if spans is None or len(spans) == len(levels[top]):
         return levels, layered.parent_of
+    levels[top] = spans
+    if top == 0:
+        return levels, layered.parent_of
     home = {}
     for cl in spans:
         for v in cl.members:
             home.setdefault(v, cl.id)
     kept = {cl.id for cl in spans}
     parent_of = dict(layered.parent_of)
-    for cl in levels[top - 1] if top else ():
+    for cl in levels[top - 1]:
         if parent_of.get((top - 1, cl.id)) not in kept:
             parent_of[(top - 1, cl.id)] = home[cl.root]
-    levels[top] = spans
     return levels, parent_of
 
 
@@ -633,7 +635,8 @@ def stack_fault(graph, layered, threshold=None):
     base**top at least twice the threshold."""
     threshold = _bfs_threshold(layered, threshold)
     reach = layered.base**layered.top
-    if reach >= 2 * threshold or _spanned(graph, layered.levels[-1]) is not None:
+    spans = _spanned(graph, layered.levels[-1])
+    if reach >= 2 * threshold or spans is not None:
         return None
     return (f"no level has every node in a cluster that spans its component, "
             f"and base**top = {reach} is below 2 x threshold {threshold}")

@@ -428,12 +428,13 @@ class PlannedProgram:
 
     Packed sends: `_pack(dst, tag, *fields)` queues a record of integers for
     a neighbour in the step's outbox (`_pack_all` one for each of several),
-    and `_repack` replaces one queued in the same step. When the step ends, the records of one neighbour and tag
-    leave as critical messages whose payload is the records' fields, flat
-    and in queueing order, at most `_chunk` fields to a message; a class
-    sets `_chunk` to a whole number of records that fits the bit budget. So
-    records that coincide on a channel in one round share a message, and a
-    run's width counts messages, not records.
+    and `_repack` replaces one queued in the same step. When the step ends,
+    the records of one neighbour and tag leave as critical messages whose
+    payload is the records' fields, flat and in queueing order, at most
+    `_chunk` fields to a message; a class sets `_chunk` to a whole number of
+    records that fits the bit budget. So records that coincide on a channel
+    in one round share a message, and a run's width counts messages, not
+    records.
 
     An action is a method name plus arguments. Planned for the current round
     it runs at once; planned for a later round it is kept (once per round and

@@ -194,7 +194,8 @@ def path_cluster(cid, lo, hi):
 
 
 @pytest.mark.parametrize("graph, top_clusters", [
-    (gen_graph(GraphSpec("random-tree", 96, seed=3)), (1, 1)), (two_paths(), (0, 2)),
+    (gen_graph(GraphSpec("random-tree", 96, seed=3)), (1, 1)),
+    (two_paths(), (0, 2)),
 ], ids=["random-tree96", "two-paths40"])
 def test_spanning_levels_set_no_cadence(graph, top_clusters):
     """Each top-level cluster of these bootstrap stacks spans its component
