@@ -16,7 +16,7 @@ from math import inf
 
 from .apsp_sched import apsp_random_delay
 from .congest_cssp import cssp
-from .energy_bfs import bootstrap_base_covers, full_bfs, run_thresholded_bfs_with_cover
+from .energy_bfs import full_bfs, grow_cover_stack, run_thresholded_bfs_with_cover
 from .energy_cssp import cssp_energy
 from .engine import Message, run_simulation
 from .graph import GraphSpec, gen_graph
@@ -242,7 +242,7 @@ def criterion_6(ctx):
     base_energy = {}
     for d in ds:
         g = gen_graph(GraphSpec("path", d + 1))
-        layered, decomps, rep_boot, tlogs = bootstrap_base_covers(g)
+        layered, decomps, _, tlogs = grow_cover_stack(g, threshold=d)
         _keep_cover_stack(ctx, g, layered, decomps, tlogs)
         outputs, report, engine = run_thresholded_bfs_with_cover(
             g, layered, {0}, d)

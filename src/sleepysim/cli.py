@@ -248,14 +248,9 @@ def cmd_run(args) -> int:
     log("running", args.algo, f"n={g.n} m={g.m}")
 
     verify_fail = ""
-    if args.algo == "cssp-congest":
-        outputs, report, _ = cssp(g, sources, round_limit=limit, trace=False)
-        if args.verify and outputs != dijkstra(g, sources):
-            verify_fail = "distance mismatch vs oracle"
-        dist_text = _dist_doc(outputs)
-    elif args.algo == "cssp-energy":
-        outputs, report, _ = cssp_energy(g, sources, round_limit=limit,
-                                         trace=False)
+    if args.algo in ("cssp-congest", "cssp-energy"):
+        run = cssp if args.algo == "cssp-congest" else cssp_energy
+        outputs, report, _ = run(g, sources, round_limit=limit, trace=False)
         if args.verify and outputs != dijkstra(g, sources):
             verify_fail = "distance mismatch vs oracle"
         dist_text = _dist_doc(outputs)

@@ -44,15 +44,15 @@ the same; only its rounds and energy, logical rounds x width, fall.
 `full_bfs` is the one entry point, thresholded or not, building the cover
 stack or reusing one.
 
-Construction of the cover stack itself reuses `netdecomp`'s builder (its
-nodes sleep outside the rounds a message can reach them), which also counts
-which clusters span their component; this module adds the layering, parent
-links, the stop rule that reads those counts, and the sleeping BFS phase.
-The stack builds no level it can already see: it stops at level 0 when
-every node lies in a level-0 cluster that spans its component, and a level
-whose scale B**l reaches the height H of the spanning forest that every
-build runs over is that forest's trees (`forest_level`), since each root's
-B**l-ball is then its whole component.
+One function grows the cover stack (`grow_cover_stack`). Each level is
+`netdecomp`'s cover (its nodes sleep outside the rounds a message can reach
+them), which also counts which clusters span their component; this module
+adds the layering, parent links, the stop rule that reads those counts, and
+the sleeping BFS phase. The stack builds no level it can already see: it
+stops at level 0 when every node lies in a level-0 cluster that spans its
+component, and a level whose scale B**l reaches the height H of the
+spanning forest that every build runs over is that forest's trees
+(`forest_level`), since each root's B**l-ball is then its whole component.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ from collections import namedtuple
 from math import inf
 
 from .engine import (
-    Message, PlannedProgram, SimConfig, bit_budget, merge_reports, run_simulation,
+    Message, PlannedProgram, SimConfig, _records_per_message, merge_reports,
+    run_simulation,
 )
 from .netdecomp import ConstructionError, build_cover_sync, cover_forest
 from .structures import ClusterData, Cover, LayeredCover
@@ -363,24 +364,6 @@ def choose_base(stretch: int, requested=None) -> int:
     return b
 
 
-def build_cover_next(graph, layered, *, trace=True, forest=None):
-    """Construct the next-scale cover and link the previous level into it;
-    `forest` as for `netdecomp.build_decomposition`."""
-    level = layered.top
-    B = layered.base
-    scale = B ** (level + 1)
-    cover, decomp, rep, tl = build_cover_sync(
-        graph, scale, trace=trace, forest=forest)
-    stretch = cover.measured_stretch()
-    if 2 * stretch > B and len(cover.clusters) > 1:
-        raise ConstructionError(
-            f"cover at scale {scale} has stretch {stretch} > base/2 = {B // 2}"
-        )
-    layered.levels.append(cover)
-    assign_parents(graph, layered, level, decomp)
-    return cover, decomp, rep, tl
-
-
 def forest_level(layered, forest):
     """Put the spanning forest's trees on top of the stack as its next level,
     if that level's scale B**(top + 1) reaches the height H of every tree
@@ -409,38 +392,49 @@ def forest_level(layered, forest):
     return True
 
 
-def bootstrap_base_covers(graph, *, base=None, trace=True, forest=None):
-    """Construction of the scale-1 cover and the level above it, over one
-    spanning forest: `forest` as for `netdecomp.build_decomposition`, or
-    built here and counted once. A stack whose level 0 has every node in a
-    cluster that spans its component (`detect_global_cluster`) stops there.
-    Otherwise level 1 is the forest's trees when B >= H (`forest_level`),
-    or else the scale-B cover, linked. A requested base whose scale-B cover
-    cannot hold the scale-1 clusters' trees raises ValueError; a derived one
-    that cannot is a `ConstructionError`."""
-    reports = []
-    if forest is None:
-        forest, rep_f = cover_forest(graph)
-        reports.append(rep_f)
+def grow_cover_stack(graph, *, base=None, threshold=None, trace=True):
+    """Build the cover stack level by level over one spanning forest
+    (`cover_forest`, built and counted once); returns (layered cover,
+    decompositions, stage reports, cover traces). Level 0 is the scale-1
+    cover and B = `choose_base` of its stretch, or the requested base. The
+    stack grows until every node lies in a top-level cluster that spans its
+    component (`detect_global_cluster`, read from the flags the builds
+    counted) or, with a threshold, until B**top >= 2*threshold. A level whose
+    scale reaches the forest's height is the forest's trees
+    (`forest_level`); any other is the scale-B**l cover, linked. A cover
+    above level 1 with stretch over B/2 and more than one cluster is a
+    `ConstructionError`; a requested base whose levels cannot be linked
+    raises ValueError, a derived one a `ConstructionError`."""
+    forest, rep_f = cover_forest(graph)
     cover0, decomp0, rep0, tl0 = build_cover_sync(
         graph, 1, trace=trace, forest=forest)
-    reports.append(rep0)
     B = choose_base(cover0.measured_stretch(), base)
     layered = LayeredCover(base=B, levels=[cover0])
-    if detect_global_cluster(graph, cover0) or forest_level(layered, forest):
-        return layered, [decomp0], merge_reports(reports), [tl0]
-    cover1, decomp1, rep1, tl1 = build_cover_sync(
-        graph, B, trace=trace, forest=forest)
-    reports.append(rep1)
-    layered.levels.append(cover1)
-    try:
-        assign_parents(graph, layered, 0, decomp1)
-    except ConstructionError as e:
-        if base is None:
-            raise
-        raise ValueError(f"base {base} cannot link the scale-1 cover into "
-                         f"the scale-{base} one: {e}") from None
-    return layered, [decomp0, decomp1], merge_reports(reports), [tl0, tl1]
+    decomps, reports, tlogs = [decomp0], [rep_f, rep0], [tl0]
+    while not detect_global_cluster(graph, layered.levels[-1]) and (
+            threshold is None or B**layered.top < 2 * threshold):
+        if forest_level(layered, forest):
+            continue
+        level = layered.top + 1
+        scale = B**level
+        cover, decomp, rep, tl = build_cover_sync(
+            graph, scale, trace=trace, forest=forest)
+        stretch = cover.measured_stretch()
+        if level > 1 and 2 * stretch > B and len(cover.clusters) > 1:
+            raise ConstructionError(
+                f"cover at scale {scale} has stretch {stretch} > base/2 = {B // 2}")
+        layered.levels.append(cover)
+        try:
+            assign_parents(graph, layered, level - 1, decomp)
+        except ConstructionError as e:
+            if base is None:
+                raise
+            raise ValueError(f"base {base} cannot link the scale-{scale // B} "
+                             f"cover into the scale-{scale} one: {e}") from None
+        decomps.append(decomp)
+        reports.append(rep)
+        tlogs.append(tl)
+    return layered, decomps, reports, tlogs
 
 
 def _phase_stack(graph, layered):
@@ -576,12 +570,10 @@ def _record_cap(n, layered):
     the bit budget of the unit-weight graph on n nodes, with levels up to
     the stack's top and cluster ids up to its largest (at least 1: a record
     past the budget is the engine's bit audit to report)."""
-    tag_bits = (EB_PIPE + 1).bit_length()
     top_cid = max((cl.id for cover in layered.levels for cl in cover.clusters),
                   default=0)
-    record_bits = ((layered.top + 1).bit_length() + (top_cid + 1).bit_length()
-                   + (CODE_MAX + 1).bit_length())
-    return max(1, (bit_budget(n, 1) - tag_bits) // record_bits)
+    return max(1, _records_per_message(
+        n, EB_PIPE, (layered.top, top_cid, CODE_MAX)))
 
 
 def _bfs_width(n, layered):
@@ -597,18 +589,14 @@ def full_bfs(graph, sources, *, threshold=None, base=None, trace=True,
     (outputs, report, BFS-phase engine, layered cover, decompositions, cover
     traces).
 
-    Builds the cover stack level by level until every node lies in a
-    top-level cluster that spans its component, then runs the pipelined BFS
-    on the clusters of `_phase_stack`. Level 0 may already be that level, and
-    a level whose scale reaches the spanning forest's height is the forest's
-    trees, built by no cover run (`_grow_cover`). With a threshold,
-    construction stops at the level whose scale reaches 2*threshold (or
-    earlier with a spanning level), and nodes farther than the threshold
+    Builds the cover stack (`grow_cover_stack`), then runs the pipelined BFS
+    on the clusters of `_phase_stack`; nodes farther than a given threshold
     output INF. A prebuilt layered cover may be passed to skip construction
     (the cover cache path)."""
     reports, decomps, tlogs = [], [], []
     if layered is None:
-        layered, decomps, reports, tlogs = _grow_cover(graph, base, trace, threshold)
+        layered, decomps, reports, tlogs = grow_cover_stack(
+            graph, base=base, threshold=threshold, trace=trace)
     else:
         fault = stack_fault(graph, layered, threshold)
         if fault is not None:
@@ -630,7 +618,7 @@ def _bfs_threshold(layered, threshold=None):
 
 def stack_fault(graph, layered, threshold=None):
     """Why the BFS phase cannot run on a cover stack to `_bfs_threshold`, or
-    None. It needs what `_grow_cover` stops at: a top level in which every
+    None. It needs what `grow_cover_stack` stops at: a top level in which every
     node lies in a cluster that spans its component (`_spanned`), or
     base**top at least twice the threshold."""
     threshold = _bfs_threshold(layered, threshold)
@@ -640,25 +628,3 @@ def stack_fault(graph, layered, threshold=None):
         return None
     return (f"no level has every node in a cluster that spans its component, "
             f"and base**top = {reach} is below 2 x threshold {threshold}")
-
-
-def _grow_cover(graph, base, trace, threshold):
-    """Bootstrap the cover stack, then grow it one level at a time until
-    every node lies in a top-level cluster that spans its component
-    (`_spanned`, read from the flags the builds counted) or, with a
-    threshold, until base**top >= 2*threshold. A level whose scale reaches
-    the spanning forest's height is the forest's trees (`forest_level`),
-    and every cover built runs over that one forest."""
-    forest, rep_f = cover_forest(graph)
-    layered, decomps, rep_boot, tlogs = bootstrap_base_covers(
-        graph, base=base, trace=trace, forest=forest)
-    reports = [rep_f, rep_boot]
-    while _spanned(graph, layered.levels[-1]) is None and (
-            threshold is None or layered.base**layered.top < 2 * threshold):
-        if not forest_level(layered, forest):
-            cover, decomp, rep, tl = build_cover_next(
-                graph, layered, trace=trace, forest=forest)
-            reports.append(rep)
-            decomps.append(decomp)
-            tlogs.append(tl)
-    return layered, decomps, reports, tlogs

@@ -418,6 +418,14 @@ class NodeApi:
         self.engine.trace(kind, node=self.node, round=self.round, **data)
 
 
+def _records_per_message(n: int, tag: int, field_max) -> int:
+    """The records one packed message under `tag` carries within the bit
+    budget of the unit-weight graph on n nodes, a record's fields each at
+    most its bound in `field_max`, at the cost `audit_message` charges."""
+    record_bits = sum((v + 1).bit_length() for v in field_max)
+    return (bit_budget(n, 1) - (tag + 1).bit_length()) // record_bits
+
+
 class PlannedProgram:
     """Base for node programs that plan their own actions for exact rounds.
 

@@ -100,7 +100,7 @@ from .congest_cssp import boruvka_forest
 from .energy_cssp import EnergyCsspProgram
 from .engine import (
     Message, PlannedProgram, ProtocolViolation, SimConfig, SimError,
-    bit_budget, merge_reports, run_simulation,
+    _records_per_message, merge_reports, run_simulation,
 )
 from .structures import ClusterData, Cover, Decomposition
 
@@ -129,9 +129,8 @@ def _pair_cap(n: int, keys: int | None = None) -> int:
     """The (key, value) pairs one `PD_CNT` or `PD_DEC` message carries
     within the bit budget of the unit-weight graph on n nodes: a key is below
     `keys` (a label, below n, by default) and a count or verdict at most n."""
-    tag_bits = (max(PD_CNT, PD_DEC) + 1).bit_length()
-    pair_bits = (n if keys is None else keys).bit_length() + (n + 1).bit_length()
-    return (bit_budget(n, 1) - tag_bits) // pair_bits
+    keys = n if keys is None else keys
+    return _records_per_message(n, max(PD_CNT, PD_DEC), (keys - 1, n))
 
 
 def _decomp_width(n: int) -> int:
@@ -190,7 +189,9 @@ class DecompProgram(PlannedProgram):
         # color-scoped state
         self.color = 0
         self.phase = 0
-        self.rho = 0  # the component's largest role depth at the last barrier
+        # the count and decision windows' depth cap: the component's largest
+        # role depth at the last barrier, kept until the next decision wave
+        self.rho = 0
         self.rho_max = 0  # the same over every color so far
         self.in_step = 0
         self.living = True
@@ -223,12 +224,6 @@ class DecompProgram(PlannedProgram):
         self._chunk = 2 * _pair_cap(graph.n)  # fields of the packed pairs
 
     # -- window arithmetic ----------------------------------------------------
-
-    def _rho(self):
-        """The count and decision windows' depth cap: the deepest role in
-        the component when the last barrier swept it, which the roles' trees
-        keep until the next step's decision wave."""
-        return self.rho
 
     @staticmethod
     def _listen(api, s):
@@ -316,7 +311,7 @@ class DecompProgram(PlannedProgram):
         self.stopped = False
         self.root_stop = False
         self._role_sweep(api, base, True)
-        self._plan_step(api, base + self._rho() + 3)
+        self._plan_step(api, base + self.rho + 3)
 
     def _role_sweep(self, api, base, recount):
         """Plan one count over the tree of every cluster blue in the phase,
@@ -324,7 +319,7 @@ class DecompProgram(PlannedProgram):
         base + 1 + rho - d, a root acts at base + rho + 2, and a role with
         kids listens from when they send. A recount counts terminals, a
         step's count the joins."""
-        rho = self._rho()
+        rho = self.rho
         for label in sorted(self.roles):
             if not self._is_blue(label):
                 continue
@@ -348,7 +343,7 @@ class DecompProgram(PlannedProgram):
         self.bar_active = False
         self.bar_dead = False
         self.bar_depth = 0
-        k, rho = self.k, self._rho()
+        k, rho = self.k, self.rho
         t_join = base + k + 2
         t_cnt = t_join + k + 2
         t_dec = t_cnt + rho + 2

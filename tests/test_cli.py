@@ -6,7 +6,7 @@ import pytest
 from sleepysim import cli
 from sleepysim.acceptance import CriterionResult
 from sleepysim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, EXIT_VERIFY, main
-from sleepysim.energy_bfs import bootstrap_base_covers, full_bfs
+from sleepysim.energy_bfs import full_bfs, grow_cover_stack
 from sleepysim.graph import GraphSpec, gen_graph, save_graph
 from sleepysim.oracle import hop_distances
 from sleepysim.structures import (
@@ -73,7 +73,7 @@ def test_cover_cache_of_another_graph_exits_2(tmp_path, capsys):
     """A valid cache saved from path9, run on a path5 file: its clusters name
     nodes the graph does not have."""
     cache = tmp_path / "cover.slpycov"
-    layered, _, _, _ = bootstrap_base_covers(gen_graph(GraphSpec("path", 9)))
+    layered, _, _, _ = grow_cover_stack(gen_graph(GraphSpec("path", 9)))
     cache.write_text(save_layered_cover(layered))
     graph = tmp_path / "p5.txt"
     graph.write_text(save_graph(gen_graph(GraphSpec("path", 5))))
@@ -88,7 +88,7 @@ def test_cover_cache_of_another_graph_exits_2(tmp_path, capsys):
 def test_cover_cache_tree_edge_off_the_graph_exits_2(tmp_path, capsys):
     """A cache whose tree uses a pair of nodes the graph does not join."""
     g = gen_graph(GraphSpec("path", 9))
-    layered, _, _, _ = bootstrap_base_covers(g)
+    layered, _, _, _ = grow_cover_stack(g)
     cl = layered.levels[0].clusters[0]
     leaf = max(cl.tree, key=lambda v: cl.tree[v][1])
     _, depth, term = cl.tree[leaf]
@@ -122,7 +122,7 @@ def test_grown_stacks_round_trip(spec, top):
     forest's tree (no cover built above level 0 in either) are saved,
     loaded, checked as a cache is, and run exact from the loaded copy."""
     g = gen_graph(spec)
-    layered, built, _, _ = bootstrap_base_covers(g, trace=False)
+    layered, built, _, _ = grow_cover_stack(g, trace=False)
     assert (layered.top, len(built)) == (top, 1)
     loaded = load_layered_cover(save_layered_cover(layered))
     assert loaded == layered
@@ -412,7 +412,7 @@ def test_verify_missing_fixtures(tmp_path):
 
 def test_verify_corrupted_cover_cache(tmp_path, capsys):
     g = gen_graph(GraphSpec("path", 9))
-    layered, _, _, _ = bootstrap_base_covers(g)
+    layered, _, _, _ = grow_cover_stack(g)
     # corrupt: drop a node from every level-0 cluster member list
     for cl in layered.levels[0].clusters:
         if len(cl.members) > 1:

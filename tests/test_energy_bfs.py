@@ -4,15 +4,18 @@ import pytest
 
 from sleepysim import energy_bfs
 from sleepysim.energy_bfs import (
-    C_PIPE, EnergyBfsProgram, bfs_schedule, bootstrap_base_covers,
-    build_cover_next, detect_global_cluster, full_bfs,
+    C_PIPE, EnergyBfsProgram, assign_parents, bfs_schedule,
+    detect_global_cluster, full_bfs, grow_cover_stack,
     run_thresholded_bfs_with_cover,
 )
 from sleepysim.engine import (
     Engine, Message, PlannedProgram, ProtocolViolation, SimError, audit_message,
+    merge_reports,
 )
 from sleepysim.graph import Graph, GraphSpec, gen_graph
-from sleepysim.netdecomp import cover_forest, promised_bounds
+from sleepysim.netdecomp import (
+    ConstructionError, build_cover_sync, cover_forest, promised_bounds,
+)
 from sleepysim.oracle import INF, check_cover, check_layered, hop_distances
 from sleepysim.structures import (
     ClusterData, Cover, LayeredCover, load_layered_cover, save_layered_cover,
@@ -25,11 +28,22 @@ def unit_path(n):
     return gen_graph(GraphSpec("path", n))
 
 
+def build_next_level(g, layered, *, trace=True):
+    """Build the next-scale cover over the stack's top level and link the
+    top level into it: a level above one that already spans, which
+    `grow_cover_stack` never builds."""
+    cover, decomp, *_ = build_cover_sync(
+        g, layered.base ** (layered.top + 1), trace=trace)
+    layered.levels.append(cover)
+    assign_parents(g, layered, layered.top - 1, decomp)
+    return cover
+
+
 def test_bootstrap_single_node():
     """The one node's level-0 cluster spans its component, so the stack stops
     at level 0 and builds no scale-B cover."""
     g = Graph.build(1, [])
-    layered, decomps, report, _ = bootstrap_base_covers(g)
+    layered, decomps, _, _ = grow_cover_stack(g)
     assert layered.top == 0 and len(decomps) == 1
     assert len(layered.levels[0].clusters) == 1
     assert check_layered(g, layered, 1, layered.base) == []
@@ -37,7 +51,8 @@ def test_bootstrap_single_node():
 
 def test_bootstrap_cycle_checker_clean():
     g = gen_graph(GraphSpec("cycle", 16))
-    layered, decomps, report, _ = bootstrap_base_covers(g)
+    layered, decomps, reports, _ = grow_cover_stack(g)
+    report = merge_reports(reports)
     assert check_layered(g, layered, layered.base, layered.base) == []
     # all-awake accounting: nobody's energy exceeds total rounds
     assert all(e <= report.rounds for e in report.energy.values())
@@ -46,7 +61,7 @@ def test_bootstrap_cycle_checker_clean():
 
 def test_detect_global_trivial():
     g = Graph.build(1, [])
-    layered, _, _, _ = bootstrap_base_covers(g)
+    layered, _, _, _ = grow_cover_stack(g)
     assert detect_global_cluster(g, layered.levels[0])
 
 
@@ -54,9 +69,9 @@ def test_detect_global_path():
     """P9's level 0 already spans it, so the stack stops there; a scale-B
     cover built over it spans the path too."""
     g = unit_path(9)
-    layered, _, _, _ = bootstrap_base_covers(g)
+    layered, _, _, _ = grow_cover_stack(g)
     assert layered.top == 0 and detect_global_cluster(g, layered.levels[0])
-    cover, *_ = build_cover_next(g, layered)
+    cover = build_next_level(g, layered)
     assert detect_global_cluster(g, cover)
 
 
@@ -67,18 +82,18 @@ def test_detect_level0_on_paths(n):
     size: no level-0 cluster of a long path spans it, and the build that
     counts loses no message."""
     g = unit_path(n)
-    layered, _, report, _ = bootstrap_base_covers(g, trace=False)
+    layered, _, reports, _ = grow_cover_stack(g, trace=False)
     assert len(layered.levels[0].clusters) > 1
     assert not detect_global_cluster(g, layered.levels[0])
-    assert report.lost == 0
+    assert merge_reports(reports).lost == 0
 
 
 def test_detect_global_disconnected():
     g = Graph.build(4, [(0, 1, 1), (2, 3, 1)])
-    layered, _, _, _ = bootstrap_base_covers(g)
+    layered, _, _, _ = grow_cover_stack(g)
     # each component separately contained, already at level 0
     assert layered.top == 0 and detect_global_cluster(g, layered.levels[0])
-    cover, *_ = build_cover_next(g, layered)
+    cover = build_next_level(g, layered)
     assert detect_global_cluster(g, cover)
 
 
@@ -86,7 +101,7 @@ def test_detect_needs_the_builds_flags():
     """A cover that did not come from a build, such as a loaded one, carries
     no spanning flags, and reading them raises instead of answering."""
     g = unit_path(9)
-    layered, _, _, _ = bootstrap_base_covers(g)
+    layered, _, _, _ = grow_cover_stack(g)
     loaded = load_layered_cover(save_layered_cover(layered))
     assert loaded == layered and loaded.levels[0].spanning is None
     with pytest.raises(ValueError, match="no spanning flags"):
@@ -115,6 +130,59 @@ def test_full_bfs_stops_at_the_recorded_level(g, threshold, base_top):
                                                  trace=False)
     assert (layered.base, layered.top) == base_top
     assert report.lost == 0
+
+
+# (graph, growth options): sha256 of the stack `grow_cover_stack` saves,
+# recorded from the growth that bootstrapped levels 0 and 1 and then grew
+# the stack one level at a time, before the three builders became one.
+STACK_PINS = [
+    ("path257", unit_path(257), {},
+     "1cee4d505bcd3fe3734a5c0ddfcc784c36bf7dd423a6e2a756bf0a221563c142"),
+    ("grid256", gen_graph(GraphSpec("grid", 256, seed=1)), {},
+     "4e7904aa59be16480dd052d89dd63b3f993b77e4964c0277211366a306055ad4"),
+    ("path65", unit_path(65), {},
+     "62e4c04aa91841f6d9180a9ff7238c502fec493ee1139b3a973256a50773cd70"),
+    ("random-tree96", gen_graph(GraphSpec("random-tree", 96, seed=3)), {},
+     "b5834992c37fd804a0aad4a8e261127f6979b0c757f1188349024dd8ef49f005"),
+    ("path32-base4", unit_path(32), {"base": 4},
+     "214d6b006344afc238305d74875437910ec5428ef11a9369a89595506be38804"),
+    ("path65-t10", unit_path(65), {"threshold": 10},
+     "62e4c04aa91841f6d9180a9ff7238c502fec493ee1139b3a973256a50773cd70"),
+]
+
+
+@pytest.mark.parametrize("g, options, digest", [c[1:] for c in STACK_PINS],
+                         ids=[c[0] for c in STACK_PINS])
+def test_grown_stack_is_pinned(g, options, digest):
+    layered, *_ = grow_cover_stack(g, trace=False, **options)
+    text = save_layered_cover(layered)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_threshold_0_stops_at_level_0():
+    """Scale 1 already reaches 2 x 0, so a threshold-0 growth builds level 0
+    alone even where it does not span; the run is exact and loses nothing."""
+    g = unit_path(64)
+    outputs, report, engine, layered, decomps, _ = full_bfs(
+        g, {0}, threshold=0, trace=False)
+    assert layered.top == 0 and len(decomps) == 1
+    assert not detect_global_cluster(g, layered.levels[0])
+    assert outputs == {v: 0 if v == 0 else INF for v in range(g.n)}
+    assert report.lost == 0 and report.critical_losses == []
+
+
+def test_stretch_guard_spares_level_1_only(monkeypatch):
+    """A built cover above level 1 whose stretch exceeds B/2 with more than
+    one cluster is a `ConstructionError`; level 1 is spared. With a planted
+    stretch of 99 at every scale above 1, random-tree96 at base 2 links its
+    scale-2 level 1 and raises at the scale-4 level 2."""
+    measured = Cover.measured_stretch
+    monkeypatch.setattr(Cover, "measured_stretch",
+                        lambda cover: 99 if cover.scale > 1 else measured(cover))
+    g = gen_graph(GraphSpec("random-tree", 96, seed=3))
+    with pytest.raises(ConstructionError,
+                       match=r"cover at scale 4 has stretch 99 > base/2 = 1"):
+        grow_cover_stack(g, base=2, trace=False)
 
 
 def test_full_bfs_all_sources():
@@ -202,7 +270,7 @@ def test_spanning_levels_set_no_cadence(graph, top_clusters):
     (random-tree96's level 1 is the spanning forest's tree, two-paths40's
     level 0 one cluster per path), so no level sets sigma: it stays at its
     floor of 4."""
-    layered, *_ = bootstrap_base_covers(graph, trace=False)
+    layered, *_ = grow_cover_stack(graph, trace=False)
     assert (layered.top, len(layered.levels[-1].clusters)) == top_clusters
     assert bfs_schedule(layered, 30, graph).sigma == 4
 
@@ -225,7 +293,7 @@ def test_forest_top_is_the_spanning_forest(g, sources):
     terminal, flagged as spanning, and each level-0 cluster linked to its
     root's component. The run on it is exact and loses nothing."""
     (info, _), _ = cover_forest(g)
-    layered, decomps, *_ = bootstrap_base_covers(g, trace=False)
+    layered, decomps, *_ = grow_cover_stack(g, trace=False)
     assert layered.top == 1 and len(decomps) == 1
     assert layered.base >= max(info.height.values())
     top = layered.levels[1]
@@ -311,7 +379,7 @@ def test_criterion6_path_at_sigma_floor():
     same logical run, so max energy and rounds moved (4,535, 6,745) ->
     (1,814, 2,698): the width is the only reason."""
     g = unit_path(65)
-    layered, *_ = bootstrap_base_covers(g, trace=False)
+    layered, *_ = grow_cover_stack(g, threshold=64, trace=False)
     assert bfs_schedule(layered, 64, g).sigma == 4
     outputs, report, _ = run_thresholded_bfs_with_cover(g, layered, {0}, 64,
                                                         trace=False)
@@ -325,9 +393,9 @@ def _built_two_levels(g):
     growth gave these graphs before it began to stop at a level 0 that spans
     and to take the spanning forest's tree for a level whose scale reaches
     its height."""
-    boot, *_ = bootstrap_base_covers(g, trace=False)
-    layered = LayeredCover(boot.base, boot.levels[:1])
-    build_cover_next(g, layered, trace=False)
+    layered, *_ = grow_cover_stack(g, threshold=0, trace=False)
+    assert layered.top == 0
+    build_next_level(g, layered, trace=False)
     return layered
 
 
@@ -375,7 +443,7 @@ def test_width_covers_the_multiplicity_and_a_reach(g, base):
     width's packed messages hold that many, P to a message, and leave one
     message for `EB_REACH`. P is the most records the bit budget holds for
     the stack's top level and largest cluster id."""
-    layered, *_ = bootstrap_base_covers(g, base=base, trace=False)
+    layered, *_ = grow_cover_stack(g, base=base, threshold=1, trace=False)
     cap = energy_bfs._record_cap(g.n, layered)
     width = energy_bfs._bfs_width(g.n, layered)
     assert (width - 1) * cap >= layered.max_edge_multiplicity()
@@ -421,7 +489,7 @@ def test_width_one_short_oversubscribes(monkeypatch):
     """On path65 a packed pipeline message and an `EB_REACH` meet on one
     channel in one round, so a width one below the computed one raises."""
     g = unit_path(65)
-    layered, *_ = energy_bfs._grow_cover(g, None, False, None)
+    layered, *_ = grow_cover_stack(g, trace=False)
     computed = energy_bfs._bfs_width
     monkeypatch.setattr(energy_bfs, "_bfs_width",
                         lambda n, layered: computed(n, layered) - 1)
@@ -438,7 +506,7 @@ def test_phase_runs_the_spanning_top_clusters():
     cluster 62 running, its retired pipeline took a report and its root's
     broadcast was lost at a sleeping node)."""
     g = unit_path(32)
-    layered, *_ = energy_bfs._grow_cover(g, 4, False, None)
+    layered, *_ = grow_cover_stack(g, base=4, trace=False)
     assert layered.top == 1
     assert [cl.id for cl in layered.levels[1].clusters] == [0, 62]
     assert layered.parent_of[(0, 62)] == 62
@@ -488,7 +556,7 @@ def test_irrelevant_component_sleeps():
     broadcast has settled, as every other role does."""
     g = Graph.build(40, [(i, i + 1, 1) for i in range(19)]
                     + [(i, i + 1, 1) for i in range(20, 39)])
-    layered, _, _, _ = bootstrap_base_covers(g)
+    layered, _, _, _ = grow_cover_stack(g)
     outputs, report, _ = run_thresholded_bfs_with_cover(g, layered, {0}, 30)
     assert outputs[19] == 19 and outputs[20] is INF
     hot = max(report.energy[v] for v in range(20))
@@ -498,7 +566,7 @@ def test_irrelevant_component_sleeps():
 
 def test_pipeline_wake_fraction_in_bfs(monkeypatch):
     g = unit_path(33)
-    layered, _, _, _ = bootstrap_base_covers(g)
+    layered, _, _, _ = grow_cover_stack(g)
     log = record(monkeypatch)
     run_thresholded_bfs_with_cover(g, layered, {0}, 32)
     lvl_periods = {max(1, layered.base**lvl) for lvl in range(layered.top + 1)}
@@ -564,9 +632,9 @@ def test_cover_cache_with_level_keys_loads():
            '"parents": [[0, 0, 0]]}\n')
     layered = load_layered_cover(old)
     g = Graph.build(2, [(0, 1, 1)])
-    built, *_ = bootstrap_base_covers(g)
+    built, *_ = grow_cover_stack(g)
     assert built.top == 0
-    build_cover_next(g, built)
+    build_next_level(g, built)
     assert layered == built
     assert save_layered_cover(layered) == old.replace('"level": 0, ', "").replace(
         '"level": 1, ', "")
@@ -591,13 +659,13 @@ def test_malformed_cover_cache_raises_value_error(body):
         load_layered_cover("SLPYCOV1\n" + body + "\n")
 
 
-def test_build_cover_next_levels():
+def test_level_2_over_a_spanning_level_1():
     """A level-2 cover over the two base covers meets the cover and parent
     conditions, and a BFS phase over all three levels is exact."""
     g = unit_path(32)
-    layered, decomps, _, _ = bootstrap_base_covers(g, base=4)
+    layered, decomps, _, _ = grow_cover_stack(g, base=4)
     assert (layered.base, layered.top) == (4, 1)
-    cover, _, _, _ = build_cover_next(g, layered)
+    cover = build_next_level(g, layered)
     assert layered.top == 2 and cover.scale == 16
     assert check_cover(g, cover, 16, *promised_bounds(g.n)) == []
     assert check_layered(g, layered, 16, 4) == []

@@ -120,7 +120,7 @@ def test_count_windows_reach_the_deepest_role(monkeypatch):
     sweep = DecompProgram._role_sweep
 
     def record(self, api, base, recount):
-        swept.extend((self._rho(), role.depth) for label, role in self.roles.items()
+        swept.extend((self.rho, role.depth) for label, role in self.roles.items()
                      if self._is_blue(label))
         sweep(self, api, base, recount)
 
@@ -134,7 +134,9 @@ def test_count_windows_reach_the_deepest_role(monkeypatch):
 def test_count_window_one_short_of_the_deepest_role_raises(monkeypatch):
     """A count window one hop shallower than the deepest role the barrier
     carried raises at that role instead of building another cover."""
-    monkeypatch.setattr(DecompProgram, "_rho", lambda self: max(0, self.rho - 1))
+    monkeypatch.setattr(DecompProgram, "rho", property(
+        lambda self: max(0, self.barrier_rho - 1),
+        lambda self, depth: setattr(self, "barrier_rho", depth)), raising=False)
     with pytest.raises(ProtocolViolation, match="swept by a window for depth"):
         build_cover_sync(gen_graph(GraphSpec("path", 48)), 2)
 
