@@ -245,15 +245,23 @@ class CsspProgram(PlannedProgram):
         """The period of frame f's completion messages (`_slots`)."""
         return 1
 
-    def _flush(self, api):
-        """At the end of a step, send on each free channel the first queued
-        message due, and move every other due one to its next round; then
-        wake at the earliest queued round. `_queue` holds only pending
-        sends."""
-        queue = self._queue
-        if not queue:
-            return
-        now, sent_now = api.round, self._sent_now
+    # -- engine entry -------------------------------------------------------
+
+    # The shared step, bound by name so that a profile books these steps to
+    # this class.
+    on_round = PlannedProgram.on_round
+
+    def _start(self, api):
+        self._awake_from_start(api)
+        self._enter(api, _Frame(1, self.D_top, max(1, self.n), api.round,
+                                self.is_source, [], self.nbrs))
+
+    def _end_step(self, api):
+        """Send on each free channel the first queued message due, and move
+        every other due one to its next round; then wake at the earliest
+        queued round (`_queue` holds only pending sends), or finish once the
+        root frame is done and nothing is queued."""
+        queue, now, sent_now = self._queue, api.round, self._sent_now
         for dst in sorted(queue):
             kept = []
             for item in queue[dst]:
@@ -270,34 +278,17 @@ class CsspProgram(PlannedProgram):
                 queue[dst] = kept
             else:
                 del queue[dst]
+        sent_now.clear()
         if queue:
             first = min(item[0] for q in queue.values() for item in q)
             api.wake_at(first, first - 1 if self._listen_before else None)
-
-    # -- engine entry -------------------------------------------------------
-
-    def on_round(self, api):
-        self._sent_now = set()
-        if not self._started:
-            self._started = True
-            self._awake_from_start(api)
-            self._create_root(api)
-        for src, msg in api.inbox:
-            self._dispatch(api, src, msg)
-        self._run_due(api)
-        self._flush(api)
-        if self._root_done and not self._queue:
+        elif self._root_done:
             api.finish(self._answer)
 
     def _awake_from_start(self, api):
         """Declare the node's awake time at its first step; congest nodes
         never sleep."""
         api.always_awake()
-
-    def _create_root(self, api):
-        f = _Frame(1, self.D_top, max(1, self.n), api.round, self.is_source,
-                   [], self.nbrs)
-        self._enter(api, f)
 
     def _dispatch(self, api, src, msg):
         f = self.frames.get(msg.ctx)
@@ -617,7 +608,7 @@ class CsspProgram(PlannedProgram):
         if f.src:
             cand = 0
         for o in f.offsets:
-            t = ceil_div(2 * f.N * o, f.D)
+            t = self._tick_weight(f, o)
             if cand is None or t < cand:
                 cand = t
         f.cand = cand

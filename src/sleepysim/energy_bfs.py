@@ -53,6 +53,9 @@ stops at level 0 when every node lies in a level-0 cluster that spans its
 component, and a level whose scale B**l reaches the height H of the
 spanning forest that every build runs over is that forest's trees
 (`forest_level`), since each root's B**l-ball is then its whole component.
+A level's parents are the clusters the next decomposition put their roots in
+(`assign_parents`). A built level that fails a guard is a ValueError naming
+a requested base, a bad input, and a `ConstructionError` under a derived one.
 """
 
 from __future__ import annotations
@@ -321,36 +324,23 @@ class EnergyBfsProgram(PlannedProgram):
 # -- layering harness -------------------------------------------------------------------
 
 
-def _decomp_cluster_of(decomp, node):
-    color = decomp.node_color.get(node)
-    if color is None:
-        return None
-    for cl in decomp.colors[color]:
-        if node in cl.members:
-            return cl.id
-    return None
-
-
-def assign_parents(graph, layered, level, decomp_hi):
+def assign_parents(layered, level, decomp_hi):
     """Parent of every level-(level) cluster: the expanded cluster of the next
-    cover that the root of its Steiner tree was clustered into."""
-    lo = layered.levels[level]
-    hi = layered.levels[level + 1]
-    hi_ids = {cl.id for cl in hi.clusters}
-    hi_nodes = {cl.id: set(cl.members) | set(cl.tree) for cl in hi.clusters}
-    for cl in lo.clusters:
-        root = cl.root
-        pid = _decomp_cluster_of(decomp_hi, root)
-        if pid is None or pid not in hi_ids:
-            raise ConstructionError(
-                f"level {level} cluster {cl.id}: root {root} has no parent cluster"
-            )
+    cover that the root of its Steiner tree was clustered into. The
+    decomposition's colors partition the nodes, so each has one cluster."""
+    hi_nodes = {cl.id: set(cl.members) | set(cl.tree)
+                for cl in layered.levels[level + 1].clusters}
+    cluster_of = {v: cl.id for clusters in decomp_hi.colors
+                  for cl in clusters for v in cl.members}
+    for cl in layered.levels[level].clusters:
+        pid = cluster_of.get(cl.root)
+        if pid not in hi_nodes:
+            raise ConstructionError(f"level {level} cluster {cl.id}: root "
+                                    f"{cl.root} has no parent cluster")
         missing = set(cl.tree) - hi_nodes[pid]
         if missing:
-            raise ConstructionError(
-                f"level {level} cluster {cl.id}: parent {pid} misses "
-                f"{len(missing)} tree nodes"
-            )
+            raise ConstructionError(f"level {level} cluster {cl.id}: parent "
+                                    f"{pid} misses {len(missing)} tree nodes")
         layered.parent_of[(level, cl.id)] = pid
 
 
@@ -401,10 +391,11 @@ def grow_cover_stack(graph, *, base=None, threshold=None, trace=True):
     component (`detect_global_cluster`, read from the flags the builds
     counted) or, with a threshold, until B**top >= 2*threshold. A level whose
     scale reaches the forest's height is the forest's trees
-    (`forest_level`); any other is the scale-B**l cover, linked. A cover
-    above level 1 with stretch over B/2 and more than one cluster is a
-    `ConstructionError`; a requested base whose levels cannot be linked
-    raises ValueError, a derived one a `ConstructionError`."""
+    (`forest_level`); any other is the scale-B**l cover, whose stretch above
+    level 1 is at most B/2 unless it is one cluster (the stretch guard) and
+    into which the level below links (the link guard, `assign_parents`). A
+    failed guard raises ValueError naming a requested base, else a
+    `ConstructionError`."""
     forest, rep_f = cover_forest(graph)
     cover0, decomp0, rep0, tl0 = build_cover_sync(
         graph, 1, trace=trace, forest=forest)
@@ -419,13 +410,13 @@ def grow_cover_stack(graph, *, base=None, threshold=None, trace=True):
         scale = B**level
         cover, decomp, rep, tl = build_cover_sync(
             graph, scale, trace=trace, forest=forest)
-        stretch = cover.measured_stretch()
-        if level > 1 and 2 * stretch > B and len(cover.clusters) > 1:
-            raise ConstructionError(
-                f"cover at scale {scale} has stretch {stretch} > base/2 = {B // 2}")
         layered.levels.append(cover)
+        stretch = cover.measured_stretch()
         try:
-            assign_parents(graph, layered, level - 1, decomp)
+            if level > 1 and 2 * stretch > B and len(cover.clusters) > 1:
+                raise ConstructionError(f"cover at scale {scale} has stretch "
+                                        f"{stretch} > base/2 = {B // 2}")
+            assign_parents(layered, level - 1, decomp)
         except ConstructionError as e:
             if base is None:
                 raise

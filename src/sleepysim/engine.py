@@ -431,8 +431,9 @@ class PlannedProgram:
 
     The shared step `on_round` calls `_start(api)` at the node's first step,
     then `_dispatch(api, src, msg)` for each inbox message, then runs the due
-    actions, then sends what the step packed. A subclass binds it by name
-    (`on_round = PlannedProgram.on_round`) or writes a longer step of its own.
+    actions, then `_end_step(api)`, which sends what the step packed. A
+    subclass binds it by name (`on_round = PlannedProgram.on_round`) and may
+    override `_end_step`, as `CsspProgram` does to flush its send queue.
 
     Packed sends: `_pack(dst, tag, *fields)` queues a record of integers for
     a neighbour in the step's outbox (`_pack_all` one for each of several),
@@ -476,6 +477,10 @@ class PlannedProgram:
         for src, msg in api.inbox:
             self._dispatch(api, src, msg)
         self._run_due(api)
+        self._end_step(api)
+
+    def _end_step(self, api):
+        """Send what the step packed."""
         out = self._outbox
         if out:
             if len(out) == 1:  # most sending steps: one record, one message

@@ -20,7 +20,11 @@ d-neighborhood and recording the expanded trees, then one count of each
 expanded cluster's terminals toward its root. A cluster's members lie in one
 connected tree, so it spans its component exactly when its root counts the
 component's size, which the forest's census measures (`ForestInfo.size`);
-the roots' flags come back as `Cover.spanning`.
+the roots' flags come back as `Cover.spanning`. Each node outputs its color
+("color"), its roles in the decomposition's and the cover's trees as
+(color, label, parent, depth, terminal) ("decomp", "cover") and the ids of
+the spanning clusters it roots ("spanning"); `build_decomposition`
+assembles the clusters from them.
 
 Nodes sleep. The spanning forest is built by sleeping `EnergyCsspProgram`
 nodes (`forest_only=True`, `cover_forest`; the covers of one `full_bfs` run
@@ -160,13 +164,12 @@ class ConstructionError(SimError):
 class _Role:
     """My position in one cluster's Steiner tree."""
 
-    __slots__ = ("parent", "depth", "terminal", "color", "kids")
+    __slots__ = ("parent", "depth", "terminal", "kids")
 
-    def __init__(self, parent, depth, terminal, color):
+    def __init__(self, parent, depth, terminal):
         self.parent = parent
         self.depth = depth
         self.terminal = terminal
-        self.color = color
         self.kids = []
 
 
@@ -299,7 +302,7 @@ class DecompProgram(PlannedProgram):
         self.root_stop = False
         self._acc = {}
         if self.living:
-            self.roles[self.node] = _Role(None, 0, True, self.color)
+            self.roles[self.node] = _Role(None, 0, True)
         self._prelude(api)
 
     def _prelude(self, api):
@@ -496,7 +499,7 @@ class DecompProgram(PlannedProgram):
         joined = self._wants_join()
         if verdict == DEC_GROW:
             if joined or wave_kids:
-                new = _Role(parent, st, joined, self.color)
+                new = _Role(parent, st, joined)
                 new.kids.extend(wave_kids)
                 self.roles[label] = new
             if joined:
@@ -592,9 +595,9 @@ class DecompProgram(PlannedProgram):
         if self.living and self.my_color is None:
             self.my_color = self.color
             self.my_cluster = self.label
-        for label, role in sorted(self.roles.items()):
+        for label, role in sorted(self.roles.items()):  # all made this color
             self.decomp_roles.append(
-                (role.color, label, role.parent, role.depth, role.terminal))
+                (self.color, label, role.parent, role.depth, role.terminal))
 
     # -- cover expansion ---------------------------------------------------------------------
 
@@ -602,7 +605,7 @@ class DecompProgram(PlannedProgram):
         base = api.round
         self.cover_roles = {}
         for color, label, parent, depth, terminal in self.decomp_roles:
-            self.cover_roles[(color, label)] = _Role(parent, depth, terminal, color)
+            self.cover_roles[(color, label)] = _Role(parent, depth, terminal)
         for c in range(self.colors_used):
             start = base + c * (self.d + 3)
             # waves travel d hops; each window closes at the wave front
@@ -626,7 +629,7 @@ class DecompProgram(PlannedProgram):
         label, hop, st, c = payload
         role = self.cover_roles.get((c, label))
         if role is None:
-            role = self.cover_roles[(c, label)] = _Role(src, st, True, c)
+            role = self.cover_roles[(c, label)] = _Role(src, st, True)
         elif role.terminal:
             return  # wave already seen here
         role.terminal = True
@@ -677,7 +680,6 @@ class DecompProgram(PlannedProgram):
         ]
         api.finish({
             "color": self.my_color,
-            "cluster": self.my_cluster,
             "decomp": sorted(self.decomp_roles),
             "cover": cover,
             "spanning": self.spanning,

@@ -7,6 +7,7 @@ accounting against the sequential oracles.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import inf
 
 from .energy_bfs import EB_REACH, _phase_stack
@@ -78,21 +79,30 @@ def _cutter_groups(trace):
     return groups
 
 
+def _phase_tally(trace):
+    """The decomposition's `phase_node` and `killed` events, each counted
+    under its (color,), (color, phase) and (color, phase, label class) keys,
+    the class being the label's low `phase` bits: (living, kills)."""
+    tally = {"phase_node": Counter(), "killed": Counter()}
+    for kind, data in trace:
+        if kind in tally:
+            color, phase = data["color"], data["phase"]
+            label_class = data["label"] & ((1 << phase) - 1)
+            tally[kind].update([(color,), (color, phase), (color, phase, label_class)])
+    return tally["phase_node"], tally["killed"]
+
+
 def check_halving(trace):
     """Each color must cluster at least half of the nodes living when it
     started: survivors = living at phase 0 minus all kills of the color."""
-    living0 = {}
-    kills = {}
-    for kind, data in trace:
-        if kind == "phase_node" and data["phase"] == 0:
-            living0[data["color"]] = living0.get(data["color"], 0) + 1
-        elif kind == "killed":
-            kills[data["color"]] = kills.get(data["color"], 0) + 1
-    for color, base in sorted(living0.items()):
-        dead = kills.get(color, 0)
-        if 2 * (base - dead) < base:
-            return False, f"color {color}: clustered {base - dead} of {base}"
-    return True, f"{len(living0)} colors satisfy the halving guarantee"
+    living, kills = _phase_tally(trace)
+    colors = sorted(key[0] for key in living if key[1:] == (0,))
+    for color in colors:
+        base = living[color, 0]
+        clustered = base - kills[(color,)]
+        if 2 * clustered < base:
+            return False, f"color {color}: clustered {clustered} of {base}"
+    return True, f"{len(colors)} colors satisfy the halving guarantee"
 
 
 def check_kill_budget(trace, b):
@@ -100,31 +110,12 @@ def check_kill_budget(trace, b):
     every label-suffix class."""
     if b == 0:
         return True, "no phases"
-    living = {}
-    by_class = {}
-    kills = {}
-    kills_class = {}
-    for kind, data in trace:
-        if kind == "phase_node":
-            key = (data["color"], data["phase"])
-            living[key] = living.get(key, 0) + 1
-            suffix = data["label"] & ((1 << data["phase"]) - 1)
-            ck = key + (suffix,)
-            by_class[ck] = by_class.get(ck, 0) + 1
-        elif kind == "killed":
-            key = (data["color"], data["phase"])
-            kills[key] = kills.get(key, 0) + 1
-            suffix = data["label"] & ((1 << data["phase"]) - 1)
-            ck = key + (suffix,)
-            kills_class[ck] = kills_class.get(ck, 0) + 1
-    for key, dead in sorted(kills.items()):
-        base = living.get(key, 0)
-        if dead * 2 * b > base:
-            return False, f"color/phase {key}: {dead} kills exceed {base}/(2*{b})"
-    for ck, dead in sorted(kills_class.items()):
-        base = by_class.get(ck, 0)
-        if dead * 2 * b > base:
-            return False, f"class {ck}: {dead} kills exceed {base}/(2*{b})"
+    living, kills = _phase_tally(trace)
+    for what, parts in (("color/phase", 2), ("class", 3)):
+        for key in sorted(k for k in kills if len(k) == parts):
+            if kills[key] * 2 * b > living[key]:
+                return False, (f"{what} {key}: {kills[key]} kills exceed "
+                               f"{living[key]}/(2*{b})")
     return True, "kill budget respected in every phase and class"
 
 

@@ -7,7 +7,8 @@ lose no protocol-critical message, and no channel of the BFS phase may
 carry more messages in a round than the width computed from its stack.
 A third test draws larger gnm graphs and grids, whose level 0 often spans
 while it also holds clusters that do not, and checks the stack the run
-stopped at as well as its outputs.
+stopped at as well as its outputs. A fourth draws requested bases and
+thresholds, which must run exact or raise ValueError.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from sleepysim.energy_bfs import _bfs_width, full_bfs
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.netdecomp import promised_bounds
 from sleepysim.oracle import INF, check_cover, check_layered, hop_distances
-from sleepysim.trace_checks import check_relevance
+from sleepysim.trace_checks import check_relevance, check_sleep_safety
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -112,3 +113,39 @@ def test_level0_and_forest_stops_stay_exact(instance):
                            *promised_bounds(graph.n)) == []
     assert check_layered(graph, layered, layered.base**layered.top,
                          layered.base) == []
+
+
+@st.composite
+def base_instances(draw):
+    """(graph, base, threshold): a small path, cycle, grid, random tree,
+    gnm (m = 2n) or barbell graph, a base from 1 to 8 and a threshold of
+    None or 1 to 6."""
+    family = draw(st.sampled_from(
+        ["path", "cycle", "grid", "random-tree", "random-gnm", "barbell"]))
+    n = draw(st.integers(3 if family == "cycle" else 1, 64))
+    m = min(2 * n, n * (n - 1) // 2) if family == "random-gnm" else None
+    graph = gen_graph(GraphSpec(family, n, seed=draw(st.integers(0, 3)), m=m))
+    return (graph, draw(st.integers(1, 8)),
+            draw(st.none() | st.integers(1, 6)))
+
+
+@settings(max_examples=150)
+@given(base_instances())
+@example((gen_graph(GraphSpec("random-tree", 96, seed=0)), 2, None))
+@example((gen_graph(GraphSpec("random-tree", 96, seed=3)), 2, None))
+def test_a_requested_base_is_exact_or_a_bad_input(instance):
+    """A requested base either runs exact, every lost frontier message a
+    duplicate, or is rejected as a bad input with ValueError: no stretch or
+    link guard of the stack turns it into a simulation error. Base 2 on
+    random-tree96 (seeds 0 and 3) fails the stretch guard at scale 4."""
+    graph, base, threshold = instance
+    try:
+        outputs, report, *_ = full_bfs(graph, {0}, threshold=threshold,
+                                       base=base, trace=False)
+    except ValueError:
+        return
+    dist = hop_distances(graph, [0])
+    limit = INF if threshold is None else threshold
+    assert outputs == {v: d if d <= limit else INF for v, d in dist.items()}
+    ok, detail = check_sleep_safety(outputs, report)
+    assert ok, detail

@@ -269,6 +269,20 @@ def test_base_the_stack_cannot_link_exits_2_without_output(tmp_path, capsys,
     assert f"base {base} cannot link" in capsys.readouterr().err
 
 
+def test_base_failing_the_stretch_guard_exits_2_without_output(tmp_path, capsys):
+    """A requested base whose built level above 1 has stretch over B/2 is a
+    bad input too: random-tree96 (seed 3) at base 2 builds a scale-4 cover of
+    stretch 3, and the run exits 2 naming the base, where it exited 3 with a
+    simulation error."""
+    out = tmp_path / "o"
+    code = main(["run", "--gen", "random-tree", "--n", "96", "--seed", "3",
+                 "--algo", "bfs-energy", "--base", "2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "base 2 " in err and "stretch 3 > base/2 = 1" in err
+
+
 def test_base_the_stack_links_runs(tmp_path):
     """No stretch rule separates the bases that link: on path64, base 4 links
     where bases 1 to 3 do not."""

@@ -35,7 +35,7 @@ def build_next_level(g, layered, *, trace=True):
     cover, decomp, *_ = build_cover_sync(
         g, layered.base ** (layered.top + 1), trace=trace)
     layered.levels.append(cover)
-    assign_parents(g, layered, layered.top - 1, decomp)
+    assign_parents(layered, layered.top - 1, decomp)
     return cover
 
 
@@ -173,16 +173,30 @@ def test_threshold_0_stops_at_level_0():
 
 def test_stretch_guard_spares_level_1_only(monkeypatch):
     """A built cover above level 1 whose stretch exceeds B/2 with more than
-    one cluster is a `ConstructionError`; level 1 is spared. With a planted
+    one cluster fails the stretch guard; level 1 is spared. With a planted
     stretch of 99 at every scale above 1, random-tree96 at base 2 links its
-    scale-2 level 1 and raises at the scale-4 level 2."""
+    scale-2 level 1 and fails at the scale-4 level 2. The base was
+    requested, so the failure is a ValueError naming it."""
     measured = Cover.measured_stretch
     monkeypatch.setattr(Cover, "measured_stretch",
                         lambda cover: 99 if cover.scale > 1 else measured(cover))
     g = gen_graph(GraphSpec("random-tree", 96, seed=3))
-    with pytest.raises(ConstructionError,
-                       match=r"cover at scale 4 has stretch 99 > base/2 = 1"):
+    with pytest.raises(ValueError, match=r"^base 2 .*cover at scale 4 has "
+                       r"stretch 99 > base/2 = 1"):
         grow_cover_stack(g, base=2, trace=False)
+
+
+def test_stretch_guard_under_a_derived_base_is_a_construction_error(monkeypatch):
+    """Under a derived base the stretch guard still raises a
+    `ConstructionError`: a planted level-0 stretch of 1 derives B = 2 on
+    random-tree96, and a planted stretch of 99 above scale 1 fails the
+    scale-4 level 2 as in the requested-base case."""
+    monkeypatch.setattr(Cover, "measured_stretch",
+                        lambda cover: 99 if cover.scale > 1 else 1)
+    g = gen_graph(GraphSpec("random-tree", 96, seed=3))
+    with pytest.raises(ConstructionError,
+                       match=r"^cover at scale 4 has stretch 99 > base/2 = 1"):
+        grow_cover_stack(g, trace=False)
 
 
 def test_full_bfs_all_sources():
