@@ -17,15 +17,12 @@ from math import inf
 from .acceptance import run_acceptance
 from .apsp_sched import apsp_random_delay
 from .congest_cssp import cssp
-from .energy_bfs import full_bfs, stack_fault
+from .energy_bfs import cover_faults, full_bfs
 from .energy_cssp import cssp_energy
 from .engine import SimError
 from .graph import GraphError, GraphSpec, gen_graph, load_graph, save_graph
 from .netdecomp import build_cover_sync, build_decomposition, promised_bounds
-from .oracle import (
-    check_cover, check_decomposition, check_layered, check_on_graph, dijkstra,
-    hop_distances,
-)
+from .oracle import check_cover, check_decomposition, dijkstra, hop_distances
 from .structures import load_layered_cover, save_layered_cover
 
 EXIT_OK = 0
@@ -56,14 +53,7 @@ SWEEPS = {
 }
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_CONFIG):
-        super().__init__(message)
-        self.code = code
-
-
-def log(*parts):
-    if os.environ.get("SLEEPY_LOG"):
-        print("[sleepysim]", *parts, file=sys.stderr)
+    """A bad config or missing input: exit EXIT_CONFIG."""
 
 
 def config_flags(text) -> list:
@@ -106,7 +96,6 @@ def build_parser():
                      help="logical round cap, 0 for the default")
     run.add_argument("--verify", action="store_true")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--json", action="store_true", help="print report JSON")
     run.add_argument("--cover-cache", help="layered cover file to reuse")
     run.add_argument("--save-cover", help="write the built layered cover here")
 
@@ -205,7 +194,6 @@ def _emit(args, name, text):
         path = os.path.join(args.out, name)
         with open(path, "w") as f:
             f.write(text)
-        log("wrote", path)
     else:
         print(text)
 
@@ -215,24 +203,6 @@ def _dist_doc(outputs):
         {str(v): (None if outputs[v] is inf else outputs[v])
          for v in sorted(outputs)},
         sort_keys=True)
-
-
-def cover_faults(g, layered, threshold=None) -> list:
-    """What a cover stack violates on graph `g`: node ids and tree edges
-    first, then every level's cover conditions at the promised bounds, the
-    parent conditions and what a BFS to `threshold` (None: unthresholded)
-    needs of the stack (`energy_bfs.stack_fault`)."""
-    bad = [f for cov in layered.levels for f in check_on_graph(g, cov)]
-    if bad:
-        return bad
-    for cov in layered.levels:
-        bad.extend(check_cover(g, cov, cov.scale, *promised_bounds(g.n)))
-    bad.extend(check_layered(g, layered, layered.base**layered.top,
-                             layered.base))
-    fault = stack_fault(g, layered, threshold)
-    if fault is not None:
-        bad.append({"kind": "bfs-stack", "subjects": [], "detail": fault})
-    return bad
 
 
 def cmd_run(args) -> int:
@@ -245,7 +215,6 @@ def cmd_run(args) -> int:
     g = resolve_graph(args)
     sources = parse_sources(args.sources, g.n)
     limit = args.round_limit
-    log("running", args.algo, f"n={g.n} m={g.m}")
 
     verify_fail = ""
     if args.algo in ("cssp-congest", "cssp-energy"):
@@ -261,15 +230,12 @@ def cmd_run(args) -> int:
                 layered = load_layered_cover(open(args.cover_cache).read())
             except (OSError, ValueError) as e:
                 raise CliError(f"cover cache: {e}")
-            bad = cover_faults(g, layered, args.threshold)
-            if bad:
-                raise CliError(f"cover cache: {bad[0]['detail']}")
         try:
             outputs, report, _, layered, _, _ = full_bfs(
                 g, sources, threshold=args.threshold, base=args.base,
                 layered=layered, trace=False)
         except ValueError as e:
-            raise CliError(str(e))
+            raise CliError(("cover cache: " if args.cover_cache else "") + str(e))
         ref = {v: (d if args.threshold is None or d <= args.threshold else inf)
                for v, d in hop_distances(g, sources).items()}
         if args.save_cover:
@@ -325,8 +291,6 @@ def cmd_run(args) -> int:
     name = "matrix.csv" if args.algo == "apsp" else "distances.json"
     _emit(args, name, dist_text)
     _emit(args, "report.json", report.to_json())
-    if args.json and args.out:
-        print(report.to_json())
     if report.status == "timeout":
         print("timeout: round limit exceeded", file=sys.stderr)
         return EXIT_TIMEOUT
@@ -366,7 +330,6 @@ def cmd_sweep(args) -> int:
         rows.append(f"{point},{report.rounds},{report.max_energy()},"
                     f"{report.max_congestion()},{report.total_sent()},"
                     f"{report.lost}")
-        log("sweep point", point, "done")
     text = "\n".join(rows) + "\n"
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -422,7 +385,7 @@ def main(argv=None) -> int:
         return cmd_verify(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return EXIT_CONFIG
     except SimError as e:
         print(f"simulation error: {e}", file=sys.stderr)
         return EXIT_VERIFY

@@ -67,7 +67,10 @@ from .engine import (
     Message, PlannedProgram, SimConfig, _records_per_message, merge_reports,
     run_simulation,
 )
-from .netdecomp import ConstructionError, build_cover_sync, cover_forest
+from .netdecomp import (
+    ConstructionError, build_cover_sync, cover_forest, promised_bounds,
+)
+from .oracle import check_cover, check_layered, check_on_graph
 from .structures import ClusterData, Cover, LayeredCover
 
 INF = inf
@@ -583,15 +586,16 @@ def full_bfs(graph, sources, *, threshold=None, base=None, trace=True,
     Builds the cover stack (`grow_cover_stack`), then runs the pipelined BFS
     on the clusters of `_phase_stack`; nodes farther than a given threshold
     output INF. A prebuilt layered cover may be passed to skip construction
-    (the cover cache path)."""
+    (the cover cache path); one that `cover_faults` finds at fault raises
+    ValueError with the first fault's detail."""
     reports, decomps, tlogs = [], [], []
     if layered is None:
         layered, decomps, reports, tlogs = grow_cover_stack(
             graph, base=base, threshold=threshold, trace=trace)
     else:
-        fault = stack_fault(graph, layered, threshold)
-        if fault is not None:
-            raise ValueError(fault)
+        bad = cover_faults(graph, layered, threshold)
+        if bad:
+            raise ValueError(bad[0]["detail"])
     threshold = _bfs_threshold(layered, threshold)
     outputs, rep, engine = run_thresholded_bfs_with_cover(
         graph, layered, sources, threshold, trace=trace)
@@ -619,3 +623,21 @@ def stack_fault(graph, layered, threshold=None):
         return None
     return (f"no level has every node in a cluster that spans its component, "
             f"and base**top = {reach} is below 2 x threshold {threshold}")
+
+
+def cover_faults(graph, layered, threshold=None) -> list:
+    """What a cover stack violates on `graph`: node ids and tree edges
+    first, then every level's cover conditions at the promised bounds, the
+    parent conditions and what a BFS to `threshold` (None: unthresholded)
+    needs of the stack (`stack_fault`)."""
+    bad = [f for cov in layered.levels for f in check_on_graph(graph, cov)]
+    if bad:
+        return bad
+    for cov in layered.levels:
+        bad.extend(check_cover(graph, cov, cov.scale, *promised_bounds(graph.n)))
+    bad.extend(check_layered(graph, layered, layered.base**layered.top,
+                             layered.base))
+    fault = stack_fault(graph, layered, threshold)
+    if fault is not None:
+        bad.append({"kind": "bfs-stack", "subjects": [], "detail": fault})
+    return bad

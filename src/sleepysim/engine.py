@@ -102,7 +102,6 @@ class RunReport:
     bit_limit: int = 0
     status: str = "done"
     max_channel_demand: int = 0  # per-edge-direction sends in one round
-    oversubscribed: list = field(default_factory=list)
     critical_losses: list = field(default_factory=list)
     losses: list = field(default_factory=list)  # (round, src, dst, tag, payload)
 
@@ -802,7 +801,6 @@ def merge_reports(reports) -> RunReport:
         out.bit_limit = max(out.bit_limit, rep.bit_limit)
         out.max_channel_demand = max(out.max_channel_demand,
                                      rep.max_channel_demand)
-        out.oversubscribed.extend(rep.oversubscribed)
         out.critical_losses.extend(rep.critical_losses)
         out.losses.extend(rep.losses)
         if rep.status != "done":

@@ -1,11 +1,13 @@
 import hashlib
 import sys
+from collections import Counter
 
 import pytest
 
 from sleepysim import apsp_sched
 from sleepysim.apsp_sched import apsp_random_delay, draw_delays
 from sleepysim.congest_cssp import CsspProgram, cssp
+from sleepysim.engine import Engine
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import dijkstra
 
@@ -84,46 +86,63 @@ def test_golden_matrix_and_report(spec, seed, matrix_sha, report_sha):
 
 GOLDEN_TRAFFIC = [
     # (spec, seed, delta, delivered, lost, max_channel_demand,
-    #  oversubscribed entries and sha256, trace events and sha256)
+    #  trace events and sha256)
     (GOLDEN[0][0], 11, None, 16364, 0, 7,
-     0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
      2216, "f3cc4ad0ab4d9b697f8ea7dbe4f805facb96bc42d6081cd455e75b23859db59a"),
     (GOLDEN[1][0], 5, None, 38853, 0, 4,
-     0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
      4534, "04f0de9020eea72bd149fc4e4b091096d3b3f076e5a950a8a2e2b6aafacf4a28"),
     (GraphSpec("random-gnm", 22, seed=402, m=66, weight_mode="uniform",
                max_w=9), 7, 1, 85531, 0, 22,
-     2261, "e1069948106dac3deb0dd3840a46f5c9e2be545ab497847369cafc2f1a39278f",
      8898, "47a8b9b71854b1dfc418d0773ff51d1edbbcac5451d6bf42478afdcb0682b16f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, seed, delta, delivered, lost, demand, n_over, over_sha, "
-    "n_events, trace_sha", GOLDEN_TRAFFIC, ids=["gnm12", "gnm16", "gnm22-delta1"])
+    "spec, seed, delta, delivered, lost, demand, n_events, trace_sha",
+    GOLDEN_TRAFFIC, ids=["gnm12", "gnm16", "gnm22-delta1"])
 def test_golden_traffic_and_trace(spec, seed, delta, delivered, lost, demand,
-                                  n_over, over_sha, n_events, trace_sha):
-    """Pinned message counts, channel demand, the oversubscription list in
-    order and the trace log: the figures `to_json()` leaves out. At delta=1
-    every instance starts in round 1, so channels are oversubscribed.
-    Pinned again with the root threshold from the tree height: fewer
-    messages, oversubscribed sends and trace events; and again when a near
-    child that keeps its parent's whole component began to reuse the
-    parent's spanning tree (fewer messages and oversubscribed sends); and
-    again when such a child began to start its cutter in phase 0's merge
-    round (the same counts, in earlier rounds); and again when the
+                                  n_events, trace_sha):
+    """Pinned message counts, channel demand and the trace log: the
+    figures `to_json()` leaves out. At delta=1 every instance starts in
+    round 1, so a channel's demand (22) passes the width (20). Pinned again
+    with the root threshold from the tree height: fewer messages and trace
+    events; and again when a near child that keeps its parent's whole
+    component began to reuse the parent's spanning tree (fewer messages);
+    and again when such a child began to start its cutter in phase 0's
+    merge round (the same counts, in earlier rounds); and again when the
     component census began to ride on the Boruvka phase that finds no
     outgoing edge, with the far child's start lead following the pipe
-    period (fewer messages and oversubscribed sends; the same trace events,
-    with a `size` field on each `cutter` event)."""
+    period (fewer messages; the same trace events, with a `size` field on
+    each `cutter` event)."""
     _, report, log, _ = apsp_random_delay(gen_graph(spec), delta=delta,
                                           seed=seed, trace=True)
     assert (report.delivered, report.lost) == (delivered, lost)
     assert report.max_channel_demand == demand
-    assert len(report.oversubscribed) == n_over
-    assert _sha256(repr(report.oversubscribed)) == over_sha
     assert len(log) == n_events
     assert _sha256(repr(log)) == trace_sha
+
+
+@pytest.mark.parametrize("spec, seed, delta, demand",
+                         [(GOLDEN_TRAFFIC[0][0], 11, None, 7),
+                          (GOLDEN_TRAFFIC[2][0], 7, 1, 22)],
+                         ids=["gnm12", "gnm22-delta1"])
+def test_channel_demand_matches_a_count_of_deliveries(monkeypatch, spec, seed,
+                                                      delta, demand):
+    """The demand composed from the channel logs equals the largest number
+    of sends on one directed channel in one round, tallied over what the
+    engines of all solo runs deliver."""
+    tally = Counter()
+    deliver = Engine._deliver
+
+    def counted(self, r, all_sends, width):
+        for src, sends in all_sends:
+            tally.update((src, dst, r) for dst, _, _ in sends)
+        return deliver(self, r, all_sends, width)
+
+    monkeypatch.setattr(Engine, "_deliver", counted)
+    _, report, _, _ = apsp_random_delay(gen_graph(spec), delta=delta,
+                                        seed=seed, trace=False)
+    assert max(tally.values()) == report.max_channel_demand == demand
 
 
 def test_instances_are_stepped_by_their_host_from_their_delay(monkeypatch):

@@ -673,6 +673,25 @@ def test_malformed_cover_cache_raises_value_error(body):
         load_layered_cover("SLPYCOV1\n" + body + "\n")
 
 
+@pytest.mark.parametrize("built_on, run_on, detail", [
+    (GraphSpec("path", 9), GraphSpec("path", 5),
+     "cluster 0: nodes [5, 6, 7, 8] not in the graph"),
+    (GraphSpec("cycle", 9), GraphSpec("path", 9),
+     "cluster 0: tree edge 0-8 not in the graph"),
+], ids=["nodes-off-graph", "tree-edge-off-graph"])
+def test_full_bfs_rejects_a_stack_that_does_not_fit_the_graph(
+        built_on, run_on, detail):
+    """A saved stack run on another graph is checked as the CLI checks a
+    cover cache (`cover_faults`): it raises ValueError with the first
+    fault, before the BFS phase indexes a missing node or sends along a
+    missing edge."""
+    layered, *_ = grow_cover_stack(gen_graph(built_on), trace=False)
+    loaded = load_layered_cover(save_layered_cover(layered))
+    with pytest.raises(ValueError) as err:
+        full_bfs(gen_graph(run_on), {0}, layered=loaded, trace=False)
+    assert str(err.value) == detail
+
+
 def test_level_2_over_a_spanning_level_1():
     """A level-2 cover over the two base covers meets the cover and parent
     conditions, and a BFS phase over all three levels is exact."""

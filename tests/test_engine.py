@@ -575,14 +575,11 @@ def test_report_counters_kept_when_delivery_raises():
 
 
 def test_merged_report_keeps_channel_demand():
-    """A merged report's channel demand is its stages' largest and its
-    oversubscribed sends are theirs in stage order; neither is in the JSON."""
+    """A merged report's channel demand is its stages' largest; it is not
+    in the JSON."""
     stages = [RunReport(rounds=4, max_channel_demand=1),
-              RunReport(rounds=6, max_channel_demand=3,
-                        oversubscribed=[(2, 0, 1, 9)]),
-              RunReport(rounds=2, max_channel_demand=2,
-                        oversubscribed=[(1, 1, 0, 7)])]
+              RunReport(rounds=6, max_channel_demand=3),
+              RunReport(rounds=2, max_channel_demand=2)]
     merged = merge_reports(stages)
     assert merged.max_channel_demand == 3
-    assert merged.oversubscribed == [(2, 0, 1, 9), (1, 1, 0, 7)]
     assert merged.to_json() == RunReport(rounds=12).to_json()

@@ -62,6 +62,15 @@ def instances(draw):
 # a cluster holding all but one node of its component, which must not be
 # flagged as spanning it
 @example((gen_graph(GraphSpec("grid", 9)), 6, 3))
+# cover builds at scales 8 to 64, beyond the drawn n <= 12 and outside the
+# criterion-6 sweeps: a sparse gnm with 24 clusters, a tree, a barbell, a
+# grid, and tree and cycle builds at the largest scales
+@example((gen_graph(GraphSpec("random-gnm", 160, seed=4, m=170)), 17, 8))
+@example((gen_graph(GraphSpec("random-tree", 160, seed=3)), 17, 8))
+@example((gen_graph(GraphSpec("barbell", 120)), 33, 16))
+@example((gen_graph(GraphSpec("grid", 256, seed=1)), 17, 8))
+@example((gen_graph(GraphSpec("random-tree", 96, seed=3)), 129, 64))
+@example((gen_graph(GraphSpec("cycle", 128)), 65, 32))
 def test_construction_is_sound(instance):
     graph, k, d = instance
     decomp, cover, report, _ = build_decomposition(graph, k, trace=False,
