@@ -7,27 +7,32 @@ message, executes on its active node set:
   1. base case (threshold 1): one probe round, sent to the peers the frame
      inherits, resolves outputs;
   2. a deterministic spanning-forest computation (Boruvka merge phases in
-     fixed round windows sized by the frame's node bound). In phase 0 every
-     member sends its component id to each neighbour that may be in the
-     frame (all neighbours at the root, else the parent frame's peers); the
-     senders are the frame's *peers*, its neighbours inside the frame. A
-     later phase sends the id only to peers not yet seen in its own
-     component: one component stays one (Gallager-Humblet-Spira's rule that
-     an internal edge is never tested again). A near child (step 5) also
-     votes in phase 0's idle sweep slots, over its parent frame's tree,
-     whether it kept that whole component (`_same_up`); if so, it takes the
-     parent's tree and census in phase 0's merge round and merges nothing;
+     fixed round windows: two tree sweeps sized by the phase's cap on tree
+     depth, `_cap`, then an adoption window sized by the frame's node
+     bound N). In phase 0 every member sends its component id to each
+     neighbour that may be in the frame (all neighbours at the root, else
+     the parent frame's peers); the senders are the frame's *peers*, its
+     neighbours inside the frame. A later phase sends the id only to peers
+     not yet seen in its own component: one component stays one
+     (Gallager-Humblet-Spira's rule that an internal edge is never tested
+     again). Phase 0's trees are singletons, so a frame that does not vote
+     sweeps them at cap 0; a later phase's cap is N. A near child (step 5)
+     also votes in phase 0's idle sweep slots, over its parent frame's
+     tree, whether it kept that whole component (`_same_up`), and sweeps
+     phase 0 at that tree's hop height, which the parent's census carried;
+     if the vote passes, the child takes the parent's tree and census in
+     phase 0's merge round and merges nothing;
   3. a census rides on the phase whose min-edge convergecast finds no
      outgoing edge (their rule for detecting that a fragment is whole):
-     subtrees report their size instead, in the root frame also the
-     tree's weighted height h, and the root's decision carries the size
-     and the threshold max(2, min(D, pow2(2h + 1))): no distance in the
-     component exceeds 2h. So the recursion starts at the component's own
-     span, not at n * maxW; a non-root frame keeps half its parent's
-     threshold. A forest-only run (`boruvka_forest`) gathers the height in
-     hops instead, and its decision carries that height down as it is.
-     The cutter starts in that phase's merge round: the component shares
-     no edge with the frame's others, still merging;
+     subtrees report their size and height in hops instead, in the root
+     frame also the tree's weighted height h, and the root's decision
+     carries the size, the hop height and, in the root frame, the
+     threshold max(2, min(D, pow2(2h + 1))): no distance in the component
+     exceeds 2h. So the recursion starts at the component's own span, not
+     at n * maxW; a non-root frame keeps half its parent's threshold. A
+     forest-only run (`boruvka_forest`) answers with the hop height. The
+     cutter starts in that phase's merge round: the component shares no
+     edge with the frame's others, still merging;
   4. an approximate distance cutter: weights rounded up to multiples of
      tau = W/(2*N), then a token BFS where an edge of rounded weight a*tau
      delays a rounds, run for 6*N ticks. A node fixes its tick once every
@@ -40,7 +45,8 @@ message, executes on its active node set:
      and broadcasts the start round. Where every node of a component is
      near, the near child runs on the same induced subgraph, and any
      spanning tree of it serves, so the child reuses its parent's; a child
-     that decides not to loses no round to the vote;
+     that decides not to pays 2H rounds of phase 0 for the vote, where H
+     is the parent tree's hop height;
   6. finished nodes announce their distances to the peers that lie beyond
      D/2 through them, so cut neighbors can simulate the imaginary sources
      sitting on the crossing edges;
@@ -125,7 +131,8 @@ class _Frame:
         "path", "D", "N", "t0", "src", "offsets", "peers",
         "comp", "parent", "children", "depth", "size", "phase",
         "nbr_comp", "inside", "agg", "decision", "merging_done", "in_chosen",
-        "pend_size", "pend_height", "unacked", "window", "t_cut", "cand",
+        "pend_size", "pend_hops", "pend_height", "height", "unacked",
+        "window", "t_cut", "cand",
         "tick", "ticked", "v1", "t_child1", "start2", "v2", "offsets2",
         "done_self", "done_kids", "sent_done", "out", "final", "complete",
         "pipe", "same", "reuse",
@@ -147,6 +154,7 @@ class _Frame:
         self.children = []
         self.depth = 0
         self.size = 1
+        self.height = 0  # the tree's height in hops, from its census
         self.phase = 0
         # forest-phase scratch, set by each phase: outside peers' component
         # ids, peers known to share the component, chosen edges received
@@ -158,7 +166,8 @@ class _Frame:
         self.merging_done = False
         # this phase's census of the subtrees below with no outgoing edge
         self.pend_size = 0
-        self.pend_height = 0  # largest depth below, root frame only
+        self.pend_hops = 0  # largest hop depth below
+        self.pend_height = 0  # largest weighted depth below, root frame only
         self.unacked = 0  # this phase's adoptions sent and not acknowledged
         self.window = None  # handle of the adoption or cutter window
         self.t_cut = None
@@ -381,48 +390,62 @@ class CsspProgram(PlannedProgram):
         # component meets a phase that finds no outgoing edge
         return (f.N - 1).bit_length() + 1
 
-    def _phase_len(self, f):
-        return 3 * (f.N + 2) + 4
+    def _cap(self, f, p):
+        """Phase p's sweep cap, a bound on the depth of every tree it sweeps.
+        In phase 0 every tree is a singleton, so a frame that does not vote
+        sweeps at cap 0 and a near child at its parent frame's tree height,
+        which its `_same_up` vote sweeps; a later tree is bounded by N."""
+        if p:
+            return f.N
+        return self.frames[f.path // 2].height if f.path % 2 == 0 else 0
+
+    def _phase_len(self, f, cap):
+        # two sweeps over depth <= cap, then the adoption window of N + 2
+        return 2 * (cap + 2) + (f.N + 2) + 4
 
     def _phase_base(self, f, p):
-        return f.t0 + p * self._phase_len(f)
+        if p == 0:
+            return f.t0
+        return (f.t0 + self._phase_len(f, self._cap(f, 0))
+                + (p - 1) * self._phase_len(f, f.N))
 
-    def _sweep(self, api, f, base, depth, action):
+    def _sweep(self, api, f, base, cap, depth, action):
         """Fixed-window convergecast (`action` at this node, at `depth` in
-        the tree) and broadcast: the node listens in rounds
-        base + N + depth .. +2, where the root's broadcast reaches it."""
-        self._sweep_step(api, base, f.N, depth, action, f.path)
-        api.awake_span(base + f.N + depth, base + f.N + depth + 2)
+        a tree of depth <= cap) and broadcast: the node listens in rounds
+        base + cap + depth .. +2, where the root's broadcast reaches it."""
+        self._sweep_step(api, base, cap, depth, action, f.path)
+        api.awake_span(base + cap + depth, base + cap + depth + 2)
 
     def _phase_start(self, api, f):
         p = f.phase
         assert p < self._phase_count(f), "component still has an outgoing edge"
         base = self._phase_base(f, p)
+        cap = self._cap(f, p)
         if p == 0:
             f.inside = set()
         f.nbr_comp = {}
         f.agg = None
         f.decision = None
         f.in_chosen = []
-        f.pend_size = f.pend_height = 0
+        f.pend_size = f.pend_hops = f.pend_height = 0
         inside = f.inside
         for u in f.peers:
             if u not in inside:
                 self._send_slot(api, u, Message(T_COMP, (f.comp,), f.path))
-        self._sweep(api, f, base, f.depth, "_root_decide" if f.parent is None
-                    else "_send_minedge")
+        self._sweep(api, f, base, cap, f.depth,
+                    "_root_decide" if f.parent is None else "_send_minedge")
         if p == 0 and f.path % 2 == 0:
             # a near child asks, over its parent frame's tree, whether it
             # kept that whole component, and listens for the answer at its
             # depth there; phase 0 has no tree of its own to sweep, so the
             # slots are free
-            self._sweep(api, f, base, self.frames[f.path // 2].depth,
+            self._sweep(api, f, base, cap, self.frames[f.path // 2].depth,
                         "_same_up")
-        W = f.N + 2
-        self._plan_at(api, base + 2 * W + 1, "_send_chosen", f.path)
+        merge = base + 2 * (cap + 2) + 1
+        self._plan_at(api, merge, "_send_chosen", f.path)
         # stay up through the adoption wave of this phase, until this node
         # is adopted and the nodes it adopted have acknowledged
-        f.window = api.awake_window(base + 2 * W + 1, base + 3 * W + 4)
+        f.window = api.awake_window(merge, base + self._phase_len(f, cap))
 
     def _best_edge(self, f):
         """Fold this node's own outgoing candidate into the best one its
@@ -435,8 +458,9 @@ class CsspProgram(PlannedProgram):
         return f.agg
 
     def _on_minedge(self, api, f, src, payload):
+        """(0, w, a, b): the best outgoing edge below src; (1, census): no
+        outgoing edge below src, and the report is its subtree's census."""
         if payload[0]:
-            # no outgoing edge below src: the report is its subtree's census
             self._on_size(f, src, payload[1:])
             return
         _, w, a, b = payload
@@ -444,33 +468,35 @@ class CsspProgram(PlannedProgram):
         if f.agg is None or key < f.agg[0]:
             f.agg = (key, (w, a, b))
 
-    def _send_minedge(self, api, f):
+    def _report(self, f):
+        """The subtree's min-edge report, flagged as `_on_minedge` reads it."""
         best = self._best_edge(f)
-        payload = (1, *self._census(f)) if best is None else (0, *best[1])
-        self._send_slot(api, f.parent, Message(T_MINEDGE, payload, f.path))
+        return (1, *self._census(f)) if best is None else (0, *best[1])
+
+    def _send_minedge(self, api, f):
+        self._send_slot(api, f.parent,
+                        Message(T_MINEDGE, self._report(f), f.path))
 
     def _root_decide(self, api, f):
-        best = self._best_edge(f)
         # with no outgoing edge the component is whole: decide its census
-        self._on_decide(api, f, self._census(f) if best is None else best[1])
+        self._on_decide(api, f, self._report(f))
 
     def _on_decide(self, api, f, payload):
-        """The chosen edge (w, a, b), or the component's census where it has
-        no outgoing edge: its size, in a root frame with its threshold, and
-        in a forest's with its hop height."""
+        """(0, w, a, b): the chosen edge; (1, size, height[, threshold]):
+        the component's census where it has no outgoing edge, with the
+        tree's hop height and, in the root frame, its threshold. The flag
+        tells them apart, as a weight may be 0 in a forest-only run."""
         for c in f.children:
             self._send_slot(api, c, Message(T_DECIDE, payload, f.path))
-        f.merging_done = len(payload) < 3
-        f.decision = () if f.merging_done else payload
+        f.merging_done = payload[0] == 1
+        f.decision = () if f.merging_done else payload[1:]
         if f.merging_done:
             # no adoption wave passes here
             api.stop_awake(f.window, api.round)
-            f.size, *census = payload
+            f.size, f.height = payload[1], payload[2]
             if self._sets_threshold(f):
-                f.D = census[0]
+                f.D = payload[3]
                 self._trace_frame(api, f)
-            elif census:
-                f.pend_height = census[0]  # the forest's height
             self._after_census(api, f)
 
     def _send_chosen(self, api, f):
@@ -485,7 +511,7 @@ class CsspProgram(PlannedProgram):
             api.stop_awake(f.window, api.round)
             pf = self.frames[f.path // 2]
             f.parent, f.children, f.depth = pf.parent, pf.children, pf.depth
-            f.size, f.comp = pf.size, pf.comp
+            f.size, f.height, f.comp = pf.size, pf.height, pf.comp
         if f.reuse or f.merging_done:
             # the component is whole and knows its size: the cutter starts
             # now, skipping the later phases, and the forest scratch goes
@@ -574,25 +600,25 @@ class CsspProgram(PlannedProgram):
 
     def _on_size(self, f, src, payload):
         f.pend_size += payload[0]
-        if len(payload) > 1:
-            hop = 1 if self.forest_only else self.weight[src]
-            f.pend_height = max(f.pend_height, payload[1] + hop)
+        f.pend_hops = max(f.pend_hops, payload[1] + 1)
+        if len(payload) > 2:
+            f.pend_height = max(f.pend_height, payload[2] + self.weight[src])
 
     def _census(self, f):
-        """This subtree's census, (size[, height]); at the root, the
-        component's (size[, threshold]). The root frame's height is the
-        tree's weighted height, a forest's its height in hops, which the
-        root passes down as it is."""
-        size = 1 + f.pend_size
-        if f.path != 1:
-            return (size,)
-        if f.parent is None and not self.forest_only:
-            return size, root_threshold(f.D, f.pend_height)
-        return size, f.pend_height
+        """This subtree's census, (size, hops[, height]): its size, its
+        height in hops and, in the root frame, its weighted height. At the
+        root, the component's (size, hops[, threshold]); the hop height is
+        the cap of a near child's vote (`_cap`) and a forest's answer."""
+        size, hops = 1 + f.pend_size, f.pend_hops
+        if not self._sets_threshold(f):
+            return size, hops
+        if f.parent is None:
+            return size, hops, root_threshold(f.D, f.pend_height)
+        return size, hops, f.pend_height
 
     def _after_census(self, api, f):
         if self.forest_only and f.path == 1:
-            self._answer = (f.comp, f.parent, f.depth, f.size, f.pend_height)
+            self._answer = (f.comp, f.parent, f.depth, f.size, f.height)
             self._root_done = True
 
     # -- approximate cutter -------------------------------------------------------

@@ -10,17 +10,19 @@ planned action, and waits in pipelines instead of awake. The windows:
 
   - spanning forest: the Boruvka phases run in the same deterministic
     windows, and tree sweeps are depth-slotted (`_sweep`: two awake rounds per
-    sweep). Only the adoption sub-window is listened through, and only until
-    the wave has passed the node: it ends once the node has been adopted (or
-    started the merge as the core) and every node it adopted has
-    acknowledged (`_adoption_settled`). The phase that finds no outgoing
-    edge carries the census on its sweep, skips the adoption sub-window and
-    starts the cutter in its merge round, so no census sweep runs and the
-    component wakes for no later phase. In a near child's phase 0, the
-    reuse vote runs over the parent frame's tree: a node wakes for its slot
-    of the convergecast and listens in the sweep span at its depth there for
-    the broadcast, which reaches only nodes of a component that is whole
-    (silence means build).
+    sweep) under the phase's cap on tree depth (`_cap`): phase 0 sweeps its
+    singletons at cap 0, or in a near child at the parent tree's hop
+    height, so its merge round comes early. The adoption sub-window (N + 2
+    rounds) is listened through only until the wave has passed the node: it
+    ends once the node has been adopted (or started the merge as the core)
+    and every node it adopted has acknowledged (`_adoption_settled`). The
+    phase that finds no outgoing edge carries the census on its sweep, skips
+    the adoption sub-window and starts the cutter in its merge round, so no
+    census sweep runs and the component wakes for no later phase. In a near
+    child's phase 0, the reuse vote runs over the parent frame's tree: a
+    node wakes for its slot of the convergecast and listens in the sweep
+    span at its depth there for the broadcast, which reaches only nodes of
+    a component that is whole (silence means build).
   - distance cutter: an edge of rounded weight a*tau acts as a chain of a
     unit hops that the receiving endpoint advances arithmetically
     (`_tick_weight`), so only one channel per edge is charged. A node

@@ -57,11 +57,11 @@ GOLDEN = [
     (GraphSpec("random-gnm", 12, seed=7, m=26, weight_mode="uniform", max_w=9),
      11,
      "99c62ea54bb7ea0bbcc10384d74f26a5c38471ad0bedb70f9c8d47917de5b46a",
-     "eb4345d9ea051f14209a3fd5e530e78e15a0999c4dbf742d4d493cab1dc31a1a"),
+     "fba22e4f921a82e44023d7a420963dba5bacce88feb8f63a2f357e47b97afd5e"),
     (GraphSpec("random-gnm", 16, seed=3, m=40, weight_mode="uniform", max_w=9),
      5,
      "df5038fd85b7800461337e1fa51ac44a206215f20c43a4170c04e64de3131b34",
-     "0c088ffe244997aa66af43eefa125a68b050740fc4cebfbd8339e57c7355b462"),
+     "83c4334baa7f11b190e586531d54b173f607e9004746fcb82afbe9dd79ba8b21"),
 ]
 
 
@@ -78,7 +78,10 @@ def test_golden_matrix_and_report(spec, seed, matrix_sha, report_sha):
     round (fewer rounds; matrices unchanged), and again when the component
     census began to ride on the Boruvka phase that finds no outgoing edge
     and the far child's start lead began to follow the pipe period (fewer
-    rounds and messages; matrices unchanged)."""
+    rounds and messages; matrices unchanged), and again when phase 0's
+    sweeps began to run at cap 0, or at the parent tree's hop height in a
+    near child (fewer rounds; matrices unchanged; gnm16's channel demand
+    4 -> 5)."""
     matrix, report, _, _ = apsp_random_delay(gen_graph(spec), seed=seed)
     assert _sha256(repr(sorted(matrix.items()))) == matrix_sha
     assert _sha256(report.to_json()) == report_sha
@@ -88,12 +91,12 @@ GOLDEN_TRAFFIC = [
     # (spec, seed, delta, delivered, lost, max_channel_demand,
     #  trace events and sha256)
     (GOLDEN[0][0], 11, None, 16364, 0, 7,
-     2216, "f3cc4ad0ab4d9b697f8ea7dbe4f805facb96bc42d6081cd455e75b23859db59a"),
-    (GOLDEN[1][0], 5, None, 38853, 0, 4,
-     4534, "04f0de9020eea72bd149fc4e4b091096d3b3f076e5a950a8a2e2b6aafacf4a28"),
+     2216, "480a228f1b8249169f46264fe7a4a7a68cb88d76437e7fd8394ba923cb2d4246"),
+    (GOLDEN[1][0], 5, None, 38853, 0, 5,
+     4534, "bf7b974ddf8a5204c05802dbfffa1f53c3c950e68aab18d2c037ee0f5d30d11a"),
     (GraphSpec("random-gnm", 22, seed=402, m=66, weight_mode="uniform",
                max_w=9), 7, 1, 85531, 0, 22,
-     8898, "47a8b9b71854b1dfc418d0773ff51d1edbbcac5451d6bf42478afdcb0682b16f"),
+     8898, "4b3025579e8b4c0d9544204015b833ecef5b13454495a720390ab80939bf5f64"),
 ]
 
 
@@ -113,7 +116,10 @@ def test_golden_traffic_and_trace(spec, seed, delta, delivered, lost, demand,
     component census began to ride on the Boruvka phase that finds no
     outgoing edge, with the far child's start lead following the pipe
     period (fewer messages; the same trace events, with a `size` field on
-    each `cutter` event)."""
+    each `cutter` event); and again when phase 0's sweeps began to run at
+    cap 0, or at the parent tree's hop height in a near child (the same
+    messages and the same events, in earlier rounds and so in another
+    order; gnm16's demand 4 -> 5, under its width of 16)."""
     _, report, log, _ = apsp_random_delay(gen_graph(spec), delta=delta,
                                           seed=seed, trace=True)
     assert (report.delivered, report.lost) == (delivered, lost)

@@ -19,6 +19,10 @@ st = pytest.importorskip("hypothesis.strategies")
 given, example, settings = hypothesis.given, hypothesis.example, hypothesis.settings
 
 
+PATH10 = Graph.build(10, [(i, i + 1, 1) for i in range(9)])
+STAR10 = Graph.build(10, [(0, i, 1) for i in range(1, 10)])
+
+
 @st.composite
 def instances(draw):
     """(graph, sources)."""
@@ -38,6 +42,11 @@ def instances(draw):
 @example((Graph.build(4, []), {1}))
 @example((Graph.build(3, [(0, 1, 0), (1, 2, 0)]), {2}))
 @example((Graph.build(4, [(0, 1, 64), (2, 3, 1)]), {0, 1, 2, 3}))
+# the near child's vote at the extremes of its cap: on a unit path every
+# node picks its edge toward node 0, so the tree has height N - 1; a star's
+# has height 1
+@example((PATH10, {0}))
+@example((STAR10, {0}))
 def test_matches_dijkstra(run, instance):
     graph, sources = instance
     outputs, report, _ = run(graph, sources, trace=False)
@@ -50,6 +59,8 @@ def test_matches_dijkstra(run, instance):
 @given(instances())
 @example((Graph.build(1, []), {0}))
 @example((Graph.build(4, [(0, 1, 64), (2, 3, 1)]), {0}))
+@example((PATH10, {0}))
+@example((STAR10, {0}))
 def test_sleeping_traffic_matches_congest(instance):
     graph, sources = instance
     _, congest, _ = cssp(graph, sources, trace=False)

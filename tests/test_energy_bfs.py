@@ -757,12 +757,16 @@ def test_golden_path65_outputs_and_report():
     scale-64 cover, whose one cluster was that same tree (rounds 55,757 ->
     23,593, max energy 4,611 -> 3,531, messages sent 17,147 -> 10,904, max
     edge congestion 177 -> 113, max bits 23 -> 20; outputs, stack and BFS
-    phase unchanged)."""
+    phase unchanged). It moved again when the forest's phase 0 began to
+    sweep its singletons at cap 0 instead of N, and its decision to carry a
+    flag that tells a census from an edge (rounds 23,593 -> 23,463, max
+    energy 3,531 -> 3,530, max bits 20 -> 21; messages sent, congestion and
+    outputs unchanged)."""
     outputs, report, *_ = full_bfs(unit_path(65), {0})
     assert (hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest()
             == "9a43bee0e850a1612df68d1711926021ce208adee2b7ee48efeb3f72899eab32")
     assert (hashlib.sha256(report.to_json().encode()).hexdigest()
-            == "476439aef1cfb24884f1ff94643971bed8a2844bd22105ebf5f55685e59ac32e")
+            == "25bd78ed235d6342d25e863690ac96fbdd6fba258a8c59c102c3a270e9c9edd8")
 
 
 def test_full_bfs_report_keeps_its_stages_channel_demand(monkeypatch):

@@ -224,24 +224,24 @@ GOLDEN = [
     (GraphSpec("random-gnm", 24, seed=5, m=72, weight_mode="uniform", max_w=60),
      {0},
      "0072f2f252478fea29af588dae0405cfcc9e2855e85d806a520415bc111af92a",
-     "40edef8fec1262c83020503267a5dfbb10a383991ab20053c4eab0a03c53af27"),
+     "b4df861d9f37b05eedb4a0a2adf71be614857329876d885bfce5eb532d39b28c"),
     (GraphSpec("random-gnm", 20, seed=6, m=60, weight_mode="zero-heavy", max_w=60),
      {0, 7},
      "a89ba36ed76e1715b2e16ec84dd7fcb9a3eac42d10388ffbaedae7c89f6e68f9",
-     "cec24999e29fa760fd9bcb80ec3b94e8aa3e33748e9784c74cfb9247d73bf2dc"),
+     "f87f015a71d34e7d4cf0969e31bdd78ad5c767b03f6be54627c848d8eccd61ca"),
     # the benchmark's energy-gnm instances
     (GraphSpec("random-gnm", 36, seed=201, m=108, weight_mode="uniform", max_w=60),
      {0},
      "48c103c5eb8cb809ab95c1b787df8c6cc078b492223789164b9b12224dfc9ced",
-     "2873d4145a75ebd84a3215db1601ea017fb41447a89c8504831ada270d0bfcc9"),
+     "fa53e4e390d6bb49cdd0d81720cf868e90b3281db5e89bc1e178cfa9776c8268"),
     (GraphSpec("random-gnm", 36, seed=202, m=108, weight_mode="uniform", max_w=60),
      {24, 26, 30},
      "e53436efc54767117467b9f1fb3d77d3c7b0732d6e98f62af0ba66e7849fff05",
-     "0930bdd613e8348d0ea1da4c22e440cb99121e54c1a272c3e05d4c4ffc32d9d5"),
+     "bfda2d9e4409583e0d522f1437c2cf575085f9fe3d032b45373c7e02105ed4ff"),
     (GraphSpec("random-gnm", 28, seed=203, m=84, weight_mode="zero-heavy", max_w=60),
      {0},
      "f302ebbdabbf59929201252df7bd058b28af870bcca570dd3ad54bc6807a6e7d",
-     "07e5475725c34b9707572cdaf25411eb597f7a81613e5f6ffb48535fa466f3e8"),
+     "b343fb62e8e13b6276d6fed6c65f76ff52e82ec44a885976223909ed95c6c6fa"),
 ]
 GOLDEN_IDS = ["gnm24", "gnm20-zeroheavy", "gnm36-1src", "gnm36-3src",
               "gnm28-zeroheavy"]
@@ -270,7 +270,10 @@ def test_golden_outputs_and_report(spec, sources, outputs_sha, report_sha):
     messages and awake rounds; outputs unchanged). Pinned again when a
     completed frame's pipe began to stop listening in the round the frame
     completes, since no later message names a released frame (fewer awake
-    rounds; rounds, messages, congestion and outputs unchanged)."""
+    rounds; rounds, messages, congestion and outputs unchanged). Pinned
+    again when phase 0's sweeps began to run at cap 0, or at the parent
+    tree's hop height in a near child (fewer rounds and awake rounds;
+    messages, congestion and outputs unchanged)."""
     g = gen_graph(spec)
     outputs, report, _ = cssp_energy(g, sources)
     assert hashlib.sha256(repr(sorted(outputs.items())).encode()).hexdigest() == outputs_sha
@@ -307,17 +310,29 @@ def test_listening_ends_with_the_wave(monkeypatch):
     to the cutter's end; in each Boruvka phase a node sleeps from two rounds
     after its last adoption event (adopted, adoption sent, or acknowledgement
     read) to the round before the phase ends. The first phase that finds
-    no outgoing edge starts the cutter in its merge round."""
+    no outgoing edge starts the cutter in its merge round. Phase 0 sweeps
+    singletons at cap 0, so its merge round is its fifth; a later phase
+    sweeps at cap N and merges in round 2(N + 2) + 1. The next phase
+    starts N + 5 rounds after a merge round."""
     g = gen_graph(GOLDEN[0][0])
     N, W = g.n, g.n + 2
-    phase_len = 3 * W + 4
+
+    def merge(p):
+        return 5 if p == 0 else W + 8 + (p - 1) * (3 * W + 4) + 2 * W + 1
+
+    def phase(r):
+        p = 0
+        while merge(p) + W + 3 <= r:
+            p += 1
+        return p
+
     last_event = {}  # (node, phase) -> last adoption round in the root frame
     programs = {}
 
     class Watching(EnergyCsspProgram):
         def _note(self, api, msg):
             if msg.ctx == 1 and msg.tag in (T_ADOPT, T_ACK):
-                last_event[(self.node, api.round // phase_len)] = api.round
+                last_event[(self.node, phase(api.round))] = api.round
 
         def _dispatch(self, api, src, msg):
             self._note(api, msg)
@@ -344,17 +359,16 @@ def test_listening_ends_with_the_wave(monkeypatch):
     assert 2 <= merges < (N - 1).bit_length()
     root = {v: p.frames[1] for v, p in programs.items()}
     t_cut = root[0].t_cut
-    assert t_cut == merges * phase_len + 2 * W + 1
+    assert t_cut == merge(merges)
     assert all(f.t_cut == t_cut for f in root.values())
     ticked = [v for v, f in root.items() if f.tick is not None]
     assert len(ticked) > g.n // 2
     for v in ticked:
         assert asleep(v, t_cut + root[v].tick + 2, t_cut + 6 * N), v
     for p in range(merges):
-        base = p * phase_len
         for v in range(g.n):
-            lo = last_event.get((v, p), base + 2 * W + 1) + 2
-            assert asleep(v, lo, base + phase_len - 2), (v, p)
+            lo = last_event.get((v, p), merge(p)) + 2
+            assert asleep(v, lo, merge(p) + W + 1), (v, p)
 
 
 def test_windows_are_declared_once():

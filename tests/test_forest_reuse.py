@@ -9,14 +9,17 @@ several components. Both CSSP flavors and APSP must stay exact, the sleeping
 flavor must lose no message, the cutter-contract and recursion-accounting
 audits must pass, and a child must reuse exactly when its node set, read
 from the `frame` events, equals its parent frame's component, read from the
-graph's connectivity. A reused tree must span exactly that set.
+graph's connectivity. A reused tree must span exactly that set, and every
+frame's carried hop height, the cap of its near child's vote, must be its
+tree's height.
 """
 
 import pytest
 
 from sleepysim.apsp_sched import apsp_random_delay
 from sleepysim.congest_cssp import CsspProgram, cssp, lift_zero_weights
-from sleepysim.energy_cssp import cssp_energy
+from sleepysim.energy_cssp import EnergyCsspProgram, cssp_energy
+from sleepysim.engine import ProtocolViolation
 from sleepysim.graph import Graph, GraphSpec, gen_graph
 from sleepysim.oracle import dijkstra
 from sleepysim.trace_checks import (
@@ -66,13 +69,13 @@ def gnm(draw):
 @pytest.fixture
 def trees(monkeypatch):
     """Record each frame's tree as its cutter starts:
-    (inst, node, path) -> (parent, children, depth, size)."""
+    (inst, node, path) -> (parent, children, depth, size, height)."""
     seen = {}
     start = CsspProgram._start_cutter
 
     def recording(self, api, f):
         seen[getattr(self, "source", None), self.node, f.path] = (
-            f.parent, tuple(f.children), f.depth, f.size)
+            f.parent, tuple(f.children), f.depth, f.size, f.height)
         start(self, api, f)
 
     monkeypatch.setattr(CsspProgram, "_start_cutter", recording)
@@ -129,12 +132,13 @@ def check_reuse(graph, trace, trees):
 
 
 def assert_spans(graph, comp, tree):
-    """tree (node -> (parent, children, depth, size)) is one spanning tree of
-    comp over graph edges, with consistent children, depths and sizes."""
+    """tree (node -> (parent, children, depth, size, height)) is one
+    spanning tree of comp over graph edges, with consistent children, depths
+    and sizes."""
     nbrs = {v: {u for u, _ in graph.neighbors(v)} for v in comp}
-    roots = [v for v, (p, _, _, _) in tree.items() if p is None]
+    roots = [v for v, (p, *_) in tree.items() if p is None]
     assert len(roots) == 1
-    for v, (p, kids, depth, size) in tree.items():
+    for v, (p, kids, depth, size, _) in tree.items():
         assert size == len(comp)
         assert set(kids) <= nbrs[v] & comp
         for c in kids:
@@ -152,6 +156,21 @@ def assert_spans(graph, comp, tree):
     assert reach == set(comp)
 
 
+def check_heights(trees):
+    """Every frame's recorded height is the largest recorded depth in its
+    component, the nodes that reach one root by recorded parents."""
+    deepest, roots = {}, {}
+    for key in sorted(trees, key=repr):
+        inst, v, path = key
+        u = v
+        while trees[inst, u, path][0] is not None:
+            u = trees[inst, u, path][0]
+        roots[key] = inst, u, path
+        deepest[roots[key]] = max(deepest.get(roots[key], 0), trees[key][2])
+    for key, root in roots.items():
+        assert trees[key][4] == deepest[root], (key, trees[key])
+
+
 def check_cssp(run, graph, sources, trees):
     trees.clear()
     outputs, report, engine = run(graph, sources, trace=True)
@@ -164,6 +183,7 @@ def check_cssp(run, graph, sources, trees):
     for ok, detail in (check_cutter_contract(work, trace),
                        check_recursion_accounting(trace, work.n)):
         assert ok, detail
+    check_heights(trees)
     return check_reuse(work, trace, trees)
 
 
@@ -255,25 +275,80 @@ def test_planted_reuse_without_every_node_fails(trees, monkeypatch):
         check_reuse(graph, engine.trace_log, trees)
 
 
-@pytest.mark.parametrize("run, rounds", [(cssp, 21621), (cssp_energy, 23183)],
+@pytest.mark.parametrize("run, rounds, before",
+                         [(cssp, 19419, 21621), (cssp_energy, 21007, 23183)],
                          ids=["congest", "energy"])
-def test_a_child_that_does_not_reuse_adds_no_round(monkeypatch, run, rounds):
+def test_a_child_that_does_not_reuse_pays_only_the_vote_window(
+        monkeypatch, run, rounds, before):
     """With the reuse broadcast never sent, every near child builds its own
-    tree, and a run takes exactly the rounds of one with no vote at all
-    (gnm64, m = 192, weights 1..60, seed 0, from node 0). The sleeping pin
-    moved 37,903 -> 37,839 when completion pipes went to power-of-two
-    periods, which changes when completion messages go; both moved (to
-    21,621 and 23,183) when a component began to start its cutter in the
-    Boruvka phase that finds it whole, and the far child's start lead
-    began to follow the pipe period."""
+    tree, and a run takes exactly the rounds of one whose vote is silent
+    (gnm64, m = 192, weights 1..60, seed 0, from node 0): the vote's
+    window is fixed. It costs 2(H + 2) - 4 rounds of phase 0 over a frame
+    that does not vote, whose phase 0 sweeps its singletons at cap 0, where
+    H is the parent frame's tree height in hops. The sleeping pin moved
+    37,903 -> 37,839 when completion pipes went to power-of-two periods,
+    which changes when completion messages go; both moved (to 21,621 and
+    23,183) when a component began to start its cutter in the Boruvka phase
+    that finds it whole, and the far child's start lead began to follow the
+    pipe period, and again (to 19,419 and 21,007) when phase 0 began to
+    sweep at cap 0, or at H in a near child, instead of at the node bound
+    N, where the vote had cost no round."""
     monkeypatch.setattr(CsspProgram, "_on_sameb", lambda self, api, f: None)
     g = gen_graph(GraphSpec("random-gnm", 64, seed=0, m=192,
                             weight_mode="uniform", max_w=60))
     outputs, report, engine = run(g, {0}, trace=True)
     assert outputs == dijkstra(g, {0})
-    assert report.rounds == rounds
+    assert report.rounds == rounds <= before
     assert report.lost == 0
     assert not any(d["reuse"] for kind, d in engine.trace_log if kind == "cutter")
     monkeypatch.setattr(CsspProgram, "_same_up", lambda self, api, f: None)
     _, silent, _ = run(g, {0}, trace=False)
     assert silent.rounds == rounds
+
+
+GNM64 = GraphSpec("random-gnm", 64, seed=0, m=192, weight_mode="uniform",
+                  max_w=60)
+
+
+@pytest.mark.parametrize("program", [CsspProgram, EnergyCsspProgram],
+                         ids=["congest", "energy"])
+def test_a_vote_cap_one_short_raises(program):
+    """A near child's vote sweeps its parent frame's tree at that tree's
+    carried hop height H; a window for H - 1 is too short for the deepest
+    node, and `_sweep_step` says so instead of dropping its report."""
+
+    class Short(program):
+        def _cap(self, f, p):
+            cap = super()._cap(f, p)
+            return cap - 1 if p == 0 and f.path % 2 == 0 else cap
+
+    with pytest.raises(ProtocolViolation) as raised:
+        cssp(gen_graph(GNM64), {0}, program=Short, trace=False)
+    assert str(raised.value) == (
+        "node 18 at depth 14 is swept by a window for depth 13")
+    assert raised.traceback[-1].name == "_sweep_step"
+
+
+@pytest.mark.parametrize("program", [CsspProgram, EnergyCsspProgram],
+                         ids=["congest", "energy"])
+def test_phase_0_sweeps_singletons_at_cap_0(monkeypatch, program):
+    """Every tree of phase 0 is a singleton: a frame that does not vote (the
+    root and far children) sweeps it at cap 0, and a near child's own sweep
+    at its vote's cap meets depth 0 only."""
+    seen = []
+    sweep = CsspProgram._sweep
+
+    def recording(self, api, f, base, cap, depth, action):
+        seen.append((f.path, f.phase, cap, depth, action))
+        sweep(self, api, f, base, cap, depth, action)
+
+    monkeypatch.setattr(CsspProgram, "_sweep", recording)
+    g = gen_graph(GNM64)
+    outputs, report, _ = cssp(g, {0}, program=program, trace=False)
+    assert outputs == dijkstra(g, {0})
+    assert report.lost == 0
+    own = [s for s in seen if s[1] == 0 and s[4] != "_same_up"]
+    assert all(depth == 0 for _, _, _, depth, _ in own)
+    assert all(cap == 0 for path, _, cap, _, _ in own if path % 2)
+    assert {path % 2 for path, *_ in own} == {0, 1}
+    assert max(cap for *_, cap, _, _ in own) > 0  # a near child's H
